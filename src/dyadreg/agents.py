@@ -34,36 +34,41 @@ class AgentKind(Enum):
     INFANT = "infant"
 
 
-def predict_belief(belief: Categorical, transitions: np.ndarray, action: int) -> Categorical:
+def predict_belief(belief: np.ndarray, transitions: np.ndarray, action: int) -> np.ndarray:
     """Push a belief one step through the dynamics for the given action."""
-    return Categorical(transitions[:, :, action] @ belief.probs)
+    p = transitions[:, :, action] @ belief
+    return p / p.sum()
 
 
-def update_belief(belief_pred: Categorical, sensory: np.ndarray, obs: int) -> Categorical:
+def update_belief(belief_pred: np.ndarray, sensory: np.ndarray, obs: int) -> np.ndarray:
     """Bayes correction of a predicted belief by an observed cue.
 
     If the likelihood wipes out the entire prediction, the normalized
     likelihood row is used alone so the belief never degenerates.
     """
     like = sensory[obs, :]
-    post = like * belief_pred.probs
+    post = like * belief_pred
     total = post.sum()
     if total <= 0.0:
         post = like
         total = post.sum()
         if total <= 0.0:
             raise ValueError(f"observation {obs} has an all-zero likelihood row")
-    return Categorical(post / total)
+    post = post / total
+    # Normalized a second time, as Categorical() would: the artifacts
+    # depend on these exact bits.
+    return post / post.sum()
 
 
 class Agent:
     """One member of the dyad.
 
-    Holds the sensory map A[obs, z], the dynamics B[z', z, a], the symbol
-    interpretation E[a, w], the comfort preference, a persistent belief,
-    and the Dirichlet concentrations behind whichever of A or B is being
-    learned. The learned matrix is always the mean of its concentrations,
-    so batch replay of the same updates reproduces it exactly.
+    Holds the sensory map A[obs, z], the dynamics B[z', z, a], the comfort
+    preference, a persistent belief, and the Dirichlet concentrations
+    behind whichever of A or B is being learned. The learned matrix is
+    always the mean of its concentrations, so batch replay of the same
+    updates reproduces it exactly. Symbol w names action w. Beliefs and
+    posteriors are plain probability vectors.
     """
 
     def __init__(
@@ -80,39 +85,38 @@ class Agent:
         self.preference = preference
         self.preferred_obs = preferred_obs
         self._log_pref = np.log(np.maximum(preferred_obs.probs, KL_FLOOR))
-        self.E = np.eye(N_ACTIONS)
         self.obs_concentration = obs_concentration
         self.trans_concentration = trans_concentration
         self.A = sensory
         self.B = transitions
-        self._belief = Categorical.uniform(N_STATES)
+        self._belief = Categorical.uniform(N_STATES).probs
         self._refresh_sensory()
-        self._symbol_cache: Categorical | None = None
+        self._symbol_cache: np.ndarray | None = None
 
     # -- belief ----------------------------------------------------------
 
     @property
-    def belief(self) -> Categorical:
+    def belief(self) -> np.ndarray:
         return self._belief
 
     @belief.setter
-    def belief(self, value: Categorical):
-        if len(value) != N_STATES:
+    def belief(self, value):
+        """Set the belief from any probability vector, validated here."""
+        probs = Categorical(value).probs
+        if probs.size != N_STATES:
             raise ValueError("belief support must match the state space")
-        self._belief = value
+        self._belief = probs
         self._symbol_cache = None
 
-    def predict(self, action: int) -> Categorical:
-        return predict_belief(self._belief, self.B, action)
-
-    def assimilate(self, action: int, obs: int) -> tuple[Categorical, Categorical]:
+    def assimilate(self, action: int, obs: int) -> tuple[np.ndarray, np.ndarray]:
         """Predict through `action`, correct by `obs`, adopt the result.
 
         Returns (previous belief, new belief); the pair is what dynamics
         learning needs.
         """
         prev = self._belief
-        self.belief = update_belief(self.predict(action), self.A, obs)
+        self._belief = update_belief(predict_belief(prev, self.B, action), self.A, obs)
+        self._symbol_cache = None
         return prev, self._belief
 
     # -- action and symbol scoring ----------------------------------------
@@ -125,43 +129,36 @@ class Agent:
         Dirichlet where the agent is learning them; risk is the KL from the
         predicted observation distribution to the comfort distribution.
         """
-        q_pred = np.tensordot(self._belief.probs, self.B, axes=(0, 1))
+        q_pred = np.tensordot(self._belief, self.B, axes=(0, 1))
         ambiguity = self._sensory_entropy @ q_pred
         q_obs = self.A @ q_pred
         logs = np.where(q_obs > 0.0, np.log(np.where(q_obs > 0.0, q_obs, 1.0)), 0.0)
         risk = (q_obs * (logs - self._log_pref[:, None])).sum(axis=0)
         return ambiguity + risk
 
-    def expected_free_energy(self, action: int) -> float:
-        return float(self.efe_per_action()[action])
-
-    def symbol_posterior(self) -> Categorical:
-        """Distribution over symbols: softmax of minus the symbol scores,
-        where each symbol inherits the free energy of the actions it maps
-        to through E."""
+    def symbol_posterior(self) -> np.ndarray:
+        """Distribution over symbols: softmax of minus the free energy of
+        the action each symbol names."""
         if self._symbol_cache is None:
-            g = self.E.T @ self.efe_per_action()
-            self._symbol_cache = softmax_neg(g)
+            self._symbol_cache = softmax_neg(self.efe_per_action())
         return self._symbol_cache
 
     # -- learning ----------------------------------------------------------
 
-    def learn_A(self, posterior: Categorical, obs: int):
+    def learn_A(self, posterior: np.ndarray, obs: int):
         """Accumulate belief mass into the observation counts for `obs`."""
         if self.obs_concentration is None:
             raise ValueError(f"{self.kind.value} does not learn the sensory map")
-        self.obs_concentration[:, obs] += posterior.probs
+        self.obs_concentration[:, obs] += posterior
         self._refresh_sensory(obs)
         self._symbol_cache = None
 
-    def learn_B(self, prev_posterior: Categorical, posterior: Categorical, action: int):
+    def learn_B(self, prev_posterior: np.ndarray, posterior: np.ndarray, action: int):
         """Accumulate the outer product of consecutive beliefs into the
         transition counts for `action`."""
         if self.trans_concentration is None:
             raise ValueError(f"{self.kind.value} does not learn the dynamics")
-        self.trans_concentration[:, :, action] += np.outer(
-            posterior.probs, prev_posterior.probs
-        )
+        self.trans_concentration[:, :, action] += np.outer(posterior, prev_posterior)
         slice_a = self.trans_concentration[:, :, action]
         self.B[:, :, action] = slice_a / slice_a.sum(axis=0, keepdims=True)
         self._symbol_cache = None

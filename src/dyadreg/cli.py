@@ -10,6 +10,7 @@ environment variable, which wins over the config file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -23,12 +24,12 @@ from .harness import (
     load_trial_csv,
     run_experiment,
     run_trial,
-    shuffle_seed,
+    shuffle_seeds,
+    shuffled_window,
     write_beliefs_csv,
     write_trial_csv,
 )
 from .metrics import ALIGNMENT_WINDOW, aggregate_conditions, auc_window, shuffle_control
-from .probability import make_rng
 
 ENV_OUT = "DYADREG_OUT"
 
@@ -88,7 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_shuf.add_argument("--run", required=True, help="run directory with artifacts")
     p_shuf.add_argument("--condition", choices=CONDITION_NAMES, default="mhng")
     p_shuf.add_argument("--trial-index", type=int, default=0)
-    p_shuf.add_argument("--seed", type=int, help="override the permutation seed")
+    p_shuf.add_argument(
+        "--seed",
+        type=int,
+        help="use one permutation with this seed instead of the run's "
+        "shuffle_permutations permutations",
+    )
     p_shuf.add_argument(
         "--window-start", type=int, default=ALIGNMENT_WINDOW[0], help="first iteration"
     )
@@ -173,7 +179,11 @@ def _cmd_shuffle(args) -> int:
             file=sys.stderr,
         )
         return 1
-    beliefs = load_beliefs_csv(belief_path)
+    try:
+        beliefs = load_beliefs_csv(belief_path)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     parent_seq = beliefs["parent_iterations"]
     infant_seq = beliefs["infant_iterations"]
     n = parent_seq.shape[0]
@@ -185,22 +195,23 @@ def _cmd_shuffle(args) -> int:
             file=sys.stderr,
         )
         return 1
-    perm_seed = (
-        args.seed
+    seeds = (
+        [args.seed]
         if args.seed is not None
-        else shuffle_seed(config.seed, args.condition, args.trial_index)
+        else shuffle_seeds(config, args.condition, args.trial_index)
     )
     original = shuffle_control(parent_seq, infant_seq, permutation=np.arange(n))
-    shuffled = shuffle_control(parent_seq, infant_seq, rng=make_rng(perm_seed))
+    auc_shuffled, median_shuffled = shuffled_window(parent_seq, infant_seq, seeds, lo, hi)
     result = {
         "condition": args.condition,
         "trial": args.trial_index,
-        "permutation_seed": perm_seed,
+        # The first seed; the shuffled numbers average over all of them.
+        "permutation_seed": seeds[0],
         "window": [args.window_start, args.window_end],
         "auc_original": auc_window(original, lo, hi),
-        "auc_shuffled": auc_window(shuffled, lo, hi),
+        "auc_shuffled": auc_shuffled,
         "jsd_median_original": float(np.median(original[lo : hi + 1])),
-        "jsd_median_shuffled": float(np.median(shuffled[lo : hi + 1])),
+        "jsd_median_shuffled": median_shuffled,
     }
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0
@@ -218,7 +229,11 @@ def _cmd_report(args) -> int:
     if not paths:
         print(f"error: no trial CSVs under {trials_dir}", file=sys.stderr)
         return 1
-    logs = [load_trial_csv(p) for p in paths]
+    try:
+        logs = [load_trial_csv(p) for p in paths]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     agg = aggregate_conditions(logs)
     print(f"{'condition':>10} {'trials':>6} {'mean':>8} {'std':>8} {'sem':>8}")
     for cond in sorted(agg, key=lambda c: agg[c]["mean_c_norm"], reverse=True):
@@ -257,7 +272,17 @@ def main(argv=None) -> int:
         "report": _cmd_report,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone (`dyadreg run | head`). As the
+        # Python docs advise for SIGPIPE: point stdout at devnull so the
+        # flush at shutdown cannot fail again, and exit nonzero quietly.
+        with contextlib.suppress(OSError, ValueError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,12 +12,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .agents import DIRICHLET_PRIOR
+from .dialogue import CONDITION_NAMES, ROUND_ORDERS
+from .environment import N_STATES
 
-CONDITION_NAMES = ("mhng", "a-led", "b-led")
-ROUND_ORDERS = ("infant-first", "parent-first")
 CURRENT_W_MODES = ("fresh", "persistent")
 PREFERENCE_MODES = ("linear", "softmax")
-N_STATES = 36
 
 
 class ConfigError(ValueError):

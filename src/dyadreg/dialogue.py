@@ -16,7 +16,7 @@ import numpy as np
 
 from .agents import Agent, AgentKind
 from .environment import StepOutcome, TransitionModel, VisceralState, step
-from .probability import Categorical, sample
+from .probability import sample
 
 
 class Condition(Enum):
@@ -28,6 +28,7 @@ class Condition(Enum):
     B_LED = "b-led"
 
 
+CONDITION_NAMES = tuple(c.value for c in Condition)
 ROUND_ORDERS = ("infant-first", "parent-first")
 
 
@@ -58,7 +59,7 @@ def propose(agent: Agent, rng: np.random.Generator) -> int:
 def mh_accept(
     proposed_w: int,
     current_w: int,
-    listener_posterior: Categorical,
+    listener_posterior: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[bool, float]:
     """Metropolis-Hastings acceptance using only the listener's posterior.
@@ -67,8 +68,8 @@ def mh_accept(
     denominator counts as certain acceptance. Always consumes one uniform
     so the stream stays aligned.
     """
-    num = float(listener_posterior.probs[proposed_w])
-    den = float(listener_posterior.probs[current_w])
+    num = float(listener_posterior[proposed_w])
+    den = float(listener_posterior[current_w])
     prob = 1.0 if den <= 0.0 else min(1.0, num / den)
     return bool(rng.random() < prob), prob
 
@@ -84,8 +85,7 @@ def run_round(
 
     The listener pits the proposal against `current_w` when given and
     against a fresh draw from its own posterior otherwise. The agreed
-    symbol doubles as the executed action because the interpretation
-    matrix is the identity.
+    symbol doubles as the executed action: symbol w names action w.
     """
     proposed = propose(speaker, rng)
     if current_w is None:
@@ -141,9 +141,10 @@ def run_iteration(
             speaker, listener, condition, rng, current_w if persist_w else None
         )
         result = step(world, state, outcome.action, rng)
-        prev_infant, _ = infant.assimilate(outcome.action, result.infant_obs)
-        parent.assimilate(outcome.action, result.parent_obs)
-        parent.learn_A(parent.belief, result.parent_obs)
+        obs = result.next_state.flat
+        prev_infant, _ = infant.assimilate(outcome.action, obs)
+        parent.assimilate(outcome.action, obs)
+        parent.learn_A(parent.belief, obs)
         infant.learn_B(prev_infant, infant.belief, outcome.action)
         state = result.next_state
         if persist_w:

@@ -86,10 +86,11 @@ class TransitionModel:
 
 @dataclass(frozen=True)
 class StepOutcome:
+    """Where a step landed. Both agents observe next_state.flat: emission
+    is the identity."""
+
     next_state: VisceralState
     rare_branch: bool
-    infant_obs: int
-    parent_obs: int
 
 
 def _clamp(v: int) -> int:
@@ -143,15 +144,14 @@ def step(
 ) -> StepOutcome:
     """Advance the true state by one action, consuming exactly one uniform.
 
-    rare_branch is set only when a distinct rare successor was sampled;
-    both observation channels emit the flat index of the landing state.
+    rare_branch is set only when a distinct rare successor was sampled.
     """
     z = state.flat
     rare = int(model.rare_next[z, action])
     u = rng.random()
     fired = rare >= 0 and u < model.branch_prob
     nxt = rare if fired else int(model.main_next[z, action])
-    return StepOutcome(VisceralState.from_flat(nxt), fired, nxt, nxt)
+    return StepOutcome(VisceralState.from_flat(nxt), fired)
 
 
 @dataclass(frozen=True)

@@ -33,16 +33,15 @@ from .environment import (
 )
 from .metrics import (
     ALIGNMENT_WINDOW,
+    ROUND_DTYPE,
     SPIKE_RANGE,
-    IterationMetrics,
-    RoundRecord,
     TrialLog,
     aggregate_conditions,
     auc_window,
     c_norm,
     jsd_latent,
-    kld_A_error,
     kld_B_error,
+    mean_column_kl,
     shuffle_control,
 )
 from .plots import emit_plots
@@ -50,26 +49,7 @@ from .probability import derive_seed, make_rng
 
 START_STATE = VisceralState(2, 2)
 
-CSV_HEADER = [
-    "condition",
-    "trial",
-    "iteration",
-    "round",
-    "speaker",
-    "proposed_w",
-    "listener_own_w",
-    "accepted",
-    "acceptance_prob",
-    "shared_w",
-    "action",
-    "true_x",
-    "true_y",
-    "rare_branch",
-    "c_norm",
-    "jsd_z",
-    "kld_A",
-    "kld_B_sleep",
-]
+CSV_HEADER = list(ROUND_DTYPE.names)
 
 BELIEF_HEADER = ["iteration", "round", "agent"] + [f"q{i:02d}" for i in range(N_STATES)]
 
@@ -86,6 +66,27 @@ def trial_seed(root_seed: int, condition: str, trial_index: int) -> int:
 def shuffle_seed(root_seed: int, condition: str, trial_index: int, k: int = 0) -> int:
     """Sub-seed of the k-th shuffle permutation for one trial."""
     return derive_seed(root_seed, condition, trial_index, "shuffle", k)
+
+
+def shuffle_seeds(config: ExperimentConfig, condition: str, trial_index: int) -> list:
+    """The sub-seeds of a trial's config.shuffle_permutations permutations."""
+    return [
+        shuffle_seed(config.seed, condition, trial_index, k)
+        for k in range(config.shuffle_permutations)
+    ]
+
+
+def shuffled_window(parent_seq, infant_seq, seeds, lo: int, hi: int) -> tuple:
+    """The time-shuffle control over the inclusive 0-based iteration window
+    [lo, hi]: the AUC and the median of the shuffled belief divergence,
+    each the mean over one permutation per seed. summary.json and the
+    shuffle-control command both come from here."""
+    aucs, medians = [], []
+    for seed in seeds:
+        shuffled = shuffle_control(parent_seq, infant_seq, rng=make_rng(seed))
+        aucs.append(auc_window(shuffled, lo, hi))
+        medians.append(np.median(shuffled[lo : hi + 1]))
+    return float(np.mean(aucs)), float(np.mean(medians))
 
 
 def build_world(config: ExperimentConfig):
@@ -118,46 +119,46 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog
     )
     sensory_true = identity_sensory_map()
     n = config.iterations
-    log = TrialLog(cond.value, trial_index, seed)
-    log.parent_beliefs = np.empty((n, N_STATES))
-    log.infant_beliefs = np.empty((n, N_STATES))
+    parent_beliefs = np.empty((n, N_STATES))
+    infant_beliefs = np.empty((n, N_STATES))
+    parent_round_beliefs = infant_round_beliefs = None
     if config.dump_beliefs:
-        log.parent_round_beliefs = np.empty((2 * n, N_STATES))
-        log.infant_round_beliefs = np.empty((2 * n, N_STATES))
+        parent_round_beliefs = np.empty((2 * n, N_STATES))
+        infant_round_beliefs = np.empty((2 * n, N_STATES))
+    rows = []
+
+    def on_round(idx, outcome, stp):
+        landed = stp.next_state
+        if config.dump_beliefs:
+            parent_round_beliefs[len(rows)] = parent.belief
+            infant_round_beliefs[len(rows)] = infant.belief
+        rows.append(
+            (
+                cond.value,
+                trial_index,
+                len(rows) // 2 + 1,
+                idx + 1,
+                outcome.speaker.value,
+                outcome.proposed_w,
+                outcome.listener_own_w,
+                outcome.accepted,
+                outcome.acceptance_prob,
+                outcome.shared_w,
+                outcome.action,
+                landed.x,
+                landed.y,
+                stp.rare_branch,
+                c_norm(landed, pref),
+                jsd_latent(parent.belief, infant.belief),
+                mean_column_kl(sensory_true, parent.A),
+                kld_B_error(world.tensor, infant.B, Action.SLEEP),
+            )
+        )
+
     persist = config.mh_current_w == "persistent"
     state = START_STATE
     current_w = None
-    for it in range(1, n + 1):
-        records = []
-
-        def on_round(idx, outcome, stp, _it=it):
-            records.append(
-                RoundRecord(
-                    condition=cond.value,
-                    trial=trial_index,
-                    iteration=_it,
-                    round=idx + 1,
-                    speaker=outcome.speaker.value,
-                    proposed_w=outcome.proposed_w,
-                    listener_own_w=outcome.listener_own_w,
-                    accepted=outcome.accepted,
-                    acceptance_prob=outcome.acceptance_prob,
-                    shared_w=outcome.shared_w,
-                    action=outcome.action,
-                    true_x=stp.next_state.x,
-                    true_y=stp.next_state.y,
-                    rare_branch=stp.rare_branch,
-                    c_norm=c_norm(stp.next_state, pref),
-                    jsd_z=jsd_latent(parent.belief, infant.belief),
-                    kld_A=kld_A_error(sensory_true, parent.A),
-                    kld_B_sleep=kld_B_error(world.tensor, infant.B, Action.SLEEP),
-                )
-            )
-            if config.dump_beliefs:
-                row = 2 * (_it - 1) + idx
-                log.parent_round_beliefs[row] = parent.belief.probs
-                log.infant_round_beliefs[row] = infant.belief.probs
-
+    for it in range(n):
         result = run_iteration(
             parent,
             infant,
@@ -170,130 +171,87 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog
             persist_w=persist,
             on_round=on_round,
         )
-        state = result.state
-        if persist:
-            current_w = result.shared_w
-        log.rounds.extend(records)
-        last = records[-1]
-        log.iterations.append(
-            IterationMetrics(
-                iteration=it,
-                c_norm=last.c_norm,
-                jsd_z=last.jsd_z,
-                kld_A=last.kld_A,
-                kld_B_sleep=last.kld_B_sleep,
-                rare_branch=any(r.rare_branch for r in records),
-            )
-        )
-        log.parent_beliefs[it - 1] = parent.belief.probs
-        log.infant_beliefs[it - 1] = infant.belief.probs
-    log.final_obs_concentration = parent.obs_concentration.copy()
-    log.final_trans_concentration = infant.trans_concentration.copy()
-    return log
+        state, current_w = result.state, result.shared_w
+        parent_beliefs[it] = parent.belief
+        infant_beliefs[it] = infant.belief
+    return TrialLog(
+        cond.value,
+        trial_index,
+        seed,
+        np.array(rows, dtype=ROUND_DTYPE),
+        parent_beliefs,
+        infant_beliefs,
+        parent_round_beliefs,
+        infant_round_beliefs,
+        parent.obs_concentration.copy(),
+        infant.trans_concentration.copy(),
+    )
 
 
 # -- CSV artifacts ---------------------------------------------------------
 
 
 def write_trial_csv(log: TrialLog, path):
+    columns = []
+    for name in CSV_HEADER:
+        column = log.rounds[name]
+        kind = column.dtype.kind
+        if kind == "b":  # flags are written as 0/1
+            column = column.astype(int)
+        columns.append(map(_fmt, column.tolist()) if kind == "f" else column.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for r in log.rounds:
-            writer.writerow(
-                [
-                    r.condition,
-                    r.trial,
-                    r.iteration,
-                    r.round,
-                    r.speaker,
-                    r.proposed_w,
-                    r.listener_own_w,
-                    int(r.accepted),
-                    _fmt(r.acceptance_prob),
-                    r.shared_w,
-                    r.action,
-                    r.true_x,
-                    r.true_y,
-                    int(r.rare_branch),
-                    _fmt(r.c_norm),
-                    _fmt(r.jsd_z),
-                    _fmt(r.kld_A),
-                    _fmt(r.kld_B_sleep),
-                ]
-            )
+        writer.writerows(zip(*columns))
 
 
 def load_trial_csv(path, seed: int = -1) -> TrialLog:
-    """Rebuild a trial log (rounds and per-iteration metrics) from its CSV.
+    """Rebuild a trial log from its CSV.
 
+    Every cell must parse, and the rows must be rounds 1 and 2 of
+    iterations 1, 2, ... in order; otherwise ValueError names the file.
     Belief matrices and final counts are not part of the CSV; the seed is
     unknown unless supplied."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header in {path}")
+        if next(reader, None) != CSV_HEADER:
+            raise ValueError(f"{path}: unexpected CSV header")
         rows = list(reader)
     if not rows:
-        raise ValueError(f"no data rows in {path}")
-    records = [
-        RoundRecord(
-            condition=row[0],
-            trial=int(row[1]),
-            iteration=int(row[2]),
-            round=int(row[3]),
-            speaker=row[4],
-            proposed_w=int(row[5]),
-            listener_own_w=int(row[6]),
-            accepted=bool(int(row[7])),
-            acceptance_prob=float(row[8]),
-            shared_w=int(row[9]),
-            action=int(row[10]),
-            true_x=int(row[11]),
-            true_y=int(row[12]),
-            rare_branch=bool(int(row[13])),
-            c_norm=float(row[14]),
-            jsd_z=float(row[15]),
-            kld_A=float(row[16]),
-            kld_B_sleep=float(row[17]),
+        raise ValueError(f"{path}: no data rows")
+    if set(map(len, rows)) != {len(CSV_HEADER)}:
+        raise ValueError(f"{path}: every row needs {len(CSV_HEADER)} cells")
+    rounds = np.empty(len(rows), ROUND_DTYPE)
+    for name, cells in zip(CSV_HEADER, zip(*rows)):
+        # Cells parse as int() and float() parse them. Flags are written as
+        # 0/1 and go through int, since the text "0" would cast to True.
+        dtype = np.int8 if ROUND_DTYPE[name].kind == "b" else ROUND_DTYPE[name]
+        try:
+            rounds[name] = np.array(cells, dtype=object).astype(dtype)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: column {name}: {exc}") from None
+    index = np.arange(len(rows))
+    if len(rows) % 2 or not (
+        np.array_equal(rounds["iteration"], index // 2 + 1)
+        and np.array_equal(rounds["round"], index % 2 + 1)
+    ):
+        raise ValueError(
+            f"{path}: rows must be rounds 1 and 2 of iterations 1, 2, ... in order"
         )
-        for row in rows
-    ]
-    log = TrialLog(records[0].condition, records[0].trial, seed, rounds=records)
-    by_iter: dict[int, list[RoundRecord]] = {}
-    for r in records:
-        by_iter.setdefault(r.iteration, []).append(r)
-    for it in sorted(by_iter):
-        group = by_iter[it]
-        last = group[-1]
-        log.iterations.append(
-            IterationMetrics(
-                iteration=it,
-                c_norm=last.c_norm,
-                jsd_z=last.jsd_z,
-                kld_A=last.kld_A,
-                kld_B_sleep=last.kld_B_sleep,
-                rare_branch=any(r.rare_branch for r in group),
-            )
-        )
-    return log
+    return TrialLog(str(rounds["condition"][0]), int(rounds["trial"][0]), seed, rounds)
 
 
 def write_beliefs_csv(log: TrialLog, path):
     if log.parent_round_beliefs is None or log.infant_round_beliefs is None:
         raise ValueError("trial was run without belief dumps")
+    rounds = zip(log.parent_round_beliefs.tolist(), log.infant_round_beliefs.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(BELIEF_HEADER)
-        n_rows = log.parent_round_beliefs.shape[0]
-        for row in range(n_rows):
+        for row, (parent, infant) in enumerate(rounds):
             it, rd = row // 2 + 1, row % 2 + 1
-            for agent, beliefs in (
-                ("parent", log.parent_round_beliefs),
-                ("infant", log.infant_round_beliefs),
-            ):
-                writer.writerow([it, rd, agent] + [_fmt(v) for v in beliefs[row]])
+            writer.writerow([it, rd, "parent", *map(_fmt, parent)])
+            writer.writerow([it, rd, "infant", *map(_fmt, infant)])
 
 
 def load_beliefs_csv(path) -> dict:
@@ -337,12 +295,10 @@ def _alignment_stats(config: ExperimentConfig, log: TrialLog) -> dict:
     if hi < n:
         out["jsd_median"] = float(np.median(series[lo : hi + 1]))
         out["auc_original"] = auc_window(series, lo, hi)
-        shuffled_aucs = []
-        for k in range(config.shuffle_permutations):
-            rng = make_rng(shuffle_seed(config.seed, log.condition, log.trial_index, k))
-            shuffled = shuffle_control(log.parent_beliefs, log.infant_beliefs, rng=rng)
-            shuffled_aucs.append(auc_window(shuffled, lo, hi))
-        out["auc_shuffled"] = float(np.mean(shuffled_aucs))
+        seeds = shuffle_seeds(config, log.condition, log.trial_index)
+        out["auc_shuffled"], _ = shuffled_window(
+            log.parent_beliefs, log.infant_beliefs, seeds, lo, hi
+        )
     s_lo, s_hi = SPIKE_RANGE[0] - 1, min(SPIKE_RANGE[1] - 1, n - 1)
     if s_lo <= s_hi:
         rare = log.iteration_series("rare_branch")[s_lo : s_hi + 1]
@@ -353,10 +309,12 @@ def _alignment_stats(config: ExperimentConfig, log: TrialLog) -> dict:
     return out
 
 
-def build_summary(config: ExperimentConfig, logs) -> dict:
+def build_summary(config: ExperimentConfig, logs, agg=None) -> dict:
     """Cross-trial summary: comfort moments per condition, their ranking,
-    mean metric curves, and per-trial alignment statistics."""
-    agg = aggregate_conditions(logs)
+    metric snapshots, and per-trial alignment statistics. `agg` is
+    aggregate_conditions(logs), computed here unless given."""
+    if agg is None:
+        agg = aggregate_conditions(logs)
     by_condition: dict[str, list[TrialLog]] = {}
     for log in logs:
         by_condition.setdefault(log.condition, []).append(log)
@@ -467,7 +425,8 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
             write_beliefs_csv(log, trials_dir / bname)
             artifacts.append(f"trials/{bname}")
 
-    summary = build_summary(config, logs)
+    agg = aggregate_conditions(logs)
+    summary = build_summary(config, logs, agg)
     (out / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )
@@ -496,7 +455,6 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
                         [cond, row["trial"], _fmt(row["auc_original"]), _fmt(row["auc_shuffled"])]
                     )
 
-    agg = aggregate_conditions(logs)
     for cond in config.conditions:
         curves = agg[cond]["curves"]
         name = f"curves_{cond}.csv"

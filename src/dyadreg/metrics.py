@@ -2,12 +2,13 @@
 
 Comfort of the true state, learning error of each agent's imprecise
 matrix, divergence between the two agents' beliefs, windowed AUC, the
-temporal-shuffle control, and cross-trial aggregation.
+temporal-shuffle control, the columnar trial log, and cross-trial
+aggregation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -40,11 +41,6 @@ def mean_column_kl(true_cols: np.ndarray, learned_cols: np.ndarray) -> float:
     return float(terms.sum(axis=0).mean())
 
 
-def kld_A_error(sensory_true: np.ndarray, sensory_learned: np.ndarray) -> float:
-    """Mean per-state KL from the exact sensory columns to the learned ones."""
-    return mean_column_kl(sensory_true, sensory_learned)
-
-
 def kld_B_error(
     dynamics_true: np.ndarray, dynamics_learned: np.ndarray, action: int
 ) -> float:
@@ -55,7 +51,7 @@ def kld_B_error(
     return mean_column_kl(dynamics_true[:, :, action], dynamics_learned[:, :, action])
 
 
-def jsd_latent(parent_belief: Categorical, infant_belief: Categorical) -> float:
+def jsd_latent(parent_belief: np.ndarray, infant_belief: np.ndarray) -> float:
     """Jensen-Shannon divergence between the two agents' beliefs."""
     return js_divergence(parent_belief, infant_belief)
 
@@ -103,52 +99,41 @@ def shuffle_control(
     )
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """Everything logged about a single round, one CSV row."""
-
-    condition: str
-    trial: int
-    iteration: int
-    round: int
-    speaker: str
-    proposed_w: int
-    listener_own_w: int
-    accepted: bool
-    acceptance_prob: float
-    shared_w: int
-    action: int
-    true_x: int
-    true_y: int
-    rare_branch: bool
-    c_norm: float
-    jsd_z: float
-    kld_A: float
-    kld_B_sleep: float
-
-
-@dataclass(frozen=True)
-class IterationMetrics:
-    """Per-iteration view: the second round's metrics, with the rare flag
-    raised if either round branched."""
-
-    iteration: int
-    c_norm: float
-    jsd_z: float
-    kld_A: float
-    kld_B_sleep: float
-    rare_branch: bool
+# The per-round trial log, one column per trial-CSV column, in CSV order.
+# Six characters hold every condition and speaker name.
+ROUND_DTYPE = np.dtype(
+    [
+        ("condition", "U6"),
+        ("trial", "i4"),
+        ("iteration", "i4"),
+        ("round", "i1"),
+        ("speaker", "U6"),
+        ("proposed_w", "i1"),
+        ("listener_own_w", "i1"),
+        ("accepted", "?"),
+        ("acceptance_prob", "f8"),
+        ("shared_w", "i1"),
+        ("action", "i1"),
+        ("true_x", "i1"),
+        ("true_y", "i1"),
+        ("rare_branch", "?"),
+        ("c_norm", "f8"),
+        ("jsd_z", "f8"),
+        ("kld_A", "f8"),
+        ("kld_B_sleep", "f8"),
+    ]
+)
 
 
 @dataclass
 class TrialLog:
-    """Full record of one seeded trial."""
+    """Full record of one seeded trial. `rounds` holds two rows per
+    iteration, its rounds 1 and 2 in order, with dtype ROUND_DTYPE."""
 
     condition: str
     trial_index: int
     seed: int
-    rounds: list = field(default_factory=list)
-    iterations: list = field(default_factory=list)
+    rounds: np.ndarray
     parent_beliefs: Optional[np.ndarray] = None
     infant_beliefs: Optional[np.ndarray] = None
     parent_round_beliefs: Optional[np.ndarray] = None
@@ -157,9 +142,12 @@ class TrialLog:
     final_trans_concentration: Optional[np.ndarray] = None
 
     def iteration_series(self, name: str) -> np.ndarray:
-        vals = [getattr(m, name) for m in self.iterations]
-        dtype = bool if name == "rare_branch" else float
-        return np.asarray(vals, dtype=dtype)
+        """One value per iteration: the second round's, except that the
+        rare flag is raised if either round branched."""
+        column = self.rounds[name]
+        if name == "rare_branch":
+            return column[0::2] | column[1::2]
+        return column[1::2].astype(float)
 
 
 def aggregate_conditions(logs: Iterable[TrialLog]) -> dict:

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .metrics import ROUND_DTYPE
+
 # CSV column numbers (1-based, gnuplot convention) in the trial files.
-COL_ITERATION = 3
-COL_ROUND = 4
-COL_RARE = 14
-COL_JSD = 16
-COL_KLD_A = 17
-COL_KLD_B = 18
+COL_ITERATION, COL_ROUND, COL_RARE, COL_JSD = (
+    ROUND_DTYPE.names.index(name) + 1 for name in ("iteration", "round", "rare_branch", "jsd_z")
+)
 
 _PREAMBLE = """\
 # gnuplot script; run from this directory: gnuplot {name}

@@ -2,7 +2,9 @@
 
 Categorical vectors, Shannon entropy, KL and Jensen-Shannon divergences,
 a negative softmax, Dirichlet means and expected entropies, the digamma
-function, and deterministic seeded sampling.
+function, and deterministic seeded sampling. Categorical validates a
+vector where one enters the program; the divergences and sample() also
+take a plain vector, which is what the per-round path passes them.
 All logarithms are natural, so every information quantity is in nats.
 """
 
@@ -74,53 +76,59 @@ class Categorical:
         return cls(p)
 
 
-def entropy(dist: Categorical) -> float:
+def _probs(dist) -> np.ndarray:
+    """The vector of a Categorical; a plain array is taken as already valid."""
+    return dist.probs if isinstance(dist, Categorical) else dist
+
+
+def entropy(dist) -> float:
     """Shannon entropy in nats, with the 0 * ln 0 = 0 convention."""
-    p = dist.probs
+    p = _probs(dist)
     nz = p[p > 0.0]
     return float(-(nz * np.log(nz)).sum())
 
 
-def kl_divergence(p: Categorical, q: Categorical) -> float:
+def kl_divergence(p, q) -> float:
     """KL(p || q) in nats.
 
     Entries of q below KL_FLOOR are clamped up and q is renormalized, so
     the result is finite even when q has empty cells. Supports must match.
     """
-    if len(p) != len(q):
-        raise ValueError(f"support mismatch: {len(p)} vs {len(q)}")
-    qv = q.probs
+    pv, qv = _probs(p), _probs(q)
+    if pv.size != qv.size:
+        raise ValueError(f"support mismatch: {pv.size} vs {qv.size}")
     if np.any(qv < KL_FLOOR):
         qv = np.maximum(qv, KL_FLOOR)
         qv = qv / qv.sum()
-    pv = p.probs
     mask = pv > 0.0
     val = float((pv[mask] * (np.log(pv[mask]) - np.log(qv[mask]))).sum())
     return max(val, 0.0)
 
 
-def js_divergence(p: Categorical, q: Categorical) -> float:
+def js_divergence(p, q) -> float:
     """Jensen-Shannon divergence in nats: symmetric, bounded by ln 2.
 
     Computed directly against the even mixture, with no smoothing; where
     p or q is zero the corresponding term vanishes.
     """
-    if len(p) != len(q):
-        raise ValueError(f"support mismatch: {len(p)} vs {len(q)}")
-    m = 0.5 * (p.probs + q.probs)
+    pv, qv = _probs(p), _probs(q)
+    if pv.size != qv.size:
+        raise ValueError(f"support mismatch: {pv.size} vs {qv.size}")
+    m = 0.5 * (pv + qv)
 
     def _half(v: np.ndarray) -> float:
         mask = v > 0.0
         return float((v[mask] * (np.log(v[mask]) - np.log(m[mask]))).sum())
 
-    return max(0.5 * _half(p.probs) + 0.5 * _half(q.probs), 0.0)
+    return max(0.5 * _half(pv) + 0.5 * _half(qv), 0.0)
 
 
-def softmax_neg(values) -> Categorical:
+def softmax_neg(values) -> np.ndarray:
     """Normalized exp(-v): the smallest value gets the largest probability.
 
     The maximum of -v is subtracted before exponentiation, so arbitrarily
-    large inputs do not overflow. Values must be finite.
+    large inputs do not overflow. Values must be finite: a NaN would
+    otherwise pass silently into sample().
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
@@ -128,14 +136,17 @@ def softmax_neg(values) -> Categorical:
     if not np.all(np.isfinite(v)):
         raise ValueError("softmax_neg requires finite values")
     w = np.exp(-(v - v.min()))
-    return Categorical(w / w.sum())
+    p = w / w.sum()
+    # Normalized a second time, as Categorical() would: the artifacts
+    # depend on these exact bits.
+    return p / p.sum()
 
 
-def sample(dist: Categorical, rng: np.random.Generator) -> int:
+def sample(dist, rng: np.random.Generator) -> int:
     """Draw one index from dist, consuming exactly one uniform from rng."""
-    cum = np.cumsum(dist.probs)
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    return min(idx, len(dist) - 1)
+    p = _probs(dist)
+    idx = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
+    return min(idx, p.size - 1)
 
 
 def dirichlet_mean(concentrations, axis: int = 0) -> np.ndarray:

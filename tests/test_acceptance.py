@@ -113,9 +113,9 @@ def sleep_column_counts(log, iterations):
     counts = np.zeros(36)
     prev = START_STATE.flat
     for rec in log.rounds[: 2 * iterations]:
-        if rec.action == Action.SLEEP:
+        if rec["action"] == Action.SLEEP:
             counts[prev] += 1
-        prev = rec.true_y * 6 + rec.true_x
+        prev = rec["true_y"] * 6 + rec["true_x"]
     return counts
 
 
@@ -210,10 +210,10 @@ def test_criterion_6_mh_stationarity_oracle():
                 preference=pref,
                 preferred_obs=preferred_obs_distribution(pref),
             )
-            agent.belief = Categorical(fixture_rng.dirichlet(np.ones(36)))
+            agent.belief = Categorical(fixture_rng.dirichlet(np.ones(36))).probs
             agents.append(agent)
         parent, infant = agents
-        target = parent.symbol_posterior().probs * infant.symbol_posterior().probs
+        target = parent.symbol_posterior() * infant.symbol_posterior()
         target = target / target.sum()
         rng = make_rng(7000 + fixture)
         current = 0
@@ -235,9 +235,9 @@ def test_criterion_7_dirichlet_counting_oracle():
     beta = np.full((36, 36, 5), cfg.dirichlet_prior)
     prev_infant = np.full(36, 1.0 / 36.0)
     for r, rec in enumerate(log.rounds):
-        obs = rec.true_y * 6 + rec.true_x
+        obs = rec["true_y"] * 6 + rec["true_x"]
         alpha[:, obs] += log.parent_round_beliefs[r]
-        beta[:, :, rec.action] += np.outer(log.infant_round_beliefs[r], prev_infant)
+        beta[:, :, rec["action"]] += np.outer(log.infant_round_beliefs[r], prev_infant)
         prev_infant = log.infant_round_beliefs[r]
     alpha_err = float(np.abs(alpha - log.final_obs_concentration).max())
     beta_err = float(np.abs(beta - log.final_trans_concentration).max())
@@ -303,8 +303,8 @@ def test_criterion_8_property_battery(tmp_path):
         obs = int(fuzz.integers(36))
         for agent in (parent, infant):
             prev, post = agent.assimilate(action, obs)
-            assert np.all(post.probs >= 0.0)
-            assert abs(post.probs.sum() - 1.0) <= 1e-9
+            assert np.all(post >= 0.0)
+            assert abs(post.sum() - 1.0) <= 1e-9
         if step_i % 7 == 0:
             parent.learn_A(parent.belief, obs)
             infant.learn_B(prev, infant.belief, action)

@@ -61,7 +61,7 @@ class TestInit:
         p = fresh_parent(world, pref)
         assert np.allclose(p.A, 1.0 / N_STATES)
         assert p.B is world.tensor
-        assert np.allclose(p.belief.probs, 1.0 / N_STATES)
+        assert np.allclose(p.belief, 1.0 / N_STATES)
         assert p.obs_concentration is not None
         assert p.trans_concentration is None
 
@@ -72,9 +72,6 @@ class TestInit:
         assert i.trans_concentration is not None
         assert i.obs_concentration is None
 
-    def test_interpretation_is_identity(self, world, pref):
-        assert np.array_equal(fresh_parent(world, pref).E, np.eye(5))
-
     def test_rejects_bad_prior(self, world, pref):
         with pytest.raises(ValueError):
             init_agent(AgentKind.PARENT, world, pref, prior_concentration=0.0)
@@ -82,46 +79,46 @@ class TestInit:
 
 class TestFiltering:
     def test_predict_splits_on_branch(self, world):
-        q = Categorical.one_hot(N_STATES, VisceralState(3, 3).flat)
+        q = Categorical.one_hot(N_STATES, VisceralState(3, 3).flat).probs
         out = predict_belief(q, world.tensor, Action.SLEEP)
-        assert out.probs[VisceralState(3, 3).flat] == pytest.approx(0.8)
-        assert out.probs[VisceralState(3, 4).flat] == pytest.approx(0.2)
+        assert out[VisceralState(3, 3).flat] == pytest.approx(0.8)
+        assert out[VisceralState(3, 4).flat] == pytest.approx(0.2)
 
     def test_predict_keeps_normalization(self, world):
         rng = make_rng(0)
         for _ in range(20):
-            q = Categorical(rng.dirichlet(np.ones(N_STATES)))
+            q = Categorical(rng.dirichlet(np.ones(N_STATES))).probs
             for a in range(5):
                 out = predict_belief(q, world.tensor, a)
-                assert out.probs.sum() == pytest.approx(1.0, abs=1e-9)
+                assert out.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_update_with_identity_pins_to_obs(self):
-        pred = Categorical([0.25, 0.25, 0.5])
+        pred = Categorical([0.25, 0.25, 0.5]).probs
         post = update_belief(pred, np.eye(3), 2)
-        assert np.array_equal(post.probs, [0.0, 0.0, 1.0])
+        assert np.array_equal(post, [0.0, 0.0, 1.0])
 
     def test_update_falls_back_on_dead_product(self):
-        pred = Categorical.one_hot(3, 0)
+        pred = Categorical.one_hot(3, 0).probs
         post = update_belief(pred, np.eye(3), 2)
-        assert np.array_equal(post.probs, [0.0, 0.0, 1.0])
+        assert np.array_equal(post, [0.0, 0.0, 1.0])
 
     def test_update_rejects_zero_likelihood_row(self):
         sensory = np.zeros((3, 3))
         sensory[0, 0] = 1.0
         with pytest.raises(ValueError):
-            update_belief(Categorical.uniform(3), sensory, 2)
+            update_belief(Categorical.uniform(3).probs, sensory, 2)
 
     def test_update_weighs_soft_likelihoods(self):
         sensory = np.array([[0.9, 0.1], [0.1, 0.9]])
-        post = update_belief(Categorical([0.5, 0.5]), sensory, 0)
-        assert post.probs[0] == pytest.approx(0.9)
+        post = update_belief(Categorical([0.5, 0.5]).probs, sensory, 0)
+        assert post[0] == pytest.approx(0.9)
 
     def test_assimilate_returns_prev_and_new(self, world, pref):
         i = fresh_infant(world, pref)
-        i.belief = Categorical.one_hot(N_STATES, 14)
+        i.belief = Categorical.one_hot(N_STATES, 14).probs
         prev, new = i.assimilate(Action.SLEEP, 20)
-        assert np.array_equal(prev.probs, Categorical.one_hot(N_STATES, 14).probs)
-        assert new.probs[20] == 1.0
+        assert np.array_equal(prev, Categorical.one_hot(N_STATES, 14).probs)
+        assert new[20] == 1.0
         assert i.belief is new
 
 
@@ -133,34 +130,36 @@ class TestExpectedFreeEnergy:
         parent = fresh_parent(world, pref)
         rng = make_rng(33)
         for _ in range(5):
-            parent.learn_A(Categorical(rng.dirichlet(np.ones(N_STATES))), int(rng.integers(36)))
-        parent.belief = Categorical(rng.dirichlet(np.ones(N_STATES)))
+            parent.learn_A(
+                Categorical(rng.dirichlet(np.ones(N_STATES))).probs, int(rng.integers(36))
+            )
+        parent.belief = Categorical(rng.dirichlet(np.ones(N_STATES))).probs
         vec = parent.efe_per_action()
         for a in range(5):
             q_pred = predict_belief(parent.belief, parent.B, a)
             ambiguity = sum(
-                q_pred.probs[z] * dirichlet_expected_entropy(parent.obs_concentration[z])
+                q_pred[z] * dirichlet_expected_entropy(parent.obs_concentration[z])
                 for z in range(N_STATES)
             )
-            q_obs = Categorical(parent.A @ q_pred.probs)
+            q_obs = Categorical(parent.A @ q_pred)
             risk = kl_divergence(q_obs, parent.preferred_obs)
             assert vec[a] == pytest.approx(ambiguity + risk, abs=1e-9)
-            assert parent.expected_free_energy(a) == pytest.approx(vec[a], abs=1e-12)
+            assert parent.efe_per_action()[a] == pytest.approx(vec[a], abs=1e-12)
 
     def test_identity_sensing_has_zero_ambiguity(self, world, pref):
         agent = omniscient(world, pref)
-        agent.belief = Categorical.one_hot(N_STATES, VisceralState(2, 2).flat)
+        agent.belief = Categorical.one_hot(N_STATES, VisceralState(2, 2).flat).probs
         for a in range(5):
             q_pred = predict_belief(agent.belief, agent.B, a)
-            risk = kl_divergence(Categorical(agent.A @ q_pred.probs), agent.preferred_obs)
-            assert agent.expected_free_energy(a) == pytest.approx(risk, abs=1e-12)
+            risk = kl_divergence(Categorical(agent.A @ q_pred), agent.preferred_obs)
+            assert agent.efe_per_action()[a] == pytest.approx(risk, abs=1e-12)
 
     def test_sleep_preferred_at_comfort_peak(self, world, pref):
         agent = omniscient(world, pref)
-        agent.belief = Categorical.one_hot(N_STATES, VisceralState(2, 2).flat)
+        agent.belief = Categorical.one_hot(N_STATES, VisceralState(2, 2).flat).probs
         vec = agent.efe_per_action()
         assert int(vec.argmin()) == Action.SLEEP
-        assert agent.symbol_posterior().probs.argmax() == Action.SLEEP
+        assert agent.symbol_posterior().argmax() == Action.SLEEP
 
     def test_flat_parent_scores_all_actions_equally(self, world, pref):
         # A uniform sensory map erases any information the prediction
@@ -168,32 +167,34 @@ class TestExpectedFreeEnergy:
         parent = fresh_parent(world, pref)
         vec = parent.efe_per_action()
         assert np.allclose(vec, vec[0], atol=1e-12)
-        assert np.allclose(parent.symbol_posterior().probs, 0.2, atol=1e-12)
+        assert np.allclose(parent.symbol_posterior(), 0.2, atol=1e-12)
 
 
 class TestSymbolPosterior:
     def test_softmax_of_negative_scores(self, world, pref):
         agent = omniscient(world, pref)
-        agent.belief = Categorical.one_hot(N_STATES, VisceralState(4, 4).flat)
+        agent.belief = Categorical.one_hot(N_STATES, VisceralState(4, 4).flat).probs
         g = agent.efe_per_action()
         expect = np.exp(-(g - g.min()))
         expect /= expect.sum()
-        assert np.allclose(agent.symbol_posterior().probs, expect, atol=1e-12)
+        assert np.allclose(agent.symbol_posterior(), expect, atol=1e-12)
 
     def test_cache_invalidated_by_belief_change(self, world, pref):
         agent = omniscient(world, pref)
-        agent.belief = Categorical.one_hot(N_STATES, VisceralState(2, 2).flat)
+        agent.belief = Categorical.one_hot(N_STATES, VisceralState(2, 2).flat).probs
         first = agent.symbol_posterior()
         assert agent.symbol_posterior() is first
-        agent.belief = Categorical.one_hot(N_STATES, VisceralState(5, 0).flat)
+        agent.belief = Categorical.one_hot(N_STATES, VisceralState(5, 0).flat).probs
         second = agent.symbol_posterior()
-        assert not np.allclose(first.probs, second.probs)
+        assert not np.allclose(first, second)
 
     def test_cache_invalidated_by_learning(self, world, pref):
         infant = fresh_infant(world, pref)
         first = infant.symbol_posterior()
         infant.learn_B(
-            Categorical.one_hot(N_STATES, 0), Categorical.one_hot(N_STATES, 6), Action.EAT
+            Categorical.one_hot(N_STATES, 0).probs,
+            Categorical.one_hot(N_STATES, 6).probs,
+            Action.EAT,
         )
         assert infant.symbol_posterior() is not first
 
@@ -201,7 +202,7 @@ class TestSymbolPosterior:
 class TestLearning:
     def test_first_sensory_update_counts(self, world, pref):
         parent = fresh_parent(world, pref)
-        parent.learn_A(Categorical.one_hot(N_STATES, 7), obs=7)
+        parent.learn_A(Categorical.one_hot(N_STATES, 7).probs, obs=7)
         assert parent.obs_concentration[7, 7] == 2.0
         assert parent.A[7, 7] == pytest.approx(2.0 / 37.0)
         assert parent.A[3, 7] == pytest.approx(1.0 / 37.0)
@@ -209,20 +210,22 @@ class TestLearning:
 
     def test_uniform_posterior_keeps_columns_equal(self, world, pref):
         parent = fresh_parent(world, pref)
-        parent.learn_A(Categorical.uniform(N_STATES), obs=11)
+        parent.learn_A(Categorical.uniform(N_STATES).probs, obs=11)
         assert np.allclose(parent.A, parent.A[:, :1])
 
     def test_sensory_learning_never_touches_dynamics(self, world, pref):
         parent = fresh_parent(world, pref)
         for k in range(10):
-            parent.learn_A(Categorical.one_hot(N_STATES, k), obs=k)
+            parent.learn_A(Categorical.one_hot(N_STATES, k).probs, obs=k)
         assert parent.B is world.tensor
         assert np.array_equal(parent.B, world.tensor)
 
     def test_first_dynamics_update_counts(self, world, pref):
         infant = fresh_infant(world, pref)
         infant.learn_B(
-            Categorical.one_hot(N_STATES, 4), Categorical.one_hot(N_STATES, 9), Action.WARM
+            Categorical.one_hot(N_STATES, 4).probs,
+            Categorical.one_hot(N_STATES, 9).probs,
+            Action.WARM,
         )
         assert infant.trans_concentration[9, 4, Action.WARM] == 2.0
         assert infant.B[9, 4, Action.WARM] == pytest.approx(2.0 / 37.0)
@@ -233,8 +236,8 @@ class TestLearning:
         infant = fresh_infant(world, pref)
         rng = make_rng(8)
         for _ in range(50):
-            prev = Categorical(rng.dirichlet(np.ones(N_STATES)))
-            curr = Categorical(rng.dirichlet(np.ones(N_STATES)))
+            prev = Categorical(rng.dirichlet(np.ones(N_STATES))).probs
+            curr = Categorical(rng.dirichlet(np.ones(N_STATES))).probs
             infant.learn_B(prev, curr, int(rng.integers(5)))
         sums = infant.B.sum(axis=0)
         assert np.allclose(sums, 1.0, atol=1e-9)
@@ -242,14 +245,15 @@ class TestLearning:
 
     def test_dynamics_learning_never_touches_sensing(self, world, pref):
         infant = fresh_infant(world, pref)
-        infant.learn_B(Categorical.uniform(N_STATES), Categorical.uniform(N_STATES), 0)
+        uniform = Categorical.uniform(N_STATES).probs
+        infant.learn_B(uniform, uniform, 0)
         assert np.array_equal(infant.A, np.eye(N_STATES))
 
     def test_online_equals_batch_replay(self, world, pref):
         # The learned matrix is a pure function of the accumulated counts.
         rng = make_rng(21)
         events = [
-            (Categorical(rng.dirichlet(np.ones(N_STATES))), int(rng.integers(36)))
+            (Categorical(rng.dirichlet(np.ones(N_STATES))).probs, int(rng.integers(36)))
             for _ in range(40)
         ]
         online = fresh_parent(world, pref)
@@ -257,14 +261,13 @@ class TestLearning:
             online.learn_A(q, obs)
         alpha = np.ones((N_STATES, N_STATES))
         for q, obs in events:
-            alpha[:, obs] += q.probs
+            alpha[:, obs] += q
         batch = alpha / alpha.sum(axis=1, keepdims=True)
         assert np.allclose(online.A, batch.T, atol=1e-9)
 
     def test_wrong_role_raises(self, world, pref):
         with pytest.raises(ValueError):
-            fresh_parent(world, pref).learn_B(
-                Categorical.uniform(N_STATES), Categorical.uniform(N_STATES), 0
-            )
+            uniform = Categorical.uniform(N_STATES).probs
+            fresh_parent(world, pref).learn_B(uniform, uniform, 0)
         with pytest.raises(ValueError):
-            fresh_infant(world, pref).learn_A(Categorical.uniform(N_STATES), 0)
+            fresh_infant(world, pref).learn_A(Categorical.uniform(N_STATES).probs, 0)

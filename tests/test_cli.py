@@ -1,9 +1,17 @@
+import io
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dyadreg
 from dyadreg.cli import main
 from dyadreg.config import ExperimentConfig
+from dyadreg.harness import run_experiment
 
 
 def run_cli(*argv):
@@ -161,6 +169,26 @@ class TestShuffleControl:
         assert "config.json" in capsys.readouterr().err
 
 
+    def test_averages_the_runs_permutations_like_the_summary(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_experiment(
+            ExperimentConfig(
+                conditions=("mhng",), trials=1, iterations=60, seed=4,
+                shuffle_permutations=2, dump_beliefs=True, out_dir=str(out),
+            )
+        )
+        assert run_cli("shuffle-control", "--run", str(out)) == 0
+        result = json.loads(capsys.readouterr().out)
+        summary = json.loads((out / "summary.json").read_text())
+        expect = summary["conditions"]["mhng"]["trials"][0]["auc_shuffled"]
+        # The CLI reads beliefs back from a CSV written with 9 digits.
+        assert result["auc_shuffled"] == pytest.approx(expect, rel=1e-7)
+        seed = str(result["permutation_seed"])
+        assert run_cli("shuffle-control", "--run", str(out), "--seed", seed) == 0
+        first_only = json.loads(capsys.readouterr().out)
+        assert first_only["auc_shuffled"] != pytest.approx(expect, rel=1e-7)
+
+
 class TestReport:
     def test_prints_table_and_ranking(self, finished_run, capsys):
         assert run_cli("report", "--run", str(finished_run)) == 0
@@ -172,6 +200,55 @@ class TestReport:
     def test_missing_dir_fails(self, tmp_path, capsys):
         assert run_cli("report", "--run", str(tmp_path / "void")) == 1
         assert "error" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("damage", ["cut", "cell"])
+    def test_damaged_trial_csv_fails_in_one_line(self, finished_run, tmp_path, capsys, damage):
+        run = tmp_path / "run"
+        shutil.copytree(finished_run, run)
+        path = run / "trials" / "mhng_t00.csv"
+        lines = path.read_text().splitlines()
+        if damage == "cut":
+            # The header, iteration 1, and the first round of iteration 2.
+            lines = lines[:4]
+        else:
+            cells = lines[5].split(",")
+            cells[15] = "oops"
+            lines[5] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("report", "--run", str(run)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert err.count("\n") == 1
+
+
+class BrokenStdout(io.TextIOBase):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_nonzero_quietly(self, finished_run, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", BrokenStdout())
+        code = run_cli("report", "--run", str(finished_run))
+        assert code != 0
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_leaves_no_shutdown_message(self, finished_run):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(dyadreg.__file__).parents[1]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dyadreg.cli", "report", "--run", str(finished_run)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode != 0
+        assert proc.stderr == b""
 
 
 class TestEntrypoints:

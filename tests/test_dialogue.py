@@ -40,7 +40,7 @@ class FakeAgent:
 
     def __init__(self, kind, probs):
         self.kind = kind
-        self._posterior = Categorical(probs)
+        self._posterior = Categorical(probs).probs
 
     def symbol_posterior(self):
         return self._posterior
@@ -48,26 +48,26 @@ class FakeAgent:
 
 class TestMhAccept:
     def test_better_symbol_always_accepted(self):
-        post = Categorical([0.1, 0.6, 0.3])
+        post = Categorical([0.1, 0.6, 0.3]).probs
         rng = make_rng(0)
         for _ in range(50):
             accepted, prob = mh_accept(1, 0, post, rng)
             assert accepted and prob == 1.0
 
     def test_acceptance_rate_matches_ratio(self):
-        post = Categorical([0.6, 0.3, 0.1])
+        post = Categorical([0.6, 0.3, 0.1]).probs
         rng = make_rng(1)
         hits = [mh_accept(1, 0, post, rng)[0] for _ in range(20000)]
         assert np.mean(hits) == pytest.approx(0.5, abs=0.01)
         assert mh_accept(1, 0, post, make_rng(2))[1] == pytest.approx(0.5)
 
     def test_zero_current_support_accepts(self):
-        post = Categorical([0.5, 0.5, 0.0])
+        post = Categorical([0.5, 0.5, 0.0]).probs
         accepted, prob = mh_accept(0, 2, post, make_rng(3))
         assert accepted and prob == 1.0
 
     def test_consumes_one_uniform(self):
-        post = Categorical([0.9, 0.1])
+        post = Categorical([0.9, 0.1]).probs
         a, b = make_rng(4), make_rng(4)
         mh_accept(0, 1, post, a)
         b.random()
@@ -80,7 +80,7 @@ class TestPropose:
         rng = make_rng(5)
         draws = np.array([propose(agent, rng) for _ in range(20000)])
         freqs = np.bincount(draws, minlength=5) / draws.size
-        assert np.allclose(freqs, agent.symbol_posterior().probs, atol=0.02)
+        assert np.allclose(freqs, agent.symbol_posterior(), atol=0.02)
 
 
 class TestRunRound:
@@ -227,7 +227,7 @@ class TestRunIteration:
         res = run_iteration(
             parent, infant, world, VisceralState(2, 2), Condition.MHNG, make_rng(18)
         )
-        assert infant.belief.probs[res.state.flat] == 1.0
+        assert infant.belief[res.state.flat] == 1.0
 
     def test_on_round_callback_sees_both_rounds(self, world, pref):
         parent, infant = make_dyad(world, pref)

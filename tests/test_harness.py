@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ from dyadreg.harness import (
     write_trial_csv,
 )
 from dyadreg.probability import derive_seed
+
+ITERATION_SERIES = ("c_norm", "jsd_z", "kld_A", "kld_B_sleep", "rare_branch")
 
 
 def small_config(**changes):
@@ -51,7 +54,7 @@ class TestSeeds:
 
 class TestRunTrial:
     def test_shapes(self, mhng_log):
-        assert len(mhng_log.iterations) == 30
+        assert len(mhng_log.iteration_series("jsd_z")) == 30
         assert len(mhng_log.rounds) == 60
         assert mhng_log.parent_beliefs.shape == (30, 36)
         assert mhng_log.parent_round_beliefs.shape == (60, 36)
@@ -59,22 +62,23 @@ class TestRunTrial:
 
     def test_round_bookkeeping(self, mhng_log):
         for i, r in enumerate(mhng_log.rounds):
-            assert r.iteration == i // 2 + 1
-            assert r.round == i % 2 + 1
-            assert r.condition == "mhng"
+            assert r["iteration"] == i // 2 + 1
+            assert r["round"] == i % 2 + 1
+            assert r["condition"] == "mhng"
         # Default order: infant speaks first, then the parent.
-        assert mhng_log.rounds[0].speaker == "infant"
-        assert mhng_log.rounds[1].speaker == "parent"
+        assert mhng_log.rounds[0]["speaker"] == "infant"
+        assert mhng_log.rounds[1]["speaker"] == "parent"
 
     def test_iteration_metrics_take_second_round(self, mhng_log):
-        for m in mhng_log.iterations:
-            second = mhng_log.rounds[2 * m.iteration - 1]
-            first = mhng_log.rounds[2 * m.iteration - 2]
-            assert m.c_norm == second.c_norm
-            assert m.jsd_z == second.jsd_z
-            assert m.kld_A == second.kld_A
-            assert m.kld_B_sleep == second.kld_B_sleep
-            assert m.rare_branch == (first.rare_branch or second.rare_branch)
+        m = {name: mhng_log.iteration_series(name) for name in ITERATION_SERIES}
+        for i in range(30):
+            second = mhng_log.rounds[2 * i + 1]
+            first = mhng_log.rounds[2 * i]
+            assert m["c_norm"][i] == second["c_norm"]
+            assert m["jsd_z"][i] == second["jsd_z"]
+            assert m["kld_A"][i] == second["kld_A"]
+            assert m["kld_B_sleep"][i] == second["kld_B_sleep"]
+            assert m["rare_branch"][i] == (first["rare_branch"] or second["rare_branch"])
 
     def test_beliefs_are_valid_rows(self, mhng_log):
         for mat in (mhng_log.parent_beliefs, mhng_log.infant_beliefs):
@@ -84,10 +88,10 @@ class TestRunTrial:
         assert np.allclose(mhng_log.infant_beliefs.max(axis=1), 1.0)
 
     def test_infant_belief_matches_true_state(self, mhng_log):
-        for m in mhng_log.iterations:
-            r = mhng_log.rounds[2 * m.iteration - 1]
-            flat = r.true_y * 6 + r.true_x
-            assert mhng_log.infant_beliefs[m.iteration - 1][flat] == 1.0
+        for i in range(30):
+            r = mhng_log.rounds[2 * i + 1]
+            flat = r["true_y"] * 6 + r["true_x"]
+            assert mhng_log.infant_beliefs[i][flat] == 1.0
 
     def test_final_counts_recorded(self, mhng_log):
         # Two unit-mass learning events per iteration per agent, on top of
@@ -103,9 +107,9 @@ class TestRunTrial:
     def test_deterministic_per_seed(self):
         a = run_trial(small_config(), "mhng", 0)
         b = run_trial(small_config(), "mhng", 0)
-        assert a.rounds == b.rounds
+        assert np.array_equal(a.rounds, b.rounds)
         c = run_trial(small_config(), "mhng", 1)
-        assert c.rounds != a.rounds
+        assert not np.array_equal(c.rounds, a.rounds)
 
     def test_start_state(self):
         assert (START_STATE.x, START_STATE.y) == (2, 2)
@@ -115,15 +119,15 @@ class TestRunTrial:
         # From the second round on, the listener's standing symbol is the
         # previous round's agreement, across iteration boundaries too.
         for prev, curr in zip(log.rounds, log.rounds[1:]):
-            assert curr.listener_own_w == prev.shared_w
+            assert curr["listener_own_w"] == prev["shared_w"]
 
     def test_parent_led_overrides(self):
         log = run_trial(small_config(conditions=("a-led",)), "a-led", 0)
         for r in log.rounds:
-            if r.speaker == "infant":
-                assert r.shared_w == r.listener_own_w
+            if r["speaker"] == "infant":
+                assert r["shared_w"] == r["listener_own_w"]
             else:
-                assert r.accepted and r.shared_w == r.proposed_w
+                assert r["accepted"] and r["shared_w"] == r["proposed_w"]
 
 
 class TestTrialCsv:
@@ -134,26 +138,17 @@ class TestTrialCsv:
         assert again.condition == "mhng"
         assert again.trial_index == 0
         assert len(again.rounds) == len(mhng_log.rounds)
+        exact = ["iteration", "round", "speaker", "proposed_w", "listener_own_w", "accepted",
+                 "shared_w", "action", "true_x", "true_y", "rare_branch"]
         for a, b in zip(again.rounds, mhng_log.rounds):
-            assert (a.iteration, a.round, a.speaker) == (b.iteration, b.round, b.speaker)
-            assert (a.proposed_w, a.listener_own_w, a.accepted) == (
-                b.proposed_w,
-                b.listener_own_w,
-                b.accepted,
-            )
-            assert (a.shared_w, a.action, a.true_x, a.true_y, a.rare_branch) == (
-                b.shared_w,
-                b.action,
-                b.true_x,
-                b.true_y,
-                b.rare_branch,
-            )
-            assert a.jsd_z == pytest.approx(b.jsd_z, rel=1e-8)
-            assert a.kld_A == pytest.approx(b.kld_A, rel=1e-8)
-        for a, b in zip(again.iterations, mhng_log.iterations):
-            assert a.iteration == b.iteration
-            assert a.rare_branch == b.rare_branch
-            assert a.c_norm == pytest.approx(b.c_norm, rel=1e-8)
+            for name in exact:
+                assert a[name] == b[name]
+            assert a["jsd_z"] == pytest.approx(b["jsd_z"], rel=1e-8)
+            assert a["kld_A"] == pytest.approx(b["kld_A"], rel=1e-8)
+        for name in ("rare_branch", "c_norm"):
+            a, b = again.iteration_series(name), mhng_log.iteration_series(name)
+            assert a.shape == b.shape
+            assert np.allclose(a, b, rtol=1e-8, atol=0.0)
 
     def test_header_written(self, mhng_log, tmp_path):
         path = tmp_path / "trial.csv"
@@ -170,6 +165,45 @@ class TestTrialCsv:
         path = tmp_path / "empty.csv"
         path.write_text(",".join(CSV_HEADER) + "\n")
         with pytest.raises(ValueError):
+            load_trial_csv(path)
+
+
+class TestTrialCsvFuzz:
+    def test_damaged_files_fail_naming_the_file(self, mhng_log, tmp_path):
+        # Cut after a random row, swap two rows, or corrupt a numeric cell.
+        good = tmp_path / "good.csv"
+        write_trial_csv(mhng_log, good)
+        header, *rows = good.read_text().splitlines()
+        numeric = [i for i, name in enumerate(CSV_HEADER) if name not in ("condition", "speaker")]
+        rng = np.random.default_rng(2024)
+        for case in range(90):
+            lines = list(rows)
+            kind = case % 3
+            if kind == 0:
+                kept = int(rng.integers(1, len(lines)))
+                lines = lines[:kept]
+            elif kind == 1:
+                i, j = rng.choice(len(lines), size=2, replace=False)
+                lines[i], lines[j] = lines[j], lines[i]
+            else:
+                i = int(rng.integers(len(lines)))
+                cells = lines[i].split(",")
+                cells[int(rng.choice(numeric))] = str(rng.choice(["", "x", "1.5.2", "0x1f", "--"]))
+                lines[i] = ",".join(cells)
+            path = tmp_path / f"case{case}.csv"
+            path.write_text("\n".join([header, *lines]) + "\n")
+            if kind == 0 and kept % 2 == 0:
+                # A cut between iterations leaves a shorter, valid trial.
+                assert load_trial_csv(path).iteration_series("jsd_z").size == kept // 2
+                continue
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+                load_trial_csv(path)
+
+    def test_ragged_row_rejected(self, mhng_log, tmp_path):
+        path = tmp_path / "trial.csv"
+        write_trial_csv(mhng_log, path)
+        path.write_text(path.read_text() + "mhng,0\n")
+        with pytest.raises(ValueError, match="cells"):
             load_trial_csv(path)
 
 

@@ -10,13 +10,12 @@ from dyadreg.environment import (
     build_transition_model,
 )
 from dyadreg.metrics import (
-    IterationMetrics,
+    ROUND_DTYPE,
     TrialLog,
     aggregate_conditions,
     auc_window,
     c_norm,
     jsd_latent,
-    kld_A_error,
     kld_B_error,
     mean_column_kl,
     shuffle_control,
@@ -83,7 +82,7 @@ class TestMeanColumnKl:
 class TestModelErrors:
     def test_fresh_parent_error_is_log_n(self, world, pref):
         parent = init_agent(AgentKind.PARENT, world, pref)
-        v = kld_A_error(np.eye(N_STATES), parent.A)
+        v = mean_column_kl(np.eye(N_STATES), parent.A)
         assert v == pytest.approx(np.log(N_STATES), abs=1e-12)
 
     def test_fresh_infant_sleep_error(self, world, pref):
@@ -185,22 +184,15 @@ class TestShuffleControl:
 
 
 def synthetic_log(condition, trial, values):
-    return TrialLog(
-        condition=condition,
-        trial_index=trial,
-        seed=trial,
-        iterations=[
-            IterationMetrics(
-                iteration=i + 1,
-                c_norm=v,
-                jsd_z=v / 2,
-                kld_A=1.0,
-                kld_B_sleep=2.0,
-                rare_branch=False,
-            )
-            for i, v in enumerate(values)
-        ],
-    )
+    # Two rounds per iteration; the per-iteration values sit in round 2.
+    rounds = np.zeros(2 * len(values), dtype=ROUND_DTYPE)
+    rounds["iteration"] = np.arange(rounds.size) // 2 + 1
+    rounds["round"] = np.arange(rounds.size) % 2 + 1
+    rounds["c_norm"][1::2] = values
+    rounds["jsd_z"][1::2] = np.asarray(values) / 2
+    rounds["kld_A"] = 1.0
+    rounds["kld_B_sleep"] = 2.0
+    return TrialLog(condition=condition, trial_index=trial, seed=trial, rounds=rounds)
 
 
 class TestAggregate:

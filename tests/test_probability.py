@@ -157,21 +157,21 @@ class TestJs:
 class TestSoftmaxNeg:
     def test_equal_values_uniform(self):
         out = softmax_neg(np.full(5, 3.7))
-        assert np.allclose(out.probs, 0.2)
+        assert np.allclose(out, 0.2)
 
     def test_orders_inversely(self):
         out = softmax_neg([1.0, 2.0, 0.5])
-        assert out.probs[2] > out.probs[0] > out.probs[1]
+        assert out[2] > out[0] > out[1]
 
     def test_shift_invariance(self):
         a = softmax_neg([1.0, 2.0, 3.0])
         b = softmax_neg([1001.0, 1002.0, 1003.0])
-        assert np.allclose(a.probs, b.probs, atol=1e-12)
+        assert np.allclose(a, b, atol=1e-12)
 
     def test_no_overflow_on_large_spread(self):
         out = softmax_neg([0.0, 800.0])
-        assert out.probs[0] == pytest.approx(1.0)
-        assert np.all(np.isfinite(out.probs))
+        assert out[0] == pytest.approx(1.0)
+        assert np.all(np.isfinite(out))
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):

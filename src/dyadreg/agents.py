@@ -89,6 +89,17 @@ class Agent:
         self.trans_concentration = trans_concentration
         self.A = sensory
         self.B = transitions
+        # B[z', z, a] as rows z of (z', a) cells: the C-contiguous array
+        # np.tensordot(belief, B, axes=(0, 1)) would copy out on every
+        # call. learn_B keeps it current.
+        self._B_rows = np.ascontiguousarray(transitions.transpose(1, 0, 2)).reshape(N_STATES, -1)
+        # An exact, unlearned identity map means the agent senses its state:
+        # its ambiguity is 0, its predicted cue is its predicted state, and
+        # every observation leaves it certain of the state observed.
+        self._senses_state = obs_concentration is None and np.array_equal(
+            sensory, identity_sensory_map()
+        )
+        self._known_state: int | None = None
         self._belief = Categorical.uniform(N_STATES).probs
         self._refresh_sensory()
         self._symbol_cache: np.ndarray | None = None
@@ -106,6 +117,7 @@ class Agent:
         if probs.size != N_STATES:
             raise ValueError("belief support must match the state space")
         self._belief = probs
+        self._known_state = None
         self._symbol_cache = None
 
     def assimilate(self, action: int, obs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -115,7 +127,15 @@ class Agent:
         learning needs.
         """
         prev = self._belief
-        self._belief = update_belief(predict_belief(prev, self.B, action), self.A, obs)
+        if self._senses_state:
+            # What update_belief gives under an identity map: pred[obs] /
+            # pred[obs] = 1 at obs, 0 elsewhere, and the same vector from its
+            # fallback when pred[obs] = 0.
+            self._belief = np.zeros(N_STATES)
+            self._belief[obs] = 1.0
+            self._known_state = obs
+        else:
+            self._belief = update_belief(predict_belief(prev, self.B, action), self.A, obs)
         self._symbol_cache = None
         return prev, self._belief
 
@@ -129,12 +149,18 @@ class Agent:
         Dirichlet where the agent is learning them; risk is the KL from the
         predicted observation distribution to the comfort distribution.
         """
-        q_pred = np.tensordot(self._belief, self.B, axes=(0, 1))
-        ambiguity = self._sensory_entropy @ q_pred
-        q_obs = self.A @ q_pred
+        if self._known_state is not None:
+            # A one-hot belief picks one row out of the product below.
+            q_pred = self._B_rows[self._known_state]
+        else:
+            q_pred = np.dot(self._belief.reshape(1, N_STATES), self._B_rows)
+        q_pred = q_pred.reshape(N_STATES, N_ACTIONS)
+        q_obs = q_pred if self._senses_state else self.A @ q_pred
         logs = np.where(q_obs > 0.0, np.log(np.where(q_obs > 0.0, q_obs, 1.0)), 0.0)
         risk = (q_obs * (logs - self._log_pref[:, None])).sum(axis=0)
-        return ambiguity + risk
+        if self._senses_state:
+            return risk
+        return self._sensory_entropy @ q_pred + risk
 
     def symbol_posterior(self) -> np.ndarray:
         """Distribution over symbols: softmax of minus the free energy of
@@ -161,6 +187,7 @@ class Agent:
         self.trans_concentration[:, :, action] += np.outer(posterior, prev_posterior)
         slice_a = self.trans_concentration[:, :, action]
         self.B[:, :, action] = slice_a / slice_a.sum(axis=0, keepdims=True)
+        self._B_rows[:, action::N_ACTIONS] = self.B[:, :, action].T
         self._symbol_cache = None
 
     def _refresh_sensory(self, obs: int | None = None):

@@ -29,7 +29,6 @@ from .environment import (
     VisceralState,
     build_prior_preference,
     build_transition_model,
-    identity_sensory_map,
 )
 from .metrics import (
     ALIGNMENT_WINDOW,
@@ -40,8 +39,8 @@ from .metrics import (
     auc_window,
     c_norm,
     jsd_latent,
+    kld_A_error,
     kld_B_error,
-    mean_column_kl,
     shuffle_control,
 )
 from .plots import emit_plots
@@ -117,7 +116,6 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog
     infant = init_agent(
         AgentKind.INFANT, world, pref, config.dirichlet_prior, config.preference_mode
     )
-    sensory_true = identity_sensory_map()
     n = config.iterations
     parent_beliefs = np.empty((n, N_STATES))
     infant_beliefs = np.empty((n, N_STATES))
@@ -126,9 +124,15 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog
         parent_round_beliefs = np.empty((2 * n, N_STATES))
         infant_round_beliefs = np.empty((2 * n, N_STATES))
     rows = []
+    # Learning changes only the acted slice of the infant's dynamics, so the
+    # Sleep error moves only after a Sleep round.
+    kld_B_sleep = kld_B_error(world.tensor, infant.B, Action.SLEEP)
 
     def on_round(idx, outcome, stp):
+        nonlocal kld_B_sleep
         landed = stp.next_state
+        if outcome.action == Action.SLEEP:
+            kld_B_sleep = kld_B_error(world.tensor, infant.B, Action.SLEEP)
         if config.dump_beliefs:
             parent_round_beliefs[len(rows)] = parent.belief
             infant_round_beliefs[len(rows)] = infant.belief
@@ -150,8 +154,8 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog
                 stp.rare_branch,
                 c_norm(landed, pref),
                 jsd_latent(parent.belief, infant.belief),
-                mean_column_kl(sensory_true, parent.A),
-                kld_B_error(world.tensor, infant.B, Action.SLEEP),
+                kld_A_error(parent.A),
+                kld_B_sleep,
             )
         )
 
@@ -256,28 +260,39 @@ def write_beliefs_csv(log: TrialLog, path):
 
 def load_beliefs_csv(path) -> dict:
     """Belief vectors keyed by agent, as (rounds, states) arrays plus the
-    per-iteration view (each iteration's second round)."""
+    per-iteration view (each iteration's second round).
+
+    The rows must be the parent's, then the infant's, for rounds 1 and 2 of
+    iterations 1, 2, ... in order, and every cell must parse; otherwise
+    ValueError names the file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != BELIEF_HEADER:
-            raise ValueError(f"unexpected belief CSV header in {path}")
-        parent_rows, infant_rows = [], []
-        for row in reader:
-            target = parent_rows if row[2] == "parent" else infant_rows
-            target.append((int(row[0]), int(row[1]), [float(v) for v in row[3:]]))
-    if not parent_rows or len(parent_rows) != len(infant_rows):
-        raise ValueError(f"malformed belief dump in {path}")
-    parent_rows.sort(key=lambda r: (r[0], r[1]))
-    infant_rows.sort(key=lambda r: (r[0], r[1]))
-    parent = np.array([r[2] for r in parent_rows])
-    infant = np.array([r[2] for r in infant_rows])
-    second = [i for i, r in enumerate(parent_rows) if r[1] == 2]
+        if next(reader, None) != BELIEF_HEADER:
+            raise ValueError(f"{path}: unexpected belief CSV header")
+        rows = list(reader)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    if set(map(len, rows)) != {len(BELIEF_HEADER)}:
+        raise ValueError(f"{path}: every row needs {len(BELIEF_HEADER)} cells")
+    try:
+        labels = [(int(row[0]), int(row[1]), row[2]) for row in rows]
+        values = np.array([row[3:] for row in rows], dtype=object).astype(float)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    expected = [
+        (i // 4 + 1, i // 2 % 2 + 1, ("parent", "infant")[i % 2]) for i in range(len(rows))
+    ]
+    if len(rows) % 4 or labels != expected:
+        raise ValueError(
+            f"{path}: rows must be parent then infant, rounds 1 and 2 of "
+            "iterations 1, 2, ... in order"
+        )
+    parent, infant = values[0::2], values[1::2]
     return {
         "parent_rounds": parent,
         "infant_rounds": infant,
-        "parent_iterations": parent[second],
-        "infant_iterations": infant[second],
+        "parent_iterations": parent[1::2],
+        "infant_iterations": infant[1::2],
     }
 
 
@@ -393,6 +408,26 @@ def load_manifest(run_dir) -> RunManifest:
     return RunManifest.from_json(path.read_text())
 
 
+def _remove_previous_run(out: Path):
+    """Delete what an earlier run into `out` wrote, as its manifest lists
+    it: the manifest first, so an interrupted clean-up leaves none, then
+    each listed file that resolves inside `out`. Files the manifest does
+    not list are kept, and a manifest cut short lists none."""
+    path = out / "manifest.json"
+    try:
+        artifacts = RunManifest.from_json(path.read_text()).artifacts
+    except FileNotFoundError:
+        return
+    except (ValueError, KeyError):
+        artifacts = []
+    path.unlink()
+    root = out.resolve()
+    for rel in artifacts:
+        target = (out / rel).resolve()
+        if target.is_relative_to(root) and target.is_file():
+            target.unlink()
+
+
 def _run_job(args) -> TrialLog:
     config, condition, trial_index = args
     return run_trial(config, condition, trial_index)
@@ -402,10 +437,13 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     """Run every (condition, trial) pair and write all artifacts.
 
     Artifacts are byte-stable for a given config regardless of the worker
-    count; only the manifest's timings entry varies between runs.
+    count; only the manifest's timings entry varies between runs. The files
+    of an earlier run into the same directory are removed first, and the
+    manifest is written last, so a run that stops midway leaves none.
     """
     t0 = time.perf_counter()
     out = Path(config.out_dir)
+    _remove_previous_run(out)
     trials_dir = out / "trials"
     trials_dir.mkdir(parents=True, exist_ok=True)
     jobs = [(config, cond, t) for cond in config.conditions for t in range(config.trials)]

@@ -41,6 +41,13 @@ def mean_column_kl(true_cols: np.ndarray, learned_cols: np.ndarray) -> float:
     return float(terms.sum(axis=0).mean())
 
 
+def kld_A_error(learned_sensory: np.ndarray) -> float:
+    """mean_column_kl(identity, learned_sensory): the true sensory map is
+    the identity, so each column's KL is its diagonal term alone."""
+    q = np.maximum(learned_sensory, KL_FLOOR)
+    return float((0.0 - np.log(np.diagonal(q) / q.sum(axis=0))).mean())
+
+
 def kld_B_error(
     dynamics_true: np.ndarray, dynamics_learned: np.ndarray, action: int
 ) -> float:

@@ -18,6 +18,7 @@ from dyadreg.environment import (
     preferred_obs_distribution,
 )
 from dyadreg.probability import (
+    KL_FLOOR,
     Categorical,
     dirichlet_expected_entropy,
     kl_divergence,
@@ -271,3 +272,89 @@ class TestLearning:
             fresh_parent(world, pref).learn_B(uniform, uniform, 0)
         with pytest.raises(ValueError):
             fresh_infant(world, pref).learn_A(Categorical.uniform(N_STATES).probs, 0)
+
+
+def general_efe(agent):
+    """The expected free energy by the general formula, for a known sensory
+    map: tensordot prediction, column-entropy ambiguity, A @ prediction."""
+    q_pred = np.tensordot(agent.belief, agent.B, axes=(0, 1))
+    a = agent.A
+    ambiguity = -np.where(a > 0.0, a * np.log(np.where(a > 0.0, a, 1.0)), 0.0).sum(axis=0) @ q_pred
+    q_obs = a @ q_pred
+    logs = np.where(q_obs > 0.0, np.log(np.where(q_obs > 0.0, q_obs, 1.0)), 0.0)
+    log_pref = np.log(np.maximum(agent.preferred_obs.probs, KL_FLOOR))
+    return ambiguity + (q_obs * (logs - log_pref[:, None])).sum(axis=0)
+
+
+def random_belief(rng):
+    return Categorical(rng.dirichlet(np.ones(N_STATES))).probs
+
+
+class TestStructureShortcuts:
+    """An agent whose sensory map is the exact identity takes exact
+    shortcuts; each must give the general path's bits."""
+
+    def learned_infant(self, world, pref, seed):
+        infant = fresh_infant(world, pref)
+        rng = make_rng(seed)
+        for _ in range(30):
+            infant.learn_B(random_belief(rng), random_belief(rng), int(rng.integers(5)))
+        return infant, rng
+
+    def test_identity_efe_equals_general_formula(self, world, pref):
+        infant, rng = self.learned_infant(world, pref, 41)
+        for _ in range(20):
+            infant.belief = random_belief(rng)
+            assert np.array_equal(infant.efe_per_action(), general_efe(infant))
+            # After an observation the belief is one-hot and EFE reads one
+            # row of the cached dynamics layout.
+            infant.assimilate(int(rng.integers(5)), int(rng.integers(N_STATES)))
+            assert np.array_equal(infant.efe_per_action(), general_efe(infant))
+            prev = infant.belief
+            infant.learn_B(prev, random_belief(rng), int(rng.integers(5)))
+            assert np.array_equal(infant.efe_per_action(), general_efe(infant))
+
+    def test_known_noisy_map_uses_the_general_path(self, world, pref):
+        rng = make_rng(43)
+        sensory = rng.dirichlet(np.ones(N_STATES), size=N_STATES).T
+        agent = Agent(
+            AgentKind.PARENT,
+            sensory=sensory,
+            transitions=world.tensor,
+            preference=pref,
+            preferred_obs=preferred_obs_distribution(pref),
+        )
+        for _ in range(10):
+            agent.assimilate(int(rng.integers(5)), int(rng.integers(N_STATES)))
+            assert np.array_equal(agent.efe_per_action(), general_efe(agent))
+
+    def test_infant_belief_is_one_hot_after_every_assimilate(self, world, pref):
+        infant, rng = self.learned_infant(world, pref, 47)
+        for _ in range(200):
+            if rng.random() < 0.3:
+                infant.belief = random_belief(rng)
+            action, obs = int(rng.integers(5)), int(rng.integers(N_STATES))
+            expect = update_belief(predict_belief(infant.belief, infant.B, action), infant.A, obs)
+            _, new = infant.assimilate(action, obs)
+            assert np.array_equal(new, np.eye(N_STATES)[obs])
+            assert np.array_equal(new, expect)
+
+    def test_zero_likelihood_fallback_is_one_hot(self, world, pref):
+        # Under the exact dynamics, Sleep from the comfort peak cannot land
+        # on the far corner, so update_belief falls back to the likelihood.
+        agent = omniscient(world, pref)
+        start, far = VisceralState(2, 2).flat, VisceralState(5, 5).flat
+        agent.belief = Categorical.one_hot(N_STATES, start).probs
+        pred = predict_belief(agent.belief, agent.B, Action.SLEEP)
+        assert pred[far] == 0.0
+        _, new = agent.assimilate(Action.SLEEP, far)
+        assert np.array_equal(new, update_belief(pred, agent.A, far))
+        assert np.array_equal(new, np.eye(N_STATES)[far])
+
+    def test_setter_returns_to_the_general_path(self, world, pref):
+        infant, rng = self.learned_infant(world, pref, 53)
+        infant.assimilate(Action.EAT, 7)
+        one_hot_efe = infant.efe_per_action()
+        infant.belief = random_belief(rng)
+        assert np.array_equal(infant.efe_per_action(), general_efe(infant))
+        assert not np.array_equal(infant.efe_per_action(), one_hot_efe)

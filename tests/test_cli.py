@@ -169,6 +169,26 @@ class TestShuffleControl:
         assert "config.json" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("damage", ["dropped iteration", "cell"])
+    def test_damaged_belief_csv_fails_in_one_line(self, finished_run, tmp_path, capsys, damage):
+        run = tmp_path / "run"
+        shutil.copytree(finished_run, run)
+        path = run / "trials" / "mhng_t00_beliefs.csv"
+        lines = path.read_text().splitlines()
+        if damage == "dropped iteration":
+            # Iteration 30's four rows; the window 20-50 would slide past it.
+            del lines[1 + 4 * 29 : 1 + 4 * 30]
+        else:
+            cells = lines[9].split(",")
+            cells[7] = "abc"
+            lines[9] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("shuffle-control", "--run", str(run)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+        assert captured.err.count("\n") == 1
+
     def test_averages_the_runs_permutations_like_the_summary(self, tmp_path, capsys):
         out = tmp_path / "run"
         run_experiment(
@@ -200,6 +220,18 @@ class TestReport:
     def test_missing_dir_fails(self, tmp_path, capsys):
         assert run_cli("report", "--run", str(tmp_path / "void")) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_smaller_rerun_leaves_no_stale_trials(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        common = ("--conditions", "mhng", "--iterations", "5", "--seed", "4", "--out", str(out))
+        assert run_cli("run", "--trials", "3", *common) == 0
+        (out / "trials" / "notes.txt").write_text("mine\n")
+        assert run_cli("run", "--trials", "1", *common) == 0
+        assert sorted(p.name for p in (out / "trials").iterdir()) == ["mhng_t00.csv", "notes.txt"]
+        capsys.readouterr()
+        assert run_cli("report", "--run", str(out)) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines() if "mhng" in line)
+        assert row.split()[:2] == ["mhng", "1"]
 
 
     @pytest.mark.parametrize("damage", ["cut", "cell"])

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dyadreg import dialogue, harness
 from dyadreg.config import ExperimentConfig
+from dyadreg.environment import Action
 from dyadreg.harness import (
     CSV_HEADER,
     START_STATE,
@@ -20,6 +22,7 @@ from dyadreg.harness import (
     write_beliefs_csv,
     write_trial_csv,
 )
+from dyadreg.metrics import kld_B_error
 from dyadreg.probability import derive_seed
 
 ITERATION_SERIES = ("c_norm", "jsd_z", "kld_A", "kld_B_sleep", "rare_branch")
@@ -168,6 +171,24 @@ class TestTrialCsv:
             load_trial_csv(path)
 
 
+class TestSleepOnlyKldB:
+    def test_equals_recomputing_every_round(self, monkeypatch):
+        every_round, actions = [], []
+
+        def run_iteration(parent, infant, world, *args, on_round, **kwargs):
+            def record(idx, outcome, stp):
+                every_round.append(kld_B_error(world.tensor, infant.B, Action.SLEEP))
+                actions.append(outcome.action)
+                on_round(idx, outcome, stp)
+
+            return dialogue.run_iteration(parent, infant, world, *args, on_round=record, **kwargs)
+
+        monkeypatch.setattr(harness, "run_iteration", run_iteration)
+        log = run_trial(small_config(iterations=120), "mhng", 0)
+        assert 0 < actions.count(Action.SLEEP) < len(actions)
+        assert np.array_equal(log.rounds["kld_B_sleep"], every_round)
+
+
 class TestTrialCsvFuzz:
     def test_damaged_files_fail_naming_the_file(self, mhng_log, tmp_path):
         # Cut after a random row, swap two rows, or corrupt a numeric cell.
@@ -228,6 +249,39 @@ class TestBeliefsCsv:
         path.write_text("x,y\n1,2\n")
         with pytest.raises(ValueError):
             load_beliefs_csv(path)
+
+    def test_damaged_files_fail_naming_the_file(self, mhng_log, tmp_path):
+        # Drop an iteration, swap two rows, corrupt a cell, or make a row
+        # ragged.
+        good = tmp_path / "good.csv"
+        write_beliefs_csv(mhng_log, good)
+        header, *rows = good.read_text().splitlines()
+        rng = np.random.default_rng(2025)
+        for case in range(80):
+            lines = list(rows)
+            kind = case % 4
+            if kind == 0:
+                # Any iteration but the last, whose loss leaves a valid,
+                # shorter dump.
+                it = int(rng.integers(len(lines) // 4 - 1))
+                del lines[4 * it : 4 * it + 4]
+            elif kind == 1:
+                i, j = rng.choice(len(lines), size=2, replace=False)
+                lines[i], lines[j] = lines[j], lines[i]
+            elif kind == 2:
+                i = int(rng.integers(len(lines)))
+                cells = lines[i].split(",")
+                bad = ["", "x", "1.5.2", "--", "child"]
+                cells[int(rng.integers(len(cells)))] = str(rng.choice(bad))
+                lines[i] = ",".join(cells)
+            else:
+                i = int(rng.integers(len(lines)))
+                cells = lines[i].split(",")
+                lines[i] = ",".join(cells[:-1] if rng.random() < 0.5 else cells + ["0"])
+            path = tmp_path / f"case{case}.csv"
+            path.write_text("\n".join([header, *lines]) + "\n")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+                load_beliefs_csv(path)
 
 
 class TestSummary:
@@ -315,6 +369,27 @@ class TestRunExperiment:
         run_experiment(cfg.replaced(out_dir=str(again)))
         for rel in manifest.artifacts:
             assert (again / rel).read_bytes() == (out / rel).read_bytes(), rel
+
+    def test_rerun_removes_only_what_the_manifest_listed(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = small_config(trials=2, iterations=5, out_dir=str(out))
+        run_experiment(cfg)
+        (out / "notes.txt").write_text("mine\n")
+        outside = tmp_path / "outside.txt"
+        outside.write_text("mine\n")
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["artifacts"].append("../outside.txt")
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        rerun = run_experiment(cfg.replaced(trials=1))
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) == sorted(
+            rerun.artifacts + ["manifest.json", "notes.txt"]
+        )
+        assert outside.read_text() == "mine\n"
+        # A manifest cut short by a crash while it was written lists nothing.
+        (out / "manifest.json").write_text('{"version": "0')
+        run_experiment(cfg.replaced(trials=2))
+        assert (out / "notes.txt").is_file()
+        assert json.loads((out / "manifest.json").read_text())["artifacts"]
 
     def test_workers_do_not_change_artifacts(self, run_dir, tmp_path):
         out, cfg, manifest = run_dir

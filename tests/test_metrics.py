@@ -16,6 +16,7 @@ from dyadreg.metrics import (
     auc_window,
     c_norm,
     jsd_latent,
+    kld_A_error,
     kld_B_error,
     mean_column_kl,
     shuffle_control,
@@ -84,6 +85,17 @@ class TestModelErrors:
         parent = init_agent(AgentKind.PARENT, world, pref)
         v = mean_column_kl(np.eye(N_STATES), parent.A)
         assert v == pytest.approx(np.log(N_STATES), abs=1e-12)
+
+    def test_diagonal_kld_A_equals_column_kl(self):
+        # Dirichlet-random maps in both memory layouts (the parent's map is
+        # a transposed view), some with cells below the floor.
+        rng = make_rng(61)
+        for k in range(200):
+            alpha = 10.0 ** rng.uniform(-3, 1)
+            sensory = rng.dirichlet(np.full(N_STATES, alpha), size=N_STATES).T
+            if k % 2:
+                sensory = np.ascontiguousarray(sensory)
+            assert kld_A_error(sensory) == mean_column_kl(np.eye(N_STATES), sensory)
 
     def test_fresh_infant_sleep_error(self, world, pref):
         # 12 rail columns are one-hot (KL = ln 36), the other 24 hold the

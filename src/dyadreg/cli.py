@@ -21,13 +21,14 @@ import numpy as np
 from .config import CONDITION_NAMES, ConfigError, ExperimentConfig, load_config
 from .harness import (
     load_beliefs_csv,
+    load_manifest,
     load_trial_csv,
     run_experiment,
     run_trial,
     shuffle_seeds,
     shuffled_window,
-    write_beliefs_csv,
-    write_trial_csv,
+    trial_files,
+    write_trial_files,
 )
 from .metrics import ALIGNMENT_WINDOW, aggregate_conditions, auc_window, shuffle_control
 
@@ -133,8 +134,7 @@ def _cmd_run(args) -> int:
         return 0
     config = _resolve_config(args)
     manifest = run_experiment(config)
-    summary_path = Path(config.out_dir) / "summary.json"
-    summary = json.loads(summary_path.read_text())
+    summary = json.loads((Path(config.out_dir) / "summary.json").read_text())
     for cond in config.conditions:
         e = summary["conditions"][cond]
         print(
@@ -150,15 +150,9 @@ def _cmd_trial(args) -> int:
     config = _resolve_config(args)
     condition = config.conditions[0]
     log = run_trial(config, condition, args.trial_index)
-    trials_dir = Path(config.out_dir) / "trials"
-    trials_dir.mkdir(parents=True, exist_ok=True)
-    path = trials_dir / f"{condition}_t{args.trial_index:02d}.csv"
-    write_trial_csv(log, path)
-    print(f"wrote {path}")
-    if config.dump_beliefs:
-        bpath = trials_dir / f"{condition}_t{args.trial_index:02d}_beliefs.csv"
-        write_beliefs_csv(log, bpath)
-        print(f"wrote {bpath}")
+    out = Path(config.out_dir)
+    for name in write_trial_files(log, out, config.dump_beliefs):
+        print(f"wrote {out / name}")
     mean_c = float(log.iteration_series("c_norm").mean())
     print(f"{condition} trial {args.trial_index}: seed {log.seed}, mean c_norm {mean_c:.4f}")
     return 0
@@ -166,41 +160,29 @@ def _cmd_trial(args) -> int:
 
 def _cmd_shuffle(args) -> int:
     run_dir = Path(args.run)
-    config_path = run_dir / "config.json"
-    if not config_path.is_file():
-        print(f"error: no config.json under {run_dir}", file=sys.stderr)
-        return 1
-    config = ExperimentConfig.from_json(config_path.read_text())
-    name = f"{args.condition}_t{args.trial_index:02d}_beliefs.csv"
-    belief_path = run_dir / "trials" / name
-    if not belief_path.is_file():
-        print(
-            f"error: {belief_path} not found; rerun with --dump-beliefs",
-            file=sys.stderr,
-        )
-        return 1
-    try:
-        beliefs = load_beliefs_csv(belief_path)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    manifest = load_manifest(run_dir)
+    name = trial_files(args.condition, args.trial_index)[1]
+    if name not in manifest.artifacts:
+        raise FileNotFoundError(f"{run_dir / name} not found; rerun with --dump-beliefs")
+    beliefs = load_beliefs_csv(run_dir / name)
     parent_seq = beliefs["parent_iterations"]
     infant_seq = beliefs["infant_iterations"]
     n = parent_seq.shape[0]
     lo, hi = args.window_start - 1, args.window_end - 1
     if not 0 <= lo < hi < n:
-        print(
-            f"error: window [{args.window_start}, {args.window_end}] "
-            f"needs more than the {n} recorded iterations",
-            file=sys.stderr,
+        raise ValueError(
+            f"window [{args.window_start}, {args.window_end}] "
+            f"needs more than the {n} recorded iterations"
         )
-        return 1
-    seeds = (
-        [args.seed]
-        if args.seed is not None
-        else shuffle_seeds(config, args.condition, args.trial_index)
+    if args.seed is not None:
+        seeds = [args.seed]
+    else:
+        config = ExperimentConfig.from_dict(manifest.config)
+        seeds = shuffle_seeds(config, args.condition, args.trial_index)
+    window = slice(lo, hi + 1)
+    original = shuffle_control(
+        parent_seq[window], infant_seq[window], permutation=np.arange(hi + 1 - lo)
     )
-    original = shuffle_control(parent_seq, infant_seq, permutation=np.arange(n))
     auc_shuffled, median_shuffled = shuffled_window(parent_seq, infant_seq, seeds, lo, hi)
     result = {
         "condition": args.condition,
@@ -208,9 +190,9 @@ def _cmd_shuffle(args) -> int:
         # The first seed; the shuffled numbers average over all of them.
         "permutation_seed": seeds[0],
         "window": [args.window_start, args.window_end],
-        "auc_original": auc_window(original, lo, hi),
+        "auc_original": auc_window(original, 0, hi - lo),
         "auc_shuffled": auc_shuffled,
-        "jsd_median_original": float(np.median(original[lo : hi + 1])),
+        "jsd_median_original": float(np.median(original)),
         "jsd_median_shuffled": median_shuffled,
     }
     print(json.dumps(result, indent=2, sort_keys=True))
@@ -219,40 +201,29 @@ def _cmd_shuffle(args) -> int:
 
 def _cmd_report(args) -> int:
     run_dir = Path(args.run)
-    trials_dir = run_dir / "trials"
-    if not trials_dir.is_dir():
-        print(f"error: no trials directory under {run_dir}", file=sys.stderr)
-        return 1
-    paths = sorted(
-        p for p in trials_dir.glob("*.csv") if not p.name.endswith("_beliefs.csv")
-    )
-    if not paths:
-        print(f"error: no trial CSVs under {trials_dir}", file=sys.stderr)
-        return 1
-    try:
-        logs = [load_trial_csv(p) for p in paths]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    manifest = load_manifest(run_dir)
+    logs = [
+        load_trial_csv(run_dir / trial_files(cond, t)[0])
+        for cond, seeds in manifest.trial_seeds.items()
+        for t in range(len(seeds))
+    ]
+    summary = json.loads((run_dir / "summary.json").read_text())
     agg = aggregate_conditions(logs)
+    ranking = sorted(agg, key=lambda c: agg[c]["mean_c_norm"], reverse=True)
     print(f"{'condition':>10} {'trials':>6} {'mean':>8} {'std':>8} {'sem':>8}")
-    for cond in sorted(agg, key=lambda c: agg[c]["mean_c_norm"], reverse=True):
+    for cond in ranking:
         e = agg[cond]
         print(
             f"{cond:>10} {e['n_trials']:>6} {e['mean_c_norm']:>8.4f} "
             f"{e['std_c_norm']:>8.4f} {e['sem_c_norm']:>8.4f}"
         )
-    ranking = sorted(agg, key=lambda c: agg[c]["mean_c_norm"], reverse=True)
     print(f"ranking: {' > '.join(ranking)}")
-    summary_path = run_dir / "summary.json"
-    if summary_path.is_file():
-        summary = json.loads(summary_path.read_text())
-        for cond, entry in sorted(summary["conditions"].items()):
-            aucs = [t for t in entry["trials"] if "auc_original" in t]
-            if aucs:
-                orig = np.mean([t["auc_original"] for t in aucs])
-                shuf = np.mean([t["auc_shuffled"] for t in aucs])
-                print(f"{cond}: mean AUC original {orig:.3f}, shuffled {shuf:.3f}")
+    for cond, entry in sorted(summary["conditions"].items()):
+        aucs = [t for t in entry["trials"] if "auc_original" in t]
+        if aucs:
+            orig = np.mean([t["auc_original"] for t in aucs])
+            shuf = np.mean([t["auc_shuffled"] for t in aucs])
+            print(f"{cond}: mean AUC original {orig:.3f}, shuffled {shuf:.3f}")
     return 0
 
 
@@ -286,7 +257,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # A file that cannot be read or written, or a damaged input file.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

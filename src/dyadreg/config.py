@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .agents import DIRICHLET_PRIOR
 from .dialogue import CONDITION_NAMES, ROUND_ORDERS
-from .environment import N_STATES
+from .environment import C_FLOOR, C_SIGMA, N_LEVELS, N_STATES, EnvParams
 
 CURRENT_W_MODES = ("fresh", "persistent")
 PREFERENCE_MODES = ("linear", "softmax")
@@ -55,11 +55,11 @@ class ExperimentConfig:
     preference_mode: str = "linear"
     shuffle_permutations: int = 1
     dirichlet_prior: float = DIRICHLET_PRIOR
-    branch_prob: float = 0.2
-    eat_gain: int = 2
-    temp_high_min: int = 3
-    c_sigma: float = 1.25
-    c_floor: float = 0.01
+    branch_prob: float = EnvParams.branch_prob
+    eat_gain: int = EnvParams.eat_gain
+    temp_high_min: int = EnvParams.temp_high_min
+    c_sigma: float = C_SIGMA
+    c_floor: float = C_FLOOR
     c_values: tuple | None = None
     out_dir: str = "runs/latest"
     dump_beliefs: bool = False
@@ -104,8 +104,8 @@ class ExperimentConfig:
             raise ConfigError("branch_prob must lie in [0, 1]")
         if not isinstance(self.eat_gain, int) or self.eat_gain < 0:
             raise ConfigError("eat_gain must be a non-negative integer")
-        if not isinstance(self.temp_high_min, int) or not 0 <= self.temp_high_min <= 6:
-            raise ConfigError("temp_high_min must lie in [0, 6]")
+        if not isinstance(self.temp_high_min, int) or not 0 <= self.temp_high_min <= N_LEVELS:
+            raise ConfigError(f"temp_high_min must lie in [0, {N_LEVELS}]")
         if not self.c_sigma > 0.0:
             raise ConfigError("c_sigma must be positive")
         if not self.c_floor > 0.0:

@@ -18,6 +18,9 @@ from .probability import Categorical
 N_LEVELS = 6
 N_STATES = N_LEVELS * N_LEVELS
 N_ACTIONS = 5
+# The default comfort bump: its width and the floor every state keeps.
+C_SIGMA = 1.25
+C_FLOOR = 0.01
 
 
 class Action(IntEnum):
@@ -175,7 +178,7 @@ class PriorPreference:
         return float(self.values.max())
 
 
-def build_prior_preference(sigma: float = 1.25, floor: float = 0.01) -> PriorPreference:
+def build_prior_preference(sigma: float = C_SIGMA, floor: float = C_FLOOR) -> PriorPreference:
     """Radial comfort bump centred between the four middle cells.
 
     Each cell scores exp(-d^2 / (2 sigma^2)) for its Euclidean distance d

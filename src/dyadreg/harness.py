@@ -9,6 +9,7 @@ sub-seeds, so reruns and parallel runs produce identical artifacts.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -79,12 +80,17 @@ def shuffled_window(parent_seq, infant_seq, seeds, lo: int, hi: int) -> tuple:
     """The time-shuffle control over the inclusive 0-based iteration window
     [lo, hi]: the AUC and the median of the shuffled belief divergence,
     each the mean over one permutation per seed. summary.json and the
-    shuffle-control command both come from here."""
+    shuffle-control command both come from here. Each permutation is drawn
+    over the whole series, as shuffle_control draws it, but only the
+    window's rows are computed."""
+    n = len(parent_seq)
+    identity = np.arange(hi + 1 - lo)
     aucs, medians = [], []
     for seed in seeds:
-        shuffled = shuffle_control(parent_seq, infant_seq, rng=make_rng(seed))
-        aucs.append(auc_window(shuffled, lo, hi))
-        medians.append(np.median(shuffled[lo : hi + 1]))
+        rows = make_rng(seed).permutation(n)[lo : hi + 1]
+        shuffled = shuffle_control(parent_seq[lo : hi + 1], infant_seq[rows], permutation=identity)
+        aucs.append(auc_window(shuffled, 0, hi - lo))
+        medians.append(np.median(shuffled))
     return float(np.mean(aucs)), float(np.mean(medians))
 
 
@@ -110,11 +116,9 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog
     world, pref = build_world(config)
     seed = trial_seed(config.seed, cond.value, trial_index)
     rng = make_rng(seed)
-    parent = init_agent(
-        AgentKind.PARENT, world, pref, config.dirichlet_prior, config.preference_mode
-    )
-    infant = init_agent(
-        AgentKind.INFANT, world, pref, config.dirichlet_prior, config.preference_mode
+    parent, infant = (
+        init_agent(kind, world, pref, config.dirichlet_prior, config.preference_mode)
+        for kind in (AgentKind.PARENT, AgentKind.INFANT)
     )
     n = config.iterations
     parent_beliefs = np.empty((n, N_STATES))
@@ -192,7 +196,35 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog
     )
 
 
-# -- CSV artifacts ---------------------------------------------------------
+# -- the run directory and its CSV tables --------------------------------------
+
+
+def trial_files(condition: str, trial_index: int) -> tuple:
+    """Run-relative paths of one trial's CSV and of its belief dump."""
+    stem = f"trials/{condition}_t{trial_index:02d}"
+    return f"{stem}.csv", f"{stem}_beliefs.csv"
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_csv(path, header) -> list:
+    """The data rows of a CSV under `header`. ValueError names the file for
+    another header, no data rows, or a row with another number of cells."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise ValueError(f"{path}: unexpected CSV header")
+        rows = list(reader)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    if set(map(len, rows)) != {len(header)}:
+        raise ValueError(f"{path}: every row needs {len(header)} cells")
+    return rows
 
 
 def write_trial_csv(log: TrialLog, path):
@@ -203,10 +235,7 @@ def write_trial_csv(log: TrialLog, path):
         if kind == "b":  # flags are written as 0/1
             column = column.astype(int)
         columns.append(map(_fmt, column.tolist()) if kind == "f" else column.tolist())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(zip(*columns))
+    _write_csv(path, CSV_HEADER, zip(*columns))
 
 
 def load_trial_csv(path, seed: int = -1) -> TrialLog:
@@ -216,15 +245,7 @@ def load_trial_csv(path, seed: int = -1) -> TrialLog:
     iterations 1, 2, ... in order; otherwise ValueError names the file.
     Belief matrices and final counts are not part of the CSV; the seed is
     unknown unless supplied."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected CSV header")
-        rows = list(reader)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    if set(map(len, rows)) != {len(CSV_HEADER)}:
-        raise ValueError(f"{path}: every row needs {len(CSV_HEADER)} cells")
+    rows = _read_csv(path, CSV_HEADER)
     rounds = np.empty(len(rows), ROUND_DTYPE)
     for name, cells in zip(CSV_HEADER, zip(*rows)):
         # Cells parse as int() and float() parse them. Flags are written as
@@ -249,13 +270,12 @@ def write_beliefs_csv(log: TrialLog, path):
     if log.parent_round_beliefs is None or log.infant_round_beliefs is None:
         raise ValueError("trial was run without belief dumps")
     rounds = zip(log.parent_round_beliefs.tolist(), log.infant_round_beliefs.tolist())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BELIEF_HEADER)
-        for row, (parent, infant) in enumerate(rounds):
-            it, rd = row // 2 + 1, row % 2 + 1
-            writer.writerow([it, rd, "parent", *map(_fmt, parent)])
-            writer.writerow([it, rd, "infant", *map(_fmt, infant)])
+    rows = (
+        [row // 2 + 1, row % 2 + 1, agent, *map(_fmt, belief)]
+        for row, pair in enumerate(rounds)
+        for agent, belief in zip(("parent", "infant"), pair)
+    )
+    _write_csv(path, BELIEF_HEADER, rows)
 
 
 def load_beliefs_csv(path) -> dict:
@@ -265,15 +285,7 @@ def load_beliefs_csv(path) -> dict:
     The rows must be the parent's, then the infant's, for rounds 1 and 2 of
     iterations 1, 2, ... in order, and every cell must parse; otherwise
     ValueError names the file."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != BELIEF_HEADER:
-            raise ValueError(f"{path}: unexpected belief CSV header")
-        rows = list(reader)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    if set(map(len, rows)) != {len(BELIEF_HEADER)}:
-        raise ValueError(f"{path}: every row needs {len(BELIEF_HEADER)} cells")
+    rows = _read_csv(path, BELIEF_HEADER)
     try:
         labels = [(int(row[0]), int(row[1]), row[2]) for row in rows]
         values = np.array([row[3:] for row in rows], dtype=object).astype(float)
@@ -294,6 +306,17 @@ def load_beliefs_csv(path) -> dict:
         "parent_iterations": parent[1::2],
         "infant_iterations": infant[1::2],
     }
+
+
+def write_trial_files(log: TrialLog, out: Path, dump_beliefs: bool) -> list:
+    """Write one trial's CSV into the run directory `out`, and its belief
+    dump when `dump_beliefs`; return their run-relative names."""
+    names = trial_files(log.condition, log.trial_index)[: 1 + dump_beliefs]
+    (out / names[0]).parent.mkdir(parents=True, exist_ok=True)
+    write_trial_csv(log, out / names[0])
+    if dump_beliefs:
+        write_beliefs_csv(log, out / names[1])
+    return list(names)
 
 
 # -- summaries ---------------------------------------------------------------
@@ -330,12 +353,8 @@ def build_summary(config: ExperimentConfig, logs, agg=None) -> dict:
     aggregate_conditions(logs), computed here unless given."""
     if agg is None:
         agg = aggregate_conditions(logs)
-    by_condition: dict[str, list[TrialLog]] = {}
-    for log in logs:
-        by_condition.setdefault(log.condition, []).append(log)
     conditions: dict[str, dict] = {}
     for cond, data in agg.items():
-        members = by_condition[cond]
         entry = {
             "n_trials": data["n_trials"],
             "mean_c_norm": data["mean_c_norm"],
@@ -344,7 +363,8 @@ def build_summary(config: ExperimentConfig, logs, agg=None) -> dict:
             "per_trial_mean_c_norm": [float(v) for v in data["per_trial_mean_c_norm"]],
             "trials": [
                 _alignment_stats(config, log)
-                for log in sorted(members, key=lambda lg: lg.trial_index)
+                for log in sorted(logs, key=lambda lg: lg.trial_index)
+                if log.condition == cond
             ],
         }
         curves = data["curves"]
@@ -380,45 +400,44 @@ class RunManifest:
     timings: dict
 
     def to_json(self) -> str:
-        body = {
-            "version": self.version,
-            "config": self.config,
-            "trial_seeds": self.trial_seeds,
-            "artifacts": self.artifacts,
-            "timings": self.timings,
-        }
-        return json.dumps(body, indent=2, sort_keys=True) + "\n"
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
+        """ValueError unless the text is a JSON object with every field."""
         data = json.loads(text)
-        return cls(
-            version=data["version"],
-            config=data["config"],
-            trial_seeds=data["trial_seeds"],
-            artifacts=data["artifacts"],
-            timings=data.get("timings", {}),
-        )
+        names = [f.name for f in dataclasses.fields(cls)]
+        if not isinstance(data, dict) or not data.keys() >= set(names):
+            raise ValueError(f"a manifest is a JSON object with the keys {', '.join(names)}")
+        return cls(**{name: data[name] for name in names})
 
 
 def load_manifest(run_dir) -> RunManifest:
+    """The index of a finished run. It is written last, so a directory
+    without one holds an unfinished run (FileNotFoundError). ValueError
+    names the file if it does not parse, lacks a key or has a bad config."""
     path = Path(run_dir) / "manifest.json"
     if not path.is_file():
-        raise FileNotFoundError(f"no manifest at {path}")
-    return RunManifest.from_json(path.read_text())
+        raise FileNotFoundError(f"no manifest.json under {run_dir}: not a finished run")
+    try:
+        manifest = RunManifest.from_json(path.read_text())
+        ExperimentConfig.from_dict(manifest.config)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return manifest
 
 
 def _remove_previous_run(out: Path):
     """Delete what an earlier run into `out` wrote, as its manifest lists
     it: the manifest first, so an interrupted clean-up leaves none, then
     each listed file that resolves inside `out`. Files the manifest does
-    not list are kept, and a manifest cut short lists none."""
+    not list are kept, and a manifest that does not parse lists none."""
     path = out / "manifest.json"
     try:
         artifacts = RunManifest.from_json(path.read_text()).artifacts
     except FileNotFoundError:
         return
-    except (ValueError, KeyError):
+    except ValueError:
         artifacts = []
     path.unlink()
     root = out.resolve()
@@ -444,8 +463,6 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     t0 = time.perf_counter()
     out = Path(config.out_dir)
     _remove_previous_run(out)
-    trials_dir = out / "trials"
-    trials_dir.mkdir(parents=True, exist_ok=True)
     jobs = [(config, cond, t) for cond in config.conditions for t in range(config.trials)]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -455,13 +472,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
 
     artifacts = ["config.json", "summary.json", "summary_cnorm.csv", "summary_auc.csv"]
     for log in logs:
-        name = f"{log.condition}_t{log.trial_index:02d}.csv"
-        write_trial_csv(log, trials_dir / name)
-        artifacts.append(f"trials/{name}")
-        if config.dump_beliefs:
-            bname = name[:-4] + "_beliefs.csv"
-            write_beliefs_csv(log, trials_dir / bname)
-            artifacts.append(f"trials/{bname}")
+        artifacts.extend(write_trial_files(log, out, config.dump_beliefs))
 
     agg = aggregate_conditions(logs)
     summary = build_summary(config, logs, agg)
@@ -474,36 +485,32 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     snapshot = config.replaced(out_dir=".", workers=1)
     save_config(snapshot, out / "config.json")
 
-    with open(out / "summary_cnorm.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["condition", "mean_c_norm", "std_c_norm", "sem_c_norm", "n_trials"])
-        for cond in config.conditions:
-            e = summary["conditions"][cond]
-            writer.writerow(
-                [cond, _fmt(e["mean_c_norm"]), _fmt(e["std_c_norm"]), _fmt(e["sem_c_norm"]), e["n_trials"]]
-            )
-
-    with open(out / "summary_auc.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["condition", "trial", "auc_original", "auc_shuffled"])
-        for cond in config.conditions:
-            for row in summary["conditions"][cond]["trials"]:
-                if "auc_original" in row:
-                    writer.writerow(
-                        [cond, row["trial"], _fmt(row["auc_original"]), _fmt(row["auc_shuffled"])]
-                    )
-
+    conditions = summary["conditions"]
+    stats = ("mean_c_norm", "std_c_norm", "sem_c_norm")
+    _write_csv(
+        out / "summary_cnorm.csv",
+        ["condition", *stats, "n_trials"],
+        (
+            [cond, *(_fmt(conditions[cond][k]) for k in stats), conditions[cond]["n_trials"]]
+            for cond in config.conditions
+        ),
+    )
+    _write_csv(
+        out / "summary_auc.csv",
+        ["condition", "trial", "auc_original", "auc_shuffled"],
+        (
+            [cond, row["trial"], _fmt(row["auc_original"]), _fmt(row["auc_shuffled"])]
+            for cond in config.conditions
+            for row in conditions[cond]["trials"]
+            if "auc_original" in row
+        ),
+    )
     for cond in config.conditions:
         curves = agg[cond]["curves"]
         name = f"curves_{cond}.csv"
-        with open(out / name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "c_norm", "jsd_z", "kld_A", "kld_B_sleep"])
-            for i in range(config.iterations):
-                writer.writerow(
-                    [i + 1]
-                    + [_fmt(curves[k][i]) for k in ("c_norm", "jsd_z", "kld_A", "kld_B_sleep")]
-                )
+        columns = [map(_fmt, curve.tolist()) for curve in curves.values()]
+        iterations = range(1, config.iterations + 1)
+        _write_csv(out / name, ["iteration", *curves], zip(iterations, *columns))
         artifacts.append(name)
 
     artifacts.extend(emit_plots(out, config, summary))

@@ -26,10 +26,6 @@ set key outside top
 """
 
 
-def _write(path: Path, text: str):
-    path.write_text(text)
-
-
 def emit_plots(run_dir, config, summary) -> list:
     """Write the four standard plot scripts into <run_dir>/plots.
 
@@ -37,13 +33,15 @@ def emit_plots(run_dir, config, summary) -> list:
     need data the run did not produce (AUC needs the full alignment
     window) are skipped.
     """
+    # Imported here: harness owns the run directory's layout and imports this module.
+    from .harness import trial_files
     run_dir = Path(run_dir)
     plots = run_dir / "plots"
     plots.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
 
     def emit(name: str, body: str):
-        _write(plots / name, _PREAMBLE.format(name=name, output=name[:-3] + ".png") + body)
+        (plots / name).write_text(_PREAMBLE.format(name=name, output=name[:-3] + ".png") + body)
         written.append(f"plots/{name}")
 
     emit(
@@ -71,7 +69,7 @@ plot "../curves_{curve_cond}.csv" skip 1 using 1:4 with lines lw 2 title "sensor
 """,
     )
 
-    trial_rel = f"../trials/{curve_cond}_t00.csv"
+    trial_rel = "../" + trial_files(curve_cond, 0)[0]
     emit(
         "jsd_trajectory.gp",
         f"""\

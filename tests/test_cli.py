@@ -166,7 +166,7 @@ class TestShuffleControl:
 
     def test_missing_run_dir(self, tmp_path, capsys):
         assert run_cli("shuffle-control", "--run", str(tmp_path / "nope")) == 1
-        assert "config.json" in capsys.readouterr().err
+        assert "manifest.json" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("damage", ["dropped iteration", "cell"])
@@ -252,6 +252,66 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert err.count("\n") == 1
+
+
+class TestRunDirectory:
+    """report and shuffle-control open a run through its manifest.json."""
+
+    @pytest.fixture
+    def run_copy(self, finished_run, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(finished_run, run)
+        return run
+
+    def test_report_ignores_an_unlisted_trial_csv(self, run_copy, capsys):
+        trials = run_copy / "trials"
+        shutil.copy(trials / "mhng_t00.csv", trials / "mhng_t07.csv")
+        assert run_cli("report", "--run", str(run_copy)) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines() if "mhng" in line)
+        assert row.split()[:2] == ["mhng", "2"]
+
+    @pytest.mark.parametrize("command", ["report", "shuffle-control"])
+    @pytest.mark.parametrize("damage", ["missing", "cut", "key removed", "bad config"])
+    def test_damaged_manifest_fails_in_one_line(self, run_copy, capsys, command, damage):
+        path = run_copy / "manifest.json"
+        if damage == "missing":
+            path.unlink()
+        elif damage == "cut":
+            path.write_text(path.read_text()[:200])
+        else:
+            body = json.loads(path.read_text())
+            if damage == "key removed":
+                del body["trial_seeds"]
+            else:
+                body["config"]["trials"] = 0
+            path.write_text(json.dumps(body))
+        assert run_cli(command, "--run", str(run_copy)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "manifest.json" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_listed_trial_csv_that_is_gone_is_named(self, run_copy, capsys):
+        path = run_copy / "trials" / "mhng_t01.csv"
+        path.unlink()
+        assert run_cli("report", "--run", str(run_copy)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert str(path) in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_trial_output_is_not_a_finished_run(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        assert run_cli("trial", "--iterations", "60", "--out", str(out), "--dump-beliefs") == 0
+        capsys.readouterr()
+        for command in ("report", "shuffle-control"):
+            assert run_cli(command, "--run", str(out)) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert "manifest.json" in captured.err
 
 
 class BrokenStdout(io.TextIOBase):

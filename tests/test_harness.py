@@ -7,7 +7,7 @@ import pytest
 
 from dyadreg import dialogue, harness
 from dyadreg.config import ExperimentConfig
-from dyadreg.environment import Action
+from dyadreg.environment import Action, build_prior_preference, build_transition_model
 from dyadreg.harness import (
     CSV_HEADER,
     START_STATE,
@@ -284,6 +284,15 @@ class TestBeliefsCsv:
                 load_beliefs_csv(path)
 
 
+class TestBuildWorld:
+    def test_default_config_builds_the_default_world(self):
+        world, pref = harness.build_world(ExperimentConfig())
+        default = build_transition_model()
+        for name in ("tensor", "main_next", "rare_next", "branch_prob"):
+            assert np.array_equal(getattr(world, name), getattr(default, name)), name
+        assert np.array_equal(pref.values, build_prior_preference().values)
+
+
 class TestSummary:
     def test_windows_present_when_long_enough(self):
         cfg = small_config(iterations=60)
@@ -390,6 +399,18 @@ class TestRunExperiment:
         run_experiment(cfg.replaced(trials=2))
         assert (out / "notes.txt").is_file()
         assert json.loads((out / "manifest.json").read_text())["artifacts"]
+
+    @pytest.mark.parametrize("dump_beliefs", [False, True])
+    def test_directory_holds_exactly_the_manifest_artifacts(self, tmp_path, dump_beliefs):
+        out = tmp_path / "run"
+        cfg = small_config(
+            conditions=("mhng", "a-led"), trials=2, iterations=60, out_dir=str(out),
+            dump_beliefs=dump_beliefs,
+        )
+        manifest = run_experiment(cfg)
+        present = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+        assert present == sorted(manifest.artifacts + ["manifest.json"])
+        assert any(name.endswith("_beliefs.csv") for name in present) == dump_beliefs
 
     def test_workers_do_not_change_artifacts(self, run_dir, tmp_path):
         out, cfg, manifest = run_dir

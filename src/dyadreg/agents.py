@@ -76,13 +76,11 @@ class Agent:
         kind: AgentKind,
         sensory: np.ndarray,
         transitions: np.ndarray,
-        preference: PriorPreference,
         preferred_obs: Categorical,
         obs_concentration: np.ndarray | None = None,
         trans_concentration: np.ndarray | None = None,
     ):
         self.kind = kind
-        self.preference = preference
         self.preferred_obs = preferred_obs
         self._log_pref = np.log(np.maximum(preferred_obs.probs, KL_FLOOR))
         self.obs_concentration = obs_concentration
@@ -102,7 +100,6 @@ class Agent:
         self._known_state: int | None = None
         self._belief = Categorical.uniform(N_STATES).probs
         self._refresh_sensory()
-        self._symbol_cache: np.ndarray | None = None
 
     # -- belief ----------------------------------------------------------
 
@@ -118,7 +115,6 @@ class Agent:
             raise ValueError("belief support must match the state space")
         self._belief = probs
         self._known_state = None
-        self._symbol_cache = None
 
     def assimilate(self, action: int, obs: int) -> tuple[np.ndarray, np.ndarray]:
         """Predict through `action`, correct by `obs`, adopt the result.
@@ -136,7 +132,6 @@ class Agent:
             self._known_state = obs
         else:
             self._belief = update_belief(predict_belief(prev, self.B, action), self.A, obs)
-        self._symbol_cache = None
         return prev, self._belief
 
     # -- action and symbol scoring ----------------------------------------
@@ -165,9 +160,7 @@ class Agent:
     def symbol_posterior(self) -> np.ndarray:
         """Distribution over symbols: softmax of minus the free energy of
         the action each symbol names."""
-        if self._symbol_cache is None:
-            self._symbol_cache = softmax_neg(self.efe_per_action())
-        return self._symbol_cache
+        return softmax_neg(self.efe_per_action())
 
     # -- learning ----------------------------------------------------------
 
@@ -177,7 +170,6 @@ class Agent:
             raise ValueError(f"{self.kind.value} does not learn the sensory map")
         self.obs_concentration[:, obs] += posterior
         self._refresh_sensory(obs)
-        self._symbol_cache = None
 
     def learn_B(self, prev_posterior: np.ndarray, posterior: np.ndarray, action: int):
         """Accumulate the outer product of consecutive beliefs into the
@@ -188,7 +180,6 @@ class Agent:
         slice_a = self.trans_concentration[:, :, action]
         self.B[:, :, action] = slice_a / slice_a.sum(axis=0, keepdims=True)
         self._B_rows[:, action::N_ACTIONS] = self.B[:, :, action].T
-        self._symbol_cache = None
 
     def _refresh_sensory(self, obs: int | None = None):
         """Ambiguity of each state's sensory column, and for a learned map
@@ -242,7 +233,6 @@ def init_agent(
             kind,
             sensory=dirichlet_mean(alpha, axis=1).T,
             transitions=truth.tensor,
-            preference=preference,
             preferred_obs=preferred,
             obs_concentration=alpha,
         )
@@ -252,7 +242,6 @@ def init_agent(
             kind,
             sensory=identity_sensory_map(),
             transitions=dirichlet_mean(beta, axis=0),
-            preference=preference,
             preferred_obs=preferred,
             trans_concentration=beta,
         )

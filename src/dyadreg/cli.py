@@ -180,9 +180,7 @@ def _cmd_shuffle(args) -> int:
         config = ExperimentConfig.from_dict(manifest.config)
         seeds = shuffle_seeds(config, args.condition, args.trial_index)
     window = slice(lo, hi + 1)
-    original = shuffle_control(
-        parent_seq[window], infant_seq[window], permutation=np.arange(hi + 1 - lo)
-    )
+    original = shuffle_control(parent_seq[window], infant_seq[window])
     auc_shuffled, median_shuffled = shuffled_window(parent_seq, infant_seq, seeds, lo, hi)
     result = {
         "condition": args.condition,
@@ -202,11 +200,18 @@ def _cmd_shuffle(args) -> int:
 def _cmd_report(args) -> int:
     run_dir = Path(args.run)
     manifest = load_manifest(run_dir)
-    logs = [
-        load_trial_csv(run_dir / trial_files(cond, t)[0])
-        for cond, seeds in manifest.trial_seeds.items()
-        for t in range(len(seeds))
-    ]
+    logs = []
+    for cond, seeds in manifest.trial_seeds.items():
+        for t in range(len(seeds)):
+            path = run_dir / trial_files(cond, t)[0]
+            log = load_trial_csv(path)
+            rounds = log.rounds
+            if not (np.all(rounds["condition"] == cond) and np.all(rounds["trial"] == t)):
+                raise ValueError(
+                    f"{path}: every row must be condition {cond}, trial {t}, "
+                    "as manifest.json names the file"
+                )
+            logs.append(log)
     summary = json.loads((run_dir / "summary.json").read_text())
     agg = aggregate_conditions(logs)
     ranking = sorted(agg, key=lambda c: agg[c]["mean_c_norm"], reverse=True)

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .agents import Agent, AgentKind
-from .environment import StepOutcome, TransitionModel, VisceralState, step
+from .environment import TransitionModel, step
 from .probability import sample
 
 
@@ -34,26 +34,11 @@ ROUND_ORDERS = ("infant-first", "parent-first")
 
 @dataclass(frozen=True)
 class DialogueOutcome:
-    speaker: AgentKind
     proposed_w: int
     listener_own_w: int
     accepted: bool
     acceptance_prob: float
     shared_w: int
-    action: int
-
-
-@dataclass
-class IterationResult:
-    outcomes: list
-    steps: list
-    state: VisceralState
-    shared_w: int
-
-
-def propose(agent: Agent, rng: np.random.Generator) -> int:
-    """Sample a symbol from the agent's own symbol posterior."""
-    return sample(agent.symbol_posterior(), rng)
 
 
 def mh_accept(
@@ -87,13 +72,14 @@ def run_round(
     against a fresh draw from its own posterior otherwise. The agreed
     symbol doubles as the executed action: symbol w names action w.
     """
-    proposed = propose(speaker, rng)
-    if current_w is None:
-        own = propose(listener, rng)
-    else:
-        own = int(current_w)
-    if condition is Condition.MHNG:
-        accepted, prob = mh_accept(proposed, own, listener.symbol_posterior(), rng)
+    proposed = sample(speaker.symbol_posterior(), rng)
+    mhng = condition is Condition.MHNG
+    # Each posterior costs one EFE evaluation: the listener's is computed
+    # at most once, and only when a fresh draw or the MH test reads it.
+    posterior = listener.symbol_posterior() if mhng or current_w is None else None
+    own = sample(posterior, rng) if current_w is None else int(current_w)
+    if mhng:
+        accepted, prob = mh_accept(proposed, own, posterior, rng)
     else:
         leader = AgentKind.PARENT if condition is Condition.A_LED else AgentKind.INFANT
         if listener.kind is leader:
@@ -104,29 +90,33 @@ def run_round(
         else:
             accepted, prob = True, 1.0
     shared = proposed if accepted else own
-    return DialogueOutcome(speaker.kind, proposed, own, accepted, prob, shared, shared)
+    return DialogueOutcome(proposed, own, accepted, prob, shared)
 
 
 def run_iteration(
     parent: Agent,
     infant: Agent,
     world: TransitionModel,
-    state: VisceralState,
+    z: int,
     condition: Condition,
     rng: np.random.Generator,
     round_order: str = "infant-first",
     current_w: Optional[int] = None,
     persist_w: bool = False,
-    on_round: Optional[Callable[[int, DialogueOutcome, StepOutcome], None]] = None,
-) -> IterationResult:
-    """Two rounds with swapped speakers, each followed by one world step.
+    on_round: Optional[Callable[[Agent, DialogueOutcome, int, bool], None]] = None,
+) -> tuple[int, int]:
+    """Two rounds with swapped speakers, each followed by one world step
+    from the flat true state z. Returns the landing state and the last
+    agreed symbol.
 
     After every round both agents assimilate their own cue of the landing
-    state, the parent updates its sensory counts, and the infant updates
-    its dynamics counts. With persist_w the agreed symbol carries over as
-    the listener's stance for the next round (and is returned for the next
+    state (emission is the identity, so the cue is the state's flat index),
+    the parent updates its sensory counts, and the infant updates its
+    dynamics counts. With persist_w the agreed symbol carries over as the
+    listener's stance for the next round (and is returned for the next
     iteration); otherwise every round starts from a fresh draw. on_round
-    fires after learning, once per round.
+    fires after learning, once per round, with the speaker, the outcome,
+    the landing state and whether the rare branch fired.
     """
     if round_order not in ROUND_ORDERS:
         raise ValueError(f"unknown round order: {round_order!r}")
@@ -134,23 +124,18 @@ def run_iteration(
         pairs = ((infant, parent), (parent, infant))
     else:
         pairs = ((parent, infant), (infant, parent))
-    outcomes: list[DialogueOutcome] = []
-    steps: list[StepOutcome] = []
-    for idx, (speaker, listener) in enumerate(pairs):
+    for speaker, listener in pairs:
         outcome = run_round(
             speaker, listener, condition, rng, current_w if persist_w else None
         )
-        result = step(world, state, outcome.action, rng)
-        obs = result.next_state.flat
-        prev_infant, _ = infant.assimilate(outcome.action, obs)
-        parent.assimilate(outcome.action, obs)
-        parent.learn_A(parent.belief, obs)
-        infant.learn_B(prev_infant, infant.belief, outcome.action)
-        state = result.next_state
+        action = outcome.shared_w
+        z, rare = step(world, z, action, rng)
+        prev_infant, _ = infant.assimilate(action, z)
+        parent.assimilate(action, z)
+        parent.learn_A(parent.belief, z)
+        infant.learn_B(prev_infant, infant.belief, action)
         if persist_w:
-            current_w = outcome.shared_w
-        outcomes.append(outcome)
-        steps.append(result)
+            current_w = action
         if on_round is not None:
-            on_round(idx, outcome, result)
-    return IterationResult(outcomes, steps, state, outcomes[-1].shared_w)
+            on_round(speaker, outcome, z, rare)
+    return z, outcome.shared_w

@@ -87,15 +87,6 @@ class TransitionModel:
     branch_prob: float
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    """Where a step landed. Both agents observe next_state.flat: emission
-    is the identity."""
-
-    next_state: VisceralState
-    rare_branch: bool
-
-
 def _clamp(v: int) -> int:
     return min(max(v, 0), N_LEVELS - 1)
 
@@ -143,18 +134,16 @@ def build_transition_model(params: EnvParams = EnvParams()) -> TransitionModel:
 
 
 def step(
-    model: TransitionModel, state: VisceralState, action: int, rng: np.random.Generator
-) -> StepOutcome:
-    """Advance the true state by one action, consuming exactly one uniform.
-
-    rare_branch is set only when a distinct rare successor was sampled.
+    model: TransitionModel, z: int, action: int, rng: np.random.Generator
+) -> tuple[int, bool]:
+    """Advance the flat true state z by one action, consuming exactly one
+    uniform. Returns (z_next, rare): rare is set only when a distinct rare
+    successor was sampled.
     """
-    z = state.flat
     rare = int(model.rare_next[z, action])
     u = rng.random()
     fired = rare >= 0 and u < model.branch_prob
-    nxt = rare if fired else int(model.main_next[z, action])
-    return StepOutcome(VisceralState.from_flat(nxt), fired)
+    return (rare if fired else int(model.main_next[z, action])), fired
 
 
 @dataclass(frozen=True)

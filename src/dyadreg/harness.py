@@ -25,6 +25,7 @@ from .dialogue import Condition, run_iteration
 from .environment import (
     Action,
     EnvParams,
+    N_LEVELS,
     N_STATES,
     PriorPreference,
     VisceralState,
@@ -81,14 +82,12 @@ def shuffled_window(parent_seq, infant_seq, seeds, lo: int, hi: int) -> tuple:
     [lo, hi]: the AUC and the median of the shuffled belief divergence,
     each the mean over one permutation per seed. summary.json and the
     shuffle-control command both come from here. Each permutation is drawn
-    over the whole series, as shuffle_control draws it, but only the
-    window's rows are computed."""
+    over the whole series, but only the window's rows are computed."""
     n = len(parent_seq)
-    identity = np.arange(hi + 1 - lo)
     aucs, medians = [], []
     for seed in seeds:
         rows = make_rng(seed).permutation(n)[lo : hi + 1]
-        shuffled = shuffle_control(parent_seq[lo : hi + 1], infant_seq[rows], permutation=identity)
+        shuffled = shuffle_control(parent_seq[lo : hi + 1], infant_seq[rows])
         aucs.append(auc_window(shuffled, 0, hi - lo))
         medians.append(np.median(shuffled))
     return float(np.mean(aucs)), float(np.mean(medians))
@@ -132,31 +131,32 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog
     # Sleep error moves only after a Sleep round.
     kld_B_sleep = kld_B_error(world.tensor, infant.B, Action.SLEEP)
 
-    def on_round(idx, outcome, stp):
+    def on_round(speaker, outcome, z, rare):
         nonlocal kld_B_sleep
-        landed = stp.next_state
-        if outcome.action == Action.SLEEP:
+        if outcome.shared_w == Action.SLEEP:
             kld_B_sleep = kld_B_error(world.tensor, infant.B, Action.SLEEP)
+        row = len(rows)
         if config.dump_beliefs:
-            parent_round_beliefs[len(rows)] = parent.belief
-            infant_round_beliefs[len(rows)] = infant.belief
+            parent_round_beliefs[row] = parent.belief
+            infant_round_beliefs[row] = infant.belief
         rows.append(
             (
                 cond.value,
                 trial_index,
-                len(rows) // 2 + 1,
-                idx + 1,
-                outcome.speaker.value,
+                row // 2 + 1,
+                row % 2 + 1,
+                speaker.kind.value,
                 outcome.proposed_w,
                 outcome.listener_own_w,
                 outcome.accepted,
                 outcome.acceptance_prob,
                 outcome.shared_w,
-                outcome.action,
-                landed.x,
-                landed.y,
-                stp.rare_branch,
-                c_norm(landed, pref),
+                # The action column: symbol w names action w.
+                outcome.shared_w,
+                z % N_LEVELS,
+                z // N_LEVELS,
+                rare,
+                c_norm(z, pref),
                 jsd_latent(parent.belief, infant.belief),
                 kld_A_error(parent.A),
                 kld_B_sleep,
@@ -164,14 +164,14 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog
         )
 
     persist = config.mh_current_w == "persistent"
-    state = START_STATE
+    z = START_STATE.flat
     current_w = None
     for it in range(n):
-        result = run_iteration(
+        z, current_w = run_iteration(
             parent,
             infant,
             world,
-            state,
+            z,
             cond,
             rng,
             round_order=config.round_order,
@@ -179,7 +179,6 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog
             persist_w=persist,
             on_round=on_round,
         )
-        state, current_w = result.state, result.shared_w
         parent_beliefs[it] = parent.belief
         infant_beliefs[it] = infant.belief
     return TrialLog(

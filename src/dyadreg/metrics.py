@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .environment import PriorPreference, VisceralState
+from .environment import PriorPreference
 from .probability import KL_FLOOR, Categorical, js_divergence
 
 # Iteration window (1-based, inclusive) for alignment medians and AUC.
@@ -22,9 +22,9 @@ ALIGNMENT_WINDOW = (20, 50)
 SPIKE_RANGE = (20, 1000)
 
 
-def c_norm(state: VisceralState, pref: PriorPreference) -> float:
-    """Comfort of the true state, scaled so the best cell scores 1."""
-    return float(pref.values[state.flat] / pref.max_value)
+def c_norm(z: int, pref: PriorPreference) -> float:
+    """Comfort of the flat true state z, scaled so the best cell scores 1."""
+    return float(pref.values[z] / pref.max_value)
 
 
 def mean_column_kl(true_cols: np.ndarray, learned_cols: np.ndarray) -> float:
@@ -74,34 +74,22 @@ def auc_window(series, start: int, end: int) -> float:
     return float(np.trapezoid(s[start : end + 1]))
 
 
-def shuffle_control(
-    parent_seq,
-    infant_seq,
-    rng: Optional[np.random.Generator] = None,
-    permutation=None,
-) -> np.ndarray:
-    """Belief divergence series with the infant side permuted in time.
+def shuffle_control(parent_seq, infant_seq) -> np.ndarray:
+    """Belief divergence of two aligned sequences, row by row.
 
-    Breaking simultaneity tells apart genuine moment-to-moment coupling
-    from two sequences that merely share a stationary profile. Pass either
-    an explicit permutation or a generator to draw one.
+    Fed the infant side permuted in time (harness.shuffled_window), this is
+    the time-shuffle control: breaking simultaneity tells apart genuine
+    moment-to-moment coupling from two sequences that merely share a
+    stationary profile.
     """
     p_seq = np.asarray(parent_seq, dtype=float)
     i_seq = np.asarray(infant_seq, dtype=float)
     if p_seq.shape != i_seq.shape or p_seq.ndim != 2:
         raise ValueError("belief sequences must share a (steps, states) shape")
-    n = p_seq.shape[0]
-    if permutation is None:
-        if rng is None:
-            raise ValueError("need a permutation or a generator to draw one")
-        permutation = rng.permutation(n)
-    perm = np.asarray(permutation)
-    if sorted(perm.tolist()) != list(range(n)):
-        raise ValueError("permutation must rearrange exactly the sequence indices")
     return np.array(
         [
-            js_divergence(Categorical(p_seq[t]), Categorical(i_seq[perm[t]]))
-            for t in range(n)
+            js_divergence(Categorical(p), Categorical(q))
+            for p, q in zip(p_seq, i_seq)
         ]
     )
 

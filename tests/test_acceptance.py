@@ -207,7 +207,6 @@ def test_criterion_6_mh_stationarity_oracle():
                 kind,
                 sensory=identity_sensory_map(),
                 transitions=world.tensor,
-                preference=pref,
                 preferred_obs=preferred_obs_distribution(pref),
             )
             agent.belief = Categorical(fixture_rng.dirichlet(np.ones(36))).probs

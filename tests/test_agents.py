@@ -52,7 +52,6 @@ def omniscient(world, pref):
         AgentKind.PARENT,
         sensory=identity_sensory_map(),
         transitions=world.tensor,
-        preference=pref,
         preferred_obs=preferred_obs_distribution(pref),
     )
 
@@ -184,7 +183,6 @@ class TestSymbolPosterior:
         agent = omniscient(world, pref)
         agent.belief = Categorical.one_hot(N_STATES, VisceralState(2, 2).flat).probs
         first = agent.symbol_posterior()
-        assert agent.symbol_posterior() is first
         agent.belief = Categorical.one_hot(N_STATES, VisceralState(5, 0).flat).probs
         second = agent.symbol_posterior()
         assert not np.allclose(first, second)
@@ -197,7 +195,7 @@ class TestSymbolPosterior:
             Categorical.one_hot(N_STATES, 6).probs,
             Action.EAT,
         )
-        assert infant.symbol_posterior() is not first
+        assert not np.array_equal(infant.symbol_posterior(), first)
 
 
 class TestLearning:
@@ -321,7 +319,6 @@ class TestStructureShortcuts:
             AgentKind.PARENT,
             sensory=sensory,
             transitions=world.tensor,
-            preference=pref,
             preferred_obs=preferred_obs_distribution(pref),
         )
         for _ in range(10):

@@ -302,6 +302,23 @@ class TestRunDirectory:
         assert str(path) in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "old, new, count",
+        [("mhng,0,", "b-led,0,", -1), ("mhng,0,", "mhng,1,", -1), ("mhng,0,", "b-led,0,", 1)],
+        ids=["condition", "trial", "one row"],
+    )
+    def test_relabelled_trial_csv_is_named(self, run_copy, capsys, old, new, count):
+        # A trial CSV whose rows name another condition or trial than the
+        # manifest entry that lists the file is not averaged anywhere.
+        path = run_copy / "trials" / "mhng_t00.csv"
+        header, body = path.read_text().split("\n", 1)
+        path.write_text(header + "\n" + body.replace(old, new, count))
+        assert run_cli("report", "--run", str(run_copy)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+        assert captured.err.count("\n") == 1
+
     def test_trial_output_is_not_a_finished_run(self, tmp_path, capsys):
         out = tmp_path / "t"
         assert run_cli("trial", "--iterations", "60", "--out", str(out), "--dump-beliefs") == 0

@@ -1,21 +1,16 @@
 import numpy as np
 import pytest
 
-from dyadreg.agents import AgentKind, init_agent
-from dyadreg.dialogue import (
-    Condition,
-    IterationResult,
-    mh_accept,
-    propose,
-    run_iteration,
-    run_round,
-)
+from dyadreg.agents import Agent, AgentKind, init_agent
+from dyadreg.dialogue import Condition, mh_accept, run_iteration, run_round
 from dyadreg.environment import (
     VisceralState,
     build_prior_preference,
     build_transition_model,
 )
-from dyadreg.probability import Categorical, make_rng
+from dyadreg.probability import Categorical, make_rng, sample
+
+START = VisceralState(2, 2).flat
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +73,7 @@ class TestPropose:
     def test_samples_from_posterior(self):
         agent = FakeAgent(AgentKind.PARENT, [0.1, 0.6, 0.3, 0.0, 0.0])
         rng = make_rng(5)
-        draws = np.array([propose(agent, rng) for _ in range(20000)])
+        draws = np.array([sample(agent.symbol_posterior(), rng) for _ in range(20000)])
         freqs = np.bincount(draws, minlength=5) / draws.size
         assert np.allclose(freqs, agent.symbol_posterior(), atol=0.02)
 
@@ -91,7 +86,6 @@ class TestRunRound:
         for _ in range(500):
             out = run_round(speaker, listener, Condition.MHNG, rng)
             assert out.shared_w == (out.proposed_w if out.accepted else out.listener_own_w)
-            assert out.action == out.shared_w
             assert 0.0 <= out.acceptance_prob <= 1.0
 
     def test_parent_led_listener_parent_never_yields(self):
@@ -166,28 +160,33 @@ class TestPersistentChain:
         assert np.allclose(counts / n, target, atol=0.02)
 
 
+def run_recorded(parent, infant, world, seed, **kwargs):
+    """run_iteration from START, with what on_round saw: per round the
+    speaker, the outcome, the landing state and the rare flag."""
+    seen = []
+    result = run_iteration(
+        parent,
+        infant,
+        world,
+        START,
+        Condition.MHNG,
+        make_rng(seed),
+        on_round=lambda *args: seen.append(args),
+        **kwargs,
+    )
+    return result, seen
+
+
 class TestRunIteration:
     def test_two_rounds_swap_speakers(self, world, pref):
         parent, infant = make_dyad(world, pref)
-        res = run_iteration(
-            parent, infant, world, VisceralState(2, 2), Condition.MHNG, make_rng(13)
-        )
-        assert isinstance(res, IterationResult)
-        assert [o.speaker for o in res.outcomes] == [AgentKind.INFANT, AgentKind.PARENT]
-        assert len(res.steps) == 2
+        _, seen = run_recorded(parent, infant, world, 13)
+        assert [r[0] for r in seen] == [infant, parent]
 
     def test_parent_first_order(self, world, pref):
         parent, infant = make_dyad(world, pref)
-        res = run_iteration(
-            parent,
-            infant,
-            world,
-            VisceralState(2, 2),
-            Condition.MHNG,
-            make_rng(14),
-            round_order="parent-first",
-        )
-        assert [o.speaker for o in res.outcomes] == [AgentKind.PARENT, AgentKind.INFANT]
+        _, seen = run_recorded(parent, infant, world, 14, round_order="parent-first")
+        assert [r[0] for r in seen] == [parent, infant]
 
     def test_unknown_order_rejected(self, world, pref):
         parent, infant = make_dyad(world, pref)
@@ -196,7 +195,7 @@ class TestRunIteration:
                 parent,
                 infant,
                 world,
-                VisceralState(2, 2),
+                START,
                 Condition.MHNG,
                 make_rng(15),
                 round_order="alphabetical",
@@ -204,19 +203,15 @@ class TestRunIteration:
 
     def test_state_tracks_last_step(self, world, pref):
         parent, infant = make_dyad(world, pref)
-        res = run_iteration(
-            parent, infant, world, VisceralState(2, 2), Condition.MHNG, make_rng(16)
-        )
-        assert res.state == res.steps[-1].next_state
-        assert res.shared_w == res.outcomes[-1].shared_w
+        (z, shared_w), seen = run_recorded(parent, infant, world, 16)
+        assert z == seen[-1][2]
+        assert shared_w == seen[-1][1].shared_w
 
     def test_both_agents_learn_each_round(self, world, pref):
         parent, infant = make_dyad(world, pref)
         alpha_before = parent.obs_concentration.sum()
         beta_before = infant.trans_concentration.sum()
-        run_iteration(
-            parent, infant, world, VisceralState(2, 2), Condition.MHNG, make_rng(17)
-        )
+        run_iteration(parent, infant, world, START, Condition.MHNG, make_rng(17))
         assert parent.obs_concentration.sum() == pytest.approx(alpha_before + 2.0)
         assert infant.trans_concentration.sum() == pytest.approx(beta_before + 2.0)
 
@@ -224,39 +219,25 @@ class TestRunIteration:
         # Identity sensing makes the infant posterior one-hot at the
         # landing state after every round.
         parent, infant = make_dyad(world, pref)
-        res = run_iteration(
-            parent, infant, world, VisceralState(2, 2), Condition.MHNG, make_rng(18)
-        )
-        assert infant.belief[res.state.flat] == 1.0
+        (z, _), _ = run_recorded(parent, infant, world, 18)
+        assert infant.belief[z] == 1.0
 
     def test_on_round_callback_sees_both_rounds(self, world, pref):
         parent, infant = make_dyad(world, pref)
-        seen = []
-        run_iteration(
-            parent,
-            infant,
-            world,
-            VisceralState(2, 2),
-            Condition.MHNG,
-            make_rng(19),
-            on_round=lambda idx, out, stp: seen.append((idx, out.shared_w, stp.next_state)),
-        )
-        assert [s[0] for s in seen] == [0, 1]
+        _, seen = run_recorded(parent, infant, world, 19)
+        assert len(seen) == 2
+        for speaker, outcome, z, rare in seen:
+            assert isinstance(speaker, Agent)
+            assert 0 <= outcome.shared_w < 5
+            assert 0 <= z < 36
+            assert isinstance(rare, bool)
 
     def test_persist_w_threads_the_symbol(self, world, pref):
         parent, infant = make_dyad(world, pref)
-        res = run_iteration(
-            parent,
-            infant,
-            world,
-            VisceralState(2, 2),
-            Condition.MHNG,
-            make_rng(20),
-            current_w=4,
-            persist_w=True,
-        )
-        assert res.outcomes[0].listener_own_w == 4
-        assert res.outcomes[1].listener_own_w == res.outcomes[0].shared_w
+        _, seen = run_recorded(parent, infant, world, 20, current_w=4, persist_w=True)
+        first, second = seen[0][1], seen[1][1]
+        assert first.listener_own_w == 4
+        assert second.listener_own_w == first.shared_w
 
     def test_draw_counts_fresh_vs_persistent(self, world, pref):
         # Fresh: (3 dialogue + 1 world) x 2. Persistent skips the
@@ -268,7 +249,7 @@ class TestRunIteration:
                 parent,
                 infant,
                 world,
-                VisceralState(2, 2),
+                START,
                 Condition.MHNG,
                 a,
                 current_w=0 if persist else None,
@@ -277,3 +258,40 @@ class TestRunIteration:
             for _ in range(n):
                 b.random()
             assert a.random() == b.random(), persist
+
+    @pytest.mark.parametrize(
+        "condition, persist, per_round",
+        [
+            (Condition.MHNG, False, 2),
+            (Condition.MHNG, True, 2),
+            (Condition.A_LED, False, 2),
+            (Condition.A_LED, True, 1),
+        ],
+    )
+    def test_efe_evaluations_per_round(
+        self, world, pref, monkeypatch, condition, persist, per_round
+    ):
+        # One symbol posterior per agent that a round reads: the speaker's,
+        # and the listener's only for a fresh draw or the MH test.
+        calls = []
+        efe = Agent.efe_per_action
+
+        def counted(agent):
+            calls.append(agent.kind)
+            return efe(agent)
+
+        monkeypatch.setattr(Agent, "efe_per_action", counted)
+        parent, infant = make_dyad(world, pref)
+        rng, z, current_w = make_rng(22), START, 0
+        for _ in range(5):
+            z, current_w = run_iteration(
+                parent,
+                infant,
+                world,
+                z,
+                condition,
+                rng,
+                current_w=current_w if persist else None,
+                persist_w=persist,
+            )
+        assert len(calls) == 10 * per_round

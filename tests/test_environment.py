@@ -112,9 +112,9 @@ class TestTransitionModel:
 
 class TestStep:
     def test_deterministic_action(self, model):
-        out = step(model, VisceralState(3, 3), Action.COOL, make_rng(0))
-        assert out.next_state == VisceralState(2, 2)
-        assert out.rare_branch is False
+        z, rare = step(model, VisceralState(3, 3).flat, Action.COOL, make_rng(0))
+        assert z == VisceralState(2, 2).flat
+        assert rare is False
 
     def test_observations_match_landing_state(self, model):
         # Both agents observe the landing state through the identity
@@ -122,37 +122,37 @@ class TestStep:
         emission = identity_sensory_map()
         rng = make_rng(2)
         for _ in range(50):
-            out = step(model, VisceralState(2, 3), Action.SLEEP, rng)
-            assert int(emission[:, out.next_state.flat].argmax()) == out.next_state.flat
+            z, _ = step(model, VisceralState(2, 3).flat, Action.SLEEP, rng)
+            assert int(emission[:, z].argmax()) == z
 
     def test_consumes_one_uniform_even_when_deterministic(self, model):
         a, b = make_rng(7), make_rng(7)
-        step(model, VisceralState(3, 3), Action.COOL, a)
+        step(model, VisceralState(3, 3).flat, Action.COOL, a)
         b.random()
         assert a.random() == b.random()
 
     def test_branch_frequency(self, model):
         rng = make_rng(123)
         fired = [
-            step(model, VisceralState(3, 3), Action.SLEEP, rng).rare_branch
+            step(model, VisceralState(3, 3).flat, Action.SLEEP, rng)[1]
             for _ in range(20000)
         ]
         assert np.mean(fired) == pytest.approx(0.2, abs=0.01)
 
     def test_rare_flag_matches_landing(self, model):
         rng = make_rng(4)
-        s = VisceralState(3, 3)
+        s = VisceralState(3, 3).flat
         for _ in range(200):
-            out = step(model, s, Action.SLEEP, rng)
-            expected = VisceralState(3, 4) if out.rare_branch else VisceralState(3, 3)
-            assert out.next_state == expected
+            z, rare = step(model, s, Action.SLEEP, rng)
+            expected = VisceralState(3, 4) if rare else VisceralState(3, 3)
+            assert z == expected.flat
 
     def test_no_rare_flag_on_merged_rail(self, model):
         rng = make_rng(5)
         for _ in range(100):
-            out = step(model, VisceralState(3, 0), Action.SLEEP, rng)
-            assert out.rare_branch is False
-            assert out.next_state == VisceralState(3, 0)
+            z, rare = step(model, VisceralState(3, 0).flat, Action.SLEEP, rng)
+            assert rare is False
+            assert z == VisceralState(3, 0).flat
 
 
 class TestPriorPreference:

@@ -176,10 +176,10 @@ class TestSleepOnlyKldB:
         every_round, actions = [], []
 
         def run_iteration(parent, infant, world, *args, on_round, **kwargs):
-            def record(idx, outcome, stp):
+            def record(speaker, outcome, z, rare):
                 every_round.append(kld_B_error(world.tensor, infant.B, Action.SLEEP))
-                actions.append(outcome.action)
-                on_round(idx, outcome, stp)
+                actions.append(outcome.shared_w)
+                on_round(speaker, outcome, z, rare)
 
             return dialogue.run_iteration(parent, infant, world, *args, on_round=record, **kwargs)
 

@@ -9,6 +9,7 @@ from dyadreg.environment import (
     build_prior_preference,
     build_transition_model,
 )
+from dyadreg.harness import shuffled_window
 from dyadreg.metrics import (
     ROUND_DTYPE,
     TrialLog,
@@ -36,17 +37,17 @@ def pref():
 
 class TestCNorm:
     def test_peak_scores_one(self, pref):
-        assert c_norm(VisceralState(2, 2), pref) == pytest.approx(1.0)
+        assert c_norm(VisceralState(2, 2).flat, pref) == pytest.approx(1.0)
 
     def test_corner_value(self, pref):
         # exp(-4) / exp(-0.16) for the default preference bump.
-        assert c_norm(VisceralState(0, 0), pref) == pytest.approx(
+        assert c_norm(VisceralState(0, 0).flat, pref) == pytest.approx(
             0.021493601345089916, abs=1e-15
         )
 
     def test_bounded(self, pref):
         for z in range(N_STATES):
-            v = c_norm(VisceralState.from_flat(z), pref)
+            v = c_norm(z, pref)
             assert 0.0 < v <= 1.0
 
 
@@ -152,47 +153,37 @@ class TestShuffleControl:
         return seqs[0], seqs[1]
 
     def test_identity_permutation_is_noop(self):
+        # shuffle_control pairs the rows as given; shuffled_window does the
+        # permuting.
         p_seq, i_seq = self._sequences()
-        base = shuffle_control(p_seq, i_seq, permutation=np.arange(30))
+        base = shuffle_control(p_seq, i_seq)
         direct = [
             jsd_latent(Categorical(p_seq[t]), Categorical(i_seq[t])) for t in range(30)
         ]
         assert np.allclose(base, direct, atol=1e-12)
 
     def test_reordered_rows(self):
-        p_seq, i_seq = self._sequences(4)
-        perm = np.array([3, 2, 1, 0])
-        out = shuffle_control(p_seq, i_seq, permutation=perm)
-        assert out[0] == pytest.approx(
-            jsd_latent(Categorical(p_seq[0]), Categorical(i_seq[3])), abs=1e-12
-        )
-
-    def test_generator_draws_valid_permutation(self):
+        # The window's parent rows meet the infant rows that each seed's
+        # permutation of the whole series puts there.
         p_seq, i_seq = self._sequences()
-        out = shuffle_control(p_seq, i_seq, rng=make_rng(3))
-        assert out.shape == (30,)
-        assert np.all(out >= 0.0)
-
-    def test_same_seed_same_shuffle(self):
-        p_seq, i_seq = self._sequences()
-        a = shuffle_control(p_seq, i_seq, rng=make_rng(4))
-        b = shuffle_control(p_seq, i_seq, rng=make_rng(4))
-        assert np.array_equal(a, b)
-
-    def test_rejects_bad_permutation(self):
-        p_seq, i_seq = self._sequences(5)
-        with pytest.raises(ValueError):
-            shuffle_control(p_seq, i_seq, permutation=np.array([0, 0, 1, 2, 3]))
+        lo, hi = 4, 20
+        aucs, medians = [], []
+        for seed in (3, 4):
+            perm = make_rng(seed).permutation(30)
+            series = [
+                jsd_latent(Categorical(p_seq[t]), Categorical(i_seq[perm[t]]))
+                for t in range(lo, hi + 1)
+            ]
+            aucs.append(auc_window(series, 0, hi - lo))
+            medians.append(np.median(series))
+        auc, median = shuffled_window(p_seq, i_seq, (3, 4), lo, hi)
+        assert auc == pytest.approx(np.mean(aucs), abs=1e-12)
+        assert median == pytest.approx(np.mean(medians), abs=1e-12)
 
     def test_rejects_shape_mismatch(self):
         p_seq, i_seq = self._sequences(5)
         with pytest.raises(ValueError):
-            shuffle_control(p_seq[:4], i_seq, permutation=np.arange(5))
-
-    def test_needs_rng_or_permutation(self):
-        p_seq, i_seq = self._sequences(5)
-        with pytest.raises(ValueError):
-            shuffle_control(p_seq, i_seq)
+            shuffle_control(p_seq[:4], i_seq)
 
 
 def synthetic_log(condition, trial, values):

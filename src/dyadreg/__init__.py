@@ -2,5 +2,3 @@
 visceral state by negotiating symbols through a naming game."""
 
 __version__ = "0.1.0"
-
-from .probability import Categorical  # noqa: F401

@@ -55,8 +55,8 @@ def update_belief(belief_pred: np.ndarray, sensory: np.ndarray, obs: int) -> np.
         if total <= 0.0:
             raise ValueError(f"observation {obs} has an all-zero likelihood row")
     post = post / total
-    # Normalized a second time, as Categorical() would: the artifacts
-    # depend on these exact bits.
+    # Normalized a second time, as a validating constructor would: the
+    # artifacts depend on these exact bits.
     return post / post.sum()
 
 
@@ -76,13 +76,13 @@ class Agent:
         kind: AgentKind,
         sensory: np.ndarray,
         transitions: np.ndarray,
-        preferred_obs: Categorical,
+        preferred_obs: np.ndarray,
         obs_concentration: np.ndarray | None = None,
         trans_concentration: np.ndarray | None = None,
     ):
         self.kind = kind
         self.preferred_obs = preferred_obs
-        self._log_pref = np.log(np.maximum(preferred_obs.probs, KL_FLOOR))
+        self._log_pref = np.log(np.maximum(preferred_obs, KL_FLOOR))
         self.obs_concentration = obs_concentration
         self.trans_concentration = trans_concentration
         self.A = sensory
@@ -98,7 +98,7 @@ class Agent:
             sensory, identity_sensory_map()
         )
         self._known_state: int | None = None
-        self._belief = Categorical.uniform(N_STATES).probs
+        self._belief = np.full(N_STATES, 1.0 / N_STATES)
         self._refresh_sensory()
 
     # -- belief ----------------------------------------------------------

@@ -169,18 +169,17 @@ def _cmd_shuffle(args) -> int:
     infant_seq = beliefs["infant_iterations"]
     n = parent_seq.shape[0]
     lo, hi = args.window_start - 1, args.window_end - 1
-    if not 0 <= lo < hi < n:
-        raise ValueError(
-            f"window [{args.window_start}, {args.window_end}] "
-            f"needs more than the {n} recorded iterations"
-        )
+    window = f"window [{args.window_start}, {args.window_end}]"
+    if not 0 <= lo < hi:
+        raise ValueError(f"{window} needs 1 <= start < end")
+    if hi >= n:
+        raise ValueError(f"{window} needs more than the {n} recorded iterations")
     if args.seed is not None:
         seeds = [args.seed]
     else:
         config = ExperimentConfig.from_dict(manifest.config)
         seeds = shuffle_seeds(config, args.condition, args.trial_index)
-    window = slice(lo, hi + 1)
-    original = shuffle_control(parent_seq[window], infant_seq[window])
+    original = shuffle_control(parent_seq[lo : hi + 1], infant_seq[lo : hi + 1])
     auc_shuffled, median_shuffled = shuffled_window(parent_seq, infant_seq, seeds, lo, hi)
     result = {
         "condition": args.condition,
@@ -214,6 +213,14 @@ def _cmd_report(args) -> int:
             logs.append(log)
     summary = json.loads((run_dir / "summary.json").read_text())
     agg = aggregate_conditions(logs)
+    for cond, e in agg.items():
+        means = e["per_trial_mean_c_norm"]
+        recorded = np.asarray(summary["conditions"].get(cond, {}).get("per_trial_mean_c_norm"))
+        if means.shape != recorded.shape or not np.allclose(means, recorded, rtol=0, atol=1e-8):
+            raise ValueError(
+                f"{run_dir / 'summary.json'}: per_trial_mean_c_norm of {cond} "
+                "disagrees with its trial CSVs"
+            )
     ranking = sorted(agg, key=lambda c: agg[c]["mean_c_norm"], reverse=True)
     print(f"{'condition':>10} {'trials':>6} {'mean':>8} {'std':>8} {'sem':>8}")
     for cond in ranking:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,24 @@ PREFERENCE_MODES = ("linear", "softmax")
 
 class ConfigError(ValueError):
     pass
+
+
+def _type_error(name: str, value, kind: str) -> str | None:
+    """Why a config value lacks the type its field annotation `kind` names,
+    or None. A bool is not a number; an int is accepted where a float is."""
+    if kind.endswith(" | None"):
+        return None if value is None else _type_error(name, value, kind.removesuffix(" | None"))
+    if kind.startswith("tuple["):
+        if not isinstance(value, tuple):
+            return f"{name} must be a list, not {value!r}"
+        item = kind.removeprefix("tuple[").removesuffix(", ...]")
+        errors = (_type_error(f"{name}[{i}]", v, item) for i, v in enumerate(value))
+        return next(filter(None, errors), None)
+    if isinstance(value, bool):
+        ok = kind == "bool"
+    else:
+        ok = isinstance(value, {"int": int, "float": (int, float), "str": str, "bool": bool}[kind])
+    return None if ok else f"{name} must be {kind}, not {value!r}"
 
 
 @dataclass
@@ -46,7 +65,7 @@ class ExperimentConfig:
     workers          trial-level process parallelism
     """
 
-    conditions: tuple = CONDITION_NAMES
+    conditions: tuple[str, ...] = CONDITION_NAMES
     trials: int = 10
     iterations: int = 1000
     seed: int = 0
@@ -60,23 +79,26 @@ class ExperimentConfig:
     temp_high_min: int = EnvParams.temp_high_min
     c_sigma: float = C_SIGMA
     c_floor: float = C_FLOOR
-    c_values: tuple | None = None
+    c_values: tuple[float, ...] | None = None
     out_dir: str = "runs/latest"
     dump_beliefs: bool = False
     workers: int = 1
 
     def __post_init__(self):
-        if isinstance(self.conditions, (list, str)):
-            self.conditions = (
-                (self.conditions,)
-                if isinstance(self.conditions, str)
-                else tuple(self.conditions)
-            )
+        if isinstance(self.conditions, str):
+            self.conditions = (self.conditions,)
+        for name in ("conditions", "c_values"):
+            if isinstance(getattr(self, name), list):
+                setattr(self, name, tuple(getattr(self, name)))
+        self.validate()
         if self.c_values is not None:
             self.c_values = tuple(float(v) for v in self.c_values)
-        self.validate()
 
     def validate(self):
+        for f in dataclasses.fields(self):
+            error = _type_error(f.name, getattr(self, f.name), f.type)
+            if error:
+                raise ConfigError(error)
         if not self.conditions:
             raise ConfigError("need at least one condition")
         for c in self.conditions:
@@ -84,11 +106,11 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown condition {c!r}, expected {CONDITION_NAMES}")
         if len(set(self.conditions)) != len(self.conditions):
             raise ConfigError("conditions must be unique")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if self.trials < 1:
             raise ConfigError("trials must be a positive integer")
-        if not isinstance(self.iterations, int) or self.iterations < 1:
+        if self.iterations < 1:
             raise ConfigError("iterations must be a positive integer")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
         if self.round_order not in ROUND_ORDERS:
             raise ConfigError(f"round_order must be one of {ROUND_ORDERS}")
@@ -96,26 +118,26 @@ class ExperimentConfig:
             raise ConfigError(f"mh_current_w must be one of {CURRENT_W_MODES}")
         if self.preference_mode not in PREFERENCE_MODES:
             raise ConfigError(f"preference_mode must be one of {PREFERENCE_MODES}")
-        if not isinstance(self.shuffle_permutations, int) or self.shuffle_permutations < 1:
+        if self.shuffle_permutations < 1:
             raise ConfigError("shuffle_permutations must be a positive integer")
-        if not self.dirichlet_prior > 0.0:
-            raise ConfigError("dirichlet_prior must be positive")
+        if not 0.0 < self.dirichlet_prior < math.inf:
+            raise ConfigError("dirichlet_prior must be positive and finite")
         if not 0.0 <= self.branch_prob <= 1.0:
             raise ConfigError("branch_prob must lie in [0, 1]")
-        if not isinstance(self.eat_gain, int) or self.eat_gain < 0:
+        if self.eat_gain < 0:
             raise ConfigError("eat_gain must be a non-negative integer")
-        if not isinstance(self.temp_high_min, int) or not 0 <= self.temp_high_min <= N_LEVELS:
+        if not 0 <= self.temp_high_min <= N_LEVELS:
             raise ConfigError(f"temp_high_min must lie in [0, {N_LEVELS}]")
-        if not self.c_sigma > 0.0:
-            raise ConfigError("c_sigma must be positive")
-        if not self.c_floor > 0.0:
-            raise ConfigError("c_floor must be positive")
+        if not 0.0 < self.c_sigma < math.inf:
+            raise ConfigError("c_sigma must be positive and finite")
+        if not 0.0 < self.c_floor < math.inf:
+            raise ConfigError("c_floor must be positive and finite")
         if self.c_values is not None:
             if len(self.c_values) != N_STATES:
                 raise ConfigError(f"c_values needs exactly {N_STATES} entries")
-            if any(v <= 0.0 for v in self.c_values):
-                raise ConfigError("c_values must be strictly positive")
-        if not isinstance(self.workers, int) or self.workers < 1:
+            if not all(0.0 < v < math.inf for v in self.c_values):
+                raise ConfigError("c_values must be strictly positive and finite")
+        if self.workers < 1:
             raise ConfigError("workers must be a positive integer")
 
     def to_dict(self) -> dict:

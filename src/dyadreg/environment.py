@@ -184,19 +184,17 @@ def build_prior_preference(sigma: float = C_SIGMA, floor: float = C_FLOOR) -> Pr
     return PriorPreference(vals.reshape(-1))
 
 
-def preferred_obs_distribution(
-    pref: PriorPreference, mode: str = "linear"
-) -> Categorical:
+def preferred_obs_distribution(pref: PriorPreference, mode: str = "linear") -> np.ndarray:
     """Preference surface as a distribution over observations.
 
     "linear" divides by the sum; "softmax" exponentiates first (with max
     subtraction) and then normalizes.
     """
     if mode == "linear":
-        return Categorical(pref.values / pref.values.sum())
+        return Categorical(pref.values / pref.values.sum()).probs
     if mode == "softmax":
         w = np.exp(pref.values - pref.values.max())
-        return Categorical(w / w.sum())
+        return Categorical(w / w.sum()).probs
     raise ValueError(f"unknown preference mode: {mode!r}")
 
 

@@ -46,7 +46,7 @@ from .metrics import (
     shuffle_control,
 )
 from .plots import emit_plots
-from .probability import derive_seed, make_rng
+from .probability import RENORM_TOL, derive_seed, make_rng
 
 START_STATE = VisceralState(2, 2)
 
@@ -111,7 +111,7 @@ def build_world(config: ExperimentConfig):
 def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog:
     """One seeded trial: `iterations` two-round exchanges from the fixed
     start state, with metrics recorded after every round."""
-    cond = condition if isinstance(condition, Condition) else Condition(condition)
+    cond = Condition(condition)
     world, pref = build_world(config)
     seed = trial_seed(config.seed, cond.value, trial_index)
     rng = make_rng(seed)
@@ -282,8 +282,9 @@ def load_beliefs_csv(path) -> dict:
     per-iteration view (each iteration's second round).
 
     The rows must be the parent's, then the infant's, for rounds 1 and 2 of
-    iterations 1, 2, ... in order, and every cell must parse; otherwise
-    ValueError names the file."""
+    iterations 1, 2, ... in order, every cell must parse, and every belief
+    must be finite and non-negative and sum to 1 within RENORM_TOL;
+    otherwise ValueError names the file."""
     rows = _read_csv(path, BELIEF_HEADER)
     try:
         labels = [(int(row[0]), int(row[1]), row[2]) for row in rows]
@@ -297,6 +298,13 @@ def load_beliefs_csv(path) -> dict:
         raise ValueError(
             f"{path}: rows must be parent then infant, rounds 1 and 2 of "
             "iterations 1, 2, ... in order"
+        )
+    # A NaN or infinite cell fails one of the two tests.
+    bad = ~((values >= 0.0).all(axis=1) & (np.abs(values.sum(axis=1) - 1.0) < RENORM_TOL))
+    if bad.any():
+        raise ValueError(
+            f"{path}: line {np.flatnonzero(bad)[0] + 2}: a belief must be finite "
+            "and non-negative and sum to 1"
         )
     parent, infant = values[0::2], values[1::2]
     return {

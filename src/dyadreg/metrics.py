@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .environment import PriorPreference
-from .probability import KL_FLOOR, Categorical, js_divergence
+from .probability import KL_FLOOR, js_divergence
 
 # Iteration window (1-based, inclusive) for alignment medians and AUC.
 ALIGNMENT_WINDOW = (20, 50)
@@ -86,11 +86,9 @@ def shuffle_control(parent_seq, infant_seq) -> np.ndarray:
     i_seq = np.asarray(infant_seq, dtype=float)
     if p_seq.shape != i_seq.shape or p_seq.ndim != 2:
         raise ValueError("belief sequences must share a (steps, states) shape")
+    # Each row is renormalized first: the artifacts depend on these bits.
     return np.array(
-        [
-            js_divergence(Categorical(p), Categorical(q))
-            for p, q in zip(p_seq, i_seq)
-        ]
+        [js_divergence(p / float(p.sum()), q / float(q.sum())) for p, q in zip(p_seq, i_seq)]
     )
 
 

@@ -1,10 +1,9 @@
 """Finite-support probability primitives shared across the simulator.
 
-Categorical vectors, Shannon entropy, KL and Jensen-Shannon divergences,
-a negative softmax, Dirichlet means and expected entropies, the digamma
-function, and deterministic seeded sampling. Categorical validates a
-vector where one enters the program; the divergences and sample() also
-take a plain vector, which is what the per-round path passes them.
+Shannon entropy, KL and Jensen-Shannon divergences, a negative softmax,
+Dirichlet means and expected entropies, the digamma function, and
+deterministic seeded sampling, all on plain probability vectors.
+Categorical is the one check a vector gets where it enters the program.
 All logarithms are natural, so every information quantity is in nats.
 """
 
@@ -24,10 +23,11 @@ _DIGAMMA_SHIFTS = np.arange(10.0)
 
 
 class Categorical:
-    """Immutable probability vector over a finite support.
+    """Validator of a probability vector entering the program.
 
     Entries must be finite and non-negative and sum to one within
-    RENORM_TOL; small drift is silently renormalized away.
+    RENORM_TOL; small drift is renormalized away. `probs` is the checked
+    vector, read-only.
     """
 
     __slots__ = ("probs",)
@@ -47,80 +47,44 @@ class Categorical:
         p.setflags(write=False)
         self.probs = p
 
-    def __setattr__(self, name, value):
-        if hasattr(self, "probs"):
-            raise AttributeError("Categorical is immutable")
-        object.__setattr__(self, name, value)
 
-    def __len__(self) -> int:
-        return self.probs.size
-
-    def __repr__(self) -> str:
-        return f"Categorical(n={self.probs.size})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Categorical):
-            return NotImplemented
-        return self.probs.shape == other.probs.shape and bool(
-            np.array_equal(self.probs, other.probs)
-        )
-
-    @classmethod
-    def uniform(cls, n: int) -> "Categorical":
-        return cls(np.full(n, 1.0 / n))
-
-    @classmethod
-    def one_hot(cls, n: int, index: int) -> "Categorical":
-        p = np.zeros(n)
-        p[index] = 1.0
-        return cls(p)
-
-
-def _probs(dist) -> np.ndarray:
-    """The vector of a Categorical; a plain array is taken as already valid."""
-    return dist.probs if isinstance(dist, Categorical) else dist
-
-
-def entropy(dist) -> float:
+def entropy(p: np.ndarray) -> float:
     """Shannon entropy in nats, with the 0 * ln 0 = 0 convention."""
-    p = _probs(dist)
     nz = p[p > 0.0]
     return float(-(nz * np.log(nz)).sum())
 
 
-def kl_divergence(p, q) -> float:
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     """KL(p || q) in nats.
 
     Entries of q below KL_FLOOR are clamped up and q is renormalized, so
     the result is finite even when q has empty cells. Supports must match.
     """
-    pv, qv = _probs(p), _probs(q)
-    if pv.size != qv.size:
-        raise ValueError(f"support mismatch: {pv.size} vs {qv.size}")
-    if np.any(qv < KL_FLOOR):
-        qv = np.maximum(qv, KL_FLOOR)
-        qv = qv / qv.sum()
-    mask = pv > 0.0
-    val = float((pv[mask] * (np.log(pv[mask]) - np.log(qv[mask]))).sum())
+    if p.size != q.size:
+        raise ValueError(f"support mismatch: {p.size} vs {q.size}")
+    if np.any(q < KL_FLOOR):
+        q = np.maximum(q, KL_FLOOR)
+        q = q / q.sum()
+    mask = p > 0.0
+    val = float((p[mask] * (np.log(p[mask]) - np.log(q[mask]))).sum())
     return max(val, 0.0)
 
 
-def js_divergence(p, q) -> float:
+def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
     """Jensen-Shannon divergence in nats: symmetric, bounded by ln 2.
 
     Computed directly against the even mixture, with no smoothing; where
     p or q is zero the corresponding term vanishes.
     """
-    pv, qv = _probs(p), _probs(q)
-    if pv.size != qv.size:
-        raise ValueError(f"support mismatch: {pv.size} vs {qv.size}")
-    m = 0.5 * (pv + qv)
+    if p.size != q.size:
+        raise ValueError(f"support mismatch: {p.size} vs {q.size}")
+    m = 0.5 * (p + q)
 
     def _half(v: np.ndarray) -> float:
         mask = v > 0.0
         return float((v[mask] * (np.log(v[mask]) - np.log(m[mask]))).sum())
 
-    return max(0.5 * _half(pv) + 0.5 * _half(qv), 0.0)
+    return max(0.5 * _half(p) + 0.5 * _half(q), 0.0)
 
 
 def softmax_neg(values) -> np.ndarray:
@@ -137,14 +101,13 @@ def softmax_neg(values) -> np.ndarray:
         raise ValueError("softmax_neg requires finite values")
     w = np.exp(-(v - v.min()))
     p = w / w.sum()
-    # Normalized a second time, as Categorical() would: the artifacts
-    # depend on these exact bits.
+    # Normalized a second time, as a validating constructor would: the
+    # artifacts depend on these exact bits.
     return p / p.sum()
 
 
-def sample(dist, rng: np.random.Generator) -> int:
-    """Draw one index from dist, consuming exactly one uniform from rng."""
-    p = _probs(dist)
+def sample(p: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw one index from p, consuming exactly one uniform from rng."""
     idx = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
     return min(idx, p.size - 1)
 

@@ -193,6 +193,18 @@ def test_criterion_5_spike_association(mhng_summary):
     ]
 
 
+class PinnedAgent:
+    """An agent's kind and its symbol posterior, computed once: with the
+    belief frozen, every round would recompute the same vector."""
+
+    def __init__(self, agent):
+        self.kind = agent.kind
+        self._posterior = agent.symbol_posterior()
+
+    def symbol_posterior(self):
+        return self._posterior
+
+
 def test_criterion_6_mh_stationarity_oracle():
     # Frozen beliefs, the agreed symbol carried between rounds: the chain
     # must sample the normalized product of the two symbol posteriors.
@@ -210,7 +222,7 @@ def test_criterion_6_mh_stationarity_oracle():
                 preferred_obs=preferred_obs_distribution(pref),
             )
             agent.belief = Categorical(fixture_rng.dirichlet(np.ones(36))).probs
-            agents.append(agent)
+            agents.append(PinnedAgent(agent))
         parent, infant = agents
         target = parent.symbol_posterior() * infant.symbol_posterior()
         target = target / target.sum()
@@ -270,8 +282,8 @@ def test_criterion_8_property_battery(tmp_path):
     # Divergence bounds and symmetry under fuzz.
     rng = make_rng(808)
     for _ in range(200):
-        p = Categorical(rng.dirichlet(np.ones(36)))
-        q = Categorical(rng.dirichlet(np.ones(36)))
+        p = rng.dirichlet(np.ones(36))
+        q = rng.dirichlet(np.ones(36))
         js_pq = js_divergence(p, q)
         assert 0.0 <= js_pq <= np.log(2) + 1e-9
         assert js_pq == pytest.approx(js_divergence(q, p), abs=1e-12)

@@ -79,7 +79,7 @@ class TestInit:
 
 class TestFiltering:
     def test_predict_splits_on_branch(self, world):
-        q = Categorical.one_hot(N_STATES, VisceralState(3, 3).flat).probs
+        q = np.eye(N_STATES)[VisceralState(3, 3).flat]
         out = predict_belief(q, world.tensor, Action.SLEEP)
         assert out[VisceralState(3, 3).flat] == pytest.approx(0.8)
         assert out[VisceralState(3, 4).flat] == pytest.approx(0.2)
@@ -98,7 +98,7 @@ class TestFiltering:
         assert np.array_equal(post, [0.0, 0.0, 1.0])
 
     def test_update_falls_back_on_dead_product(self):
-        pred = Categorical.one_hot(3, 0).probs
+        pred = np.eye(3)[0]
         post = update_belief(pred, np.eye(3), 2)
         assert np.array_equal(post, [0.0, 0.0, 1.0])
 
@@ -106,7 +106,7 @@ class TestFiltering:
         sensory = np.zeros((3, 3))
         sensory[0, 0] = 1.0
         with pytest.raises(ValueError):
-            update_belief(Categorical.uniform(3).probs, sensory, 2)
+            update_belief(np.full(3, 1.0 / 3), sensory, 2)
 
     def test_update_weighs_soft_likelihoods(self):
         sensory = np.array([[0.9, 0.1], [0.1, 0.9]])
@@ -115,9 +115,9 @@ class TestFiltering:
 
     def test_assimilate_returns_prev_and_new(self, world, pref):
         i = fresh_infant(world, pref)
-        i.belief = Categorical.one_hot(N_STATES, 14).probs
+        i.belief = np.eye(N_STATES)[14]
         prev, new = i.assimilate(Action.SLEEP, 20)
-        assert np.array_equal(prev, Categorical.one_hot(N_STATES, 14).probs)
+        assert np.array_equal(prev, np.eye(N_STATES)[14])
         assert new[20] == 1.0
         assert i.belief is new
 
@@ -141,22 +141,22 @@ class TestExpectedFreeEnergy:
                 q_pred[z] * dirichlet_expected_entropy(parent.obs_concentration[z])
                 for z in range(N_STATES)
             )
-            q_obs = Categorical(parent.A @ q_pred)
+            q_obs = parent.A @ q_pred
             risk = kl_divergence(q_obs, parent.preferred_obs)
             assert vec[a] == pytest.approx(ambiguity + risk, abs=1e-9)
             assert parent.efe_per_action()[a] == pytest.approx(vec[a], abs=1e-12)
 
     def test_identity_sensing_has_zero_ambiguity(self, world, pref):
         agent = omniscient(world, pref)
-        agent.belief = Categorical.one_hot(N_STATES, VisceralState(2, 2).flat).probs
+        agent.belief = np.eye(N_STATES)[VisceralState(2, 2).flat]
         for a in range(5):
             q_pred = predict_belief(agent.belief, agent.B, a)
-            risk = kl_divergence(Categorical(agent.A @ q_pred), agent.preferred_obs)
+            risk = kl_divergence(agent.A @ q_pred, agent.preferred_obs)
             assert agent.efe_per_action()[a] == pytest.approx(risk, abs=1e-12)
 
     def test_sleep_preferred_at_comfort_peak(self, world, pref):
         agent = omniscient(world, pref)
-        agent.belief = Categorical.one_hot(N_STATES, VisceralState(2, 2).flat).probs
+        agent.belief = np.eye(N_STATES)[VisceralState(2, 2).flat]
         vec = agent.efe_per_action()
         assert int(vec.argmin()) == Action.SLEEP
         assert agent.symbol_posterior().argmax() == Action.SLEEP
@@ -173,7 +173,7 @@ class TestExpectedFreeEnergy:
 class TestSymbolPosterior:
     def test_softmax_of_negative_scores(self, world, pref):
         agent = omniscient(world, pref)
-        agent.belief = Categorical.one_hot(N_STATES, VisceralState(4, 4).flat).probs
+        agent.belief = np.eye(N_STATES)[VisceralState(4, 4).flat]
         g = agent.efe_per_action()
         expect = np.exp(-(g - g.min()))
         expect /= expect.sum()
@@ -181,9 +181,9 @@ class TestSymbolPosterior:
 
     def test_cache_invalidated_by_belief_change(self, world, pref):
         agent = omniscient(world, pref)
-        agent.belief = Categorical.one_hot(N_STATES, VisceralState(2, 2).flat).probs
+        agent.belief = np.eye(N_STATES)[VisceralState(2, 2).flat]
         first = agent.symbol_posterior()
-        agent.belief = Categorical.one_hot(N_STATES, VisceralState(5, 0).flat).probs
+        agent.belief = np.eye(N_STATES)[VisceralState(5, 0).flat]
         second = agent.symbol_posterior()
         assert not np.allclose(first, second)
 
@@ -191,8 +191,8 @@ class TestSymbolPosterior:
         infant = fresh_infant(world, pref)
         first = infant.symbol_posterior()
         infant.learn_B(
-            Categorical.one_hot(N_STATES, 0).probs,
-            Categorical.one_hot(N_STATES, 6).probs,
+            np.eye(N_STATES)[0],
+            np.eye(N_STATES)[6],
             Action.EAT,
         )
         assert not np.array_equal(infant.symbol_posterior(), first)
@@ -201,7 +201,7 @@ class TestSymbolPosterior:
 class TestLearning:
     def test_first_sensory_update_counts(self, world, pref):
         parent = fresh_parent(world, pref)
-        parent.learn_A(Categorical.one_hot(N_STATES, 7).probs, obs=7)
+        parent.learn_A(np.eye(N_STATES)[7], obs=7)
         assert parent.obs_concentration[7, 7] == 2.0
         assert parent.A[7, 7] == pytest.approx(2.0 / 37.0)
         assert parent.A[3, 7] == pytest.approx(1.0 / 37.0)
@@ -209,21 +209,21 @@ class TestLearning:
 
     def test_uniform_posterior_keeps_columns_equal(self, world, pref):
         parent = fresh_parent(world, pref)
-        parent.learn_A(Categorical.uniform(N_STATES).probs, obs=11)
+        parent.learn_A(np.full(N_STATES, 1.0 / N_STATES), obs=11)
         assert np.allclose(parent.A, parent.A[:, :1])
 
     def test_sensory_learning_never_touches_dynamics(self, world, pref):
         parent = fresh_parent(world, pref)
         for k in range(10):
-            parent.learn_A(Categorical.one_hot(N_STATES, k).probs, obs=k)
+            parent.learn_A(np.eye(N_STATES)[k], obs=k)
         assert parent.B is world.tensor
         assert np.array_equal(parent.B, world.tensor)
 
     def test_first_dynamics_update_counts(self, world, pref):
         infant = fresh_infant(world, pref)
         infant.learn_B(
-            Categorical.one_hot(N_STATES, 4).probs,
-            Categorical.one_hot(N_STATES, 9).probs,
+            np.eye(N_STATES)[4],
+            np.eye(N_STATES)[9],
             Action.WARM,
         )
         assert infant.trans_concentration[9, 4, Action.WARM] == 2.0
@@ -244,7 +244,7 @@ class TestLearning:
 
     def test_dynamics_learning_never_touches_sensing(self, world, pref):
         infant = fresh_infant(world, pref)
-        uniform = Categorical.uniform(N_STATES).probs
+        uniform = np.full(N_STATES, 1.0 / N_STATES)
         infant.learn_B(uniform, uniform, 0)
         assert np.array_equal(infant.A, np.eye(N_STATES))
 
@@ -266,10 +266,10 @@ class TestLearning:
 
     def test_wrong_role_raises(self, world, pref):
         with pytest.raises(ValueError):
-            uniform = Categorical.uniform(N_STATES).probs
+            uniform = np.full(N_STATES, 1.0 / N_STATES)
             fresh_parent(world, pref).learn_B(uniform, uniform, 0)
         with pytest.raises(ValueError):
-            fresh_infant(world, pref).learn_A(Categorical.uniform(N_STATES).probs, 0)
+            fresh_infant(world, pref).learn_A(np.full(N_STATES, 1.0 / N_STATES), 0)
 
 
 def general_efe(agent):
@@ -280,7 +280,7 @@ def general_efe(agent):
     ambiguity = -np.where(a > 0.0, a * np.log(np.where(a > 0.0, a, 1.0)), 0.0).sum(axis=0) @ q_pred
     q_obs = a @ q_pred
     logs = np.where(q_obs > 0.0, np.log(np.where(q_obs > 0.0, q_obs, 1.0)), 0.0)
-    log_pref = np.log(np.maximum(agent.preferred_obs.probs, KL_FLOOR))
+    log_pref = np.log(np.maximum(agent.preferred_obs, KL_FLOOR))
     return ambiguity + (q_obs * (logs - log_pref[:, None])).sum(axis=0)
 
 
@@ -341,7 +341,7 @@ class TestStructureShortcuts:
         # on the far corner, so update_belief falls back to the likelihood.
         agent = omniscient(world, pref)
         start, far = VisceralState(2, 2).flat, VisceralState(5, 5).flat
-        agent.belief = Categorical.one_hot(N_STATES, start).probs
+        agent.belief = np.eye(N_STATES)[start]
         pred = predict_belief(agent.belief, agent.B, Action.SLEEP)
         assert pred[far] == 0.0
         _, new = agent.assimilate(Action.SLEEP, far)

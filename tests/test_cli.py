@@ -11,7 +11,7 @@ import pytest
 import dyadreg
 from dyadreg.cli import main
 from dyadreg.config import ExperimentConfig
-from dyadreg.harness import run_experiment
+from dyadreg.harness import CSV_HEADER, run_experiment
 
 
 def run_cli(*argv):
@@ -164,6 +164,17 @@ class TestShuffleControl:
         assert code == 1
         assert "window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("start, end", [(0, 50), (30, 30), (40, 20)])
+    def test_window_must_be_ordered_from_one(self, finished_run, capsys, start, end):
+        code = run_cli(
+            "shuffle-control", "--run", str(finished_run),
+            "--window-start", str(start), "--window-end", str(end),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: window [{start}, {end}] needs 1 <= start < end\n"
+        )
+
     def test_missing_run_dir(self, tmp_path, capsys):
         assert run_cli("shuffle-control", "--run", str(tmp_path / "nope")) == 1
         assert "manifest.json" in capsys.readouterr().err
@@ -187,6 +198,30 @@ class TestShuffleControl:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "line, probs",
+        [
+            (119, ["nan"] + ["0"] * 35),
+            (119, ["-0.1", "1.1"] + ["0"] * 34),
+            (119, ["1.1"] + ["0"] * 35),
+            # Iteration 55's first round, which no shuffle reads.
+            (1 + 4 * 54, ["0.5"] * 36),
+        ],
+        ids=["nan", "negative", "sum 1.1", "outside the window"],
+    )
+    def test_invalid_belief_fails_in_one_line(self, finished_run, tmp_path, capsys, line, probs):
+        run = tmp_path / "run"
+        shutil.copytree(finished_run, run)
+        path = run / "trials" / "mhng_t00_beliefs.csv"
+        lines = path.read_text().splitlines()
+        lines[line] = ",".join(lines[line].split(",")[:3] + probs)
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("shuffle-control", "--run", str(run)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: line {line + 1}: ")
         assert captured.err.count("\n") == 1
 
     def test_averages_the_runs_permutations_like_the_summary(self, tmp_path, capsys):
@@ -319,6 +354,29 @@ class TestRunDirectory:
         assert captured.err.startswith(f"error: {path}: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("damage", ["c_norm cell", "summary entry"])
+    def test_edited_c_norm_disagrees_with_summary(self, run_copy, capsys, damage):
+        # report ranks from the trial CSVs and takes its AUCs from
+        # summary.json; the two must agree on every per-trial mean.
+        if damage == "c_norm cell":
+            path = run_copy / "trials" / "mhng_t01.csv"
+            lines = path.read_text().splitlines()
+            cells = lines[2].split(",")  # iteration 1, round 2
+            cells[CSV_HEADER.index("c_norm")] = str(float(cells[CSV_HEADER.index("c_norm")]) / 2)
+            lines[2] = ",".join(cells)
+            path.write_text("\n".join(lines) + "\n")
+        else:
+            path = run_copy / "summary.json"
+            summary = json.loads(path.read_text())
+            del summary["conditions"]["mhng"]
+            path.write_text(json.dumps(summary))
+        assert run_cli("report", "--run", str(run_copy)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {run_copy / 'summary.json'}: ")
+        assert "mhng" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_trial_output_is_not_a_finished_run(self, tmp_path, capsys):
         out = tmp_path / "t"
         assert run_cli("trial", "--iterations", "60", "--out", str(out), "--dump-beliefs") == 0
@@ -373,6 +431,30 @@ class TestEntrypoints:
         bad.write_text('{"trials": 0}')
         assert run_cli("run", "--config", str(bad)) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            ({"branch_prob": "high"}, "branch_prob"),
+            ({"c_sigma": None}, "c_sigma"),
+            ({"conditions": 5}, "conditions"),
+            ({"dump_beliefs": "no"}, "dump_beliefs"),
+            ({"trials": True}, "trials"),
+        ],
+    )
+    def test_wrongly_typed_config_fails_in_one_line(self, tmp_path, capsys, body, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(body))
+        out = tmp_path / "out"
+        code = run_cli(
+            "run", "--config", str(bad), "--iterations", "3", "--trials", "1", "--out", str(out)
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field} must be ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_help_exits_zero(self):
         assert run_cli("--help") == 0

@@ -1,6 +1,12 @@
+import dataclasses
+import json
+
+import numpy as np
 import pytest
 
+from dyadreg.agents import AgentKind, init_agent
 from dyadreg.config import ConfigError, ExperimentConfig, load_config, save_config
+from dyadreg.harness import build_world
 
 
 class TestDefaults:
@@ -47,11 +53,53 @@ class TestValidation:
             {"c_values": (1.0,) * 35},
             {"c_values": (0.0,) + (1.0,) * 35},
             {"workers": 0},
+            {"branch_prob": "high"},
+            {"c_sigma": None},
+            {"conditions": 5},
+            {"conditions": ("mhng", 3)},
+            {"dump_beliefs": "no"},
+            {"trials": True},
+            {"seed": 1.5},
+            {"c_values": (1.0,) * 35 + (True,)},
+            {"c_values": "high"},
+            {"out_dir": 3},
+            {"dirichlet_prior": float("inf")},
+            {"c_floor": float("inf")},
         ],
     )
     def test_rejects(self, changes):
         with pytest.raises(ConfigError):
             ExperimentConfig(**changes)
+
+    def test_int_accepted_where_float_expected(self):
+        cfg = ExperimentConfig(branch_prob=1, dirichlet_prior=2, c_values=[1] * 36)
+        assert cfg.branch_prob == 1 and cfg.dirichlet_prior == 2
+        assert all(isinstance(v, float) for v in cfg.c_values)
+
+    def test_fuzz_every_field(self):
+        # Seeded fuzz: each draw sets one field to a JSON value of any type
+        # or a number of any magnitude. The config either fails with
+        # ConfigError or loads, round-trips and builds its world and agents.
+        rng = np.random.default_rng(44)
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        pool = [None, True, False, "", "mhng", "fresh", [], ["mhng"], [1.0] * 36, {"k": 1}]
+        pool += [float("nan"), float("inf"), -float("inf")]
+        for _ in range(1500):
+            name = fields[rng.integers(len(fields))]
+            if rng.random() < 0.5:
+                value = pool[rng.integers(len(pool))]
+            else:
+                value = float(rng.normal() * 10.0 ** rng.integers(-12, 13))
+                if rng.random() < 0.5:
+                    value = int(value)
+            try:
+                cfg = ExperimentConfig.from_json(json.dumps({name: value}))
+            except ConfigError:
+                continue
+            assert ExperimentConfig.from_json(cfg.to_json()) == cfg, (name, value)
+            world, pref = build_world(cfg)
+            for kind in AgentKind:
+                init_agent(kind, world, pref, cfg.dirichlet_prior, cfg.preference_mode)
 
     def test_c_values_accepted(self):
         cfg = ExperimentConfig(c_values=[0.5] * 36)

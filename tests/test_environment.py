@@ -198,14 +198,14 @@ class TestPreferredObs:
     def test_linear_is_proportional(self):
         pref = build_prior_preference()
         dist = preferred_obs_distribution(pref, "linear")
-        assert np.allclose(dist.probs, pref.values / pref.values.sum())
+        assert np.allclose(dist, pref.values / pref.values.sum())
 
     def test_softmax_sharper_than_linear(self):
         pref = build_prior_preference()
         lin = preferred_obs_distribution(pref, "linear")
         soft = preferred_obs_distribution(pref, "softmax")
-        assert lin.probs.argmax() == soft.probs.argmax()
-        assert soft.probs.min() > 0.0
+        assert lin.argmax() == soft.argmax()
+        assert soft.min() > 0.0
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

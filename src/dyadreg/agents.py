@@ -21,7 +21,7 @@ from .environment import (
     identity_sensory_map,
     preferred_obs_distribution,
 )
-from .probability import KL_FLOOR, Categorical, digamma, dirichlet_mean, softmax_neg
+from .probability import KL_FLOOR, Categorical, digamma, dirichlet_mean, one_hot_index, softmax_neg
 
 # Flat Dirichlet concentration of every learned cell: 1/36 per cell gives
 # each 36-cell column a total prior weight of one observation (Perks'
@@ -58,6 +58,14 @@ def update_belief(belief_pred: np.ndarray, sensory: np.ndarray, obs: int) -> np.
     # Normalized a second time, as a validating constructor would: the
     # artifacts depend on these exact bits.
     return post / post.sum()
+
+
+def _risk_terms(q_obs: np.ndarray, log_pref: np.ndarray) -> np.ndarray:
+    """q_obs * (log q_obs - log_pref) cell by cell, observations on axis 0.
+    Summed over that axis in order, each column gives the KL from one
+    predicted observation distribution to the comfort distribution."""
+    logs = np.where(q_obs > 0.0, np.log(np.where(q_obs > 0.0, q_obs, 1.0)), 0.0)
+    return q_obs * (logs - log_pref.reshape((-1,) + (1,) * (q_obs.ndim - 1)))
 
 
 class Agent:
@@ -100,6 +108,11 @@ class Agent:
         self._known_state: int | None = None
         self._belief = np.full(N_STATES, 1.0 / N_STATES)
         self._refresh_sensory()
+        # Such an agent's EFE from a known state s is its risk alone, the
+        # row _risk[s] over actions. learn_B keeps it current.
+        self._risk = None
+        if self._senses_state:
+            self._risk = _risk_terms(transitions, self._log_pref).sum(axis=0)
 
     # -- belief ----------------------------------------------------------
 
@@ -145,14 +158,13 @@ class Agent:
         predicted observation distribution to the comfort distribution.
         """
         if self._known_state is not None:
-            # A one-hot belief picks one row out of the product below.
-            q_pred = self._B_rows[self._known_state]
-        else:
-            q_pred = np.dot(self._belief.reshape(1, N_STATES), self._B_rows)
+            # A one-hot belief picks one row out of the product below, and
+            # the identity map leaves only that row's risk.
+            return self._risk[self._known_state].copy()
+        q_pred = np.dot(self._belief.reshape(1, N_STATES), self._B_rows)
         q_pred = q_pred.reshape(N_STATES, N_ACTIONS)
         q_obs = q_pred if self._senses_state else self.A @ q_pred
-        logs = np.where(q_obs > 0.0, np.log(np.where(q_obs > 0.0, q_obs, 1.0)), 0.0)
-        risk = (q_obs * (logs - self._log_pref[:, None])).sum(axis=0)
+        risk = _risk_terms(q_obs, self._log_pref).sum(axis=0)
         if self._senses_state:
             return risk
         return self._sensory_entropy @ q_pred + risk
@@ -173,13 +185,31 @@ class Agent:
 
     def learn_B(self, prev_posterior: np.ndarray, posterior: np.ndarray, action: int):
         """Accumulate the outer product of consecutive beliefs into the
-        transition counts for `action`."""
+        transition counts for `action`.
+
+        From a one-hot previous belief at s the product is zero outside
+        source column s, so only that column is counted and renormalized,
+        with its cells summed in the order slice.sum(axis=0) sums them.
+        """
         if self.trans_concentration is None:
             raise ValueError(f"{self.kind.value} does not learn the dynamics")
-        self.trans_concentration[:, :, action] += np.outer(posterior, prev_posterior)
-        slice_a = self.trans_concentration[:, :, action]
-        self.B[:, :, action] = slice_a / slice_a.sum(axis=0, keepdims=True)
-        self._B_rows[:, action::N_ACTIONS] = self.B[:, :, action].T
+        s = one_hot_index(prev_posterior)
+        if s is None:
+            self.trans_concentration[:, :, action] += np.outer(posterior, prev_posterior)
+            slice_a = self.trans_concentration[:, :, action]
+            self.B[:, :, action] = slice_a / slice_a.sum(axis=0, keepdims=True)
+            self._B_rows[:, action::N_ACTIONS] = self.B[:, :, action].T
+            if self._risk is not None:
+                risk_terms = _risk_terms(self.B[:, :, action], self._log_pref)
+                self._risk[:, action] = risk_terms.sum(axis=0)
+            return
+        counts = self.trans_concentration[:, s, action]
+        counts += posterior
+        column = counts / counts.cumsum()[-1]
+        self.B[:, s, action] = column
+        self._B_rows[s, action::N_ACTIONS] = column
+        if self._risk is not None:
+            self._risk[s, action] = _risk_terms(column, self._log_pref).cumsum()[-1]
 
     def _refresh_sensory(self, obs: int | None = None):
         """Ambiguity of each state's sensory column, and for a learned map

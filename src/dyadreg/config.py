@@ -18,6 +18,8 @@ from .environment import C_FLOOR, C_SIGMA, N_LEVELS, N_STATES, EnvParams
 
 CURRENT_W_MODES = ("fresh", "persistent")
 PREFERENCE_MODES = ("linear", "softmax")
+# The most trial processes a run may start; each is a full interpreter.
+MAX_WORKERS = 64
 
 
 class ConfigError(ValueError):
@@ -137,8 +139,8 @@ class ExperimentConfig:
                 raise ConfigError(f"c_values needs exactly {N_STATES} entries")
             if not all(0.0 < v < math.inf for v in self.c_values):
                 raise ConfigError("c_values must be strictly positive and finite")
-        if self.workers < 1:
-            raise ConfigError("workers must be a positive integer")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ConfigError(f"workers must be an integer in [1, {MAX_WORKERS}]")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

@@ -8,7 +8,7 @@ defines which states count as comfortable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -148,23 +148,22 @@ def step(
 
 @dataclass(frozen=True)
 class PriorPreference:
-    """Strictly positive comfort score per state, flat-indexed."""
+    """Strictly positive comfort score per state, flat-indexed, and the
+    largest of them."""
 
     values: np.ndarray
+    max_value: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.shape != (N_STATES,):
             raise ValueError(f"preference must have shape ({N_STATES},)")
-        if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
+        if not np.isfinite(v).all() or (v <= 0.0).any():
             raise ValueError("preference values must be finite and positive")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    @property
-    def max_value(self) -> float:
-        return float(self.values.max())
+        object.__setattr__(self, "max_value", float(v.max()))
 
 
 def build_prior_preference(sigma: float = C_SIGMA, floor: float = C_FLOOR) -> PriorPreference:

@@ -46,7 +46,7 @@ from .metrics import (
     shuffle_control,
 )
 from .plots import emit_plots
-from .probability import RENORM_TOL, derive_seed, make_rng
+from .probability import RENORM_TOL, derive_seed, make_rng, one_hot_index
 
 START_STATE = VisceralState(2, 2)
 
@@ -127,14 +127,20 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog
         parent_round_beliefs = np.empty((2 * n, N_STATES))
         infant_round_beliefs = np.empty((2 * n, N_STATES))
     rows = []
-    # Learning changes only the acted slice of the infant's dynamics, so the
-    # Sleep error moves only after a Sleep round.
-    kld_B_sleep = kld_B_error(world.tensor, infant.B, Action.SLEEP)
+    # Learning changes only the acted slice of the infant's dynamics, and
+    # from a one-hot previous belief only its source column, so the Sleep
+    # error moves only after a Sleep round, by that column's KL.
+    sleep_kls = np.empty(N_STATES)
+    kld_B_sleep = kld_B_error(world.tensor, infant.B, Action.SLEEP, sleep_kls)
+    infant_prev = infant.belief
 
     def on_round(speaker, outcome, z, rare):
-        nonlocal kld_B_sleep
+        nonlocal kld_B_sleep, infant_prev
         if outcome.shared_w == Action.SLEEP:
-            kld_B_sleep = kld_B_error(world.tensor, infant.B, Action.SLEEP)
+            kld_B_sleep = kld_B_error(
+                world.tensor, infant.B, Action.SLEEP, sleep_kls, one_hot_index(infant_prev)
+            )
+        infant_prev = infant.belief
         row = len(rows)
         if config.dump_beliefs:
             parent_round_beliefs[row] = parent.belief
@@ -266,15 +272,19 @@ def load_trial_csv(path, seed: int = -1) -> TrialLog:
 
 
 def write_beliefs_csv(log: TrialLog, path):
+    """The belief dump, as _write_csv would write it: no cell needs quoting,
+    and "%.9g" formats a float as _fmt does."""
     if log.parent_round_beliefs is None or log.infant_round_beliefs is None:
         raise ValueError("trial was run without belief dumps")
+    line = "%d,%d,%s" + ",%.9g" * N_STATES + "\r\n"
     rounds = zip(log.parent_round_beliefs.tolist(), log.infant_round_beliefs.tolist())
-    rows = (
-        [row // 2 + 1, row % 2 + 1, agent, *map(_fmt, belief)]
-        for row, pair in enumerate(rounds)
-        for agent, belief in zip(("parent", "infant"), pair)
-    )
-    _write_csv(path, BELIEF_HEADER, rows)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(BELIEF_HEADER) + "\r\n")
+        fh.writelines(
+            line % (row // 2 + 1, row % 2 + 1, agent, *belief)
+            for row, pair in enumerate(rounds)
+            for agent, belief in zip(("parent", "infant"), pair)
+        )
 
 
 def load_beliefs_csv(path) -> dict:
@@ -471,8 +481,9 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     out = Path(config.out_dir)
     _remove_previous_run(out)
     jobs = [(config, cond, t) for cond in config.conditions for t in range(config.trials)]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = min(config.workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             logs = list(pool.map(_run_job, jobs))
     else:
         logs = [_run_job(job) for job in jobs]

@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .environment import PriorPreference
-from .probability import KL_FLOOR, js_divergence
+from .probability import KL_FLOOR, js_divergence, one_hot_index
 
 # Iteration window (1-based, inclusive) for alignment medians and AUC.
 ALIGNMENT_WINDOW = (20, 50)
@@ -27,10 +27,10 @@ def c_norm(z: int, pref: PriorPreference) -> float:
     return float(pref.values[z] / pref.max_value)
 
 
-def mean_column_kl(true_cols: np.ndarray, learned_cols: np.ndarray) -> float:
-    """Average KL between matching columns of two column-stochastic
-    matrices, the vectorized twin of the scalar divergence: learned cells
-    are floored at KL_FLOOR and renormalized per column."""
+def column_kls(true_cols: np.ndarray, learned_cols: np.ndarray) -> np.ndarray:
+    """KL between matching columns of two column-stochastic matrices, the
+    vectorized twin of the scalar divergence: learned cells are floored at
+    KL_FLOOR and renormalized per column."""
     p = np.asarray(true_cols, dtype=float)
     q = np.asarray(learned_cols, dtype=float)
     if p.shape != q.shape or p.ndim != 2:
@@ -38,7 +38,21 @@ def mean_column_kl(true_cols: np.ndarray, learned_cols: np.ndarray) -> float:
     q = np.maximum(q, KL_FLOOR)
     q = q / q.sum(axis=0, keepdims=True)
     terms = np.where(p > 0.0, p * (np.log(np.where(p > 0.0, p, 1.0)) - np.log(q)), 0.0)
-    return float(terms.sum(axis=0).mean())
+    return terms.sum(axis=0)
+
+
+def mean_column_kl(true_cols: np.ndarray, learned_cols: np.ndarray) -> float:
+    """Average of column_kls."""
+    return float(column_kls(true_cols, learned_cols).mean())
+
+
+def _column_kl(true_col: np.ndarray, learned_col: np.ndarray) -> float:
+    """One column of column_kls, over the true column's nonzero cells: the
+    others add exact zeros to its sum, which runs in the same order."""
+    q = np.maximum(learned_col, KL_FLOOR)
+    nz = np.flatnonzero(true_col)
+    p = true_col[nz]
+    return float((p * (np.log(p) - np.log(q[nz] / q.cumsum()[-1]))).cumsum()[-1])
 
 
 def kld_A_error(learned_sensory: np.ndarray) -> float:
@@ -49,18 +63,50 @@ def kld_A_error(learned_sensory: np.ndarray) -> float:
 
 
 def kld_B_error(
-    dynamics_true: np.ndarray, dynamics_learned: np.ndarray, action: int
+    dynamics_true: np.ndarray,
+    dynamics_learned: np.ndarray,
+    action: int,
+    kls: Optional[np.ndarray] = None,
+    column: Optional[int] = None,
 ) -> float:
     """Mean per-state KL between the exact and learned transition columns
-    of one action."""
+    of one action.
+
+    Given `kls`, the per-column KLs are kept there: all of them are
+    computed, or, given the one source `column` learned since they were,
+    only that column's.
+    """
     if dynamics_true.shape != dynamics_learned.shape or dynamics_true.ndim != 3:
         raise ValueError("dynamics tensors must share a (n, n, actions) shape")
-    return mean_column_kl(dynamics_true[:, :, action], dynamics_learned[:, :, action])
+    if column is None:
+        per_column = column_kls(dynamics_true[:, :, action], dynamics_learned[:, :, action])
+        if kls is None:
+            return float(per_column.mean())
+        kls[:] = per_column
+    else:
+        kls[column] = _column_kl(
+            dynamics_true[:, column, action], dynamics_learned[:, column, action]
+        )
+    return float(kls.mean())
 
 
 def jsd_latent(parent_belief: np.ndarray, infant_belief: np.ndarray) -> float:
-    """Jensen-Shannon divergence between the two agents' beliefs."""
-    return js_divergence(parent_belief, infant_belief)
+    """Jensen-Shannon divergence between the two agents' beliefs.
+
+    Against a one-hot infant belief at k, the mixture is half the parent's
+    belief off k, and the infant's half of the divergence is one cell's,
+    0 - log m_k.
+    """
+    k = one_hot_index(infant_belief)
+    if k is None:
+        return js_divergence(parent_belief, infant_belief)
+    p = parent_belief
+    m = 0.5 * p
+    m[k] = 0.5 * (p[k] + 1.0)
+    mask = p > 0.0
+    p_half = float((p[mask] * (np.log(p[mask]) - np.log(m[mask]))).sum())
+    infant_half = 0.0 - float(np.log(m[k]))
+    return max(0.5 * p_half + 0.5 * infant_half, 0.0)
 
 
 def auc_window(series, start: int, end: int) -> float:

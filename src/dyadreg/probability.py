@@ -10,6 +10,7 @@ All logarithms are natural, so every information quantity is in nats.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 
 import numpy as np
 
@@ -36,9 +37,9 @@ class Categorical:
         p = np.asarray(probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("need a non-empty 1-d probability vector")
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             raise ValueError("probability entries must be finite")
-        if np.any(p < 0.0):
+        if (p < 0.0).any():
             raise ValueError("probability entries must be non-negative")
         total = float(p.sum())
         if abs(total - 1.0) >= RENORM_TOL:
@@ -97,9 +98,9 @@ def softmax_neg(values) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("need a non-empty 1-d value vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("softmax_neg requires finite values")
-    w = np.exp(-(v - v.min()))
+    w = np.exp(v.min() - v)
     p = w / w.sum()
     # Normalized a second time, as a validating constructor would: the
     # artifacts depend on these exact bits.
@@ -107,9 +108,16 @@ def softmax_neg(values) -> np.ndarray:
 
 
 def sample(p: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one index from p, consuming exactly one uniform from rng."""
-    idx = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
+    """Draw one index from p, consuming exactly one uniform from rng: the
+    first whose cumulative probability exceeds the uniform."""
+    idx = bisect_right(p.cumsum().tolist(), rng.random())
     return min(idx, p.size - 1)
+
+
+def one_hot_index(p: np.ndarray) -> int | None:
+    """The index of the single 1 if p is exactly a one-hot vector, else None."""
+    i = int(p.argmax())
+    return i if p[i] == 1.0 and np.count_nonzero(p) == 1 else None
 
 
 def dirichlet_mean(concentrations, axis: int = 0) -> np.ndarray:
@@ -119,7 +127,7 @@ def dirichlet_mean(concentrations, axis: int = 0) -> np.ndarray:
     probability vector along the given axis.
     """
     c = np.asarray(concentrations, dtype=float)
-    if np.any(c <= 0.0) or not np.all(np.isfinite(c)):
+    if (c <= 0.0).any() or not np.isfinite(c).all():
         raise ValueError("concentrations must be finite and strictly positive")
     return c / c.sum(axis=axis, keepdims=True)
 
@@ -132,7 +140,7 @@ def digamma(x) -> np.ndarray:
     to about 1e-14.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    if (x <= 0.0).any():
         raise ValueError("digamma needs strictly positive arguments")
     shift = (1.0 / np.add.outer(x, _DIGAMMA_SHIFTS)).sum(axis=-1)
     y = x + 10.0

@@ -10,6 +10,7 @@ from dyadreg.agents import (
 )
 from dyadreg.environment import (
     Action,
+    N_ACTIONS,
     N_STATES,
     VisceralState,
     build_prior_preference,
@@ -272,10 +273,11 @@ class TestLearning:
             fresh_infant(world, pref).learn_A(np.full(N_STATES, 1.0 / N_STATES), 0)
 
 
-def general_efe(agent):
+def general_efe(agent, belief=None):
     """The expected free energy by the general formula, for a known sensory
-    map: tensordot prediction, column-entropy ambiguity, A @ prediction."""
-    q_pred = np.tensordot(agent.belief, agent.B, axes=(0, 1))
+    map: tensordot prediction, column-entropy ambiguity, A @ prediction.
+    From the agent's belief unless another is given."""
+    q_pred = np.tensordot(agent.belief if belief is None else belief, agent.B, axes=(0, 1))
     a = agent.A
     ambiguity = -np.where(a > 0.0, a * np.log(np.where(a > 0.0, a, 1.0)), 0.0).sum(axis=0) @ q_pred
     q_obs = a @ q_pred
@@ -286,6 +288,28 @@ def general_efe(agent):
 
 def random_belief(rng):
     return Categorical(rng.dirichlet(np.ones(N_STATES))).probs
+
+
+def infant_rounds(infant, rng, steps=150):
+    """A seeded run of rounds for an infant as a trial drives it: its
+    uniform start belief first, then the one-hot beliefs its cues give,
+    with a belief set through the setter halfway. Yields each round's
+    (prev, new, action) after assimilate and before learn_B."""
+    for step in range(steps):
+        if step == steps // 2:
+            infant.belief = random_belief(rng)
+        action, obs = int(rng.integers(5)), int(rng.integers(N_STATES))
+        prev, new = infant.assimilate(action, obs)
+        yield prev, new, action
+
+
+def outer_product_learn_B(agent, prev, post, action):
+    """learn_B's general form, whatever the beliefs: count the outer
+    product, renormalize the whole action slice, copy it into the rows."""
+    agent.trans_concentration[:, :, action] += np.outer(post, prev)
+    slice_a = agent.trans_concentration[:, :, action]
+    agent.B[:, :, action] = slice_a / slice_a.sum(axis=0, keepdims=True)
+    agent._B_rows[:, action::N_ACTIONS] = agent.B[:, :, action].T
 
 
 class TestStructureShortcuts:
@@ -347,6 +371,32 @@ class TestStructureShortcuts:
         _, new = agent.assimilate(Action.SLEEP, far)
         assert np.array_equal(new, update_belief(pred, agent.A, far))
         assert np.array_equal(new, np.eye(N_STATES)[far])
+
+    def test_risk_table_equals_general_formula(self, world, pref):
+        # Every row of the table, after every round's learning: the first
+        # from the uniform start belief and one from a belief set halfway
+        # renormalize a whole slice, the others one column.
+        infant = init_agent(AgentKind.INFANT, world, pref)
+        states = np.eye(N_STATES)
+        for prev, new, action in infant_rounds(infant, make_rng(59)):
+            infant.learn_B(prev, new, action)
+            assert np.array_equal(infant.efe_per_action(), general_efe(infant))
+            table = np.array([general_efe(infant, states[s]) for s in range(N_STATES)])
+            assert np.array_equal(infant._risk, table)
+
+    def test_one_column_learning_equals_outer_product(self, world, pref):
+        infant = init_agent(AgentKind.INFANT, world, pref)
+        twin = init_agent(AgentKind.INFANT, world, pref)
+        one_column = 0
+        for prev, new, action in infant_rounds(infant, make_rng(61)):
+            one_column += np.count_nonzero(prev) == 1
+            infant.learn_B(prev, new, action)
+            outer_product_learn_B(twin, prev, new, action)
+            assert np.array_equal(infant.trans_concentration, twin.trans_concentration)
+            assert np.array_equal(infant.B, twin.B)
+            assert np.array_equal(infant._B_rows, twin._B_rows)
+        # Every round but the first and the one after the setter.
+        assert one_column == 148
 
     def test_setter_returns_to_the_general_path(self, world, pref):
         infant, rng = self.learned_infant(world, pref, 53)

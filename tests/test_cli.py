@@ -456,5 +456,13 @@ class TestEntrypoints:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
+    def test_too_many_workers_fails_in_one_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("run", "--workers", "100000", "--trials", "1", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: workers must be ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_help_exits_zero(self):
         assert run_cli("--help") == 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dyadreg.agents import AgentKind, init_agent
-from dyadreg.config import ConfigError, ExperimentConfig, load_config, save_config
+from dyadreg.config import MAX_WORKERS, ConfigError, ExperimentConfig, load_config, save_config
 from dyadreg.harness import build_world
 
 
@@ -53,6 +53,8 @@ class TestValidation:
             {"c_values": (1.0,) * 35},
             {"c_values": (0.0,) + (1.0,) * 35},
             {"workers": 0},
+            {"workers": MAX_WORKERS + 1},
+            {"workers": 10**12},
             {"branch_prob": "high"},
             {"c_sigma": None},
             {"conditions": 5},

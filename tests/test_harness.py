@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dyadreg import dialogue, harness
-from dyadreg.config import ExperimentConfig
+from dyadreg.config import MAX_WORKERS, ExperimentConfig
 from dyadreg.environment import Action, build_prior_preference, build_transition_model
 from dyadreg.harness import (
     CSV_HEADER,
@@ -239,6 +239,22 @@ class TestBeliefsCsv:
         # The iteration view is every second round.
         assert np.allclose(data["parent_iterations"], mhng_log.parent_beliefs, atol=1e-9)
 
+    def test_bytes_equal_the_csv_writer(self, tmp_path):
+        # The per-row template against the csv module's rows of _fmt cells,
+        # with one-hot, uniform and exact-zero rows on the parent side too.
+        log = run_trial(small_config(dump_beliefs=True), "mhng", 0)
+        log.parent_round_beliefs[:3] = np.eye(36)[[0, 35, 7]]
+        log.parent_round_beliefs[3] = np.full(36, 1.0 / 36)
+        write_beliefs_csv(log, tmp_path / "fast.csv")
+        rounds = zip(log.parent_round_beliefs.tolist(), log.infant_round_beliefs.tolist())
+        rows = (
+            [row // 2 + 1, row % 2 + 1, agent, *map(harness._fmt, belief)]
+            for row, pair in enumerate(rounds)
+            for agent, belief in zip(("parent", "infant"), pair)
+        )
+        harness._write_csv(tmp_path / "csv.csv", harness.BELIEF_HEADER, rows)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
+
     def test_requires_dump(self, tmp_path):
         log = run_trial(small_config(), "mhng", 0)
         with pytest.raises(ValueError):
@@ -418,3 +434,29 @@ class TestRunExperiment:
         run_experiment(cfg.replaced(out_dir=str(par), workers=2))
         for rel in manifest.artifacts:
             assert (par / rel).read_bytes() == (out / rel).read_bytes(), rel
+
+    @pytest.mark.parametrize("workers, trials, started", [(MAX_WORKERS, 3, [3]), (8, 1, [])])
+    def test_pool_starts_at_most_one_process_per_trial(
+        self, tmp_path, monkeypatch, workers, trials, started
+    ):
+        # A stand-in pool that records its size and runs the jobs in order,
+        # so no process is started.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        cfg = small_config(trials=trials, iterations=3, workers=workers, out_dir=str(tmp_path))
+        run_experiment(cfg)
+        assert sizes == started

@@ -16,13 +16,14 @@ from dyadreg.metrics import (
     aggregate_conditions,
     auc_window,
     c_norm,
+    column_kls,
     jsd_latent,
     kld_A_error,
     kld_B_error,
     mean_column_kl,
     shuffle_control,
 )
-from dyadreg.probability import kl_divergence, make_rng
+from dyadreg.probability import js_divergence, kl_divergence, make_rng, one_hot_index
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +113,31 @@ class TestModelErrors:
             pytest.approx(0.0, abs=1e-9)
         )
 
+    def test_sleep_error_by_column_equals_kld_B_error(self, world, pref):
+        # A seeded run of infant rounds, half of them Sleep: the first from
+        # the uniform start belief and one from a belief set halfway
+        # recompute every column, the others only the one learned.
+        infant = init_agent(AgentKind.INFANT, world, pref)
+        rng = make_rng(67)
+        kls = np.empty(N_STATES)
+        kld_B_error(world.tensor, infant.B, Action.SLEEP, kls)
+        one_column = 0
+        for step in range(200):
+            if step == 100:
+                infant.belief = rng.dirichlet(np.ones(N_STATES))
+            sleep = step in (0, 100) or rng.random() < 0.5
+            action = Action.SLEEP if sleep else int(rng.integers(4))
+            prev, new = infant.assimilate(action, int(rng.integers(N_STATES)))
+            infant.learn_B(prev, new, action)
+            if sleep:
+                column = one_hot_index(prev)
+                one_column += column is not None
+                got = kld_B_error(world.tensor, infant.B, Action.SLEEP, kls, column)
+                assert got == kld_B_error(world.tensor, infant.B, Action.SLEEP)
+                sleep_cols = column_kls(world.tensor[:, :, Action.SLEEP], infant.B[:, :, Action.SLEEP])
+                assert np.array_equal(kls, sleep_cols)
+        assert one_column > 50
+
     def test_dynamics_shape_guard(self, world):
         with pytest.raises(ValueError):
             kld_B_error(world.tensor, world.tensor[:, :, 0], Action.SLEEP)
@@ -125,6 +151,38 @@ class TestJsdLatent:
     def test_frozen_uniform_vs_pinned(self):
         v = jsd_latent(np.full(N_STATES, 1.0 / N_STATES), np.eye(N_STATES)[14])
         assert v == pytest.approx(0.629296055790274, abs=1e-12)
+
+    def test_one_hot_infant_equals_js_divergence(self, world, pref):
+        # The two agents' beliefs over a seeded run of rounds: the infant's
+        # uniform start belief, its one-hot beliefs after each cue, and a
+        # belief set through the setter halfway.
+        parent = init_agent(AgentKind.PARENT, world, pref)
+        infant = init_agent(AgentKind.INFANT, world, pref)
+        rng = make_rng(71)
+        for step in range(300):
+            if step == 150:
+                infant.belief = rng.dirichlet(np.ones(N_STATES))
+            p, q = parent.belief, infant.belief
+            assert jsd_latent(p, q) == js_divergence(p, q)
+            action, obs = int(rng.integers(5)), int(rng.integers(N_STATES))
+            infant.assimilate(action, obs)
+            parent.assimilate(action, obs)
+            parent.learn_A(parent.belief, obs)
+
+    def test_one_hot_infant_against_sparse_parents(self):
+        # Parent beliefs with exact zeros, subnormal cells, or the infant's
+        # own one-hot vector or another one. Halving a subnormal cell can
+        # give a zero mixture cell, whose log is -inf on both forms.
+        rng = make_rng(73)
+        eye = np.eye(N_STATES)
+        for _ in range(2000):
+            k = int(rng.integers(N_STATES))
+            p = rng.dirichlet(np.full(N_STATES, 10.0 ** rng.uniform(-3, 1)))
+            p[rng.random(N_STATES) < 0.3] = 0.0
+            p = p / p.sum() if p.sum() > 0.0 else eye[k]
+            for parent in (p, eye[k], eye[(k + 1) % N_STATES]):
+                with np.errstate(divide="ignore"):
+                    assert jsd_latent(parent, eye[k]) == js_divergence(parent, eye[k])
 
 
 class TestAucWindow:

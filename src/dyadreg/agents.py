@@ -76,7 +76,9 @@ class Agent:
     behind whichever of A or B is being learned. The learned matrix is
     always the mean of its concentrations, so batch replay of the same
     updates reproduces it exactly. Symbol w names action w. Beliefs and
-    posteriors are plain probability vectors.
+    posteriors are plain probability vectors. `state` is the flat state an
+    agent that senses its own state last observed, and None before its
+    first cue and after its belief is set.
     """
 
     def __init__(
@@ -105,7 +107,7 @@ class Agent:
         self._senses_state = obs_concentration is None and np.array_equal(
             sensory, identity_sensory_map()
         )
-        self._known_state: int | None = None
+        self.state: int | None = None
         self._belief = np.full(N_STATES, 1.0 / N_STATES)
         self._refresh_sensory()
         # Such an agent's EFE from a known state s is its risk alone, the
@@ -127,7 +129,7 @@ class Agent:
         if probs.size != N_STATES:
             raise ValueError("belief support must match the state space")
         self._belief = probs
-        self._known_state = None
+        self.state = None
 
     def assimilate(self, action: int, obs: int) -> tuple[np.ndarray, np.ndarray]:
         """Predict through `action`, correct by `obs`, adopt the result.
@@ -142,7 +144,7 @@ class Agent:
             # fallback when pred[obs] = 0.
             self._belief = np.zeros(N_STATES)
             self._belief[obs] = 1.0
-            self._known_state = obs
+            self.state = obs
         else:
             self._belief = update_belief(predict_belief(prev, self.B, action), self.A, obs)
         return prev, self._belief
@@ -157,16 +159,13 @@ class Agent:
         Dirichlet where the agent is learning them; risk is the KL from the
         predicted observation distribution to the comfort distribution.
         """
-        if self._known_state is not None:
+        if self.state is not None:
             # A one-hot belief picks one row out of the product below, and
             # the identity map leaves only that row's risk.
-            return self._risk[self._known_state].copy()
+            return self._risk[self.state].copy()
         q_pred = np.dot(self._belief.reshape(1, N_STATES), self._B_rows)
         q_pred = q_pred.reshape(N_STATES, N_ACTIONS)
-        q_obs = q_pred if self._senses_state else self.A @ q_pred
-        risk = _risk_terms(q_obs, self._log_pref).sum(axis=0)
-        if self._senses_state:
-            return risk
+        risk = _risk_terms(self.A @ q_pred, self._log_pref).sum(axis=0)
         return self._sensory_entropy @ q_pred + risk
 
     def symbol_posterior(self) -> np.ndarray:

@@ -148,9 +148,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_trial(args) -> int:
     config = _resolve_config(args)
+    out = Path(config.out_dir)
+    if (out / "manifest.json").exists():
+        raise ValueError(f"{out} holds a finished run; give trial another --out")
     condition = config.conditions[0]
     log = run_trial(config, condition, args.trial_index)
-    out = Path(config.out_dir)
     for name in write_trial_files(log, out, config.dump_beliefs):
         print(f"wrote {out / name}")
     mean_c = float(log.iteration_series("c_norm").mean())

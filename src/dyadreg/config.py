@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .agents import DIRICHLET_PRIOR
 from .dialogue import CONDITION_NAMES, ROUND_ORDERS
-from .environment import C_FLOOR, C_SIGMA, N_LEVELS, N_STATES, EnvParams
+from .environment import BRANCH_PROB, C_FLOOR, C_SIGMA, EAT_GAIN, N_LEVELS, N_STATES, TEMP_HIGH_MIN
 
 CURRENT_W_MODES = ("fresh", "persistent")
 PREFERENCE_MODES = ("linear", "softmax")
@@ -76,9 +76,9 @@ class ExperimentConfig:
     preference_mode: str = "linear"
     shuffle_permutations: int = 1
     dirichlet_prior: float = DIRICHLET_PRIOR
-    branch_prob: float = EnvParams.branch_prob
-    eat_gain: int = EnvParams.eat_gain
-    temp_high_min: int = EnvParams.temp_high_min
+    branch_prob: float = BRANCH_PROB
+    eat_gain: int = EAT_GAIN
+    temp_high_min: int = TEMP_HIGH_MIN
     c_sigma: float = C_SIGMA
     c_floor: float = C_FLOOR
     c_values: tuple[float, ...] | None = None

@@ -18,6 +18,10 @@ from .probability import Categorical
 N_LEVELS = 6
 N_STATES = N_LEVELS * N_LEVELS
 N_ACTIONS = 5
+# The default dynamics; build_transition_model says what each knob does.
+BRANCH_PROB = 0.2
+EAT_GAIN = 2
+TEMP_HIGH_MIN = 3
 # The default comfort bump: its width and the floor every state keeps.
 C_SIGMA = 1.25
 C_FLOOR = 0.01
@@ -54,25 +58,6 @@ class VisceralState:
 
 
 @dataclass(frozen=True)
-class EnvParams:
-    """Knobs of the world dynamics.
-
-    branch_prob    chance that Eat/Play/Sleep also shifts temperature
-    eat_gain       energy gained by Eat
-    temp_high_min  y at or above this drifts hotter on a branch, below
-                   drifts colder
-    """
-
-    branch_prob: float = 0.2
-    eat_gain: int = 2
-    temp_high_min: int = 3
-
-    def __post_init__(self):
-        if not 0.0 <= self.branch_prob <= 1.0:
-            raise ValueError("branch_prob must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class TransitionModel:
     """Exact dynamics as a stochastic tensor plus branch lookup tables.
 
@@ -91,7 +76,9 @@ def _clamp(v: int) -> int:
     return min(max(v, 0), N_LEVELS - 1)
 
 
-def build_transition_model(params: EnvParams = EnvParams()) -> TransitionModel:
+def build_transition_model(
+    branch_prob: float = BRANCH_PROB, eat_gain: int = EAT_GAIN, temp_high_min: int = TEMP_HIGH_MIN
+) -> TransitionModel:
     """Assemble the exact transition tensor from the action rules.
 
     Cool and Warm trade one unit of energy for a temperature step down or
@@ -101,10 +88,12 @@ def build_transition_model(params: EnvParams = EnvParams()) -> TransitionModel:
     grid; when clamping collapses the branch onto the main successor the
     two merge into a single certain transition.
     """
+    if not 0.0 <= branch_prob <= 1.0:
+        raise ValueError("branch_prob must lie in [0, 1]")
     tensor = np.zeros((N_STATES, N_STATES, N_ACTIONS))
     main_next = np.zeros((N_STATES, N_ACTIONS), dtype=np.int64)
     rare_next = np.full((N_STATES, N_ACTIONS), -1, dtype=np.int64)
-    energy_delta = {Action.EAT: params.eat_gain, Action.PLAY: -1, Action.SLEEP: 0}
+    energy_delta = {Action.EAT: eat_gain, Action.PLAY: -1, Action.SLEEP: 0}
     for z in range(N_STATES):
         s = VisceralState.from_flat(z)
         for action in Action:
@@ -114,7 +103,7 @@ def build_transition_model(params: EnvParams = EnvParams()) -> TransitionModel:
                 main, rare = (s.x - 1, s.y + 1), None
             else:
                 dx = energy_delta[action]
-                dy = 1 if s.y >= params.temp_high_min else -1
+                dy = 1 if s.y >= temp_high_min else -1
                 main, rare = (s.x + dx, s.y), (s.x + dx, s.y + dy)
             m = _clamp(main[1]) * N_LEVELS + _clamp(main[0])
             main_next[z, action] = m
@@ -125,12 +114,12 @@ def build_transition_model(params: EnvParams = EnvParams()) -> TransitionModel:
             if r == m:
                 tensor[m, z, action] = 1.0
             else:
-                tensor[m, z, action] = 1.0 - params.branch_prob
-                tensor[r, z, action] = params.branch_prob
+                tensor[m, z, action] = 1.0 - branch_prob
+                tensor[r, z, action] = branch_prob
                 rare_next[z, action] = r
     for arr in (tensor, main_next, rare_next):
         arr.setflags(write=False)
-    return TransitionModel(tensor, main_next, rare_next, params.branch_prob)
+    return TransitionModel(tensor, main_next, rare_next, branch_prob)
 
 
 def step(

@@ -24,7 +24,6 @@ from .config import ExperimentConfig, save_config
 from .dialogue import Condition, run_iteration
 from .environment import (
     Action,
-    EnvParams,
     N_LEVELS,
     N_STATES,
     PriorPreference,
@@ -46,7 +45,7 @@ from .metrics import (
     shuffle_control,
 )
 from .plots import emit_plots
-from .probability import RENORM_TOL, derive_seed, make_rng, one_hot_index
+from .probability import RENORM_TOL, derive_seed, make_rng
 
 START_STATE = VisceralState(2, 2)
 
@@ -95,12 +94,7 @@ def shuffled_window(parent_seq, infant_seq, seeds, lo: int, hi: int) -> tuple:
 
 def build_world(config: ExperimentConfig):
     """Transition model and preference surface described by a config."""
-    params = EnvParams(
-        branch_prob=config.branch_prob,
-        eat_gain=config.eat_gain,
-        temp_high_min=config.temp_high_min,
-    )
-    world = build_transition_model(params)
+    world = build_transition_model(config.branch_prob, config.eat_gain, config.temp_high_min)
     if config.c_values is not None:
         pref = PriorPreference(np.asarray(config.c_values, dtype=float))
     else:
@@ -128,19 +122,17 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog
         infant_round_beliefs = np.empty((2 * n, N_STATES))
     rows = []
     # Learning changes only the acted slice of the infant's dynamics, and
-    # from a one-hot previous belief only its source column, so the Sleep
+    # from a sensed previous state only its source column, so the Sleep
     # error moves only after a Sleep round, by that column's KL.
     sleep_kls = np.empty(N_STATES)
     kld_B_sleep = kld_B_error(world.tensor, infant.B, Action.SLEEP, sleep_kls)
-    infant_prev = infant.belief
+    prev_state = infant.state
 
     def on_round(speaker, outcome, z, rare):
-        nonlocal kld_B_sleep, infant_prev
+        nonlocal kld_B_sleep, prev_state
         if outcome.shared_w == Action.SLEEP:
-            kld_B_sleep = kld_B_error(
-                world.tensor, infant.B, Action.SLEEP, sleep_kls, one_hot_index(infant_prev)
-            )
-        infant_prev = infant.belief
+            kld_B_sleep = kld_B_error(world.tensor, infant.B, Action.SLEEP, sleep_kls, prev_state)
+        prev_state = infant.state
         row = len(rows)
         if config.dump_beliefs:
             parent_round_beliefs[row] = parent.belief
@@ -163,7 +155,7 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog
                 z // N_LEVELS,
                 rare,
                 c_norm(z, pref),
-                jsd_latent(parent.belief, infant.belief),
+                jsd_latent(parent.belief, infant.state),
                 kld_A_error(parent.A),
                 kld_B_sleep,
             )

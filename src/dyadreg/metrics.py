@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .environment import PriorPreference
-from .probability import KL_FLOOR, js_divergence, one_hot_index
+from .probability import KL_FLOOR, js_divergence
 
 # Iteration window (1-based, inclusive) for alignment medians and AUC.
 ALIGNMENT_WINDOW = (20, 50)
@@ -59,7 +59,8 @@ def kld_A_error(learned_sensory: np.ndarray) -> float:
     """mean_column_kl(identity, learned_sensory): the true sensory map is
     the identity, so each column's KL is its diagonal term alone."""
     q = np.maximum(learned_sensory, KL_FLOOR)
-    return float((0.0 - np.log(np.diagonal(q) / q.sum(axis=0))).mean())
+    kls = 0.0 - np.log(np.diagonal(q) / q.sum(axis=0))
+    return float(kls.sum() / kls.size)
 
 
 def kld_B_error(
@@ -81,29 +82,26 @@ def kld_B_error(
     if column is None:
         per_column = column_kls(dynamics_true[:, :, action], dynamics_learned[:, :, action])
         if kls is None:
-            return float(per_column.mean())
+            return float(per_column.sum() / per_column.size)
         kls[:] = per_column
     else:
         kls[column] = _column_kl(
             dynamics_true[:, column, action], dynamics_learned[:, column, action]
         )
-    return float(kls.mean())
+    return float(kls.sum() / kls.size)
 
 
-def jsd_latent(parent_belief: np.ndarray, infant_belief: np.ndarray) -> float:
-    """Jensen-Shannon divergence between the two agents' beliefs.
-
-    Against a one-hot infant belief at k, the mixture is half the parent's
+def jsd_latent(parent_belief: np.ndarray, infant_state: int) -> float:
+    """js_divergence of the parent's belief and the infant's, which is
+    one-hot at the state k it senses. The mixture is half the parent's
     belief off k, and the infant's half of the divergence is one cell's,
     0 - log m_k.
     """
-    k = one_hot_index(infant_belief)
-    if k is None:
-        return js_divergence(parent_belief, infant_belief)
-    p = parent_belief
+    p, k = parent_belief, infant_state
     m = 0.5 * p
     m[k] = 0.5 * (p[k] + 1.0)
-    mask = p > 0.0
+    # A subnormal cell's half can round to 0: that term is left out.
+    mask = (p > 0.0) & (m > 0.0)
     p_half = float((p[mask] * (np.log(p[mask]) - np.log(m[mask]))).sum())
     infant_half = 0.0 - float(np.log(m[k]))
     return max(0.5 * p_half + 0.5 * infant_half, 0.0)

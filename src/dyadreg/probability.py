@@ -75,14 +75,15 @@ def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
     """Jensen-Shannon divergence in nats: symmetric, bounded by ln 2.
 
     Computed directly against the even mixture, with no smoothing; where
-    p or q is zero the corresponding term vanishes.
+    p or q is zero the corresponding term vanishes, and so does a
+    subnormal cell's whose half rounds to zero.
     """
     if p.size != q.size:
         raise ValueError(f"support mismatch: {p.size} vs {q.size}")
     m = 0.5 * (p + q)
 
     def _half(v: np.ndarray) -> float:
-        mask = v > 0.0
+        mask = (v > 0.0) & (m > 0.0)
         return float((v[mask] * (np.log(v[mask]) - np.log(m[mask]))).sum())
 
     return max(0.5 * _half(p) + 0.5 * _half(q), 0.0)

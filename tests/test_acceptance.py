@@ -18,7 +18,6 @@ from dyadreg.config import ExperimentConfig
 from dyadreg.dialogue import Condition, run_round
 from dyadreg.environment import (
     Action,
-    EnvParams,
     build_prior_preference,
     build_transition_model,
     identity_sensory_map,
@@ -292,12 +291,12 @@ def test_criterion_8_property_battery(tmp_path):
 
     # Transition columns stay stochastic across parameter variants.
     for params in (
-        EnvParams(),
-        EnvParams(branch_prob=0.0),
-        EnvParams(branch_prob=0.5),
-        EnvParams(eat_gain=1, temp_high_min=0),
+        {},
+        {"branch_prob": 0.0},
+        {"branch_prob": 0.5},
+        {"eat_gain": 1, "temp_high_min": 0},
     ):
-        tensor = build_transition_model(params).tensor
+        tensor = build_transition_model(**params).tensor
         assert np.allclose(tensor.sum(axis=0), 1.0, atol=1e-12)
         assert np.all(tensor >= 0.0)
 

@@ -388,6 +388,49 @@ class TestRunDirectory:
             assert captured.err.count("\n") == 1
             assert "manifest.json" in captured.err
 
+    def test_trial_refuses_a_finished_run(self, run_copy, capsys):
+        # trial and run share the default --out; a trial written over a
+        # run's files would leave it reporting numbers of mixed origin.
+        manifest = json.loads((run_copy / "manifest.json").read_text())
+        names = ["manifest.json", *manifest["artifacts"]]
+        before = {name: (run_copy / name).read_bytes() for name in names}
+        code = run_cli("trial", "--seed", "9", "--dump-beliefs", "--out", str(run_copy))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {run_copy} holds a finished run; give trial another --out\n"
+        )
+        assert {name: (run_copy / name).read_bytes() for name in names} == before
+
+
+class TestShortRuns:
+    """Runs too short for the alignment window still finish and report;
+    only the shuffle control, which needs the window, refuses them."""
+
+    @pytest.mark.parametrize("iterations", [1, 19, 20, 49])
+    def test_run_report_and_shuffle_control(self, tmp_path, capsys, iterations):
+        out = tmp_path / "run"
+        code = run_cli(
+            "run", "--trials", "1", "--iterations", str(iterations), "--seed", "6",
+            "--out", str(out), "--dump-beliefs",
+        )
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        for entry in summary["conditions"].values():
+            assert all("auc_original" not in trial for trial in entry["trials"])
+        assert (out / "summary_auc.csv").read_bytes() == (
+            b"condition,trial,auc_original,auc_shuffled\r\n"
+        )
+        assert run_cli("report", "--run", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli("shuffle-control", "--run", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: window [20, 50] needs more than the {iterations} recorded iterations\n"
+        )
+
 
 class BrokenStdout(io.TextIOBase):
     """A stdout whose reader has gone away."""

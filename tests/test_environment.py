@@ -3,7 +3,6 @@ import pytest
 
 from dyadreg.environment import (
     Action,
-    EnvParams,
     N_ACTIONS,
     N_STATES,
     PriorPreference,
@@ -99,11 +98,16 @@ class TestTransitionModel:
         assert (counts == 1).sum() == 12
 
     def test_custom_params(self):
-        m = build_transition_model(EnvParams(branch_prob=0.5, eat_gain=1))
+        m = build_transition_model(branch_prob=0.5, eat_gain=1)
         z = VisceralState(2, 2).flat
         assert m.main_next[z, Action.EAT] == VisceralState(3, 2).flat
         r = int(m.rare_next[z, Action.SLEEP])
         assert m.tensor[r, z, Action.SLEEP] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("branch_prob", [1.5, -0.1])
+    def test_rejects_branch_prob_outside_unit_interval(self, branch_prob):
+        with pytest.raises(ValueError, match="branch_prob"):
+            build_transition_model(branch_prob=branch_prob)
 
     def test_tensor_is_read_only(self, model):
         with pytest.raises(ValueError):

@@ -145,34 +145,36 @@ class TestModelErrors:
 
 class TestJsdLatent:
     def test_identical_beliefs(self):
-        q = np.full(N_STATES, 1.0 / N_STATES)
-        assert jsd_latent(q, q) == 0.0
+        assert jsd_latent(np.eye(N_STATES)[14], 14) == 0.0
 
     def test_frozen_uniform_vs_pinned(self):
-        v = jsd_latent(np.full(N_STATES, 1.0 / N_STATES), np.eye(N_STATES)[14])
+        v = jsd_latent(np.full(N_STATES, 1.0 / N_STATES), 14)
         assert v == pytest.approx(0.629296055790274, abs=1e-12)
 
     def test_one_hot_infant_equals_js_divergence(self, world, pref):
         # The two agents' beliefs over a seeded run of rounds: the infant's
-        # uniform start belief, its one-hot beliefs after each cue, and a
-        # belief set through the setter halfway.
+        # one-hot beliefs after each cue, and a belief set through the
+        # setter halfway, which leaves no sensed state until the next cue.
         parent = init_agent(AgentKind.PARENT, world, pref)
         infant = init_agent(AgentKind.INFANT, world, pref)
+        assert infant.state is None
         rng = make_rng(71)
         for step in range(300):
             if step == 150:
                 infant.belief = rng.dirichlet(np.ones(N_STATES))
-            p, q = parent.belief, infant.belief
-            assert jsd_latent(p, q) == js_divergence(p, q)
+                assert infant.state is None
             action, obs = int(rng.integers(5)), int(rng.integers(N_STATES))
             infant.assimilate(action, obs)
             parent.assimilate(action, obs)
             parent.learn_A(parent.belief, obs)
+            assert infant.state == obs
+            p, q = parent.belief, infant.belief
+            assert jsd_latent(p, infant.state) == js_divergence(p, q)
 
     def test_one_hot_infant_against_sparse_parents(self):
         # Parent beliefs with exact zeros, subnormal cells, or the infant's
         # own one-hot vector or another one. Halving a subnormal cell can
-        # give a zero mixture cell, whose log is -inf on both forms.
+        # give a zero mixture cell; both forms leave its term out.
         rng = make_rng(73)
         eye = np.eye(N_STATES)
         for _ in range(2000):
@@ -181,8 +183,9 @@ class TestJsdLatent:
             p[rng.random(N_STATES) < 0.3] = 0.0
             p = p / p.sum() if p.sum() > 0.0 else eye[k]
             for parent in (p, eye[k], eye[(k + 1) % N_STATES]):
-                with np.errstate(divide="ignore"):
-                    assert jsd_latent(parent, eye[k]) == js_divergence(parent, eye[k])
+                v = jsd_latent(parent, k)
+                assert v == js_divergence(parent, eye[k])
+                assert np.isfinite(v) and v <= np.log(2) + 1e-9
 
 
 class TestAucWindow:
@@ -216,7 +219,7 @@ class TestShuffleControl:
         p_seq, i_seq = self._sequences()
         base = shuffle_control(p_seq, i_seq)
         direct = [
-            jsd_latent(p_seq[t], i_seq[t]) for t in range(30)
+            js_divergence(p_seq[t], i_seq[t]) for t in range(30)
         ]
         assert np.allclose(base, direct, atol=1e-12)
 
@@ -229,7 +232,7 @@ class TestShuffleControl:
         for seed in (3, 4):
             perm = make_rng(seed).permutation(30)
             series = [
-                jsd_latent(p_seq[t], i_seq[perm[t]])
+                js_divergence(p_seq[t], i_seq[perm[t]])
                 for t in range(lo, hi + 1)
             ]
             aucs.append(auc_window(series, 0, hi - lo))

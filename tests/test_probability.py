@@ -144,6 +144,18 @@ class TestJs:
         with pytest.raises(ValueError):
             js_divergence(np.full(2, 0.5), np.full(3, 1.0 / 3))
 
+    def test_subnormal_cells_stay_finite(self):
+        # Half of the smallest subnormal rounds to a zero mixture cell; the
+        # term it would make infinite is left out, in either argument.
+        tiny = np.nextafter(0.0, 1.0)
+        p = np.array([tiny, 0.5, 0.5, 0.0])
+        q = np.array([0.0, 0.0, 1.0, tiny])
+        with np.errstate(divide="raise", invalid="raise"):
+            for a, b in ((p, q), (q, p)):
+                v = js_divergence(a, b)
+                assert np.isfinite(v) and 0.0 <= v <= LN2 + 1e-9
+        assert js_divergence(p, q) == js_divergence(q, p)
+
 
 class TestSoftmaxNeg:
     def test_equal_values_uniform(self):

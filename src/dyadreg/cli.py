@@ -213,15 +213,24 @@ def _cmd_report(args) -> int:
                     "as manifest.json names the file"
                 )
             logs.append(log)
-    summary = json.loads((run_dir / "summary.json").read_text())
+    path = run_dir / "summary.json"
+    try:
+        summary = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    conditions = summary.get("conditions") if isinstance(summary, dict) else None
+    if not isinstance(conditions, dict) or not all(
+        isinstance(entry, dict) and isinstance(entry.get("trials"), list)
+        for entry in conditions.values()
+    ):
+        raise ValueError(f"{path}: needs a conditions object whose entries hold trials lists")
     agg = aggregate_conditions(logs)
     for cond, e in agg.items():
         means = e["per_trial_mean_c_norm"]
-        recorded = np.asarray(summary["conditions"].get(cond, {}).get("per_trial_mean_c_norm"))
+        recorded = np.asarray(conditions.get(cond, {}).get("per_trial_mean_c_norm"))
         if means.shape != recorded.shape or not np.allclose(means, recorded, rtol=0, atol=1e-8):
             raise ValueError(
-                f"{run_dir / 'summary.json'}: per_trial_mean_c_norm of {cond} "
-                "disagrees with its trial CSVs"
+                f"{path}: per_trial_mean_c_norm of {cond} disagrees with its trial CSVs"
             )
     ranking = sorted(agg, key=lambda c: agg[c]["mean_c_norm"], reverse=True)
     print(f"{'condition':>10} {'trials':>6} {'mean':>8} {'std':>8} {'sem':>8}")
@@ -232,7 +241,7 @@ def _cmd_report(args) -> int:
             f"{e['std_c_norm']:>8.4f} {e['sem_c_norm']:>8.4f}"
         )
     print(f"ranking: {' > '.join(ranking)}")
-    for cond, entry in sorted(summary["conditions"].items()):
+    for cond, entry in sorted(conditions.items()):
         aucs = [t for t in entry["trials"] if "auc_original" in t]
         if aucs:
             orig = np.mean([t["auc_original"] for t in aucs])

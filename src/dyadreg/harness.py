@@ -113,13 +113,7 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog
         init_agent(kind, world, pref, config.dirichlet_prior, config.preference_mode)
         for kind in (AgentKind.PARENT, AgentKind.INFANT)
     )
-    n = config.iterations
-    parent_beliefs = np.empty((n, N_STATES))
-    infant_beliefs = np.empty((n, N_STATES))
-    parent_round_beliefs = infant_round_beliefs = None
-    if config.dump_beliefs:
-        parent_round_beliefs = np.empty((2 * n, N_STATES))
-        infant_round_beliefs = np.empty((2 * n, N_STATES))
+    parent_round_beliefs = np.empty((2 * config.iterations, N_STATES))
     rows = []
     # Learning changes only the acted slice of the infant's dynamics, and
     # from a sensed previous state only its source column, so the Sleep
@@ -134,9 +128,7 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog
             kld_B_sleep = kld_B_error(world.tensor, infant.B, Action.SLEEP, sleep_kls, prev_state)
         prev_state = infant.state
         row = len(rows)
-        if config.dump_beliefs:
-            parent_round_beliefs[row] = parent.belief
-            infant_round_beliefs[row] = infant.belief
+        parent_round_beliefs[row] = parent.belief
         rows.append(
             (
                 cond.value,
@@ -164,7 +156,7 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog
     persist = config.mh_current_w == "persistent"
     z = START_STATE.flat
     current_w = None
-    for it in range(n):
+    for _ in range(config.iterations):
         z, current_w = run_iteration(
             parent,
             infant,
@@ -177,19 +169,15 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog
             persist_w=persist,
             on_round=on_round,
         )
-        parent_beliefs[it] = parent.belief
-        infant_beliefs[it] = infant.belief
+    # The agents go out of scope here, so their count arrays need no copy.
     return TrialLog(
         cond.value,
         trial_index,
         seed,
         np.array(rows, dtype=ROUND_DTYPE),
-        parent_beliefs,
-        infant_beliefs,
         parent_round_beliefs,
-        infant_round_beliefs,
-        parent.obs_concentration.copy(),
-        infant.trans_concentration.copy(),
+        parent.obs_concentration,
+        infant.trans_concentration,
     )
 
 
@@ -266,10 +254,8 @@ def load_trial_csv(path, seed: int = -1) -> TrialLog:
 def write_beliefs_csv(log: TrialLog, path):
     """The belief dump, as _write_csv would write it: no cell needs quoting,
     and "%.9g" formats a float as _fmt does."""
-    if log.parent_round_beliefs is None or log.infant_round_beliefs is None:
-        raise ValueError("trial was run without belief dumps")
     line = "%d,%d,%s" + ",%.9g" * N_STATES + "\r\n"
-    rounds = zip(log.parent_round_beliefs.tolist(), log.infant_round_beliefs.tolist())
+    rounds = zip(log.parent_round_beliefs.tolist(), log.infant_round_beliefs().tolist())
     with open(path, "w", newline="") as fh:
         fh.write(",".join(BELIEF_HEADER) + "\r\n")
         fh.writelines(
@@ -344,7 +330,7 @@ def _alignment_stats(config: ExperimentConfig, log: TrialLog) -> dict:
         out["auc_original"] = auc_window(series, lo, hi)
         seeds = shuffle_seeds(config, log.condition, log.trial_index)
         out["auc_shuffled"], _ = shuffled_window(
-            log.parent_beliefs, log.infant_beliefs, seeds, lo, hi
+            log.parent_round_beliefs[1::2], log.infant_round_beliefs()[1::2], seeds, lo, hi
         )
     s_lo, s_hi = SPIKE_RANGE[0] - 1, min(SPIKE_RANGE[1] - 1, n - 1)
     if s_lo <= s_hi:
@@ -413,18 +399,30 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        """ValueError unless the text is a JSON object with every field."""
+        """ValueError unless the text is a JSON object with every field, of its JSON type."""
         data = json.loads(text)
         names = [f.name for f in dataclasses.fields(cls)]
         if not isinstance(data, dict) or not data.keys() >= set(names):
             raise ValueError(f"a manifest is a JSON object with the keys {', '.join(names)}")
+        seeds, artifacts = data["trial_seeds"], data["artifacts"]
+        for name, kind, ok in (
+            ("version", "a string", isinstance(data["version"], str)),
+            ("config", "an object", isinstance(data["config"], dict)),
+            ("timings", "an object", isinstance(data["timings"], dict)),
+            ("trial_seeds", "an object of integer lists", isinstance(seeds, dict) and all(
+                isinstance(v, list) and all(type(s) is int for s in v) for v in seeds.values())),
+            ("artifacts", "a list of strings",
+             isinstance(artifacts, list) and all(type(a) is str for a in artifacts)),
+        ):
+            if not ok:
+                raise ValueError(f"a manifest's {name} must be {kind}")
         return cls(**{name: data[name] for name in names})
 
 
 def load_manifest(run_dir) -> RunManifest:
     """The index of a finished run. It is written last, so a directory
     without one holds an unfinished run (FileNotFoundError). ValueError
-    names the file if it does not parse, lacks a key or has a bad config."""
+    names the file if it does not parse or a field is missing or bad."""
     path = Path(run_dir) / "manifest.json"
     if not path.is_file():
         raise FileNotFoundError(f"no manifest.json under {run_dir}: not a finished run")
@@ -440,7 +438,7 @@ def _remove_previous_run(out: Path):
     """Delete what an earlier run into `out` wrote, as its manifest lists
     it: the manifest first, so an interrupted clean-up leaves none, then
     each listed file that resolves inside `out`. Files the manifest does
-    not list are kept, and a manifest that does not parse lists none."""
+    not list are kept, and a manifest that from_json rejects lists none."""
     path = out / "manifest.json"
     try:
         artifacts = RunManifest.from_json(path.read_text()).artifacts

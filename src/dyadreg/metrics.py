@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .environment import PriorPreference
+from .environment import N_LEVELS, N_STATES, PriorPreference
 from .probability import KL_FLOOR, js_divergence
 
 # Iteration window (1-based, inclusive) for alignment medians and AUC.
@@ -165,18 +165,22 @@ ROUND_DTYPE = np.dtype(
 @dataclass
 class TrialLog:
     """Full record of one seeded trial. `rounds` holds two rows per
-    iteration, its rounds 1 and 2 in order, with dtype ROUND_DTYPE."""
+    iteration, its rounds 1 and 2 in order, with dtype ROUND_DTYPE, and
+    `parent_round_beliefs` the parent's belief after each such round."""
 
     condition: str
     trial_index: int
     seed: int
     rounds: np.ndarray
-    parent_beliefs: Optional[np.ndarray] = None
-    infant_beliefs: Optional[np.ndarray] = None
     parent_round_beliefs: Optional[np.ndarray] = None
-    infant_round_beliefs: Optional[np.ndarray] = None
     final_obs_concentration: Optional[np.ndarray] = None
     final_trans_concentration: Optional[np.ndarray] = None
+
+    def infant_round_beliefs(self) -> np.ndarray:
+        """The infant's belief after each round: it senses its state through
+        the exact identity map, so every round leaves it one-hot at the state
+        it landed in (Agent.assimilate), the row's true_x and true_y."""
+        return np.eye(N_STATES)[self.rounds["true_y"] * N_LEVELS + self.rounds["true_x"]]
 
     def iteration_series(self, name: str) -> np.ndarray:
         """One value per iteration: the second round's, except that the

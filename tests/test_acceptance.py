@@ -244,11 +244,12 @@ def test_criterion_7_dirichlet_counting_oracle():
     alpha = np.full((36, 36), cfg.dirichlet_prior)
     beta = np.full((36, 36, 5), cfg.dirichlet_prior)
     prev_infant = np.full(36, 1.0 / 36.0)
+    infant = log.infant_round_beliefs()
     for r, rec in enumerate(log.rounds):
         obs = rec["true_y"] * 6 + rec["true_x"]
         alpha[:, obs] += log.parent_round_beliefs[r]
-        beta[:, :, rec["action"]] += np.outer(log.infant_round_beliefs[r], prev_infant)
-        prev_infant = log.infant_round_beliefs[r]
+        beta[:, :, rec["action"]] += np.outer(infant[r], prev_infant)
+        prev_infant = infant[r]
     alpha_err = float(np.abs(alpha - log.final_obs_concentration).max())
     beta_err = float(np.abs(beta - log.final_trans_concentration).max())
     a_batch = (alpha / alpha.sum(axis=1, keepdims=True)).T

@@ -305,8 +305,17 @@ class TestRunDirectory:
         row = next(line for line in capsys.readouterr().out.splitlines() if "mhng" in line)
         assert row.split()[:2] == ["mhng", "2"]
 
+    # Fields of another JSON type than the readers of a run index them by.
+    MISTYPED = {
+        "seeds list": ("trial_seeds", []),
+        "seeds not lists": ("trial_seeds", {"mhng": 3}),
+        "artifacts null": ("artifacts", None),
+    }
+
     @pytest.mark.parametrize("command", ["report", "shuffle-control"])
-    @pytest.mark.parametrize("damage", ["missing", "cut", "key removed", "bad config"])
+    @pytest.mark.parametrize(
+        "damage", ["missing", "cut", "key removed", "bad config", *MISTYPED]
+    )
     def test_damaged_manifest_fails_in_one_line(self, run_copy, capsys, command, damage):
         path = run_copy / "manifest.json"
         if damage == "missing":
@@ -317,14 +326,38 @@ class TestRunDirectory:
             body = json.loads(path.read_text())
             if damage == "key removed":
                 del body["trial_seeds"]
-            else:
+            elif damage == "bad config":
                 body["config"]["trials"] = 0
+            else:
+                key, value = self.MISTYPED[damage]
+                body[key] = value
             path.write_text(json.dumps(body))
         assert run_cli(command, "--run", str(run_copy)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "manifest.json" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_run_over_a_manifest_without_an_artifact_list(self, run_copy):
+        # Such a manifest lists nothing to remove, as one that does not parse.
+        path = run_copy / "manifest.json"
+        body = json.loads(path.read_text())
+        body["artifacts"] = None
+        path.write_text(json.dumps(body))
+        args = ("--conditions", "mhng", "--trials", "1", "--iterations", "5", "--out")
+        assert run_cli("run", *args, str(run_copy)) == 0
+        assert json.loads(path.read_text())["artifacts"]
+        assert (run_copy / "trials" / "mhng_t01.csv").is_file()
+
+    @pytest.mark.parametrize("damage", ["empty object", "cut"])
+    def test_damaged_summary_is_named(self, run_copy, capsys, damage):
+        path = run_copy / "summary.json"
+        path.write_text("{}" if damage == "empty object" else path.read_text()[:50])
+        assert run_cli("report", "--run", str(run_copy)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
         assert captured.err.count("\n") == 1
 
     def test_listed_trial_csv_that_is_gone_is_named(self, run_copy, capsys):

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from dyadreg import dialogue, harness
+from dyadreg.agents import AgentKind, init_agent
 from dyadreg.config import MAX_WORKERS, ExperimentConfig
+from dyadreg.dialogue import CONDITION_NAMES, ROUND_ORDERS, Condition
 from dyadreg.environment import Action, build_prior_preference, build_transition_model
 from dyadreg.harness import (
     CSV_HEADER,
     START_STATE,
     build_summary,
+    build_world,
     load_beliefs_csv,
     load_manifest,
     load_trial_csv,
@@ -23,7 +26,7 @@ from dyadreg.harness import (
     write_trial_csv,
 )
 from dyadreg.metrics import kld_B_error
-from dyadreg.probability import derive_seed
+from dyadreg.probability import derive_seed, make_rng
 
 ITERATION_SERIES = ("c_norm", "jsd_z", "kld_A", "kld_B_sleep", "rare_branch")
 
@@ -59,8 +62,8 @@ class TestRunTrial:
     def test_shapes(self, mhng_log):
         assert len(mhng_log.iteration_series("jsd_z")) == 30
         assert len(mhng_log.rounds) == 60
-        assert mhng_log.parent_beliefs.shape == (30, 36)
         assert mhng_log.parent_round_beliefs.shape == (60, 36)
+        assert mhng_log.infant_round_beliefs().shape == (60, 36)
         assert mhng_log.seed == trial_seed(3, "mhng", 0)
 
     def test_round_bookkeeping(self, mhng_log):
@@ -84,17 +87,34 @@ class TestRunTrial:
             assert m["rare_branch"][i] == (first["rare_branch"] or second["rare_branch"])
 
     def test_beliefs_are_valid_rows(self, mhng_log):
-        for mat in (mhng_log.parent_beliefs, mhng_log.infant_beliefs):
+        for mat in (mhng_log.parent_round_beliefs, mhng_log.infant_round_beliefs()):
             assert np.all(mat >= 0.0)
             assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-9)
         # Identity sensing pins the infant to one state per round.
-        assert np.allclose(mhng_log.infant_beliefs.max(axis=1), 1.0)
+        assert np.allclose(mhng_log.infant_round_beliefs().max(axis=1), 1.0)
 
-    def test_infant_belief_matches_true_state(self, mhng_log):
-        for i in range(30):
-            r = mhng_log.rounds[2 * i + 1]
-            flat = r["true_y"] * 6 + r["true_x"]
-            assert mhng_log.infant_beliefs[i][flat] == 1.0
+    @pytest.mark.parametrize("round_order", ROUND_ORDERS)
+    @pytest.mark.parametrize("condition", CONDITION_NAMES)
+    def test_infant_belief_is_the_landing_state(self, condition, round_order):
+        # TrialLog.infant_round_beliefs() rests on this: after every round
+        # the infant's belief is, bit for bit, the one-hot vector of the
+        # state the world landed in.
+        world, pref = build_world(ExperimentConfig())
+        parent, infant = (init_agent(kind, world, pref) for kind in AgentKind)
+        rng = make_rng(derive_seed(17, condition, round_order))
+        landed = []
+
+        def on_round(speaker, outcome, z, rare):
+            assert infant.belief.tobytes() == np.eye(36)[z].tobytes()
+            landed.append(z)
+
+        z = START_STATE.flat
+        for _ in range(200):
+            z, _ = dialogue.run_iteration(
+                parent, infant, world, z, Condition(condition), rng, round_order,
+                on_round=on_round,
+            )
+        assert len(landed) == 400
 
     def test_final_counts_recorded(self, mhng_log):
         # Two unit-mass learning events per iteration per agent, on top of
@@ -235,9 +255,11 @@ class TestBeliefsCsv:
         data = load_beliefs_csv(path)
         assert data["parent_rounds"].shape == (60, 36)
         assert np.allclose(data["parent_rounds"], mhng_log.parent_round_beliefs, atol=1e-9)
-        assert np.allclose(data["infant_rounds"], mhng_log.infant_round_beliefs, atol=1e-9)
+        assert np.allclose(data["infant_rounds"], mhng_log.infant_round_beliefs(), atol=1e-9)
         # The iteration view is every second round.
-        assert np.allclose(data["parent_iterations"], mhng_log.parent_beliefs, atol=1e-9)
+        assert np.allclose(
+            data["parent_iterations"], mhng_log.parent_round_beliefs[1::2], atol=1e-9
+        )
 
     def test_bytes_equal_the_csv_writer(self, tmp_path):
         # The per-row template against the csv module's rows of _fmt cells,
@@ -246,7 +268,7 @@ class TestBeliefsCsv:
         log.parent_round_beliefs[:3] = np.eye(36)[[0, 35, 7]]
         log.parent_round_beliefs[3] = np.full(36, 1.0 / 36)
         write_beliefs_csv(log, tmp_path / "fast.csv")
-        rounds = zip(log.parent_round_beliefs.tolist(), log.infant_round_beliefs.tolist())
+        rounds = zip(log.parent_round_beliefs.tolist(), log.infant_round_beliefs().tolist())
         rows = (
             [row // 2 + 1, row % 2 + 1, agent, *map(harness._fmt, belief)]
             for row, pair in enumerate(rounds)
@@ -255,10 +277,12 @@ class TestBeliefsCsv:
         harness._write_csv(tmp_path / "csv.csv", harness.BELIEF_HEADER, rows)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
 
-    def test_requires_dump(self, tmp_path):
-        log = run_trial(small_config(), "mhng", 0)
-        with pytest.raises(ValueError):
-            write_beliefs_csv(log, tmp_path / "x.csv")
+    def test_same_bytes_with_or_without_the_dump_flag(self, mhng_log, tmp_path):
+        # Every trial records the parent's beliefs; the flag only decides
+        # whether a run writes them.
+        write_beliefs_csv(mhng_log, tmp_path / "dump.csv")
+        write_beliefs_csv(run_trial(small_config(), "mhng", 0), tmp_path / "plain.csv")
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "dump.csv").read_bytes()
 
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -427,6 +451,21 @@ class TestRunExperiment:
         present = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
         assert present == sorted(manifest.artifacts + ["manifest.json"])
         assert any(name.endswith("_beliefs.csv") for name in present) == dump_beliefs
+
+    def test_dump_flag_changes_only_which_files_are_written(self, run_dir, tmp_path):
+        out, cfg, manifest = run_dir
+        plain = tmp_path / "plain"
+        plain_manifest = run_experiment(cfg.replaced(out_dir=str(plain), dump_beliefs=False))
+        extra = set(manifest.artifacts) - set(plain_manifest.artifacts)
+        assert extra == {harness.trial_files(c, t)[1] for c in cfg.conditions for t in range(2)}
+        for rel in plain_manifest.artifacts:
+            if rel != "config.json":
+                assert (plain / rel).read_bytes() == (out / rel).read_bytes(), rel
+        bodies = [json.loads((d / "manifest.json").read_text()) for d in (out, plain)]
+        for body in bodies:
+            for key in ("timings", "config", "artifacts"):
+                del body[key]
+        assert bodies[0] == bodies[1]
 
     def test_workers_do_not_change_artifacts(self, run_dir, tmp_path):
         out, cfg, manifest = run_dir

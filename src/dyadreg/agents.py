@@ -216,7 +216,7 @@ class Agent:
 
         A known column's ambiguity is its entropy. A learned column's is its
         expected entropy under the agent's Dirichlet, psi(c0 + 1) - sum_o
-        c_o psi(c_o + 1) / c0 (see dirichlet_expected_entropy). The entropy
+        c_o psi(c_o + 1) / c0, with c0 = sum_o c_o. The entropy
         of the Dirichlet mean would count the agent's own ignorance of a cue
         as noise in the cue, and so steer it away from exactly the states
         whose cues it has yet to learn. The cells' c psi(c + 1) terms are

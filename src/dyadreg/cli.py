@@ -30,7 +30,9 @@ from .harness import (
     trial_files,
     write_trial_files,
 )
-from .metrics import ALIGNMENT_WINDOW, aggregate_conditions, auc_window, shuffle_control
+from .metrics import (
+    ALIGNMENT_WINDOW, ROUND_DTYPE, aggregate_conditions, auc_window, shuffle_control
+)
 
 ENV_OUT = "DYADREG_OUT"
 
@@ -151,6 +153,9 @@ def _cmd_trial(args) -> int:
     out = Path(config.out_dir)
     if (out / "manifest.json").exists():
         raise ValueError(f"{out} holds a finished run; give trial another --out")
+    limit = np.iinfo(ROUND_DTYPE["trial"]).max + 1  # the trial CSV column's bound
+    if not 0 <= args.trial_index < limit:
+        raise ConfigError(f"--trial-index must lie in [0, {limit}), not {args.trial_index}")
     condition = config.conditions[0]
     log = run_trial(config, condition, args.trial_index)
     for name in write_trial_files(log, out, config.dump_beliefs):
@@ -163,12 +168,14 @@ def _cmd_trial(args) -> int:
 def _cmd_shuffle(args) -> int:
     run_dir = Path(args.run)
     manifest = load_manifest(run_dir)
+    if not 0 <= args.trial_index < len(manifest.trial_seeds.get(args.condition, [])):
+        raise ValueError(
+            f"{run_dir / 'manifest.json'}: lists no trial {args.trial_index} of {args.condition}"
+        )
     name = trial_files(args.condition, args.trial_index)[1]
     if name not in manifest.artifacts:
         raise FileNotFoundError(f"{run_dir / name} not found; rerun with --dump-beliefs")
-    beliefs = load_beliefs_csv(run_dir / name)
-    parent_seq = beliefs["parent_iterations"]
-    infant_seq = beliefs["infant_iterations"]
+    parent_seq, infant_seq = (rounds[1::2] for rounds in load_beliefs_csv(run_dir / name))
     n = parent_seq.shape[0]
     lo, hi = args.window_start - 1, args.window_end - 1
     window = f"window [{args.window_start}, {args.window_end}]"
@@ -198,9 +205,19 @@ def _cmd_shuffle(args) -> int:
     return 0
 
 
+def _is_trial_entry(trial) -> bool:
+    """Whether a summary.json trials entry is an object with both AUC numbers or neither."""
+    if not isinstance(trial, dict):
+        return False
+    aucs = [trial[key] for key in ("auc_original", "auc_shuffled") if key in trial]
+    return not aucs or len(aucs) == 2 and all(type(a) in (int, float) for a in aucs)
+
+
 def _cmd_report(args) -> int:
     run_dir = Path(args.run)
     manifest = load_manifest(run_dir)
+    if not any(manifest.trial_seeds.values()):
+        raise ValueError(f"{run_dir / 'manifest.json'}: lists no trials")
     logs = []
     for cond, seeds in manifest.trial_seeds.items():
         for t in range(len(seeds)):
@@ -224,6 +241,8 @@ def _cmd_report(args) -> int:
         for entry in conditions.values()
     ):
         raise ValueError(f"{path}: needs a conditions object whose entries hold trials lists")
+    if not all(_is_trial_entry(t) for entry in conditions.values() for t in entry["trials"]):
+        raise ValueError(f"{path}: a trials entry must hold both AUC numbers or neither")
     agg = aggregate_conditions(logs)
     for cond, e in agg.items():
         means = e["per_trial_mean_c_norm"]

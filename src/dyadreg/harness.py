@@ -169,15 +169,8 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog
             persist_w=persist,
             on_round=on_round,
         )
-    # The agents go out of scope here, so their count arrays need no copy.
     return TrialLog(
-        cond.value,
-        trial_index,
-        seed,
-        np.array(rows, dtype=ROUND_DTYPE),
-        parent_round_beliefs,
-        parent.obs_concentration,
-        infant.trans_concentration,
+        cond.value, trial_index, seed, np.array(rows, dtype=ROUND_DTYPE), parent_round_beliefs
     )
 
 
@@ -228,8 +221,7 @@ def load_trial_csv(path, seed: int = -1) -> TrialLog:
 
     Every cell must parse, and the rows must be rounds 1 and 2 of
     iterations 1, 2, ... in order; otherwise ValueError names the file.
-    Belief matrices and final counts are not part of the CSV; the seed is
-    unknown unless supplied."""
+    The beliefs are not part of the CSV; the seed is unknown unless supplied."""
     rows = _read_csv(path, CSV_HEADER)
     rounds = np.empty(len(rows), ROUND_DTYPE)
     for name, cells in zip(CSV_HEADER, zip(*rows)):
@@ -265,9 +257,9 @@ def write_beliefs_csv(log: TrialLog, path):
         )
 
 
-def load_beliefs_csv(path) -> dict:
-    """Belief vectors keyed by agent, as (rounds, states) arrays plus the
-    per-iteration view (each iteration's second round).
+def load_beliefs_csv(path) -> tuple:
+    """The parent's and the infant's belief after every round, each a
+    (rounds, states) array; an iteration's beliefs are its [1::2] rows.
 
     The rows must be the parent's, then the infant's, for rounds 1 and 2 of
     iterations 1, 2, ... in order, every cell must parse, and every belief
@@ -294,13 +286,7 @@ def load_beliefs_csv(path) -> dict:
             f"{path}: line {np.flatnonzero(bad)[0] + 2}: a belief must be finite "
             "and non-negative and sum to 1"
         )
-    parent, infant = values[0::2], values[1::2]
-    return {
-        "parent_rounds": parent,
-        "infant_rounds": infant,
-        "parent_iterations": parent[1::2],
-        "infant_iterations": infant[1::2],
-    }
+    return values[0::2], values[1::2]
 
 
 def write_trial_files(log: TrialLog, out: Path, dump_beliefs: bool) -> list:

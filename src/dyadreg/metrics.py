@@ -28,8 +28,8 @@ def c_norm(z: int, pref: PriorPreference) -> float:
 
 
 def column_kls(true_cols: np.ndarray, learned_cols: np.ndarray) -> np.ndarray:
-    """KL between matching columns of two column-stochastic matrices, the
-    vectorized twin of the scalar divergence: learned cells are floored at
+    """KL(p_j || q_j) = sum_i p_ij (ln p_ij - ln q_ij) between matching
+    columns of two column-stochastic matrices: learned cells are floored at
     KL_FLOOR and renormalized per column."""
     p = np.asarray(true_cols, dtype=float)
     q = np.asarray(learned_cols, dtype=float)
@@ -39,11 +39,6 @@ def column_kls(true_cols: np.ndarray, learned_cols: np.ndarray) -> np.ndarray:
     q = q / q.sum(axis=0, keepdims=True)
     terms = np.where(p > 0.0, p * (np.log(np.where(p > 0.0, p, 1.0)) - np.log(q)), 0.0)
     return terms.sum(axis=0)
-
-
-def mean_column_kl(true_cols: np.ndarray, learned_cols: np.ndarray) -> float:
-    """Average of column_kls."""
-    return float(column_kls(true_cols, learned_cols).mean())
 
 
 def _column_kl(true_col: np.ndarray, learned_col: np.ndarray) -> float:
@@ -56,8 +51,8 @@ def _column_kl(true_col: np.ndarray, learned_col: np.ndarray) -> float:
 
 
 def kld_A_error(learned_sensory: np.ndarray) -> float:
-    """mean_column_kl(identity, learned_sensory): the true sensory map is
-    the identity, so each column's KL is its diagonal term alone."""
+    """Mean over states j of KL(e_j || q_j) = -ln(q_jj / sum_i q_ij), with q
+    the learned sensory map floored at KL_FLOOR: the true map is the identity."""
     q = np.maximum(learned_sensory, KL_FLOOR)
     kls = 0.0 - np.log(np.diagonal(q) / q.sum(axis=0))
     return float(kls.sum() / kls.size)
@@ -173,8 +168,6 @@ class TrialLog:
     seed: int
     rounds: np.ndarray
     parent_round_beliefs: Optional[np.ndarray] = None
-    final_obs_concentration: Optional[np.ndarray] = None
-    final_trans_concentration: Optional[np.ndarray] = None
 
     def infant_round_beliefs(self) -> np.ndarray:
         """The infant's belief after each round: it senses its state through

@@ -1,8 +1,8 @@
 """Finite-support probability primitives shared across the simulator.
 
-Shannon entropy, KL and Jensen-Shannon divergences, a negative softmax,
-Dirichlet means and expected entropies, the digamma function, and
-deterministic seeded sampling, all on plain probability vectors.
+The Jensen-Shannon divergence, a negative softmax, Dirichlet means, the
+digamma function, and deterministic seeded sampling, all on plain
+probability vectors.
 Categorical is the one check a vector gets where it enters the program.
 All logarithms are natural, so every information quantity is in nats.
 """
@@ -16,8 +16,8 @@ import numpy as np
 
 # Constructor renormalizes drift below this and rejects anything larger.
 RENORM_TOL = 1e-6
-# Floor applied to the second argument of kl_divergence so divergences
-# against learned matrices with near-empty cells stay finite.
+# Learned cells are clamped up to this before a KL divergence or a log is
+# taken of them, so divergences against near-empty cells stay finite.
 KL_FLOOR = 1e-12
 # Offsets of the digamma recurrence, see digamma().
 _DIGAMMA_SHIFTS = np.arange(10.0)
@@ -47,28 +47,6 @@ class Categorical:
         p = p / total
         p.setflags(write=False)
         self.probs = p
-
-
-def entropy(p: np.ndarray) -> float:
-    """Shannon entropy in nats, with the 0 * ln 0 = 0 convention."""
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
-
-
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) in nats.
-
-    Entries of q below KL_FLOOR are clamped up and q is renormalized, so
-    the result is finite even when q has empty cells. Supports must match.
-    """
-    if p.size != q.size:
-        raise ValueError(f"support mismatch: {p.size} vs {q.size}")
-    if np.any(q < KL_FLOOR):
-        q = np.maximum(q, KL_FLOOR)
-        q = q / q.sum()
-    mask = p > 0.0
-    val = float((p[mask] * (np.log(p[mask]) - np.log(q[mask]))).sum())
-    return max(val, 0.0)
 
 
 def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -148,19 +126,6 @@ def digamma(x) -> np.ndarray:
     inv2 = 1.0 / (y * y)
     series = inv2 * (1 / 12 - inv2 * (1 / 120 - inv2 * (1 / 252 - inv2 * (1 / 240 - inv2 / 132))))
     return np.log(y) - 0.5 / y - series - shift
-
-
-def dirichlet_expected_entropy(concentrations) -> float:
-    """Expected Shannon entropy of a Dirichlet-distributed probability
-    vector: psi(c0 + 1) - sum_i (c_i / c0) psi(c_i + 1).
-
-    This is the entropy of the Dirichlet mean minus the information one
-    draw from the vector carries about it, so it falls below the entropy of
-    the mean by exactly what is still to be learned.
-    """
-    c = np.asarray(concentrations, dtype=float)
-    c0 = c.sum()
-    return float(digamma(c0 + 1.0) - (c * digamma(c + 1.0)).sum() / c0)
 
 
 def derive_seed(root_seed: int, *labels) -> int:

@@ -33,9 +33,9 @@ from dyadreg.harness import (
 from dyadreg.probability import (
     Categorical,
     js_divergence,
-    kl_divergence,
     make_rng,
 )
+from oracles import kl_divergence, run_trial_keeping_agents
 
 SEEDS = (0, 1, 2)
 DEFAULT_SEED = 0
@@ -238,9 +238,9 @@ def test_criterion_6_mh_stationarity_oracle():
     verdict(6, True, f"worst TV over 5 fixtures = {worst:.4f} (need <= 0.02)")
 
 
-def test_criterion_7_dirichlet_counting_oracle():
+def test_criterion_7_dirichlet_counting_oracle(monkeypatch):
     cfg = ExperimentConfig(seed=DEFAULT_SEED, dump_beliefs=True)
-    log = run_trial(cfg, "mhng", 0)
+    log, (parent, infant_agent) = run_trial_keeping_agents(monkeypatch, cfg, "mhng", 0)
     alpha = np.full((36, 36), cfg.dirichlet_prior)
     beta = np.full((36, 36, 5), cfg.dirichlet_prior)
     prev_infant = np.full(36, 1.0 / 36.0)
@@ -250,15 +250,15 @@ def test_criterion_7_dirichlet_counting_oracle():
         alpha[:, obs] += log.parent_round_beliefs[r]
         beta[:, :, rec["action"]] += np.outer(infant[r], prev_infant)
         prev_infant = infant[r]
-    alpha_err = float(np.abs(alpha - log.final_obs_concentration).max())
-    beta_err = float(np.abs(beta - log.final_trans_concentration).max())
+    alpha_err = float(np.abs(alpha - parent.obs_concentration).max())
+    beta_err = float(np.abs(beta - infant_agent.trans_concentration).max())
     a_batch = (alpha / alpha.sum(axis=1, keepdims=True)).T
     a_online = (
-        log.final_obs_concentration
-        / log.final_obs_concentration.sum(axis=1, keepdims=True)
+        parent.obs_concentration
+        / parent.obs_concentration.sum(axis=1, keepdims=True)
     ).T
     b_batch = beta / beta.sum(axis=0, keepdims=True)
-    b_online = log.final_trans_concentration / log.final_trans_concentration.sum(
+    b_online = infant_agent.trans_concentration / infant_agent.trans_concentration.sum(
         axis=0, keepdims=True
     )
     a_mat_err = float(np.abs(a_batch - a_online).max())
@@ -273,7 +273,7 @@ def test_criterion_7_dirichlet_counting_oracle():
     assert alpha_err < 1e-9 and beta_err < 1e-9
     assert a_mat_err < 1e-9 and b_mat_err < 1e-9
     # Exactly one unit of mass lands per learning call.
-    assert log.final_obs_concentration.sum() == pytest.approx(
+    assert parent.obs_concentration.sum() == pytest.approx(
         36 * 36 * cfg.dirichlet_prior + 2 * cfg.iterations
     )
 

@@ -18,13 +18,8 @@ from dyadreg.environment import (
     identity_sensory_map,
     preferred_obs_distribution,
 )
-from dyadreg.probability import (
-    KL_FLOOR,
-    Categorical,
-    dirichlet_expected_entropy,
-    kl_divergence,
-    make_rng,
-)
+from dyadreg.probability import KL_FLOOR, Categorical, make_rng
+from oracles import dirichlet_expected_entropy, kl_divergence
 
 
 @pytest.fixture(scope="module")

@@ -130,6 +130,28 @@ class TestTrial:
         assert code == 0
         assert (out / "trials" / "mhng_t02_beliefs.csv").is_file()
 
+    @pytest.mark.parametrize("index", ["-3", "2147483648", "3000000000"])
+    def test_trial_index_outside_the_csv_column_is_refused(self, tmp_path, capsys, index):
+        # The trial CSV's trial column is a 32-bit integer; the index is
+        # checked before anything is simulated or written.
+        out = tmp_path / "t"
+        code = run_cli("trial", "--iterations", "8", "--out", str(out), "--trial-index", index)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --trial-index must lie in [0, 2147483648), not {index}\n"
+        )
+        assert not out.exists()
+
+    def test_largest_trial_index_is_written(self, tmp_path):
+        out = tmp_path / "t"
+        code = run_cli(
+            "trial", "--iterations", "2", "--out", str(out), "--trial-index", "2147483647"
+        )
+        assert code == 0
+        assert (out / "trials" / "mhng_t2147483647.csv").is_file()
+
 
 class TestShuffleControl:
     def test_reports_aucs(self, finished_run, capsys):
@@ -150,12 +172,31 @@ class TestShuffleControl:
         assert override["permutation_seed"] == 123
         assert override["auc_original"] == base["auc_original"]
 
-    def test_missing_beliefs_is_actionable(self, finished_run, tmp_path, capsys):
-        code = run_cli(
-            "shuffle-control", "--run", str(finished_run), "--trial-index", "7"
-        )
+    def test_missing_beliefs_is_actionable(self, tmp_path, capsys):
+        # A trial the run lists, whose beliefs it did not dump.
+        out = tmp_path / "run"
+        args = ("--conditions", "mhng", "--trials", "1", "--iterations", "5", "--out", str(out))
+        assert run_cli("run", *args) == 0
+        capsys.readouterr()
+        code = run_cli("shuffle-control", "--run", str(out))
         assert code == 1
         assert "--dump-beliefs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "condition, index", [("mhng", "7"), ("mhng", "2"), ("mhng", "-1"), ("b-led", "0")]
+    )
+    def test_trial_the_run_lacks_is_named(self, finished_run, capsys, condition, index):
+        # The run has trials 0 and 1 of mhng only; --dump-beliefs would not help.
+        code = run_cli(
+            "shuffle-control", "--run", str(finished_run),
+            "--condition", condition, "--trial-index", index,
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {finished_run / 'manifest.json'}: lists no trial {index} of {condition}\n"
+        )
 
     def test_window_out_of_range(self, finished_run, capsys):
         code = run_cli(
@@ -359,6 +400,40 @@ class TestRunDirectory:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"auc_original": 1.0},
+            {"auc_shuffled": 2.0},
+            {"auc_original": "1", "auc_shuffled": 2.0},
+            {"auc_original": None, "auc_shuffled": 2.0},
+            3,
+        ],
+        ids=["original only", "shuffled only", "string", "null", "not an object"],
+    )
+    def test_half_filled_auc_entry_is_named(self, run_copy, capsys, entry):
+        path = run_copy / "summary.json"
+        summary = json.loads(path.read_text())
+        summary["conditions"]["mhng"]["trials"][1] = entry
+        path.write_text(json.dumps(summary))
+        assert run_cli("report", "--run", str(run_copy)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: a trials entry must hold both AUC numbers or neither\n"
+        )
+
+    @pytest.mark.parametrize("seeds", [{"mhng": []}, {}], ids=["empty list", "empty object"])
+    def test_manifest_without_trials_is_named(self, run_copy, capsys, seeds):
+        path = run_copy / "manifest.json"
+        body = json.loads(path.read_text())
+        body["trial_seeds"] = seeds
+        path.write_text(json.dumps(body))
+        assert run_cli("report", "--run", str(run_copy)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: lists no trials\n"
 
     def test_listed_trial_csv_that_is_gone_is_named(self, run_copy, capsys):
         path = run_copy / "trials" / "mhng_t01.csv"

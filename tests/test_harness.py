@@ -27,6 +27,7 @@ from dyadreg.harness import (
 )
 from dyadreg.metrics import kld_B_error
 from dyadreg.probability import derive_seed, make_rng
+from oracles import run_trial_keeping_agents
 
 ITERATION_SERIES = ("c_norm", "jsd_z", "kld_A", "kld_B_sleep", "rare_branch")
 
@@ -116,14 +117,15 @@ class TestRunTrial:
             )
         assert len(landed) == 400
 
-    def test_final_counts_recorded(self, mhng_log):
+    def test_final_counts_recorded(self, monkeypatch):
         # Two unit-mass learning events per iteration per agent, on top of
         # the flat prior.
         prior = small_config().dirichlet_prior
-        assert mhng_log.final_obs_concentration.sum() == pytest.approx(
+        _, (parent, infant) = run_trial_keeping_agents(monkeypatch, small_config(), "mhng", 0)
+        assert parent.obs_concentration.sum() == pytest.approx(
             36 * 36 * prior + 60
         )
-        assert mhng_log.final_trans_concentration.sum() == pytest.approx(
+        assert infant.trans_concentration.sum() == pytest.approx(
             36 * 36 * 5 * prior + 60
         )
 
@@ -252,14 +254,10 @@ class TestBeliefsCsv:
     def test_round_trip(self, mhng_log, tmp_path):
         path = tmp_path / "beliefs.csv"
         write_beliefs_csv(mhng_log, path)
-        data = load_beliefs_csv(path)
-        assert data["parent_rounds"].shape == (60, 36)
-        assert np.allclose(data["parent_rounds"], mhng_log.parent_round_beliefs, atol=1e-9)
-        assert np.allclose(data["infant_rounds"], mhng_log.infant_round_beliefs(), atol=1e-9)
-        # The iteration view is every second round.
-        assert np.allclose(
-            data["parent_iterations"], mhng_log.parent_round_beliefs[1::2], atol=1e-9
-        )
+        parent_rounds, infant_rounds = load_beliefs_csv(path)
+        assert parent_rounds.shape == (60, 36)
+        assert np.allclose(parent_rounds, mhng_log.parent_round_beliefs, atol=1e-9)
+        assert np.allclose(infant_rounds, mhng_log.infant_round_beliefs(), atol=1e-9)
 
     def test_bytes_equal_the_csv_writer(self, tmp_path):
         # The per-row template against the csv module's rows of _fmt cells,

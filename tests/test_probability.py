@@ -5,15 +5,13 @@ from dyadreg.probability import (
     Categorical,
     derive_seed,
     digamma,
-    dirichlet_expected_entropy,
     dirichlet_mean,
-    entropy,
     js_divergence,
-    kl_divergence,
     make_rng,
     sample,
     softmax_neg,
 )
+from oracles import dirichlet_expected_entropy, entropy, kl_divergence
 
 LN2 = 0.6931471805599453
 LN36 = 3.58351893845611

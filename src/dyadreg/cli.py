@@ -166,6 +166,8 @@ def _cmd_trial(args) -> int:
 
 
 def _cmd_shuffle(args) -> int:
+    if args.seed is not None and not 0 <= args.seed < 2**64:
+        raise ConfigError(f"--seed must lie in [0, 2**64), not {args.seed}")
     run_dir = Path(args.run)
     manifest = load_manifest(run_dir)
     if not 0 <= args.trial_index < len(manifest.trial_seeds.get(args.condition, [])):
@@ -205,12 +207,17 @@ def _cmd_shuffle(args) -> int:
     return 0
 
 
+def _is_number_list(values) -> bool:
+    """Whether a JSON value is a list of numbers (true and false are not)."""
+    return isinstance(values, list) and all(type(v) in (int, float) for v in values)
+
+
 def _is_trial_entry(trial) -> bool:
     """Whether a summary.json trials entry is an object with both AUC numbers or neither."""
     if not isinstance(trial, dict):
         return False
     aucs = [trial[key] for key in ("auc_original", "auc_shuffled") if key in trial]
-    return not aucs or len(aucs) == 2 and all(type(a) in (int, float) for a in aucs)
+    return not aucs or len(aucs) == 2 and _is_number_list(aucs)
 
 
 def _cmd_report(args) -> int:
@@ -243,6 +250,9 @@ def _cmd_report(args) -> int:
         raise ValueError(f"{path}: needs a conditions object whose entries hold trials lists")
     if not all(_is_trial_entry(t) for entry in conditions.values() for t in entry["trials"]):
         raise ValueError(f"{path}: a trials entry must hold both AUC numbers or neither")
+    listed = (entry.get("per_trial_mean_c_norm") for entry in conditions.values())
+    if not all(map(_is_number_list, listed)):
+        raise ValueError(f"{path}: per_trial_mean_c_norm must be a list of numbers")
     agg = aggregate_conditions(logs)
     for cond, e in agg.items():
         means = e["per_trial_mean_c_norm"]

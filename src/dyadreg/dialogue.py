@@ -29,7 +29,12 @@ class Condition(Enum):
 
 
 CONDITION_NAMES = tuple(c.value for c in Condition)
-ROUND_ORDERS = ("infant-first", "parent-first")
+# The speakers of rounds 1 and 2 of every iteration, per round order.
+ROUND_SPEAKERS = {
+    "infant-first": (AgentKind.INFANT, AgentKind.PARENT),
+    "parent-first": (AgentKind.PARENT, AgentKind.INFANT),
+}
+ROUND_ORDERS = tuple(ROUND_SPEAKERS)
 
 
 @dataclass(frozen=True)
@@ -118,13 +123,11 @@ def run_iteration(
     fires after learning, once per round, with the speaker, the outcome,
     the landing state and whether the rare branch fired.
     """
-    if round_order not in ROUND_ORDERS:
+    if round_order not in ROUND_SPEAKERS:
         raise ValueError(f"unknown round order: {round_order!r}")
-    if round_order == "infant-first":
-        pairs = ((infant, parent), (parent, infant))
-    else:
-        pairs = ((parent, infant), (infant, parent))
-    for speaker, listener in pairs:
+    agents = {AgentKind.PARENT: (parent, infant), AgentKind.INFANT: (infant, parent)}
+    for kind in ROUND_SPEAKERS[round_order]:
+        speaker, listener = agents[kind]
         outcome = run_round(
             speaker, listener, condition, rng, current_w if persist_w else None
         )

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .agents import AgentKind, init_agent
 from .config import ExperimentConfig, save_config
-from .dialogue import Condition, run_iteration
+from .dialogue import ROUND_SPEAKERS, Condition, run_iteration
 from .environment import (
     Action,
     N_LEVELS,
@@ -56,6 +56,10 @@ BELIEF_HEADER = ["iteration", "round", "agent"] + [f"q{i:02d}" for i in range(N_
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
+
+
+# The cells of a one-hot belief at each state, as the belief dump writes them.
+ONE_HOT_CELLS = tuple(",".join(map(_fmt, row)) for row in np.eye(N_STATES).tolist())
 
 
 def trial_seed(root_seed: int, condition: str, trial_index: int) -> int:
@@ -102,11 +106,17 @@ def build_world(config: ExperimentConfig):
     return world, pref
 
 
-def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog:
+def run_trial(config: ExperimentConfig, condition, trial_index: int, env=None) -> TrialLog:
     """One seeded trial: `iterations` two-round exchanges from the fixed
-    start state, with metrics recorded after every round."""
+    start state, with metrics recorded after every round. `env` is
+    build_world(config), built here unless given.
+
+    Each round keeps what the dialogue produced, the parent's belief and
+    the two errors that read the agents as they are then; the other
+    columns are derived after the last round from the landing states and
+    the parent's recorded beliefs."""
     cond = Condition(condition)
-    world, pref = build_world(config)
+    world, pref = build_world(config) if env is None else env
     seed = trial_seed(config.seed, cond.value, trial_index)
     rng = make_rng(seed)
     parent, infant = (
@@ -114,7 +124,7 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog
         for kind in (AgentKind.PARENT, AgentKind.INFANT)
     )
     parent_round_beliefs = np.empty((2 * config.iterations, N_STATES))
-    rows = []
+    recorded = []
     # Learning changes only the acted slice of the infant's dynamics, and
     # from a sensed previous state only its source column, so the Sleep
     # error moves only after a Sleep round, by that column's KL.
@@ -127,27 +137,16 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog
         if outcome.shared_w == Action.SLEEP:
             kld_B_sleep = kld_B_error(world.tensor, infant.B, Action.SLEEP, sleep_kls, prev_state)
         prev_state = infant.state
-        row = len(rows)
-        parent_round_beliefs[row] = parent.belief
-        rows.append(
+        parent_round_beliefs[len(recorded)] = parent.belief
+        recorded.append(
             (
-                cond.value,
-                trial_index,
-                row // 2 + 1,
-                row % 2 + 1,
-                speaker.kind.value,
                 outcome.proposed_w,
                 outcome.listener_own_w,
                 outcome.accepted,
                 outcome.acceptance_prob,
                 outcome.shared_w,
-                # The action column: symbol w names action w.
-                outcome.shared_w,
-                z % N_LEVELS,
-                z // N_LEVELS,
+                z,
                 rare,
-                c_norm(z, pref),
-                jsd_latent(parent.belief, infant.state),
                 kld_A_error(parent.A),
                 kld_B_sleep,
             )
@@ -169,9 +168,36 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int) -> TrialLog
             persist_w=persist,
             on_round=on_round,
         )
-    return TrialLog(
-        cond.value, trial_index, seed, np.array(rows, dtype=ROUND_DTYPE), parent_round_beliefs
+    proposed, own, accepted, prob, shared, states, rare, kld_A, kld_B = map(
+        np.array, zip(*recorded)
     )
+    index = np.arange(states.size)
+    speakers = [kind.value for kind in ROUND_SPEAKERS[config.round_order]]
+    columns = {
+        "condition": cond.value,
+        "trial": trial_index,
+        "iteration": index // 2 + 1,
+        "round": index % 2 + 1,
+        "speaker": speakers * config.iterations,
+        "proposed_w": proposed,
+        "listener_own_w": own,
+        "accepted": accepted,
+        "acceptance_prob": prob,
+        "shared_w": shared,
+        # The action column: symbol w names action w.
+        "action": shared,
+        "true_x": states % N_LEVELS,
+        "true_y": states // N_LEVELS,
+        "rare_branch": rare,
+        "c_norm": c_norm(states, pref),
+        "jsd_z": jsd_latent(parent_round_beliefs, states),
+        "kld_A": kld_A,
+        "kld_B_sleep": kld_B,
+    }
+    rounds = np.empty(states.size, ROUND_DTYPE)
+    for name in CSV_HEADER:
+        rounds[name] = columns[name]
+    return TrialLog(cond.value, trial_index, seed, rounds, parent_round_beliefs)
 
 
 # -- the run directory and its CSV tables --------------------------------------
@@ -245,15 +271,16 @@ def load_trial_csv(path, seed: int = -1) -> TrialLog:
 
 def write_beliefs_csv(log: TrialLog, path):
     """The belief dump, as _write_csv would write it: no cell needs quoting,
-    and "%.9g" formats a float as _fmt does."""
-    line = "%d,%d,%s" + ",%.9g" * N_STATES + "\r\n"
-    rounds = zip(log.parent_round_beliefs.tolist(), log.infant_round_beliefs().tolist())
+    and "%.9g" formats a float as _fmt does. The infant's belief is one-hot
+    at the landing state, so its cells are one of ONE_HOT_CELLS."""
+    pair = "%d,%d,parent" + ",%.9g" * N_STATES + "\r\n%d,%d,infant,%s\r\n"
+    rounds = zip(log.parent_round_beliefs.tolist(), log.landing_states().tolist())
+    cells = ONE_HOT_CELLS
     with open(path, "w", newline="") as fh:
         fh.write(",".join(BELIEF_HEADER) + "\r\n")
         fh.writelines(
-            line % (row // 2 + 1, row % 2 + 1, agent, *belief)
-            for row, pair in enumerate(rounds)
-            for agent, belief in zip(("parent", "infant"), pair)
+            pair % (row // 2 + 1, row % 2 + 1, *belief, row // 2 + 1, row % 2 + 1, cells[k])
+            for row, (belief, k) in enumerate(rounds)
         )
 
 
@@ -441,8 +468,7 @@ def _remove_previous_run(out: Path):
 
 
 def _run_job(args) -> TrialLog:
-    config, condition, trial_index = args
-    return run_trial(config, condition, trial_index)
+    return run_trial(*args)
 
 
 def run_experiment(config: ExperimentConfig) -> RunManifest:
@@ -456,7 +482,8 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     t0 = time.perf_counter()
     out = Path(config.out_dir)
     _remove_previous_run(out)
-    jobs = [(config, cond, t) for cond in config.conditions for t in range(config.trials)]
+    env = build_world(config)
+    jobs = [(config, cond, t, env) for cond in config.conditions for t in range(config.trials)]
     workers = min(config.workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

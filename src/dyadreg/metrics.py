@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .environment import N_LEVELS, N_STATES, PriorPreference
-from .probability import KL_FLOOR, js_divergence
+from .probability import KL_FLOOR
 
 # Iteration window (1-based, inclusive) for alignment medians and AUC.
 ALIGNMENT_WINDOW = (20, 50)
@@ -22,9 +22,9 @@ ALIGNMENT_WINDOW = (20, 50)
 SPIKE_RANGE = (20, 1000)
 
 
-def c_norm(z: int, pref: PriorPreference) -> float:
-    """Comfort of the flat true state z, scaled so the best cell scores 1."""
-    return float(pref.values[z] / pref.max_value)
+def c_norm(states, pref: PriorPreference) -> np.ndarray:
+    """Comfort of each flat true state, scaled so the best cell scores 1."""
+    return pref.values[states] / pref.max_value
 
 
 def column_kls(true_cols: np.ndarray, learned_cols: np.ndarray) -> np.ndarray:
@@ -86,20 +86,45 @@ def kld_B_error(
     return float(kls.sum() / kls.size)
 
 
-def jsd_latent(parent_belief: np.ndarray, infant_state: int) -> float:
-    """js_divergence of the parent's belief and the infant's, which is
-    one-hot at the state k it senses. The mixture is half the parent's
-    belief off k, and the infant's half of the divergence is one cell's,
-    0 - log m_k.
+def _js_half(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Per row, the sum of v (ln v - ln m) over the cells where v and m are
+    both positive: a subnormal cell whose half rounds to 0 in m is left out.
+
+    Each row's terms are summed as one contiguous block of their own count,
+    the order a 1-d sum of that row's terms takes, so every row gets the
+    bits of the scalar sum. Rows are grouped by how many terms they have."""
+    mask = (v > 0.0) & (m > 0.0)
+    counts = mask.sum(axis=1)
+    vm, mm = v[mask], m[mask]
+    terms = vm * (np.log(vm) - np.log(mm))
+    starts = counts.cumsum() - counts
+    out = np.zeros(len(v))
+    for count in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == count)
+        out[rows] = terms[starts[rows, None] + np.arange(count)].sum(axis=1)
+    return out
+
+
+def jsd_latent(parent_beliefs: np.ndarray, infant_beliefs: np.ndarray) -> np.ndarray:
+    """Jensen-Shannon divergence in nats between matching rows of two
+    (rows, states) belief stacks, computed against the even mixture m with
+    no smoothing: symmetric, bounded by ln 2.
+
+    The infant's beliefs may be given as the state k each row senses, which
+    stands for the one-hot row at k. The mixture is then half the parent's
+    row off k, and the infant's half of the divergence is one cell's,
+    0 - ln m_k.
     """
-    p, k = parent_belief, infant_state
-    m = 0.5 * p
-    m[k] = 0.5 * (p[k] + 1.0)
-    # A subnormal cell's half can round to 0: that term is left out.
-    mask = (p > 0.0) & (m > 0.0)
-    p_half = float((p[mask] * (np.log(p[mask]) - np.log(m[mask]))).sum())
-    infant_half = 0.0 - float(np.log(m[k]))
-    return max(0.5 * p_half + 0.5 * infant_half, 0.0)
+    p = parent_beliefs
+    if infant_beliefs.ndim == 1:
+        rows, k = np.arange(len(p)), infant_beliefs
+        m = 0.5 * p
+        m[rows, k] = 0.5 * (p[rows, k] + 1.0)
+        infant_half = 0.0 - np.log(m[rows, k])
+    else:
+        m = 0.5 * (p + infant_beliefs)
+        infant_half = _js_half(infant_beliefs, m)
+    return np.maximum(0.5 * _js_half(p, m) + 0.5 * infant_half, 0.0)
 
 
 def auc_window(series, start: int, end: int) -> float:
@@ -126,8 +151,8 @@ def shuffle_control(parent_seq, infant_seq) -> np.ndarray:
     if p_seq.shape != i_seq.shape or p_seq.ndim != 2:
         raise ValueError("belief sequences must share a (steps, states) shape")
     # Each row is renormalized first: the artifacts depend on these bits.
-    return np.array(
-        [js_divergence(p / float(p.sum()), q / float(q.sum())) for p, q in zip(p_seq, i_seq)]
+    return jsd_latent(
+        p_seq / p_seq.sum(axis=1, keepdims=True), i_seq / i_seq.sum(axis=1, keepdims=True)
     )
 
 
@@ -169,11 +194,15 @@ class TrialLog:
     rounds: np.ndarray
     parent_round_beliefs: Optional[np.ndarray] = None
 
+    def landing_states(self) -> np.ndarray:
+        """The flat true state each round landed in, from its true_x and true_y."""
+        return self.rounds["true_y"] * N_LEVELS + self.rounds["true_x"]
+
     def infant_round_beliefs(self) -> np.ndarray:
         """The infant's belief after each round: it senses its state through
         the exact identity map, so every round leaves it one-hot at the state
-        it landed in (Agent.assimilate), the row's true_x and true_y."""
-        return np.eye(N_STATES)[self.rounds["true_y"] * N_LEVELS + self.rounds["true_x"]]
+        it landed in (Agent.assimilate)."""
+        return np.eye(N_STATES)[self.landing_states()]
 
     def iteration_series(self, name: str) -> np.ndarray:
         """One value per iteration: the second round's, except that the

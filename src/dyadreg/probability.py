@@ -1,8 +1,7 @@
 """Finite-support probability primitives shared across the simulator.
 
-The Jensen-Shannon divergence, a negative softmax, Dirichlet means, the
-digamma function, and deterministic seeded sampling, all on plain
-probability vectors.
+A negative softmax, Dirichlet means, the digamma function, and
+deterministic seeded sampling, all on plain probability vectors.
 Categorical is the one check a vector gets where it enters the program.
 All logarithms are natural, so every information quantity is in nats.
 """
@@ -47,24 +46,6 @@ class Categorical:
         p = p / total
         p.setflags(write=False)
         self.probs = p
-
-
-def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """Jensen-Shannon divergence in nats: symmetric, bounded by ln 2.
-
-    Computed directly against the even mixture, with no smoothing; where
-    p or q is zero the corresponding term vanishes, and so does a
-    subnormal cell's whose half rounds to zero.
-    """
-    if p.size != q.size:
-        raise ValueError(f"support mismatch: {p.size} vs {q.size}")
-    m = 0.5 * (p + q)
-
-    def _half(v: np.ndarray) -> float:
-        mask = (v > 0.0) & (m > 0.0)
-        return float((v[mask] * (np.log(v[mask]) - np.log(m[mask]))).sum())
-
-    return max(0.5 * _half(p) + 0.5 * _half(q), 0.0)
 
 
 def softmax_neg(values) -> np.ndarray:

@@ -8,6 +8,7 @@ or a helper that reaches into a trial for what its log does not keep.
 import numpy as np
 
 from dyadreg import harness
+from dyadreg.environment import N_STATES
 from dyadreg.metrics import column_kls
 from dyadreg.probability import KL_FLOOR, digamma
 
@@ -34,6 +35,40 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return max(val, 0.0)
 
 
+def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
+    """Jensen-Shannon divergence in nats: symmetric, bounded by ln 2.
+
+    Computed directly against the even mixture, with no smoothing; where
+    p or q is zero the corresponding term vanishes, and so does a
+    subnormal cell's whose half rounds to zero.
+    """
+    if p.size != q.size:
+        raise ValueError(f"support mismatch: {p.size} vs {q.size}")
+    m = 0.5 * (p + q)
+
+    def _half(v: np.ndarray) -> float:
+        mask = (v > 0.0) & (m > 0.0)
+        return float((v[mask] * (np.log(v[mask]) - np.log(m[mask]))).sum())
+
+    return max(0.5 * _half(p) + 0.5 * _half(q), 0.0)
+
+
+def jsd_latent(parent_belief: np.ndarray, infant_state: int) -> float:
+    """js_divergence of the parent's belief and the infant's, which is
+    one-hot at the state k it senses. The mixture is half the parent's
+    belief off k, and the infant's half of the divergence is one cell's,
+    0 - log m_k.
+    """
+    p, k = parent_belief, infant_state
+    m = 0.5 * p
+    m[k] = 0.5 * (p[k] + 1.0)
+    # A subnormal cell's half can round to 0: that term is left out.
+    mask = (p > 0.0) & (m > 0.0)
+    p_half = float((p[mask] * (np.log(p[mask]) - np.log(m[mask]))).sum())
+    infant_half = 0.0 - float(np.log(m[k]))
+    return max(0.5 * p_half + 0.5 * infant_half, 0.0)
+
+
 def dirichlet_expected_entropy(concentrations) -> float:
     """Expected Shannon entropy of a Dirichlet-distributed probability
     vector: psi(c0 + 1) - sum_i (c_i / c0) psi(c_i + 1).
@@ -50,6 +85,20 @@ def dirichlet_expected_entropy(concentrations) -> float:
 def mean_column_kl(true_cols: np.ndarray, learned_cols: np.ndarray) -> float:
     """Average of column_kls."""
     return float(column_kls(true_cols, learned_cols).mean())
+
+
+def write_beliefs_csv(log, path):
+    """The belief dump with every line formatted from its 36 floats, the
+    infant's from TrialLog.infant_round_beliefs()."""
+    line = "%d,%d,%s" + ",%.9g" * N_STATES + "\r\n"
+    rounds = zip(log.parent_round_beliefs.tolist(), log.infant_round_beliefs().tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(harness.BELIEF_HEADER) + "\r\n")
+        fh.writelines(
+            line % (row // 2 + 1, row % 2 + 1, agent, *belief)
+            for row, pair in enumerate(rounds)
+            for agent, belief in zip(("parent", "infant"), pair)
+        )
 
 
 def run_trial_keeping_agents(monkeypatch, config, condition, trial_index):

@@ -32,10 +32,11 @@ from dyadreg.harness import (
 )
 from dyadreg.probability import (
     Categorical,
-    js_divergence,
     make_rng,
 )
-from oracles import kl_divergence, run_trial_keeping_agents
+from dyadreg.metrics import jsd_latent
+from oracles import js_divergence, kl_divergence, run_trial_keeping_agents
+from oracles import jsd_latent as scalar_jsd_latent
 
 SEEDS = (0, 1, 2)
 DEFAULT_SEED = 0
@@ -177,6 +178,20 @@ def test_criterion_4_shuffle_control(mhng_summary):
     assert wins >= 9, [
         (t["auc_original"], t["auc_shuffled"]) for t in trials
     ]
+
+
+def test_batched_divergence_on_every_round_of_the_grid(grid):
+    # The row-batched divergence, in both forms of the infant's beliefs,
+    # gives the scalar oracle's bits on all 180,000 rounds of the grid.
+    eye = np.eye(36)
+    for runs in grid.values():
+        for logs in runs.values():
+            for log in logs:
+                p, k = log.parent_round_beliefs, log.landing_states()
+                expected = np.array([scalar_jsd_latent(*pair) for pair in zip(p, k)]).tobytes()
+                assert log.rounds["jsd_z"].tobytes() == expected
+                assert jsd_latent(p, k).tobytes() == expected
+                assert jsd_latent(p, eye[k]).tobytes() == expected
 
 
 def test_criterion_5_spike_association(mhng_summary):

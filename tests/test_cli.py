@@ -172,6 +172,20 @@ class TestShuffleControl:
         assert override["permutation_seed"] == 123
         assert override["auc_original"] == base["auc_original"]
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_the_run_seed_range_is_refused(self, tmp_path, capsys, seed):
+        # Checked before any file is read: the run directory does not exist.
+        code = run_cli("shuffle-control", "--run", str(tmp_path / "none"), "--seed", seed)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --seed must lie in [0, 2**64), not {seed}\n"
+
+    def test_largest_seed_is_used(self, finished_run, capsys):
+        seed = 2**64 - 1
+        assert run_cli("shuffle-control", "--run", str(finished_run), "--seed", str(seed)) == 0
+        assert json.loads(capsys.readouterr().out)["permutation_seed"] == seed
+
     def test_missing_beliefs_is_actionable(self, tmp_path, capsys):
         # A trial the run lists, whose beliefs it did not dump.
         out = tmp_path / "run"
@@ -391,15 +405,28 @@ class TestRunDirectory:
         assert json.loads(path.read_text())["artifacts"]
         assert (run_copy / "trials" / "mhng_t01.csv").is_file()
 
-    @pytest.mark.parametrize("damage", ["empty object", "cut"])
+    # per_trial_mean_c_norm values that are not a list of numbers, one per trial.
+    NOT_NUMBER_LISTS = {
+        "string cells": ["a", "b"], "string": "ab", "null": None, "flags": [True, False]
+    }
+
+    @pytest.mark.parametrize("damage", ["empty object", "cut", *NOT_NUMBER_LISTS])
     def test_damaged_summary_is_named(self, run_copy, capsys, damage):
         path = run_copy / "summary.json"
-        path.write_text("{}" if damage == "empty object" else path.read_text()[:50])
+        if damage in self.NOT_NUMBER_LISTS:
+            summary = json.loads(path.read_text())
+            summary["conditions"]["mhng"]["per_trial_mean_c_norm"] = self.NOT_NUMBER_LISTS[damage]
+            path.write_text(json.dumps(summary))
+        else:
+            path.write_text("{}" if damage == "empty object" else path.read_text()[:50])
         assert run_cli("report", "--run", str(run_copy)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: ")
         assert captured.err.count("\n") == 1
+        if damage in self.NOT_NUMBER_LISTS:
+            message = "per_trial_mean_c_norm must be a list of numbers"
+            assert captured.err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize(
         "entry",

@@ -27,7 +27,8 @@ from dyadreg.harness import (
 )
 from dyadreg.metrics import kld_B_error
 from dyadreg.probability import derive_seed, make_rng
-from oracles import run_trial_keeping_agents
+from oracles import jsd_latent, run_trial_keeping_agents
+from oracles import write_beliefs_csv as write_beliefs_csv_generic
 
 ITERATION_SERIES = ("c_norm", "jsd_z", "kld_A", "kld_B_sleep", "rare_branch")
 
@@ -211,6 +212,45 @@ class TestSleepOnlyKldB:
         assert np.array_equal(log.rounds["kld_B_sleep"], every_round)
 
 
+class TestColumnsDerivedAfterTheLoop:
+    @pytest.mark.parametrize("mh_current_w", ["fresh", "persistent"])
+    @pytest.mark.parametrize("round_order", ROUND_ORDERS)
+    @pytest.mark.parametrize("condition", CONDITION_NAMES)
+    def test_equal_the_oracles_round_by_round(
+        self, monkeypatch, condition, round_order, mh_current_w
+    ):
+        # What each round saw, with the scalar oracles applied to the live
+        # agents, against the columns run_trial fills after the last round.
+        config = small_config(iterations=40, round_order=round_order, mh_current_w=mh_current_w)
+        _, pref = build_world(config)
+        seen = []
+
+        def run_iteration(parent, infant, world, *args, on_round, **kwargs):
+            def record(speaker, outcome, z, rare):
+                seen.append(
+                    (
+                        speaker.kind.value,
+                        z % 6,
+                        z // 6,
+                        # The comfort of the landing state over the best cell's.
+                        float(pref.values[z] / pref.max_value),
+                        jsd_latent(parent.belief, infant.state),
+                    )
+                )
+                on_round(speaker, outcome, z, rare)
+
+            return dialogue.run_iteration(parent, infant, world, *args, on_round=record, **kwargs)
+
+        monkeypatch.setattr(harness, "run_iteration", run_iteration)
+        rounds = run_trial(config, condition, 0).rounds
+        speaker, true_x, true_y, c_norm, jsd_z = map(np.array, zip(*seen))
+        assert rounds["speaker"].tolist() == speaker.tolist()
+        assert np.array_equal(rounds["true_x"], true_x)
+        assert np.array_equal(rounds["true_y"], true_y)
+        assert rounds["c_norm"].tobytes() == c_norm.tobytes()
+        assert rounds["jsd_z"].tobytes() == jsd_z.tobytes()
+
+
 class TestTrialCsvFuzz:
     def test_damaged_files_fail_naming_the_file(self, mhng_log, tmp_path):
         # Cut after a random row, swap two rows, or corrupt a numeric cell.
@@ -274,6 +314,24 @@ class TestBeliefsCsv:
         )
         harness._write_csv(tmp_path / "csv.csv", harness.BELIEF_HEADER, rows)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
+
+    @pytest.mark.parametrize("condition", CONDITION_NAMES)
+    def test_bytes_equal_the_generic_writer(self, condition, tmp_path):
+        # Infant lines from the one-hot cell strings against lines formatted
+        # from infant_round_beliefs(), and the file reads back.
+        log = run_trial(small_config(dump_beliefs=True), condition, 0)
+        write_beliefs_csv(log, tmp_path / "fast.csv")
+        write_beliefs_csv_generic(log, tmp_path / "generic.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
+        parent_rounds, infant_rounds = load_beliefs_csv(tmp_path / "fast.csv")
+        assert np.allclose(parent_rounds, log.parent_round_beliefs, atol=1e-9)
+        assert np.array_equal(infant_rounds, log.infant_round_beliefs())
+
+    def test_one_hot_cells_are_the_formatted_rows(self):
+        eye = np.eye(36)
+        assert len(harness.ONE_HOT_CELLS) == 36
+        for k, cells in enumerate(harness.ONE_HOT_CELLS):
+            assert cells == ",".join("%.9g" % v for v in eye[k])
 
     def test_same_bytes_with_or_without_the_dump_flag(self, mhng_log, tmp_path):
         # Every trial records the parent's beliefs; the flag only decides
@@ -497,3 +555,16 @@ class TestRunExperiment:
         cfg = small_config(trials=trials, iterations=3, workers=workers, out_dir=str(tmp_path))
         run_experiment(cfg)
         assert sizes == started
+
+    def test_world_is_built_once_per_run(self, tmp_path, monkeypatch):
+        # Every trial of a run shares the world the run built.
+        built = []
+
+        def counting_build_world(config):
+            built.append(config)
+            return build_world(config)
+
+        monkeypatch.setattr(harness, "build_world", counting_build_world)
+        cfg = small_config(conditions=("mhng", "b-led"), trials=2, iterations=3)
+        run_experiment(cfg.replaced(out_dir=str(tmp_path)))
+        assert len(built) == 1

@@ -22,8 +22,9 @@ from dyadreg.metrics import (
     kld_B_error,
     shuffle_control,
 )
-from dyadreg.probability import js_divergence, make_rng, one_hot_index
-from oracles import kl_divergence, mean_column_kl
+from dyadreg.probability import make_rng, one_hot_index
+from oracles import js_divergence, kl_divergence, mean_column_kl
+from oracles import jsd_latent as scalar_jsd_latent
 
 
 @pytest.fixture(scope="module")
@@ -143,12 +144,24 @@ class TestModelErrors:
             kld_B_error(world.tensor, world.tensor[:, :, 0], Action.SLEEP)
 
 
+def assert_batched_equals_scalar(parents, states):
+    """The row-batched divergence, given the infant's states or its one-hot
+    rows, against the scalar oracles row by row, bit for bit."""
+    parents, states = np.array(parents), np.array(states)
+    eye = np.eye(N_STATES)
+    expected = np.array([scalar_jsd_latent(p, k) for p, k in zip(parents, states)])
+    general = np.array([js_divergence(p, eye[k]) for p, k in zip(parents, states)])
+    assert general.tobytes() == expected.tobytes()
+    assert jsd_latent(parents, states).tobytes() == expected.tobytes()
+    assert jsd_latent(parents, eye[states]).tobytes() == expected.tobytes()
+
+
 class TestJsdLatent:
     def test_identical_beliefs(self):
-        assert jsd_latent(np.eye(N_STATES)[14], 14) == 0.0
+        assert jsd_latent(np.eye(N_STATES)[[14]], np.array([14])).tolist() == [0.0]
 
     def test_frozen_uniform_vs_pinned(self):
-        v = jsd_latent(np.full(N_STATES, 1.0 / N_STATES), 14)
+        (v,) = jsd_latent(np.full((1, N_STATES), 1.0 / N_STATES), np.array([14]))
         assert v == pytest.approx(0.629296055790274, abs=1e-12)
 
     def test_one_hot_infant_equals_js_divergence(self, world, pref):
@@ -159,6 +172,7 @@ class TestJsdLatent:
         infant = init_agent(AgentKind.INFANT, world, pref)
         assert infant.state is None
         rng = make_rng(71)
+        parents, states = [], []
         for step in range(300):
             if step == 150:
                 infant.belief = rng.dirichlet(np.ones(N_STATES))
@@ -169,7 +183,10 @@ class TestJsdLatent:
             parent.learn_A(parent.belief, obs)
             assert infant.state == obs
             p, q = parent.belief, infant.belief
-            assert jsd_latent(p, infant.state) == js_divergence(p, q)
+            assert scalar_jsd_latent(p, infant.state) == js_divergence(p, q)
+            parents.append(p.copy())
+            states.append(infant.state)
+        assert_batched_equals_scalar(parents, states)
 
     def test_one_hot_infant_against_sparse_parents(self):
         # Parent beliefs with exact zeros, subnormal cells, or the infant's
@@ -177,15 +194,32 @@ class TestJsdLatent:
         # give a zero mixture cell; both forms leave its term out.
         rng = make_rng(73)
         eye = np.eye(N_STATES)
+        parents, states = [], []
         for _ in range(2000):
             k = int(rng.integers(N_STATES))
             p = rng.dirichlet(np.full(N_STATES, 10.0 ** rng.uniform(-3, 1)))
             p[rng.random(N_STATES) < 0.3] = 0.0
             p = p / p.sum() if p.sum() > 0.0 else eye[k]
             for parent in (p, eye[k], eye[(k + 1) % N_STATES]):
-                v = jsd_latent(parent, k)
+                v = scalar_jsd_latent(parent, k)
                 assert v == js_divergence(parent, eye[k])
                 assert np.isfinite(v) and v <= np.log(2) + 1e-9
+                parents.append(parent)
+                states.append(k)
+        assert_batched_equals_scalar(parents, states)
+
+    def test_every_count_of_summed_cells(self):
+        # Rows with 1 to 36 positive cells, shuffled so that rows of one
+        # count are not adjacent: each count is summed as its own block.
+        rng = make_rng(79)
+        p = np.zeros((N_STATES, N_STATES))
+        for row, count in enumerate(rng.permutation(N_STATES) + 1):
+            p[row, rng.choice(N_STATES, count, replace=False)] = rng.dirichlet(np.ones(count))
+        q = p[::-1].copy()
+        assert sorted((p > 0.0).sum(axis=1)) == list(range(1, N_STATES + 1))
+        expected = np.array([js_divergence(a, b) for a, b in zip(p, q)])
+        assert jsd_latent(p, q).tobytes() == expected.tobytes()
+        assert_batched_equals_scalar(p, rng.integers(N_STATES, size=N_STATES))
 
 
 class TestAucWindow:

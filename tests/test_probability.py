@@ -6,12 +6,11 @@ from dyadreg.probability import (
     derive_seed,
     digamma,
     dirichlet_mean,
-    js_divergence,
     make_rng,
     sample,
     softmax_neg,
 )
-from oracles import dirichlet_expected_entropy, entropy, kl_divergence
+from oracles import dirichlet_expected_entropy, entropy, js_divergence, kl_divergence
 
 LN2 = 0.6931471805599453
 LN36 = 3.58351893845611

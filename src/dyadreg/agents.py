@@ -21,7 +21,7 @@ from .environment import (
     identity_sensory_map,
     preferred_obs_distribution,
 )
-from .probability import KL_FLOOR, Categorical, digamma, dirichlet_mean, one_hot_index, softmax_neg
+from .probability import KL_FLOOR, Categorical, digamma, dirichlet_mean, softmax_neg
 
 # Flat Dirichlet concentration of every learned cell: 1/36 per cell gives
 # each 36-cell column a total prior weight of one observation (Perks'
@@ -186,29 +186,21 @@ class Agent:
         """Accumulate the outer product of consecutive beliefs into the
         transition counts for `action`.
 
-        From a one-hot previous belief at s the product is zero outside
-        source column s, so only that column is counted and renormalized,
-        with its cells summed in the order slice.sum(axis=0) sums them.
+        Source column s of the product is posterior * prev_posterior[s], so
+        only the columns where the previous belief is positive are counted
+        and renormalized, each with its cells summed in order. From a sensed
+        state that is one column; from the uniform start belief, all 36.
         """
         if self.trans_concentration is None:
             raise ValueError(f"{self.kind.value} does not learn the dynamics")
-        s = one_hot_index(prev_posterior)
-        if s is None:
-            self.trans_concentration[:, :, action] += np.outer(posterior, prev_posterior)
-            slice_a = self.trans_concentration[:, :, action]
-            self.B[:, :, action] = slice_a / slice_a.sum(axis=0, keepdims=True)
-            self._B_rows[:, action::N_ACTIONS] = self.B[:, :, action].T
+        for s in prev_posterior.nonzero()[0].tolist():
+            counts = self.trans_concentration[:, s, action]
+            counts += posterior * prev_posterior[s]
+            column = counts / counts.cumsum()[-1]
+            self.B[:, s, action] = column
+            self._B_rows[s, action::N_ACTIONS] = column
             if self._risk is not None:
-                risk_terms = _risk_terms(self.B[:, :, action], self._log_pref)
-                self._risk[:, action] = risk_terms.sum(axis=0)
-            return
-        counts = self.trans_concentration[:, s, action]
-        counts += posterior
-        column = counts / counts.cumsum()[-1]
-        self.B[:, s, action] = column
-        self._B_rows[s, action::N_ACTIONS] = column
-        if self._risk is not None:
-            self._risk[s, action] = _risk_terms(column, self._log_pref).cumsum()[-1]
+                self._risk[s, action] = _risk_terms(column, self._log_pref).cumsum()[-1]
 
     def _refresh_sensory(self, obs: int | None = None):
         """Ambiguity of each state's sensory column, and for a learned map

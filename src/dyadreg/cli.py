@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--condition",
                 choices=CONDITION_NAMES,
                 default=None,
-                help="negotiation rule (default mhng)",
+                help="negotiation rule (default: the config's first condition)",
             )
         else:
             p.add_argument(
@@ -177,7 +177,7 @@ def _cmd_shuffle(args) -> int:
     name = trial_files(args.condition, args.trial_index)[1]
     if name not in manifest.artifacts:
         raise FileNotFoundError(f"{run_dir / name} not found; rerun with --dump-beliefs")
-    parent_seq, infant_seq = (rounds[1::2] for rounds in load_beliefs_csv(run_dir / name))
+    parent_seq, infant_states = (rounds[1::2] for rounds in load_beliefs_csv(run_dir / name))
     n = parent_seq.shape[0]
     lo, hi = args.window_start - 1, args.window_end - 1
     window = f"window [{args.window_start}, {args.window_end}]"
@@ -190,8 +190,8 @@ def _cmd_shuffle(args) -> int:
     else:
         config = ExperimentConfig.from_dict(manifest.config)
         seeds = shuffle_seeds(config, args.condition, args.trial_index)
-    original = shuffle_control(parent_seq[lo : hi + 1], infant_seq[lo : hi + 1])
-    auc_shuffled, median_shuffled = shuffled_window(parent_seq, infant_seq, seeds, lo, hi)
+    original = shuffle_control(parent_seq[lo : hi + 1], infant_states[lo : hi + 1])
+    auc_shuffled, median_shuffled = shuffled_window(parent_seq, infant_states, seeds, lo, hi)
     result = {
         "condition": args.condition,
         "trial": args.trial_index,
@@ -228,7 +228,10 @@ def _cmd_report(args) -> int:
     logs = []
     for cond, seeds in manifest.trial_seeds.items():
         for t in range(len(seeds)):
-            path = run_dir / trial_files(cond, t)[0]
+            name = trial_files(cond, t)[0]
+            if name not in manifest.artifacts:
+                raise ValueError(f"{run_dir / 'manifest.json'}: does not list {name}")
+            path = run_dir / name
             log = load_trial_csv(path)
             rounds = log.rounds
             if not (np.all(rounds["condition"] == cond) and np.all(rounds["trial"] == t)):

@@ -80,7 +80,7 @@ def shuffle_seeds(config: ExperimentConfig, condition: str, trial_index: int) ->
     ]
 
 
-def shuffled_window(parent_seq, infant_seq, seeds, lo: int, hi: int) -> tuple:
+def shuffled_window(parent_seq, infant_states, seeds, lo: int, hi: int) -> tuple:
     """The time-shuffle control over the inclusive 0-based iteration window
     [lo, hi]: the AUC and the median of the shuffled belief divergence,
     each the mean over one permutation per seed. summary.json and the
@@ -90,7 +90,7 @@ def shuffled_window(parent_seq, infant_seq, seeds, lo: int, hi: int) -> tuple:
     aucs, medians = [], []
     for seed in seeds:
         rows = make_rng(seed).permutation(n)[lo : hi + 1]
-        shuffled = shuffle_control(parent_seq[lo : hi + 1], infant_seq[rows])
+        shuffled = shuffle_control(parent_seq[lo : hi + 1], infant_states[rows])
         aucs.append(auc_window(shuffled, 0, hi - lo))
         medians.append(np.median(shuffled))
     return float(np.mean(aucs)), float(np.mean(medians))
@@ -129,13 +129,15 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int, env=None) -
     # from a sensed previous state only its source column, so the Sleep
     # error moves only after a Sleep round, by that column's KL.
     sleep_kls = np.empty(N_STATES)
-    kld_B_sleep = kld_B_error(world.tensor, infant.B, Action.SLEEP, sleep_kls)
+    kld_B_sleep = kld_B_error(world.tensor, infant.B, Action.SLEEP, sleep_kls, range(N_STATES))
     prev_state = infant.state
 
     def on_round(speaker, outcome, z, rare):
         nonlocal kld_B_sleep, prev_state
         if outcome.shared_w == Action.SLEEP:
-            kld_B_sleep = kld_B_error(world.tensor, infant.B, Action.SLEEP, sleep_kls, prev_state)
+            # Learning from the uniform start belief touched every column.
+            columns = range(N_STATES) if prev_state is None else (prev_state,)
+            kld_B_sleep = kld_B_error(world.tensor, infant.B, Action.SLEEP, sleep_kls, columns)
         prev_state = infant.state
         parent_round_beliefs[len(recorded)] = parent.belief
         recorded.append(
@@ -285,13 +287,15 @@ def write_beliefs_csv(log: TrialLog, path):
 
 
 def load_beliefs_csv(path) -> tuple:
-    """The parent's and the infant's belief after every round, each a
-    (rounds, states) array; an iteration's beliefs are its [1::2] rows.
+    """The parent's belief after every round, a (rounds, states) array, and
+    the state the infant sensed after every round, one per round; an
+    iteration's are its [1::2] rows.
 
     The rows must be the parent's, then the infant's, for rounds 1 and 2 of
-    iterations 1, 2, ... in order, every cell must parse, and every belief
-    must be finite and non-negative and sum to 1 within RENORM_TOL;
-    otherwise ValueError names the file."""
+    iterations 1, 2, ... in order, every cell must parse, every belief
+    must be finite and non-negative and sum to 1 within RENORM_TOL, and
+    every infant belief must be exactly one-hot; otherwise ValueError
+    names the file."""
     rows = _read_csv(path, BELIEF_HEADER)
     try:
         labels = [(int(row[0]), int(row[1]), row[2]) for row in rows]
@@ -313,7 +317,13 @@ def load_beliefs_csv(path) -> tuple:
             f"{path}: line {np.flatnonzero(bad)[0] + 2}: a belief must be finite "
             "and non-negative and sum to 1"
         )
-    return values[0::2], values[1::2]
+    infant = values[1::2]
+    states = infant.argmax(axis=1)
+    bad = (infant != np.eye(N_STATES)[states]).any(axis=1)
+    if bad.any():
+        line = 2 * np.flatnonzero(bad)[0] + 3
+        raise ValueError(f"{path}: line {line}: an infant belief must be one-hot")
+    return values[0::2], states
 
 
 def write_trial_files(log: TrialLog, out: Path, dump_beliefs: bool) -> list:
@@ -343,7 +353,7 @@ def _alignment_stats(config: ExperimentConfig, log: TrialLog) -> dict:
         out["auc_original"] = auc_window(series, lo, hi)
         seeds = shuffle_seeds(config, log.condition, log.trial_index)
         out["auc_shuffled"], _ = shuffled_window(
-            log.parent_round_beliefs[1::2], log.infant_round_beliefs()[1::2], seeds, lo, hi
+            log.parent_round_beliefs[1::2], log.landing_states()[1::2], seeds, lo, hi
         )
     s_lo, s_hi = SPIKE_RANGE[0] - 1, min(SPIKE_RANGE[1] - 1, n - 1)
     if s_lo <= s_hi:

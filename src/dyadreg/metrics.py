@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .environment import N_LEVELS, N_STATES, PriorPreference
+from .environment import N_LEVELS, PriorPreference
 from .probability import KL_FLOOR
 
 # Iteration window (1-based, inclusive) for alignment medians and AUC.
@@ -25,29 +25,6 @@ SPIKE_RANGE = (20, 1000)
 def c_norm(states, pref: PriorPreference) -> np.ndarray:
     """Comfort of each flat true state, scaled so the best cell scores 1."""
     return pref.values[states] / pref.max_value
-
-
-def column_kls(true_cols: np.ndarray, learned_cols: np.ndarray) -> np.ndarray:
-    """KL(p_j || q_j) = sum_i p_ij (ln p_ij - ln q_ij) between matching
-    columns of two column-stochastic matrices: learned cells are floored at
-    KL_FLOOR and renormalized per column."""
-    p = np.asarray(true_cols, dtype=float)
-    q = np.asarray(learned_cols, dtype=float)
-    if p.shape != q.shape or p.ndim != 2:
-        raise ValueError(f"column shapes must match: {p.shape} vs {q.shape}")
-    q = np.maximum(q, KL_FLOOR)
-    q = q / q.sum(axis=0, keepdims=True)
-    terms = np.where(p > 0.0, p * (np.log(np.where(p > 0.0, p, 1.0)) - np.log(q)), 0.0)
-    return terms.sum(axis=0)
-
-
-def _column_kl(true_col: np.ndarray, learned_col: np.ndarray) -> float:
-    """One column of column_kls, over the true column's nonzero cells: the
-    others add exact zeros to its sum, which runs in the same order."""
-    q = np.maximum(learned_col, KL_FLOOR)
-    nz = np.flatnonzero(true_col)
-    p = true_col[nz]
-    return float((p * (np.log(p) - np.log(q[nz] / q.cumsum()[-1]))).cumsum()[-1])
 
 
 def kld_A_error(learned_sensory: np.ndarray) -> float:
@@ -62,27 +39,26 @@ def kld_B_error(
     dynamics_true: np.ndarray,
     dynamics_learned: np.ndarray,
     action: int,
-    kls: Optional[np.ndarray] = None,
-    column: Optional[int] = None,
+    kls: np.ndarray,
+    columns: Iterable[int],
 ) -> float:
     """Mean per-state KL between the exact and learned transition columns
     of one action.
 
-    Given `kls`, the per-column KLs are kept there: all of them are
-    computed, or, given the one source `column` learned since they were,
-    only that column's.
+    `kls` keeps the per-column KLs, KL(p_j || q_j) = sum_i p_ij (ln p_ij -
+    ln q_ij) with the learned column floored at KL_FLOOR and renormalized;
+    only those of `columns`, the source columns learned since, are
+    recomputed. Each is summed in order over the true column's nonzero
+    cells, since the others add exact zeros.
     """
     if dynamics_true.shape != dynamics_learned.shape or dynamics_true.ndim != 3:
         raise ValueError("dynamics tensors must share a (n, n, actions) shape")
-    if column is None:
-        per_column = column_kls(dynamics_true[:, :, action], dynamics_learned[:, :, action])
-        if kls is None:
-            return float(per_column.sum() / per_column.size)
-        kls[:] = per_column
-    else:
-        kls[column] = _column_kl(
-            dynamics_true[:, column, action], dynamics_learned[:, column, action]
-        )
+    for j in columns:
+        q = np.maximum(dynamics_learned[:, j, action], KL_FLOOR)
+        true_col = dynamics_true[:, j, action]
+        nz = true_col.nonzero()[0]
+        p = true_col[nz]
+        kls[j] = (p * (np.log(p) - np.log(q[nz] / q.cumsum()[-1]))).cumsum()[-1]
     return float(kls.sum() / kls.size)
 
 
@@ -105,25 +81,20 @@ def _js_half(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def jsd_latent(parent_beliefs: np.ndarray, infant_beliefs: np.ndarray) -> np.ndarray:
-    """Jensen-Shannon divergence in nats between matching rows of two
-    (rows, states) belief stacks, computed against the even mixture m with
-    no smoothing: symmetric, bounded by ln 2.
+def jsd_latent(parent_beliefs: np.ndarray, infant_states: np.ndarray) -> np.ndarray:
+    """Jensen-Shannon divergence in nats between each row of a (rows,
+    states) stack of the parent's beliefs and the infant's belief, one-hot
+    at the state k that row's infant senses. It is computed against the
+    even mixture m with no smoothing: symmetric, bounded by ln 2.
 
-    The infant's beliefs may be given as the state k each row senses, which
-    stands for the one-hot row at k. The mixture is then half the parent's
-    row off k, and the infant's half of the divergence is one cell's,
-    0 - ln m_k.
+    The mixture is half the parent's row off k, and the infant's half of
+    the divergence is one cell's, 0 - ln m_k.
     """
     p = parent_beliefs
-    if infant_beliefs.ndim == 1:
-        rows, k = np.arange(len(p)), infant_beliefs
-        m = 0.5 * p
-        m[rows, k] = 0.5 * (p[rows, k] + 1.0)
-        infant_half = 0.0 - np.log(m[rows, k])
-    else:
-        m = 0.5 * (p + infant_beliefs)
-        infant_half = _js_half(infant_beliefs, m)
+    rows, k = np.arange(len(p)), infant_states
+    m = 0.5 * p
+    m[rows, k] = 0.5 * (p[rows, k] + 1.0)
+    infant_half = 0.0 - np.log(m[rows, k])
     return np.maximum(0.5 * _js_half(p, m) + 0.5 * infant_half, 0.0)
 
 
@@ -138,8 +109,9 @@ def auc_window(series, start: int, end: int) -> float:
     return float(np.trapezoid(s[start : end + 1]))
 
 
-def shuffle_control(parent_seq, infant_seq) -> np.ndarray:
-    """Belief divergence of two aligned sequences, row by row.
+def shuffle_control(parent_seq, infant_states) -> np.ndarray:
+    """Belief divergence of the parent's belief sequence and the infant's
+    aligned sensed states, row by row.
 
     Fed the infant side permuted in time (harness.shuffled_window), this is
     the time-shuffle control: breaking simultaneity tells apart genuine
@@ -147,13 +119,11 @@ def shuffle_control(parent_seq, infant_seq) -> np.ndarray:
     stationary profile.
     """
     p_seq = np.asarray(parent_seq, dtype=float)
-    i_seq = np.asarray(infant_seq, dtype=float)
-    if p_seq.shape != i_seq.shape or p_seq.ndim != 2:
-        raise ValueError("belief sequences must share a (steps, states) shape")
+    states = np.asarray(infant_states)
+    if p_seq.ndim != 2 or states.shape != p_seq.shape[:1]:
+        raise ValueError("need a (steps, states) belief sequence and one infant state per step")
     # Each row is renormalized first: the artifacts depend on these bits.
-    return jsd_latent(
-        p_seq / p_seq.sum(axis=1, keepdims=True), i_seq / i_seq.sum(axis=1, keepdims=True)
-    )
+    return jsd_latent(p_seq / p_seq.sum(axis=1, keepdims=True), states)
 
 
 # The per-round trial log, one column per trial-CSV column, in CSV order.
@@ -197,12 +167,6 @@ class TrialLog:
     def landing_states(self) -> np.ndarray:
         """The flat true state each round landed in, from its true_x and true_y."""
         return self.rounds["true_y"] * N_LEVELS + self.rounds["true_x"]
-
-    def infant_round_beliefs(self) -> np.ndarray:
-        """The infant's belief after each round: it senses its state through
-        the exact identity map, so every round leaves it one-hot at the state
-        it landed in (Agent.assimilate)."""
-        return np.eye(N_STATES)[self.landing_states()]
 
     def iteration_series(self, name: str) -> np.ndarray:
         """One value per iteration: the second round's, except that the

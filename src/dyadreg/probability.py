@@ -74,12 +74,6 @@ def sample(p: np.ndarray, rng: np.random.Generator) -> int:
     return min(idx, p.size - 1)
 
 
-def one_hot_index(p: np.ndarray) -> int | None:
-    """The index of the single 1 if p is exactly a one-hot vector, else None."""
-    i = int(p.argmax())
-    return i if p[i] == 1.0 and np.count_nonzero(p) == 1 else None
-
-
 def dirichlet_mean(concentrations, axis: int = 0) -> np.ndarray:
     """Mean of independent Dirichlet distributions stacked along `axis`.
 

@@ -8,8 +8,7 @@ or a helper that reaches into a trial for what its log does not keep.
 import numpy as np
 
 from dyadreg import harness
-from dyadreg.environment import N_STATES
-from dyadreg.metrics import column_kls
+from dyadreg.environment import N_ACTIONS, N_STATES
 from dyadreg.probability import KL_FLOOR, digamma
 
 
@@ -82,16 +81,46 @@ def dirichlet_expected_entropy(concentrations) -> float:
     return float(digamma(c0 + 1.0) - (c * digamma(c + 1.0)).sum() / c0)
 
 
+def one_hot_index(p: np.ndarray) -> int | None:
+    """The index of the single 1 if p is exactly a one-hot vector, else None."""
+    i = int(p.argmax())
+    return i if p[i] == 1.0 and np.count_nonzero(p) == 1 else None
+
+
+def column_kls(true_cols: np.ndarray, learned_cols: np.ndarray) -> np.ndarray:
+    """KL(p_j || q_j) = sum_i p_ij (ln p_ij - ln q_ij) between matching
+    columns of two column-stochastic matrices: learned cells are floored at
+    KL_FLOOR and renormalized per column."""
+    p = np.asarray(true_cols, dtype=float)
+    q = np.asarray(learned_cols, dtype=float)
+    if p.shape != q.shape or p.ndim != 2:
+        raise ValueError(f"column shapes must match: {p.shape} vs {q.shape}")
+    q = np.maximum(q, KL_FLOOR)
+    q = q / q.sum(axis=0, keepdims=True)
+    terms = np.where(p > 0.0, p * (np.log(np.where(p > 0.0, p, 1.0)) - np.log(q)), 0.0)
+    return terms.sum(axis=0)
+
+
 def mean_column_kl(true_cols: np.ndarray, learned_cols: np.ndarray) -> float:
     """Average of column_kls."""
     return float(column_kls(true_cols, learned_cols).mean())
 
 
+def outer_product_learn_B(agent, prev, post, action):
+    """Agent.learn_B's general form, whatever the beliefs: count the outer
+    product, renormalize the whole action slice, copy it into the rows."""
+    agent.trans_concentration[:, :, action] += np.outer(post, prev)
+    slice_a = agent.trans_concentration[:, :, action]
+    agent.B[:, :, action] = slice_a / slice_a.sum(axis=0, keepdims=True)
+    agent._B_rows[:, action::N_ACTIONS] = agent.B[:, :, action].T
+
+
 def write_beliefs_csv(log, path):
     """The belief dump with every line formatted from its 36 floats, the
-    infant's from TrialLog.infant_round_beliefs()."""
+    infant's one-hot at the state each round landed in."""
     line = "%d,%d,%s" + ",%.9g" * N_STATES + "\r\n"
-    rounds = zip(log.parent_round_beliefs.tolist(), log.infant_round_beliefs().tolist())
+    infant = np.eye(N_STATES)[log.landing_states()]
+    rounds = zip(log.parent_round_beliefs.tolist(), infant.tolist())
     with open(path, "w", newline="") as fh:
         fh.write(",".join(harness.BELIEF_HEADER) + "\r\n")
         fh.writelines(

@@ -181,9 +181,8 @@ def test_criterion_4_shuffle_control(mhng_summary):
 
 
 def test_batched_divergence_on_every_round_of_the_grid(grid):
-    # The row-batched divergence, in both forms of the infant's beliefs,
-    # gives the scalar oracle's bits on all 180,000 rounds of the grid.
-    eye = np.eye(36)
+    # The row-batched divergence gives the scalar oracle's bits on all
+    # 180,000 rounds of the grid.
     for runs in grid.values():
         for logs in runs.values():
             for log in logs:
@@ -191,7 +190,6 @@ def test_batched_divergence_on_every_round_of_the_grid(grid):
                 expected = np.array([scalar_jsd_latent(*pair) for pair in zip(p, k)]).tobytes()
                 assert log.rounds["jsd_z"].tobytes() == expected
                 assert jsd_latent(p, k).tobytes() == expected
-                assert jsd_latent(p, eye[k]).tobytes() == expected
 
 
 def test_criterion_5_spike_association(mhng_summary):
@@ -259,7 +257,7 @@ def test_criterion_7_dirichlet_counting_oracle(monkeypatch):
     alpha = np.full((36, 36), cfg.dirichlet_prior)
     beta = np.full((36, 36, 5), cfg.dirichlet_prior)
     prev_infant = np.full(36, 1.0 / 36.0)
-    infant = log.infant_round_beliefs()
+    infant = np.eye(36)[log.landing_states()]
     for r, rec in enumerate(log.rounds):
         obs = rec["true_y"] * 6 + rec["true_x"]
         alpha[:, obs] += log.parent_round_beliefs[r]

@@ -10,7 +10,6 @@ from dyadreg.agents import (
 )
 from dyadreg.environment import (
     Action,
-    N_ACTIONS,
     N_STATES,
     VisceralState,
     build_prior_preference,
@@ -19,7 +18,7 @@ from dyadreg.environment import (
     preferred_obs_distribution,
 )
 from dyadreg.probability import KL_FLOOR, Categorical, make_rng
-from oracles import dirichlet_expected_entropy, kl_divergence
+from oracles import dirichlet_expected_entropy, kl_divergence, outer_product_learn_B
 
 
 @pytest.fixture(scope="module")
@@ -298,15 +297,6 @@ def infant_rounds(infant, rng, steps=150):
         yield prev, new, action
 
 
-def outer_product_learn_B(agent, prev, post, action):
-    """learn_B's general form, whatever the beliefs: count the outer
-    product, renormalize the whole action slice, copy it into the rows."""
-    agent.trans_concentration[:, :, action] += np.outer(post, prev)
-    slice_a = agent.trans_concentration[:, :, action]
-    agent.B[:, :, action] = slice_a / slice_a.sum(axis=0, keepdims=True)
-    agent._B_rows[:, action::N_ACTIONS] = agent.B[:, :, action].T
-
-
 class TestStructureShortcuts:
     """An agent whose sensory map is the exact identity takes exact
     shortcuts; each must give the general path's bits."""
@@ -370,7 +360,7 @@ class TestStructureShortcuts:
     def test_risk_table_equals_general_formula(self, world, pref):
         # Every row of the table, after every round's learning: the first
         # from the uniform start belief and one from a belief set halfway
-        # renormalize a whole slice, the others one column.
+        # learn all 36 source columns, the others one column.
         infant = init_agent(AgentKind.INFANT, world, pref)
         states = np.eye(N_STATES)
         for prev, new, action in infant_rounds(infant, make_rng(59)):

@@ -279,6 +279,31 @@ class TestShuffleControl:
         assert captured.err.startswith(f"error: {path}: line {line + 1}: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "probs",
+        [["0.5", "0.5"] + ["0"] * 34, ["0.9999999", "1e-07"] + ["0"] * 34],
+        ids=["two states", "almost one-hot"],
+    )
+    def test_infant_belief_that_is_not_one_hot_fails_in_one_line(
+        self, finished_run, tmp_path, capsys, probs
+    ):
+        # A valid belief, but the infant senses its state: iteration 30's
+        # second infant row, inside the window.
+        run = tmp_path / "run"
+        shutil.copytree(finished_run, run)
+        path = run / "trials" / "mhng_t00_beliefs.csv"
+        lines = path.read_text().splitlines()
+        line = 1 + 4 * 29 + 3
+        assert lines[line].split(",")[:3] == ["30", "2", "infant"]
+        lines[line] = ",".join(lines[line].split(",")[:3] + probs)
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("shuffle-control", "--run", str(run)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: line {line + 1}: an infant belief must be one-hot\n"
+        )
+
     def test_averages_the_runs_permutations_like_the_summary(self, tmp_path, capsys):
         out = tmp_path / "run"
         run_experiment(
@@ -359,6 +384,17 @@ class TestRunDirectory:
         assert run_cli("report", "--run", str(run_copy)) == 0
         row = next(line for line in capsys.readouterr().out.splitlines() if "mhng" in line)
         assert row.split()[:2] == ["mhng", "2"]
+
+    def test_report_refuses_an_unlisted_trial_csv(self, run_copy, capsys):
+        # The file is there, but the manifest does not list it.
+        path = run_copy / "manifest.json"
+        body = json.loads(path.read_text())
+        body["artifacts"].remove("trials/mhng_t00.csv")
+        path.write_text(json.dumps(body))
+        assert run_cli("report", "--run", str(run_copy)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: does not list trials/mhng_t00.csv\n"
 
     # Fields of another JSON type than the readers of a run index them by.
     MISTYPED = {

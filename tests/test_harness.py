@@ -25,9 +25,8 @@ from dyadreg.harness import (
     write_beliefs_csv,
     write_trial_csv,
 )
-from dyadreg.metrics import kld_B_error
 from dyadreg.probability import derive_seed, make_rng
-from oracles import jsd_latent, run_trial_keeping_agents
+from oracles import jsd_latent, mean_column_kl, run_trial_keeping_agents
 from oracles import write_beliefs_csv as write_beliefs_csv_generic
 
 ITERATION_SERIES = ("c_norm", "jsd_z", "kld_A", "kld_B_sleep", "rare_branch")
@@ -65,7 +64,7 @@ class TestRunTrial:
         assert len(mhng_log.iteration_series("jsd_z")) == 30
         assert len(mhng_log.rounds) == 60
         assert mhng_log.parent_round_beliefs.shape == (60, 36)
-        assert mhng_log.infant_round_beliefs().shape == (60, 36)
+        assert mhng_log.landing_states().shape == (60,)
         assert mhng_log.seed == trial_seed(3, "mhng", 0)
 
     def test_round_bookkeeping(self, mhng_log):
@@ -89,18 +88,16 @@ class TestRunTrial:
             assert m["rare_branch"][i] == (first["rare_branch"] or second["rare_branch"])
 
     def test_beliefs_are_valid_rows(self, mhng_log):
-        for mat in (mhng_log.parent_round_beliefs, mhng_log.infant_round_beliefs()):
-            assert np.all(mat >= 0.0)
-            assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-9)
-        # Identity sensing pins the infant to one state per round.
-        assert np.allclose(mhng_log.infant_round_beliefs().max(axis=1), 1.0)
+        mat = mhng_log.parent_round_beliefs
+        assert np.all(mat >= 0.0)
+        assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-9)
 
     @pytest.mark.parametrize("round_order", ROUND_ORDERS)
     @pytest.mark.parametrize("condition", CONDITION_NAMES)
     def test_infant_belief_is_the_landing_state(self, condition, round_order):
-        # TrialLog.infant_round_beliefs() rests on this: after every round
-        # the infant's belief is, bit for bit, the one-hot vector of the
-        # state the world landed in.
+        # The log keeps only TrialLog.landing_states() for the infant, on
+        # this ground: after every round its belief is, bit for bit, the
+        # one-hot vector of the state the world landed in.
         world, pref = build_world(ExperimentConfig())
         parent, infant = (init_agent(kind, world, pref) for kind in AgentKind)
         rng = make_rng(derive_seed(17, condition, round_order))
@@ -196,11 +193,15 @@ class TestTrialCsv:
 
 class TestSleepOnlyKldB:
     def test_equals_recomputing_every_round(self, monkeypatch):
+        # The trial's first round is Sleep, learned from the infant's
+        # uniform start belief, so every column's KL is renewed once; the
+        # later Sleep rounds renew one column each.
         every_round, actions = [], []
 
         def run_iteration(parent, infant, world, *args, on_round, **kwargs):
             def record(speaker, outcome, z, rare):
-                every_round.append(kld_B_error(world.tensor, infant.B, Action.SLEEP))
+                sleep = Action.SLEEP
+                every_round.append(mean_column_kl(world.tensor[:, :, sleep], infant.B[:, :, sleep]))
                 actions.append(outcome.shared_w)
                 on_round(speaker, outcome, z, rare)
 
@@ -208,8 +209,9 @@ class TestSleepOnlyKldB:
 
         monkeypatch.setattr(harness, "run_iteration", run_iteration)
         log = run_trial(small_config(iterations=120), "mhng", 0)
+        assert actions[0] == Action.SLEEP
         assert 0 < actions.count(Action.SLEEP) < len(actions)
-        assert np.array_equal(log.rounds["kld_B_sleep"], every_round)
+        assert log.rounds["kld_B_sleep"].tobytes() == np.array(every_round).tobytes()
 
 
 class TestColumnsDerivedAfterTheLoop:
@@ -294,10 +296,10 @@ class TestBeliefsCsv:
     def test_round_trip(self, mhng_log, tmp_path):
         path = tmp_path / "beliefs.csv"
         write_beliefs_csv(mhng_log, path)
-        parent_rounds, infant_rounds = load_beliefs_csv(path)
+        parent_rounds, infant_states = load_beliefs_csv(path)
         assert parent_rounds.shape == (60, 36)
         assert np.allclose(parent_rounds, mhng_log.parent_round_beliefs, atol=1e-9)
-        assert np.allclose(infant_rounds, mhng_log.infant_round_beliefs(), atol=1e-9)
+        assert np.array_equal(infant_states, mhng_log.landing_states())
 
     def test_bytes_equal_the_csv_writer(self, tmp_path):
         # The per-row template against the csv module's rows of _fmt cells,
@@ -306,7 +308,8 @@ class TestBeliefsCsv:
         log.parent_round_beliefs[:3] = np.eye(36)[[0, 35, 7]]
         log.parent_round_beliefs[3] = np.full(36, 1.0 / 36)
         write_beliefs_csv(log, tmp_path / "fast.csv")
-        rounds = zip(log.parent_round_beliefs.tolist(), log.infant_round_beliefs().tolist())
+        infant = np.eye(36)[log.landing_states()]
+        rounds = zip(log.parent_round_beliefs.tolist(), infant.tolist())
         rows = (
             [row // 2 + 1, row % 2 + 1, agent, *map(harness._fmt, belief)]
             for row, pair in enumerate(rounds)
@@ -318,14 +321,14 @@ class TestBeliefsCsv:
     @pytest.mark.parametrize("condition", CONDITION_NAMES)
     def test_bytes_equal_the_generic_writer(self, condition, tmp_path):
         # Infant lines from the one-hot cell strings against lines formatted
-        # from infant_round_beliefs(), and the file reads back.
+        # from the one-hot rows, and the file reads back.
         log = run_trial(small_config(dump_beliefs=True), condition, 0)
         write_beliefs_csv(log, tmp_path / "fast.csv")
         write_beliefs_csv_generic(log, tmp_path / "generic.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
-        parent_rounds, infant_rounds = load_beliefs_csv(tmp_path / "fast.csv")
+        parent_rounds, infant_states = load_beliefs_csv(tmp_path / "fast.csv")
         assert np.allclose(parent_rounds, log.parent_round_beliefs, atol=1e-9)
-        assert np.array_equal(infant_rounds, log.infant_round_beliefs())
+        assert np.array_equal(infant_states, log.landing_states())
 
     def test_one_hot_cells_are_the_formatted_rows(self):
         eye = np.eye(36)

@@ -9,6 +9,7 @@ parent learns the observation map, the infant learns the dynamics.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -73,48 +74,53 @@ class Agent:
 
     Holds the sensory map A[obs, z], the dynamics B[z', z, a], the comfort
     preference, a persistent belief, and the Dirichlet concentrations
-    behind whichever of A or B is being learned. The learned matrix is
-    always the mean of its concentrations, so batch replay of the same
-    updates reproduces it exactly. Symbol w names action w. Beliefs and
-    posteriors are plain probability vectors. `state` is the flat state an
-    agent that senses its own state last observed, and None before its
-    first cue and after its belief is set.
+    behind whichever of A or B is being learned. The kind decides which:
+    the parent knows the dynamics and learns A from `concentration`; the
+    infant senses its state through the identity map and learns B from
+    `concentration`, or keeps `transitions` fixed without it. The learned
+    matrix is always the mean of its concentrations, so batch replay of
+    the same updates reproduces it exactly. Symbol w names action w. Beliefs and
+    posteriors are plain probability vectors. `state` is the flat state the
+    infant last observed, and None before its first cue and after its
+    belief is set.
     """
 
     def __init__(
         self,
         kind: AgentKind,
-        sensory: np.ndarray,
         transitions: np.ndarray,
         preferred_obs: np.ndarray,
-        obs_concentration: np.ndarray | None = None,
-        trans_concentration: np.ndarray | None = None,
+        concentration: np.ndarray | None = None,
     ):
         self.kind = kind
         self.preferred_obs = preferred_obs
         self._log_pref = np.log(np.maximum(preferred_obs, KL_FLOOR))
-        self.obs_concentration = obs_concentration
-        self.trans_concentration = trans_concentration
-        self.A = sensory
         self.B = transitions
         # B[z', z, a] as rows z of (z', a) cells: the C-contiguous array
         # np.tensordot(belief, B, axes=(0, 1)) would copy out on every
         # call. learn_B keeps it current.
         self._B_rows = np.ascontiguousarray(transitions.transpose(1, 0, 2)).reshape(N_STATES, -1)
-        # An exact, unlearned identity map means the agent senses its state:
-        # its ambiguity is 0, its predicted cue is its predicted state, and
-        # every observation leaves it certain of the state observed.
-        self._senses_state = obs_concentration is None and np.array_equal(
-            sensory, identity_sensory_map()
-        )
         self.state: int | None = None
         self._belief = np.full(N_STATES, 1.0 / N_STATES)
-        self._refresh_sensory()
-        # Such an agent's EFE from a known state s is its risk alone, the
-        # row _risk[s] over actions. learn_B keeps it current.
-        self._risk = None
-        if self._senses_state:
+        if kind is AgentKind.PARENT:
+            if concentration is None:
+                raise ValueError("a parent needs counts over its sensory map (concentration)")
+            self.obs_concentration = concentration
+            self.trans_concentration = None
+            self._refresh_sensory()
+        elif kind is AgentKind.INFANT:
+            self.obs_concentration = None
+            self.trans_concentration = concentration
+            # Sensing its state, the infant has no ambiguity, its predicted
+            # cue is its predicted state, and every observation leaves it
+            # certain of the state observed.
+            self.A = identity_sensory_map()
+            self._sensory_entropy = np.zeros(N_STATES)
+            # Its EFE from a known state s is its risk alone, the row
+            # _risk[s] over actions. learn_B keeps it current.
             self._risk = _risk_terms(transitions, self._log_pref).sum(axis=0)
+        else:
+            raise ValueError(f"unknown agent kind: {kind!r}")
 
     # -- belief ----------------------------------------------------------
 
@@ -138,7 +144,7 @@ class Agent:
         learning needs.
         """
         prev = self._belief
-        if self._senses_state:
+        if self.kind is AgentKind.INFANT:
             # What update_belief gives under an identity map: pred[obs] /
             # pred[obs] = 1 at obs, 0 elsewhere, and the same vector from its
             # fallback when pred[obs] = 0.
@@ -156,7 +162,7 @@ class Agent:
 
         Ambiguity is the belief-weighted entropy of the sensory columns
         after the one-step prediction, taken in expectation under the
-        Dirichlet where the agent is learning them; risk is the KL from the
+        parent's Dirichlet and zero for the infant; risk is the KL from the
         predicted observation distribution to the comfort distribution.
         """
         if self.state is not None:
@@ -199,27 +205,21 @@ class Agent:
             column = counts / counts.cumsum()[-1]
             self.B[:, s, action] = column
             self._B_rows[s, action::N_ACTIONS] = column
-            if self._risk is not None:
-                self._risk[s, action] = _risk_terms(column, self._log_pref).cumsum()[-1]
+            self._risk[s, action] = _risk_terms(column, self._log_pref).cumsum()[-1]
 
     def _refresh_sensory(self, obs: int | None = None):
-        """Ambiguity of each state's sensory column, and for a learned map
-        the map itself, the mean of its Dirichlet concentrations.
+        """The parent's sensory map, the mean of its Dirichlet
+        concentrations, and the ambiguity of each state's column.
 
-        A known column's ambiguity is its entropy. A learned column's is its
-        expected entropy under the agent's Dirichlet, psi(c0 + 1) - sum_o
-        c_o psi(c_o + 1) / c0, with c0 = sum_o c_o. The entropy
-        of the Dirichlet mean would count the agent's own ignorance of a cue
-        as noise in the cue, and so steer it away from exactly the states
-        whose cues it has yet to learn. The cells' c psi(c + 1) terms are
-        cached, so learning from observation `obs` recomputes only that
-        column of them.
+        A column's ambiguity is its expected entropy under the parent's
+        Dirichlet, psi(c0 + 1) - sum_o c_o psi(c_o + 1) / c0, with
+        c0 = sum_o c_o. The entropy of the Dirichlet mean would count the
+        parent's own ignorance of a cue as noise in the cue, and so steer it
+        away from exactly the states whose cues it has yet to learn. The
+        cells' c psi(c + 1) terms are cached, so learning from observation
+        `obs` recomputes only that column of them.
         """
         c = self.obs_concentration
-        if c is None:
-            a = self.A
-            self._sensory_entropy = -np.where(a > 0.0, a * np.log(np.where(a > 0.0, a, 1.0)), 0.0).sum(axis=0)
-            return
         c0 = c.sum(axis=1)
         self.A = (c / c0[:, None]).T
         if obs is None:
@@ -245,25 +245,10 @@ def init_agent(
     the sensory map; the infant keeps the exact (identity) sensory map and
     starts a flat Dirichlet over the dynamics.
     """
-    if prior_concentration <= 0.0:
-        raise ValueError("prior concentration must be positive")
+    if not 0.0 < prior_concentration < math.inf:
+        raise ValueError("prior concentration must be positive and finite")
     preferred = preferred_obs_distribution(preference, preference_mode)
     if kind is AgentKind.PARENT:
-        alpha = np.full((N_STATES, N_STATES), prior_concentration)
-        return Agent(
-            kind,
-            sensory=dirichlet_mean(alpha, axis=1).T,
-            transitions=truth.tensor,
-            preferred_obs=preferred,
-            obs_concentration=alpha,
-        )
-    if kind is AgentKind.INFANT:
-        beta = np.full((N_STATES, N_STATES, N_ACTIONS), prior_concentration)
-        return Agent(
-            kind,
-            sensory=identity_sensory_map(),
-            transitions=dirichlet_mean(beta, axis=0),
-            preferred_obs=preferred,
-            trans_concentration=beta,
-        )
-    raise ValueError(f"unknown agent kind: {kind!r}")
+        return Agent(kind, truth.tensor, preferred, np.full((N_STATES, N_STATES), prior_concentration))
+    beta = np.full((N_STATES, N_STATES, N_ACTIONS), prior_concentration)
+    return Agent(kind, dirichlet_mean(beta, axis=0), preferred, beta)

@@ -20,7 +20,6 @@ from dyadreg.environment import (
     Action,
     build_prior_preference,
     build_transition_model,
-    identity_sensory_map,
     preferred_obs_distribution,
 )
 from dyadreg.harness import (
@@ -206,11 +205,12 @@ def test_criterion_5_spike_association(mhng_summary):
 
 
 class PinnedAgent:
-    """An agent's kind and its symbol posterior, computed once: with the
-    belief frozen, every round would recompute the same vector."""
+    """A dyad role and an agent's symbol posterior, computed once: with the
+    belief frozen, every round would recompute the same vector. The role
+    decides who speaks; the agent need not be of that kind."""
 
-    def __init__(self, agent):
-        self.kind = agent.kind
+    def __init__(self, kind, agent):
+        self.kind = kind
         self._posterior = agent.symbol_posterior()
 
     def symbol_posterior(self):
@@ -227,14 +227,9 @@ def test_criterion_6_mh_stationarity_oracle():
     for fixture in range(5):
         agents = []
         for kind in (AgentKind.PARENT, AgentKind.INFANT):
-            agent = Agent(
-                kind,
-                sensory=identity_sensory_map(),
-                transitions=world.tensor,
-                preferred_obs=preferred_obs_distribution(pref),
-            )
+            agent = Agent(AgentKind.INFANT, world.tensor, preferred_obs_distribution(pref))
             agent.belief = Categorical(fixture_rng.dirichlet(np.ones(36))).probs
-            agents.append(PinnedAgent(agent))
+            agents.append(PinnedAgent(kind, agent))
         parent, infant = agents
         target = parent.symbol_posterior() * infant.symbol_posterior()
         target = target / target.sum()

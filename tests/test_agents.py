@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from dyadreg.environment import (
     VisceralState,
     build_prior_preference,
     build_transition_model,
-    identity_sensory_map,
     preferred_obs_distribution,
 )
 from dyadreg.probability import KL_FLOOR, Categorical, make_rng
@@ -42,13 +43,9 @@ def fresh_infant(world, pref):
 
 
 def omniscient(world, pref):
-    # Both matrices exact; no learning. Useful for directional checks.
-    return Agent(
-        AgentKind.PARENT,
-        sensory=identity_sensory_map(),
-        transitions=world.tensor,
-        preferred_obs=preferred_obs_distribution(pref),
-    )
+    # An infant with the exact dynamics and no counts: both matrices exact,
+    # no learning. Useful for directional checks.
+    return Agent(AgentKind.INFANT, world.tensor, preferred_obs_distribution(pref))
 
 
 class TestInit:
@@ -68,8 +65,22 @@ class TestInit:
         assert i.obs_concentration is None
 
     def test_rejects_bad_prior(self, world, pref):
-        with pytest.raises(ValueError):
-            init_agent(AgentKind.PARENT, world, pref, prior_concentration=0.0)
+        for kind in AgentKind:
+            for prior in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match="prior concentration"):
+                    init_agent(kind, world, pref, prior_concentration=prior)
+
+    def test_parent_without_counts_is_refused(self, world, pref):
+        with pytest.raises(ValueError, match="counts over its sensory map"):
+            Agent(AgentKind.PARENT, world.tensor, preferred_obs_distribution(pref))
+
+    def test_infant_without_counts_keeps_its_dynamics(self, world, pref):
+        agent = omniscient(world, pref)
+        assert agent.B is world.tensor
+        assert np.array_equal(agent.A, np.eye(N_STATES))
+        uniform = np.full(N_STATES, 1.0 / N_STATES)
+        with pytest.raises(ValueError, match="does not learn the dynamics"):
+            agent.learn_B(uniform, uniform, 0)
 
 
 class TestFiltering:
@@ -298,8 +309,8 @@ def infant_rounds(infant, rng, steps=150):
 
 
 class TestStructureShortcuts:
-    """An agent whose sensory map is the exact identity takes exact
-    shortcuts; each must give the general path's bits."""
+    """The infant senses its state through the exact identity map and
+    takes exact shortcuts; each must give the general path's bits."""
 
     def learned_infant(self, world, pref, seed):
         infant = fresh_infant(world, pref)
@@ -320,19 +331,6 @@ class TestStructureShortcuts:
             prev = infant.belief
             infant.learn_B(prev, random_belief(rng), int(rng.integers(5)))
             assert np.array_equal(infant.efe_per_action(), general_efe(infant))
-
-    def test_known_noisy_map_uses_the_general_path(self, world, pref):
-        rng = make_rng(43)
-        sensory = rng.dirichlet(np.ones(N_STATES), size=N_STATES).T
-        agent = Agent(
-            AgentKind.PARENT,
-            sensory=sensory,
-            transitions=world.tensor,
-            preferred_obs=preferred_obs_distribution(pref),
-        )
-        for _ in range(10):
-            agent.assimilate(int(rng.integers(5)), int(rng.integers(N_STATES)))
-            assert np.array_equal(agent.efe_per_action(), general_efe(agent))
 
     def test_infant_belief_is_one_hot_after_every_assimilate(self, world, pref):
         infant, rng = self.learned_infant(world, pref, 47)

@@ -611,7 +611,7 @@ class BrokenStdout(io.TextIOBase):
 
 
 class TestBrokenPipe:
-    def test_closed_stdout_exits_nonzero_quietly(self, finished_run, monkeypatch, capsys):
+    def test_closed_stdout_exits_nonzero_quietly(self, finished_run, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdout", BrokenStdout())
         code = run_cli("report", "--run", str(finished_run))
         assert code != 0

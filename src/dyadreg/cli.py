@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -37,7 +38,9 @@ from .metrics import (
 ENV_OUT = "DYADREG_OUT"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="dyadreg",
         description="Simulate a parent-infant dyad co-regulating a shared "
@@ -177,8 +180,14 @@ def _cmd_shuffle(args) -> int:
     name = trial_files(args.condition, args.trial_index)[1]
     if name not in manifest.artifacts:
         raise FileNotFoundError(f"{run_dir / name} not found; rerun with --dump-beliefs")
+    config = ExperimentConfig.from_dict(manifest.config)
     parent_seq, infant_states = (rounds[1::2] for rounds in load_beliefs_csv(run_dir / name))
     n = parent_seq.shape[0]
+    if n != config.iterations:
+        raise ValueError(
+            f"{run_dir / name}: holds {n} iterations; "
+            f"the manifest's config has {config.iterations}"
+        )
     lo, hi = args.window_start - 1, args.window_end - 1
     window = f"window [{args.window_start}, {args.window_end}]"
     if not 0 <= lo < hi:
@@ -188,7 +197,6 @@ def _cmd_shuffle(args) -> int:
     if args.seed is not None:
         seeds = [args.seed]
     else:
-        config = ExperimentConfig.from_dict(manifest.config)
         seeds = shuffle_seeds(config, args.condition, args.trial_index)
     original = shuffle_control(parent_seq[lo : hi + 1], infant_states[lo : hi + 1])
     auc_shuffled, median_shuffled = shuffled_window(parent_seq, infant_states, seeds, lo, hi)
@@ -225,6 +233,7 @@ def _cmd_report(args) -> int:
     manifest = load_manifest(run_dir)
     if not any(manifest.trial_seeds.values()):
         raise ValueError(f"{run_dir / 'manifest.json'}: lists no trials")
+    iterations = ExperimentConfig.from_dict(manifest.config).iterations
     logs = []
     for cond, seeds in manifest.trial_seeds.items():
         for t in range(len(seeds)):
@@ -238,6 +247,11 @@ def _cmd_report(args) -> int:
                 raise ValueError(
                     f"{path}: every row must be condition {cond}, trial {t}, "
                     "as manifest.json names the file"
+                )
+            if len(rounds) != 2 * iterations:
+                raise ValueError(
+                    f"{path}: holds {len(rounds) // 2} iterations; "
+                    f"the manifest's config has {iterations}"
                 )
             logs.append(log)
     path = run_dir / "summary.json"

@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import re
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +23,7 @@ import numpy as np
 from . import __version__
 from .agents import AgentKind, init_agent
 from .config import ExperimentConfig, save_config
-from .dialogue import ROUND_SPEAKERS, Condition, run_iteration
+from .dialogue import CONDITION_NAMES, ROUND_SPEAKERS, Condition, run_iteration
 from .environment import (
     Action,
     N_LEVELS,
@@ -50,6 +52,9 @@ from .probability import RENORM_TOL, derive_seed, make_rng
 START_STATE = VisceralState(2, 2)
 
 CSV_HEADER = list(ROUND_DTYPE.names)
+# The trial CSV's columns as its cells parse: flags are written as 0/1 and
+# read as int8, since the text "0" would cast to True.
+CSV_READ_DTYPE = [(n, "i1" if ROUND_DTYPE[n] == bool else ROUND_DTYPE[n]) for n in CSV_HEADER]
 
 BELIEF_HEADER = ["iteration", "round", "agent"] + [f"q{i:02d}" for i in range(N_STATES)]
 
@@ -218,19 +223,31 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _read_csv(path, header) -> list:
-    """The data rows of a CSV under `header`. ValueError names the file for
-    another header, no data rows, or a row with another number of cells."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise ValueError(f"{path}: unexpected CSV header")
-        rows = list(reader)
-    if not rows:
+def _load_csv(path, header, **loadtxt) -> tuple:
+    """The data lines of a CSV under `header`, line ends dropped, and their
+    cells as np.loadtxt parses them with the `loadtxt` arguments. ValueError
+    names the file for another header, no data rows, a row with another
+    number of cells, or a cell that does not parse."""
+    with open(path) as fh:
+        first, *lines = fh.read().removesuffix("\n").split("\n")
+    if first.split(",") != header:
+        raise ValueError(f"{path}: unexpected CSV header")
+    if not lines:
         raise ValueError(f"{path}: no data rows")
-    if set(map(len, rows)) != {len(header)}:
+    if {line.count(",") for line in lines} != {len(header) - 1}:
         raise ValueError(f"{path}: every row needs {len(header)} cells")
-    return rows
+    try:
+        # Older numpy casts a float in an int column and only warns about it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            return lines, np.loadtxt(lines, delimiter=",", comments=None, **loadtxt)
+    except ValueError as exc:
+        # numpy counts rows from 0 over the data lines, and columns from 1.
+        where = re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", str(exc))
+        if where is None:
+            raise ValueError(f"{path}: {exc}") from None
+        line, column = int(where[2]) + 2, header[int(where[3]) - 1]
+        raise ValueError(f"{path}: line {line}, column {column}: {where[1]}") from None
 
 
 def write_trial_csv(log: TrialLog, path):
@@ -247,21 +264,18 @@ def write_trial_csv(log: TrialLog, path):
 def load_trial_csv(path, seed: int = -1) -> TrialLog:
     """Rebuild a trial log from its CSV.
 
-    Every cell must parse, and the rows must be rounds 1 and 2 of
+    Every cell must parse, the condition and speaker cells must name a
+    condition and an agent, and the rows must be rounds 1 and 2 of
     iterations 1, 2, ... in order; otherwise ValueError names the file.
     The beliefs are not part of the CSV; the seed is unknown unless supplied."""
-    rows = _read_csv(path, CSV_HEADER)
-    rounds = np.empty(len(rows), ROUND_DTYPE)
-    for name, cells in zip(CSV_HEADER, zip(*rows)):
-        # Cells parse as int() and float() parse them. Flags are written as
-        # 0/1 and go through int, since the text "0" would cast to True.
-        dtype = np.int8 if ROUND_DTYPE[name].kind == "b" else ROUND_DTYPE[name]
-        try:
-            rounds[name] = np.array(cells, dtype=object).astype(dtype)
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}: column {name}: {exc}") from None
-    index = np.arange(len(rows))
-    if len(rows) % 2 or not (
+    rounds = _load_csv(path, CSV_HEADER, dtype=CSV_READ_DTYPE, ndmin=1)[1].astype(ROUND_DTYPE)
+    if not (
+        np.isin(rounds["condition"], CONDITION_NAMES).all()
+        and np.isin(rounds["speaker"], [kind.value for kind in AgentKind]).all()
+    ):
+        raise ValueError(f"{path}: a condition or speaker cell names no condition or agent")
+    index = np.arange(len(rounds))
+    if len(rounds) % 2 or not (
         np.array_equal(rounds["iteration"], index // 2 + 1)
         and np.array_equal(rounds["round"], index % 2 + 1)
     ):
@@ -296,16 +310,11 @@ def load_beliefs_csv(path) -> tuple:
     must be finite and non-negative and sum to 1 within RENORM_TOL, and
     every infant belief must be exactly one-hot; otherwise ValueError
     names the file."""
-    rows = _read_csv(path, BELIEF_HEADER)
-    try:
-        labels = [(int(row[0]), int(row[1]), row[2]) for row in rows]
-        values = np.array([row[3:] for row in rows], dtype=object).astype(float)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    expected = [
-        (i // 4 + 1, i // 2 % 2 + 1, ("parent", "infant")[i % 2]) for i in range(len(rows))
-    ]
-    if len(rows) % 4 or labels != expected:
+    lines, values = _load_csv(path, BELIEF_HEADER, usecols=range(3, 3 + N_STATES), ndmin=2)
+    # Each line starts with its iteration, round and agent cells.
+    suffixes = ("1,parent,", "1,infant,", "2,parent,", "2,infant,")
+    labels = [f"{i},{s}" for i in range(1, len(lines) // 4 + 1) for s in suffixes]
+    if len(lines) % 4 or not all(map(str.startswith, lines, labels)):
         raise ValueError(
             f"{path}: rows must be parent then infant, rounds 1 and 2 of "
             "iterations 1, 2, ... in order"

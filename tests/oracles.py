@@ -5,11 +5,15 @@ quantity that the program computes in a faster or more specialised way,
 or a helper that reaches into a trial for what its log does not keep.
 """
 
+import csv
+
 import numpy as np
 
 from dyadreg import harness
 from dyadreg.environment import N_ACTIONS, N_STATES
-from dyadreg.probability import KL_FLOOR, digamma
+from dyadreg.harness import BELIEF_HEADER, CSV_HEADER
+from dyadreg.metrics import ROUND_DTYPE, TrialLog
+from dyadreg.probability import KL_FLOOR, RENORM_TOL, digamma
 
 
 def entropy(p: np.ndarray) -> float:
@@ -146,3 +150,89 @@ def run_trial_keeping_agents(monkeypatch, config, condition, trial_index):
         log = harness.run_trial(config, condition, trial_index)
     parent, infant = agents
     return log, (parent, infant)
+
+
+# The CSV loaders as they read every cell into a Python object first: the
+# program's one-pass loaders must give their bytes.
+
+
+def _read_csv(path, header) -> list:
+    """The data rows of a CSV under `header`. ValueError names the file for
+    another header, no data rows, or a row with another number of cells."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise ValueError(f"{path}: unexpected CSV header")
+        rows = list(reader)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    if set(map(len, rows)) != {len(header)}:
+        raise ValueError(f"{path}: every row needs {len(header)} cells")
+    return rows
+
+
+def load_trial_csv(path, seed: int = -1) -> TrialLog:
+    """Rebuild a trial log from its CSV.
+
+    Every cell must parse, and the rows must be rounds 1 and 2 of
+    iterations 1, 2, ... in order; otherwise ValueError names the file.
+    The beliefs are not part of the CSV; the seed is unknown unless supplied."""
+    rows = _read_csv(path, CSV_HEADER)
+    rounds = np.empty(len(rows), ROUND_DTYPE)
+    for name, cells in zip(CSV_HEADER, zip(*rows)):
+        # Cells parse as int() and float() parse them. Flags are written as
+        # 0/1 and go through int, since the text "0" would cast to True.
+        dtype = np.int8 if ROUND_DTYPE[name].kind == "b" else ROUND_DTYPE[name]
+        try:
+            rounds[name] = np.array(cells, dtype=object).astype(dtype)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: column {name}: {exc}") from None
+    index = np.arange(len(rows))
+    if len(rows) % 2 or not (
+        np.array_equal(rounds["iteration"], index // 2 + 1)
+        and np.array_equal(rounds["round"], index % 2 + 1)
+    ):
+        raise ValueError(
+            f"{path}: rows must be rounds 1 and 2 of iterations 1, 2, ... in order"
+        )
+    return TrialLog(str(rounds["condition"][0]), int(rounds["trial"][0]), seed, rounds)
+
+
+def load_beliefs_csv(path) -> tuple:
+    """The parent's belief after every round, a (rounds, states) array, and
+    the state the infant sensed after every round, one per round; an
+    iteration's are its [1::2] rows.
+
+    The rows must be the parent's, then the infant's, for rounds 1 and 2 of
+    iterations 1, 2, ... in order, every cell must parse, every belief
+    must be finite and non-negative and sum to 1 within RENORM_TOL, and
+    every infant belief must be exactly one-hot; otherwise ValueError
+    names the file."""
+    rows = _read_csv(path, BELIEF_HEADER)
+    try:
+        labels = [(int(row[0]), int(row[1]), row[2]) for row in rows]
+        values = np.array([row[3:] for row in rows], dtype=object).astype(float)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    expected = [
+        (i // 4 + 1, i // 2 % 2 + 1, ("parent", "infant")[i % 2]) for i in range(len(rows))
+    ]
+    if len(rows) % 4 or labels != expected:
+        raise ValueError(
+            f"{path}: rows must be parent then infant, rounds 1 and 2 of "
+            "iterations 1, 2, ... in order"
+        )
+    # A NaN or infinite cell fails one of the two tests.
+    bad = ~((values >= 0.0).all(axis=1) & (np.abs(values.sum(axis=1) - 1.0) < RENORM_TOL))
+    if bad.any():
+        raise ValueError(
+            f"{path}: line {np.flatnonzero(bad)[0] + 2}: a belief must be finite "
+            "and non-negative and sum to 1"
+        )
+    infant = values[1::2]
+    states = infant.argmax(axis=1)
+    bad = (infant != np.eye(N_STATES)[states]).any(axis=1)
+    if bad.any():
+        line = 2 * np.flatnonzero(bad)[0] + 3
+        raise ValueError(f"{path}: line {line}: an infant belief must be one-hot")
+    return values[0::2], states

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import dyadreg
+from dyadreg import cli
 from dyadreg.cli import main
 from dyadreg.config import ExperimentConfig
-from dyadreg.harness import CSV_HEADER, run_experiment
+from dyadreg.harness import CSV_HEADER, run_experiment, shuffle_seeds
 
 
 def run_cli(*argv):
@@ -548,6 +549,25 @@ class TestRunDirectory:
         assert "mhng" in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, name, lines_per_iteration",
+        [("report", "mhng_t00.csv", 2), ("shuffle-control", "mhng_t00_beliefs.csv", 4)],
+    )
+    def test_file_cut_at_an_iteration_boundary_is_named(
+        self, run_copy, capsys, command, name, lines_per_iteration
+    ):
+        # A shorter file that is whole in itself: 55 of the run's 60
+        # iterations. Read as it is, it would give numbers for another run.
+        path = run_copy / "trials" / name
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[: 1 + 55 * lines_per_iteration]) + "\n")
+        assert run_cli(command, "--run", str(run_copy)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: holds 55 iterations; the manifest's config has 60\n"
+        )
+
     def test_trial_output_is_not_a_finished_run(self, tmp_path, capsys):
         out = tmp_path / "t"
         assert run_cli("trial", "--iterations", "60", "--out", str(out), "--dump-beliefs") == 0
@@ -630,6 +650,25 @@ class TestBrokenPipe:
             os.close(write_end)
         assert proc.returncode != 0
         assert proc.stderr == b""
+
+
+class TestOneParser:
+    def test_parses_leave_no_state_behind(self, finished_run, capsys):
+        cli.build_parser.cache_clear()
+        run = ("--run", str(finished_run))
+        manifest = json.loads((finished_run / "manifest.json").read_text())
+        own_seed = shuffle_seeds(ExperimentConfig.from_dict(manifest["config"]), "mhng", 0)[0]
+        assert run_cli("shuffle-control", *run, "--seed", "5") == 0
+        assert json.loads(capsys.readouterr().out)["permutation_seed"] == 5
+        assert run_cli("shuffle-control", *run) == 0
+        assert json.loads(capsys.readouterr().out)["permutation_seed"] == own_seed
+        assert run_cli("report", *run) == 0
+        report = capsys.readouterr().out
+        assert run_cli("--help") == 0
+        assert capsys.readouterr().out.startswith("usage: dyadreg")
+        assert run_cli("report", *run) == 0
+        assert capsys.readouterr().out == report
+        assert cli.build_parser.cache_info().misses == 1
 
 
 class TestEntrypoints:

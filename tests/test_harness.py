@@ -26,6 +26,7 @@ from dyadreg.harness import (
     write_trial_csv,
 )
 from dyadreg.probability import derive_seed, make_rng
+import oracles
 from oracles import jsd_latent, mean_column_kl, run_trial_keeping_agents
 from oracles import write_beliefs_csv as write_beliefs_csv_generic
 
@@ -253,12 +254,31 @@ class TestColumnsDerivedAfterTheLoop:
         assert rounds["jsd_z"].tobytes() == jsd_z.tobytes()
 
 
+def trap_lines(rows, row, cells):
+    """Copies of a CSV's data lines, each with one edit at line `row` that a
+    general CSV or number reader would take and the loaders refuse: a blank
+    line before it, the line commented out or given a trailing comma, or one
+    (column, text) of `cells` in place of that cell, such as a quoted number
+    or digit underscores."""
+    yield rows[:row] + [""] + rows[row:]
+    yield rows[:row] + ["#" + rows[row]] + rows[row + 1 :]
+    yield rows[:row] + [rows[row] + ","] + rows[row + 1 :]
+    for column, text in cells:
+        line = rows[row].split(",")
+        line[column] = text
+        yield rows[:row] + [",".join(line)] + rows[row + 1 :]
+
+
 class TestTrialCsvFuzz:
     def test_damaged_files_fail_naming_the_file(self, mhng_log, tmp_path):
         # Cut after a random row, swap two rows, or corrupt a numeric cell.
         good = tmp_path / "good.csv"
         write_trial_csv(mhng_log, good)
         header, *rows = good.read_text().splitlines()
+        # The file is written with CRLF line ends; it loads the same with LF.
+        lf = tmp_path / "lf.csv"
+        lf.write_text("\n".join([header, *rows]) + "\n")
+        assert load_trial_csv(lf).rounds.tobytes() == load_trial_csv(good).rounds.tobytes()
         numeric = [i for i, name in enumerate(CSV_HEADER) if name not in ("condition", "speaker")]
         rng = np.random.default_rng(2024)
         for case in range(90):
@@ -283,6 +303,41 @@ class TestTrialCsvFuzz:
                 continue
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
                 load_trial_csv(path)
+
+    # Under Python's default filters, as the CLI runs: the loader itself must
+    # refuse a float in an int column, not a test-only warning filter.
+    @pytest.mark.filterwarnings("default::DeprecationWarning")
+    def test_cells_a_general_reader_takes_fail_naming_the_file(self, mhng_log, tmp_path):
+        good = tmp_path / "good.csv"
+        write_trial_csv(mhng_log, good)
+        header, *rows = good.read_text().splitlines()
+        # Row 18 is iteration 10's first, round 1. int() and float() read 1_0
+        # as 10; a cast would read 10.0 and 10.5 as 10, 1.0 as 1, 0.7 as 0
+        # and 200 as -56 in the int8 action column.
+        column = CSV_HEADER.index
+        cells = [
+            (column("acceptance_prob"), '"0.5"'),
+            (column("iteration"), "1_0"),
+            (column("c_norm"), "1_0"),
+            (column("iteration"), "10.0"),
+            (column("iteration"), "10.5"),
+            (column("round"), "1.0"),
+            (column("accepted"), "0.7"),
+            (column("action"), "200"),
+            (column("action"), "nan"),
+            (column("trial"), "3000000000"),
+        ]
+        for case, lines in enumerate(trap_lines(rows, 18, cells)):
+            path = tmp_path / f"trap{case}.csv"
+            path.write_text("\n".join([header, *lines]) + "\n")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+                load_trial_csv(path)
+        # A cell that does not parse is named by its file line and column.
+        with pytest.raises(ValueError) as exc:
+            load_trial_csv(path)
+        assert str(exc.value) == (
+            f"{path}: line 20, column trial: could not convert string '3000000000' to int32"
+        )
 
     def test_ragged_row_rejected(self, mhng_log, tmp_path):
         path = tmp_path / "trial.csv"
@@ -355,6 +410,11 @@ class TestBeliefsCsv:
         good = tmp_path / "good.csv"
         write_beliefs_csv(mhng_log, good)
         header, *rows = good.read_text().splitlines()
+        # The file is written with CRLF line ends; it loads the same with LF.
+        lf = tmp_path / "lf.csv"
+        lf.write_text("\n".join([header, *rows]) + "\n")
+        for a, b in zip(load_beliefs_csv(lf), load_beliefs_csv(good)):
+            assert a.tobytes() == b.tobytes()
         rng = np.random.default_rng(2025)
         for case in range(80):
             lines = list(rows)
@@ -381,6 +441,57 @@ class TestBeliefsCsv:
             path.write_text("\n".join([header, *lines]) + "\n")
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
                 load_beliefs_csv(path)
+        # Row 37 is iteration 10's first infant row. int() reads 1_0 as 10,
+        # and float() reads 0_0 as 0, which leaves the belief one-hot.
+        zero = rows[37].split(",").index("0", 3)
+        cells = [(zero, '"0"'), (0, "1_0"), (zero, "1_0"), (zero, "0_0"), (0, "10.0")]
+        for case, lines in enumerate(trap_lines(rows, 37, cells)):
+            path = tmp_path / f"trap{case}.csv"
+            path.write_text("\n".join([header, *lines]) + "\n")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+                load_beliefs_csv(path)
+        # A cell that does not parse is named by its file line and column.
+        path = tmp_path / "bad_cell.csv"
+        line = rows[37].split(",")
+        line[3 + 5] = "x"
+        path.write_text("\n".join([header, *rows[:37], ",".join(line), *rows[38:]]) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_beliefs_csv(path)
+        assert str(exc.value) == (
+            f"{path}: line 39, column q05: could not convert string 'x' to float64"
+        )
+
+
+class TestLoadersEqualTheOracles:
+    """The one-pass loaders give the bytes of the cell-by-cell loaders."""
+
+    @staticmethod
+    def assert_same_bytes(log, tmp_path):
+        trial, beliefs = tmp_path / "trial.csv", tmp_path / "beliefs.csv"
+        write_trial_csv(log, trial)
+        write_beliefs_csv(log, beliefs)
+        new, old = load_trial_csv(trial), oracles.load_trial_csv(trial)
+        assert new.rounds.tobytes() == old.rounds.tobytes()
+        assert (new.condition, new.trial_index) == (old.condition, old.trial_index)
+        # The parent's beliefs, then the infant's states.
+        for a, b in zip(load_beliefs_csv(beliefs), oracles.load_beliefs_csv(beliefs)):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+    @pytest.mark.parametrize("mh_current_w", ["fresh", "persistent"])
+    @pytest.mark.parametrize("round_order", ROUND_ORDERS)
+    @pytest.mark.parametrize("condition", CONDITION_NAMES)
+    def test_every_condition_and_order(self, tmp_path, condition, round_order, mh_current_w):
+        config = small_config(round_order=round_order, mh_current_w=mh_current_w)
+        self.assert_same_bytes(run_trial(config, condition, 3), tmp_path)
+
+    def test_exact_zeros_and_subnormal_cells(self, tmp_path):
+        log = run_trial(small_config(), "mhng", 0)
+        beliefs = log.parent_round_beliefs
+        beliefs[:4] = np.eye(36)[[0, 35, 7, 12]]
+        beliefs[0, 1:4] = [5e-324, 2.5e-310, np.finfo(float).smallest_normal]
+        beliefs[1, :3] = [1e-320, 0.0, 1e-309]
+        self.assert_same_bytes(log, tmp_path)
+        assert "4.94065646e-324" in (tmp_path / "beliefs.csv").read_text()
 
 
 class TestBuildWorld:

@@ -21,14 +21,11 @@ import numpy as np
 
 from .config import CONDITION_NAMES, ConfigError, ExperimentConfig, load_config
 from .harness import (
-    load_beliefs_csv,
-    load_manifest,
-    load_trial_csv,
+    open_run,
     run_experiment,
     run_trial,
     shuffle_seeds,
     shuffled_window,
-    trial_files,
     write_trial_files,
 )
 from .metrics import (
@@ -171,23 +168,10 @@ def _cmd_trial(args) -> int:
 def _cmd_shuffle(args) -> int:
     if args.seed is not None and not 0 <= args.seed < 2**64:
         raise ConfigError(f"--seed must lie in [0, 2**64), not {args.seed}")
-    run_dir = Path(args.run)
-    manifest = load_manifest(run_dir)
-    if not 0 <= args.trial_index < len(manifest.trial_seeds.get(args.condition, [])):
-        raise ValueError(
-            f"{run_dir / 'manifest.json'}: lists no trial {args.trial_index} of {args.condition}"
-        )
-    name = trial_files(args.condition, args.trial_index)[1]
-    if name not in manifest.artifacts:
-        raise FileNotFoundError(f"{run_dir / name} not found; rerun with --dump-beliefs")
-    config = ExperimentConfig.from_dict(manifest.config)
-    parent_seq, infant_states = (rounds[1::2] for rounds in load_beliefs_csv(run_dir / name))
+    run = open_run(args.run)
+    parent_seq = run.parent_beliefs(args.condition, args.trial_index)[1::2]
+    infant_states = run.trial(args.condition, args.trial_index).landing_states()[1::2]
     n = parent_seq.shape[0]
-    if n != config.iterations:
-        raise ValueError(
-            f"{run_dir / name}: holds {n} iterations; "
-            f"the manifest's config has {config.iterations}"
-        )
     lo, hi = args.window_start - 1, args.window_end - 1
     window = f"window [{args.window_start}, {args.window_end}]"
     if not 0 <= lo < hi:
@@ -197,7 +181,7 @@ def _cmd_shuffle(args) -> int:
     if args.seed is not None:
         seeds = [args.seed]
     else:
-        seeds = shuffle_seeds(config, args.condition, args.trial_index)
+        seeds = shuffle_seeds(run.config, args.condition, args.trial_index)
     original = shuffle_control(parent_seq[lo : hi + 1], infant_states[lo : hi + 1])
     auc_shuffled, median_shuffled = shuffled_window(parent_seq, infant_states, seeds, lo, hi)
     result = {
@@ -215,69 +199,11 @@ def _cmd_shuffle(args) -> int:
     return 0
 
 
-def _is_number_list(values) -> bool:
-    """Whether a JSON value is a list of numbers (true and false are not)."""
-    return isinstance(values, list) and all(type(v) in (int, float) for v in values)
-
-
-def _is_trial_entry(trial) -> bool:
-    """Whether a summary.json trials entry is an object with both AUC numbers or neither."""
-    if not isinstance(trial, dict):
-        return False
-    aucs = [trial[key] for key in ("auc_original", "auc_shuffled") if key in trial]
-    return not aucs or len(aucs) == 2 and _is_number_list(aucs)
-
-
 def _cmd_report(args) -> int:
-    run_dir = Path(args.run)
-    manifest = load_manifest(run_dir)
-    if not any(manifest.trial_seeds.values()):
-        raise ValueError(f"{run_dir / 'manifest.json'}: lists no trials")
-    iterations = ExperimentConfig.from_dict(manifest.config).iterations
-    logs = []
-    for cond, seeds in manifest.trial_seeds.items():
-        for t in range(len(seeds)):
-            name = trial_files(cond, t)[0]
-            if name not in manifest.artifacts:
-                raise ValueError(f"{run_dir / 'manifest.json'}: does not list {name}")
-            path = run_dir / name
-            log = load_trial_csv(path)
-            rounds = log.rounds
-            if not (np.all(rounds["condition"] == cond) and np.all(rounds["trial"] == t)):
-                raise ValueError(
-                    f"{path}: every row must be condition {cond}, trial {t}, "
-                    "as manifest.json names the file"
-                )
-            if len(rounds) != 2 * iterations:
-                raise ValueError(
-                    f"{path}: holds {len(rounds) // 2} iterations; "
-                    f"the manifest's config has {iterations}"
-                )
-            logs.append(log)
-    path = run_dir / "summary.json"
-    try:
-        summary = json.loads(path.read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    conditions = summary.get("conditions") if isinstance(summary, dict) else None
-    if not isinstance(conditions, dict) or not all(
-        isinstance(entry, dict) and isinstance(entry.get("trials"), list)
-        for entry in conditions.values()
-    ):
-        raise ValueError(f"{path}: needs a conditions object whose entries hold trials lists")
-    if not all(_is_trial_entry(t) for entry in conditions.values() for t in entry["trials"]):
-        raise ValueError(f"{path}: a trials entry must hold both AUC numbers or neither")
-    listed = (entry.get("per_trial_mean_c_norm") for entry in conditions.values())
-    if not all(map(_is_number_list, listed)):
-        raise ValueError(f"{path}: per_trial_mean_c_norm must be a list of numbers")
-    agg = aggregate_conditions(logs)
-    for cond, e in agg.items():
-        means = e["per_trial_mean_c_norm"]
-        recorded = np.asarray(conditions.get(cond, {}).get("per_trial_mean_c_norm"))
-        if means.shape != recorded.shape or not np.allclose(means, recorded, rtol=0, atol=1e-8):
-            raise ValueError(
-                f"{path}: per_trial_mean_c_norm of {cond} disagrees with its trial CSVs"
-            )
+    run = open_run(args.run)
+    seeds = run.manifest.trial_seeds
+    agg = aggregate_conditions(run.trial(c, t) for c in seeds for t in range(len(seeds[c])))
+    conditions = run.summary_conditions(agg)
     ranking = sorted(agg, key=lambda c: agg[c]["mean_c_norm"], reverse=True)
     print(f"{'condition':>10} {'trials':>6} {'mean':>8} {'std':>8} {'sem':>8}")
     for cond in ranking:

@@ -56,15 +56,13 @@ CSV_HEADER = list(ROUND_DTYPE.names)
 # read as int8, since the text "0" would cast to True.
 CSV_READ_DTYPE = [(n, "i1" if ROUND_DTYPE[n] == bool else ROUND_DTYPE[n]) for n in CSV_HEADER]
 
-BELIEF_HEADER = ["iteration", "round", "agent"] + [f"q{i:02d}" for i in range(N_STATES)]
+BELIEF_HEADER = ["iteration", "round"] + [f"q{i:02d}" for i in range(N_STATES)]
+# The belief dump's columns as they parse: iteration and round, then the belief as one field.
+BELIEF_READ_DTYPE = np.dtype(CSV_READ_DTYPE[2:4] + [("belief", "f8", N_STATES)], align=True)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
-
-
-# The cells of a one-hot belief at each state, as the belief dump writes them.
-ONE_HOT_CELLS = tuple(",".join(map(_fmt, row)) for row in np.eye(N_STATES).tolist())
 
 
 def trial_seed(root_seed: int, condition: str, trial_index: int) -> int:
@@ -223,11 +221,11 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _load_csv(path, header, **loadtxt) -> tuple:
-    """The data lines of a CSV under `header`, line ends dropped, and their
-    cells as np.loadtxt parses them with the `loadtxt` arguments. ValueError
-    names the file for another header, no data rows, a row with another
-    number of cells, or a cell that does not parse."""
+def _load_csv(path, header, dtype) -> np.ndarray:
+    """The rows of a CSV under `header`, parsed by np.loadtxt into the
+    structured `dtype`. ValueError names the file for another header, no
+    data rows, a row with another number of cells, a cell that does not
+    parse, or rows that are not rounds 1 and 2 of iterations 1, 2, ..."""
     with open(path) as fh:
         first, *lines = fh.read().removesuffix("\n").split("\n")
     if first.split(",") != header:
@@ -240,7 +238,7 @@ def _load_csv(path, header, **loadtxt) -> tuple:
         # Older numpy casts a float in an int column and only warns about it.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            return lines, np.loadtxt(lines, delimiter=",", comments=None, **loadtxt)
+            rows = np.loadtxt(lines, delimiter=",", comments=None, dtype=dtype, ndmin=1)
     except ValueError as exc:
         # numpy counts rows from 0 over the data lines, and columns from 1.
         where = re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", str(exc))
@@ -248,6 +246,13 @@ def _load_csv(path, header, **loadtxt) -> tuple:
             raise ValueError(f"{path}: {exc}") from None
         line, column = int(where[2]) + 2, header[int(where[3]) - 1]
         raise ValueError(f"{path}: line {line}, column {column}: {where[1]}") from None
+    index = np.arange(len(rows))
+    if len(rows) % 2 or not (
+        np.array_equal(rows["iteration"], index // 2 + 1)
+        and np.array_equal(rows["round"], index % 2 + 1)
+    ):
+        raise ValueError(f"{path}: rows must be rounds 1 and 2 of iterations 1, 2, ... in order")
+    return rows
 
 
 def write_trial_csv(log: TrialLog, path):
@@ -262,63 +267,41 @@ def write_trial_csv(log: TrialLog, path):
 
 
 def load_trial_csv(path, seed: int = -1) -> TrialLog:
-    """Rebuild a trial log from its CSV.
-
-    Every cell must parse, the condition and speaker cells must name a
-    condition and an agent, and the rows must be rounds 1 and 2 of
-    iterations 1, 2, ... in order; otherwise ValueError names the file.
-    The beliefs are not part of the CSV; the seed is unknown unless supplied."""
-    rounds = _load_csv(path, CSV_HEADER, dtype=CSV_READ_DTYPE, ndmin=1)[1].astype(ROUND_DTYPE)
+    """A trial log rebuilt from its CSV, without beliefs, its seed unknown
+    unless supplied. The file must load as _load_csv loads it, its condition
+    and speaker cells must name a condition and an agent, and its true_x and
+    true_y cells must lie in [0, N_LEVELS); otherwise ValueError names it."""
+    rounds = _load_csv(path, CSV_HEADER, CSV_READ_DTYPE).astype(ROUND_DTYPE)
     if not (
         np.isin(rounds["condition"], CONDITION_NAMES).all()
         and np.isin(rounds["speaker"], [kind.value for kind in AgentKind]).all()
     ):
         raise ValueError(f"{path}: a condition or speaker cell names no condition or agent")
-    index = np.arange(len(rounds))
-    if len(rounds) % 2 or not (
-        np.array_equal(rounds["iteration"], index // 2 + 1)
-        and np.array_equal(rounds["round"], index % 2 + 1)
-    ):
-        raise ValueError(
-            f"{path}: rows must be rounds 1 and 2 of iterations 1, 2, ... in order"
-        )
+    if not all(((rounds[n] >= 0) & (rounds[n] < N_LEVELS)).all() for n in ("true_x", "true_y")):
+        raise ValueError(f"{path}: a true_x or true_y cell lies outside [0, {N_LEVELS})")
     return TrialLog(str(rounds["condition"][0]), int(rounds["trial"][0]), seed, rounds)
 
 
 def write_beliefs_csv(log: TrialLog, path):
-    """The belief dump, as _write_csv would write it: no cell needs quoting,
-    and "%.9g" formats a float as _fmt does. The infant's belief is one-hot
-    at the landing state, so its cells are one of ONE_HOT_CELLS."""
-    pair = "%d,%d,parent" + ",%.9g" * N_STATES + "\r\n%d,%d,infant,%s\r\n"
-    rounds = zip(log.parent_round_beliefs.tolist(), log.landing_states().tolist())
-    cells = ONE_HOT_CELLS
+    """The belief dump: the parent's belief after every round, as _write_csv
+    would write it (no cell needs quoting, and "%.9g" formats a float as
+    _fmt does). The infant's belief is one-hot at the state the trial CSV
+    records, so the dump does not repeat it."""
+    line = "%d,%d" + ",%.9g" * N_STATES + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(BELIEF_HEADER) + "\r\n")
         fh.writelines(
-            pair % (row // 2 + 1, row % 2 + 1, *belief, row // 2 + 1, row % 2 + 1, cells[k])
-            for row, (belief, k) in enumerate(rounds)
+            line % (row // 2 + 1, row % 2 + 1, *belief)
+            for row, belief in enumerate(log.parent_round_beliefs.tolist())
         )
 
 
-def load_beliefs_csv(path) -> tuple:
-    """The parent's belief after every round, a (rounds, states) array, and
-    the state the infant sensed after every round, one per round; an
-    iteration's are its [1::2] rows.
-
-    The rows must be the parent's, then the infant's, for rounds 1 and 2 of
-    iterations 1, 2, ... in order, every cell must parse, every belief
-    must be finite and non-negative and sum to 1 within RENORM_TOL, and
-    every infant belief must be exactly one-hot; otherwise ValueError
-    names the file."""
-    lines, values = _load_csv(path, BELIEF_HEADER, usecols=range(3, 3 + N_STATES), ndmin=2)
-    # Each line starts with its iteration, round and agent cells.
-    suffixes = ("1,parent,", "1,infant,", "2,parent,", "2,infant,")
-    labels = [f"{i},{s}" for i in range(1, len(lines) // 4 + 1) for s in suffixes]
-    if len(lines) % 4 or not all(map(str.startswith, lines, labels)):
-        raise ValueError(
-            f"{path}: rows must be parent then infant, rounds 1 and 2 of "
-            "iterations 1, 2, ... in order"
-        )
+def load_beliefs_csv(path) -> np.ndarray:
+    """The parent's belief after every round, a (rounds, states) array; an
+    iteration's are its [1::2] rows. The file must load as _load_csv loads
+    it, and every belief must be finite and non-negative and sum to 1 within
+    RENORM_TOL; otherwise ValueError names the file."""
+    values = _load_csv(path, BELIEF_HEADER, BELIEF_READ_DTYPE)["belief"]
     # A NaN or infinite cell fails one of the two tests.
     bad = ~((values >= 0.0).all(axis=1) & (np.abs(values.sum(axis=1) - 1.0) < RENORM_TOL))
     if bad.any():
@@ -326,13 +309,7 @@ def load_beliefs_csv(path) -> tuple:
             f"{path}: line {np.flatnonzero(bad)[0] + 2}: a belief must be finite "
             "and non-negative and sum to 1"
         )
-    infant = values[1::2]
-    states = infant.argmax(axis=1)
-    bad = (infant != np.eye(N_STATES)[states]).any(axis=1)
-    if bad.any():
-        line = 2 * np.flatnonzero(bad)[0] + 3
-        raise ValueError(f"{path}: line {line}: an infant belief must be one-hot")
-    return values[0::2], states
+    return values
 
 
 def write_trial_files(log: TrialLog, out: Path, dump_beliefs: bool) -> list:
@@ -451,19 +428,117 @@ class RunManifest:
         return cls(**{name: data[name] for name in names})
 
 
-def load_manifest(run_dir) -> RunManifest:
-    """The index of a finished run. It is written last, so a directory
-    without one holds an unfinished run (FileNotFoundError). ValueError
-    names the file if it does not parse or a field is missing or bad."""
-    path = Path(run_dir) / "manifest.json"
+def _is_number_list(values) -> bool:
+    """Whether a JSON value is a list of numbers (true and false are not)."""
+    return isinstance(values, list) and all(type(v) in (int, float) for v in values)
+
+
+def _is_trial_entry(trial) -> bool:
+    """Whether a summary.json trials entry is an object with both AUC numbers or neither."""
+    if not isinstance(trial, dict):
+        return False
+    aucs = [trial[key] for key in ("auc_original", "auc_shuffled") if key in trial]
+    return not aucs or len(aucs) == 2 and _is_number_list(aucs)
+
+
+@dataclass(frozen=True)
+class FinishedRun:
+    """A finished run as open_run found it. Each reader checks what it reads
+    against the manifest and its config, and ValueError names the file at fault."""
+
+    path: Path
+    manifest: RunManifest
+    config: ExperimentConfig
+
+    def _listed_path(self, condition: str, index: int, name: str) -> Path:
+        """The path of `name`, a file of a trial the manifest must list."""
+        if not 0 <= index < len(self.manifest.trial_seeds.get(condition, [])):
+            manifest = self.path / "manifest.json"
+            raise ValueError(f"{manifest}: lists no trial {index} of {condition}")
+        return self.path / name
+
+    def _whole(self, path: Path, rows: np.ndarray) -> np.ndarray:
+        """The rows of `path`, which must hold the config's iterations."""
+        if len(rows) != 2 * self.config.iterations:
+            raise ValueError(
+                f"{path}: holds {len(rows) // 2} iterations; "
+                f"the manifest's config has {self.config.iterations}"
+            )
+        return rows
+
+    def trial(self, condition: str, index: int) -> TrialLog:
+        """A listed trial's CSV as a TrialLog with the manifest's seed."""
+        name = trial_files(condition, index)[0]
+        path = self._listed_path(condition, index, name)
+        if name not in self.manifest.artifacts:
+            raise ValueError(f"{self.path / 'manifest.json'}: does not list {name}")
+        rounds = self._whole(path, load_trial_csv(path).rounds)
+        if not (np.all(rounds["condition"] == condition) and np.all(rounds["trial"] == index)):
+            raise ValueError(
+                f"{path}: every row must be condition {condition}, trial {index}, "
+                "as manifest.json names the file"
+            )
+        return TrialLog(condition, index, self.manifest.trial_seeds[condition][index], rounds)
+
+    def parent_beliefs(self, condition: str, index: int) -> np.ndarray:
+        """A listed trial's belief dump as load_beliefs_csv reads it."""
+        name = trial_files(condition, index)[1]
+        path = self._listed_path(condition, index, name)
+        if name not in self.manifest.artifacts:
+            raise FileNotFoundError(f"{path} not found; rerun with --dump-beliefs")
+        return self._whole(path, load_beliefs_csv(path))
+
+    def summary_conditions(self, agg: dict) -> dict:
+        """summary.json's conditions: an entry per condition of the manifest
+        whose trials name each listed trial once, with both AUC numbers or
+        neither, and whose per_trial_mean_c_norm agrees with `agg`, the
+        aggregate_conditions of the listed trials."""
+        path = self.path / "summary.json"
+        try:
+            summary = json.loads(path.read_text())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        seeds = self.manifest.trial_seeds
+        conditions = summary.get("conditions") if isinstance(summary, dict) else None
+        if not isinstance(conditions, dict) or conditions.keys() != seeds.keys():
+            raise ValueError(f"{path}: its conditions must be the manifest's: {', '.join(seeds)}")
+        for cond, entry in conditions.items():
+            trials = entry.get("trials") if isinstance(entry, dict) else None
+            if not isinstance(trials, list):
+                raise ValueError(f"{path}: the {cond} entry needs a trials list")
+            if not all(map(_is_trial_entry, trials)):
+                raise ValueError(f"{path}: a trials entry must hold both AUC numbers or neither")
+            named, listed = [t.get("trial") for t in trials], [*range(len(seeds[cond]))]
+            if not all(type(t) is int for t in named) or sorted(named) != listed:
+                raise ValueError(f"{path}: the trials of {cond} must name each listed trial once")
+            recorded = entry.get("per_trial_mean_c_norm")
+            if not _is_number_list(recorded):
+                raise ValueError(f"{path}: per_trial_mean_c_norm must be a list of numbers")
+            means = agg[cond]["per_trial_mean_c_norm"] if listed else []
+            if len(recorded) != len(means) or not np.allclose(means, recorded, rtol=0, atol=1e-8):
+                raise ValueError(
+                    f"{path}: per_trial_mean_c_norm of {cond} disagrees with its trial CSVs"
+                )
+        return conditions
+
+
+def open_run(run_dir) -> FinishedRun:
+    """A finished run, its manifest and config parsed once. The manifest is
+    written last, so a directory without one holds no finished run
+    (FileNotFoundError). ValueError names the manifest if it does not parse,
+    a field is missing or bad, its config is invalid, or it lists no trials."""
+    run_dir = Path(run_dir)
+    path = run_dir / "manifest.json"
     if not path.is_file():
         raise FileNotFoundError(f"no manifest.json under {run_dir}: not a finished run")
     try:
         manifest = RunManifest.from_json(path.read_text())
-        ExperimentConfig.from_dict(manifest.config)
+        config = ExperimentConfig.from_dict(manifest.config)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return manifest
+    if not any(manifest.trial_seeds.values()):
+        raise ValueError(f"{path}: lists no trials")
+    return FinishedRun(run_dir, manifest, config)
 
 
 def _remove_previous_run(out: Path):
@@ -486,10 +561,6 @@ def _remove_previous_run(out: Path):
             target.unlink()
 
 
-def _run_job(args) -> TrialLog:
-    return run_trial(*args)
-
-
 def run_experiment(config: ExperimentConfig) -> RunManifest:
     """Run every (condition, trial) pair and write all artifacts.
 
@@ -506,9 +577,9 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     workers = min(config.workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            logs = list(pool.map(_run_job, jobs))
+            logs = list(pool.map(run_trial, *zip(*jobs)))
     else:
-        logs = [_run_job(job) for job in jobs]
+        logs = [run_trial(*job) for job in jobs]
 
     artifacts = ["config.json", "summary.json", "summary_cnorm.csv", "summary_auc.csv"]
     for log in logs:

@@ -10,7 +10,7 @@ import csv
 import numpy as np
 
 from dyadreg import harness
-from dyadreg.environment import N_ACTIONS, N_STATES
+from dyadreg.environment import N_ACTIONS
 from dyadreg.harness import BELIEF_HEADER, CSV_HEADER
 from dyadreg.metrics import ROUND_DTYPE, TrialLog
 from dyadreg.probability import KL_FLOOR, RENORM_TOL, digamma
@@ -120,18 +120,13 @@ def outer_product_learn_B(agent, prev, post, action):
 
 
 def write_beliefs_csv(log, path):
-    """The belief dump with every line formatted from its 36 floats, the
-    infant's one-hot at the state each round landed in."""
-    line = "%d,%d,%s" + ",%.9g" * N_STATES + "\r\n"
-    infant = np.eye(N_STATES)[log.landing_states()]
-    rounds = zip(log.parent_round_beliefs.tolist(), infant.tolist())
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(harness.BELIEF_HEADER) + "\r\n")
-        fh.writelines(
-            line % (row // 2 + 1, row % 2 + 1, agent, *belief)
-            for row, pair in enumerate(rounds)
-            for agent, belief in zip(("parent", "infant"), pair)
-        )
+    """The belief dump as the csv module writes it: per round, its iteration
+    and round, then the parent's belief as _fmt formats each float."""
+    rows = (
+        [row // 2 + 1, row % 2 + 1, *map(harness._fmt, belief)]
+        for row, belief in enumerate(log.parent_round_beliefs.tolist())
+    )
+    harness._write_csv(path, BELIEF_HEADER, rows)
 
 
 def run_trial_keeping_agents(monkeypatch, config, condition, trial_index):
@@ -198,30 +193,20 @@ def load_trial_csv(path, seed: int = -1) -> TrialLog:
     return TrialLog(str(rounds["condition"][0]), int(rounds["trial"][0]), seed, rounds)
 
 
-def load_beliefs_csv(path) -> tuple:
-    """The parent's belief after every round, a (rounds, states) array, and
-    the state the infant sensed after every round, one per round; an
-    iteration's are its [1::2] rows.
+def load_beliefs_csv(path) -> np.ndarray:
+    """The parent's belief after every round, a (rounds, states) array.
 
-    The rows must be the parent's, then the infant's, for rounds 1 and 2 of
-    iterations 1, 2, ... in order, every cell must parse, every belief
-    must be finite and non-negative and sum to 1 within RENORM_TOL, and
-    every infant belief must be exactly one-hot; otherwise ValueError
-    names the file."""
+    The rows must be rounds 1 and 2 of iterations 1, 2, ... in order, every
+    cell must parse, and every belief must be finite and non-negative and
+    sum to 1 within RENORM_TOL; otherwise ValueError names the file."""
     rows = _read_csv(path, BELIEF_HEADER)
     try:
-        labels = [(int(row[0]), int(row[1]), row[2]) for row in rows]
-        values = np.array([row[3:] for row in rows], dtype=object).astype(float)
+        labels = [(int(row[0]), int(row[1])) for row in rows]
+        values = np.array([row[2:] for row in rows], dtype=object).astype(float)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    expected = [
-        (i // 4 + 1, i // 2 % 2 + 1, ("parent", "infant")[i % 2]) for i in range(len(rows))
-    ]
-    if len(rows) % 4 or labels != expected:
-        raise ValueError(
-            f"{path}: rows must be parent then infant, rounds 1 and 2 of "
-            "iterations 1, 2, ... in order"
-        )
+    if len(rows) % 2 or labels != [(i // 2 + 1, i % 2 + 1) for i in range(len(rows))]:
+        raise ValueError(f"{path}: rows must be rounds 1 and 2 of iterations 1, 2, ... in order")
     # A NaN or infinite cell fails one of the two tests.
     bad = ~((values >= 0.0).all(axis=1) & (np.abs(values.sum(axis=1) - 1.0) < RENORM_TOL))
     if bad.any():
@@ -229,10 +214,4 @@ def load_beliefs_csv(path) -> tuple:
             f"{path}: line {np.flatnonzero(bad)[0] + 2}: a belief must be finite "
             "and non-negative and sum to 1"
         )
-    infant = values[1::2]
-    states = infant.argmax(axis=1)
-    bad = (infant != np.eye(N_STATES)[states]).any(axis=1)
-    if bad.any():
-        line = 2 * np.flatnonzero(bad)[0] + 3
-        raise ValueError(f"{path}: line {line}: an infant belief must be one-hot")
-    return values[0::2], states
+    return values

@@ -25,7 +25,7 @@ from dyadreg.environment import (
 from dyadreg.harness import (
     START_STATE,
     build_summary,
-    load_manifest,
+    open_run,
     run_experiment,
     run_trial,
 )
@@ -344,7 +344,7 @@ def test_criterion_8_property_battery(tmp_path):
         a = (tmp_path / "first" / rel).read_bytes()
         b = (tmp_path / "second" / rel).read_bytes()
         assert a == b, f"artifact differs between runs: {rel}"
-    m1, m2 = load_manifest(tmp_path / "first"), load_manifest(tmp_path / "second")
+    m1, m2 = (open_run(tmp_path / name).manifest for name in ("first", "second"))
     m1.timings = m2.timings = {}
     assert m1.to_json() == m2.to_json()
 

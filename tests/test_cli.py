@@ -243,8 +243,8 @@ class TestShuffleControl:
         path = run / "trials" / "mhng_t00_beliefs.csv"
         lines = path.read_text().splitlines()
         if damage == "dropped iteration":
-            # Iteration 30's four rows; the window 20-50 would slide past it.
-            del lines[1 + 4 * 29 : 1 + 4 * 30]
+            # Iteration 30's two rows; the window 20-50 would slide past it.
+            del lines[1 + 2 * 29 : 1 + 2 * 30]
         else:
             cells = lines[9].split(",")
             cells[7] = "abc"
@@ -259,11 +259,12 @@ class TestShuffleControl:
     @pytest.mark.parametrize(
         "line, probs",
         [
-            (119, ["nan"] + ["0"] * 35),
-            (119, ["-0.1", "1.1"] + ["0"] * 34),
-            (119, ["1.1"] + ["0"] * 35),
+            # Iteration 30's second round, inside the window.
+            (1 + 2 * 29 + 1, ["nan"] + ["0"] * 35),
+            (1 + 2 * 29 + 1, ["-0.1", "1.1"] + ["0"] * 34),
+            (1 + 2 * 29 + 1, ["1.1"] + ["0"] * 35),
             # Iteration 55's first round, which no shuffle reads.
-            (1 + 4 * 54, ["0.5"] * 36),
+            (1 + 2 * 54, ["0.5"] * 36),
         ],
         ids=["nan", "negative", "sum 1.1", "outside the window"],
     )
@@ -272,7 +273,7 @@ class TestShuffleControl:
         shutil.copytree(finished_run, run)
         path = run / "trials" / "mhng_t00_beliefs.csv"
         lines = path.read_text().splitlines()
-        lines[line] = ",".join(lines[line].split(",")[:3] + probs)
+        lines[line] = ",".join(lines[line].split(",")[:2] + probs)
         path.write_text("\n".join(lines) + "\n")
         assert run_cli("shuffle-control", "--run", str(run)) == 1
         captured = capsys.readouterr()
@@ -280,30 +281,25 @@ class TestShuffleControl:
         assert captured.err.startswith(f"error: {path}: line {line + 1}: ")
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize(
-        "probs",
-        [["0.5", "0.5"] + ["0"] * 34, ["0.9999999", "1e-07"] + ["0"] * 34],
-        ids=["two states", "almost one-hot"],
-    )
-    def test_infant_belief_that_is_not_one_hot_fails_in_one_line(
-        self, finished_run, tmp_path, capsys, probs
+    @pytest.mark.parametrize("column, value", [("true_x", -1), ("true_x", 6), ("true_y", 6)])
+    def test_state_cell_out_of_range_fails_in_one_line(
+        self, finished_run, tmp_path, capsys, column, value
     ):
-        # A valid belief, but the infant senses its state: iteration 30's
-        # second infant row, inside the window.
+        # The infant's states come from the trial CSV; iteration 30's second
+        # round is inside the window, where a state indexes the parent's belief.
         run = tmp_path / "run"
         shutil.copytree(finished_run, run)
-        path = run / "trials" / "mhng_t00_beliefs.csv"
+        path = run / "trials" / "mhng_t00.csv"
         lines = path.read_text().splitlines()
-        line = 1 + 4 * 29 + 3
-        assert lines[line].split(",")[:3] == ["30", "2", "infant"]
-        lines[line] = ",".join(lines[line].split(",")[:3] + probs)
+        line = 1 + 2 * 29 + 1
+        cells = lines[line].split(",")
+        cells[CSV_HEADER.index(column)] = str(value)
+        lines[line] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         assert run_cli("shuffle-control", "--run", str(run)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"error: {path}: line {line + 1}: an infant belief must be one-hot\n"
-        )
+        assert captured.err == f"error: {path}: a true_x or true_y cell lies outside [0, 6)\n"
 
     def test_averages_the_runs_permutations_like_the_summary(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -447,12 +443,25 @@ class TestRunDirectory:
         "string cells": ["a", "b"], "string": "ab", "null": None, "flags": [True, False]
     }
 
-    @pytest.mark.parametrize("damage", ["empty object", "cut", *NOT_NUMBER_LISTS])
+    @pytest.mark.parametrize(
+        "damage",
+        ["empty object", "cut", *NOT_NUMBER_LISTS, "condition not run", "trial not run"],
+    )
     def test_damaged_summary_is_named(self, run_copy, capsys, damage):
+        # The last two name what the run does not hold; read as the run's,
+        # report would print an a-led AUC line, or average trial 5's AUCs
+        # into mhng's.
         path = run_copy / "summary.json"
+        summary = json.loads(path.read_text())
+        mhng = summary["conditions"]["mhng"]
         if damage in self.NOT_NUMBER_LISTS:
-            summary = json.loads(path.read_text())
-            summary["conditions"]["mhng"]["per_trial_mean_c_norm"] = self.NOT_NUMBER_LISTS[damage]
+            mhng["per_trial_mean_c_norm"] = self.NOT_NUMBER_LISTS[damage]
+            path.write_text(json.dumps(summary))
+        elif damage == "condition not run":
+            summary["conditions"]["a-led"] = mhng
+            path.write_text(json.dumps(summary))
+        elif damage == "trial not run":
+            mhng["trials"].append({"trial": 5, "auc_original": 100.0, "auc_shuffled": 100.0})
             path.write_text(json.dumps(summary))
         else:
             path.write_text("{}" if damage == "empty object" else path.read_text()[:50])
@@ -550,23 +559,41 @@ class TestRunDirectory:
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "command, name, lines_per_iteration",
-        [("report", "mhng_t00.csv", 2), ("shuffle-control", "mhng_t00_beliefs.csv", 4)],
+        "command, name",
+        [
+            ("report", "mhng_t00.csv"),
+            ("shuffle-control", "mhng_t00_beliefs.csv"),
+            # The dump is whole, but the trial CSV it is paired with is not.
+            ("shuffle-control", "mhng_t00.csv"),
+        ],
     )
-    def test_file_cut_at_an_iteration_boundary_is_named(
-        self, run_copy, capsys, command, name, lines_per_iteration
-    ):
+    def test_file_cut_at_an_iteration_boundary_is_named(self, run_copy, capsys, command, name):
         # A shorter file that is whole in itself: 55 of the run's 60
-        # iterations. Read as it is, it would give numbers for another run.
+        # iterations, two rows each. Read as it is, it would give numbers
+        # for another run.
         path = run_copy / "trials" / name
         lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[: 1 + 55 * lines_per_iteration]) + "\n")
+        path.write_text("\n".join(lines[: 1 + 55 * 2]) + "\n")
         assert run_cli(command, "--run", str(run_copy)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
             f"error: {path}: holds 55 iterations; the manifest's config has 60\n"
         )
+
+    @pytest.mark.parametrize("command", ["report", "shuffle-control"])
+    def test_config_is_parsed_once(self, finished_run, capsys, monkeypatch, command):
+        # open_run parses the manifest's config once, for every reader.
+        parsed = []
+        from_dict = ExperimentConfig.from_dict
+
+        def counted(data):
+            parsed.append(data)
+            return from_dict(data)
+
+        monkeypatch.setattr(ExperimentConfig, "from_dict", counted)
+        assert run_cli(command, "--run", str(finished_run)) == 0
+        assert len(parsed) == 1
 
     def test_trial_output_is_not_a_finished_run(self, tmp_path, capsys):
         out = tmp_path / "t"

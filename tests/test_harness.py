@@ -16,8 +16,8 @@ from dyadreg.harness import (
     build_summary,
     build_world,
     load_beliefs_csv,
-    load_manifest,
     load_trial_csv,
+    open_run,
     run_experiment,
     run_trial,
     shuffle_seed,
@@ -351,45 +351,37 @@ class TestBeliefsCsv:
     def test_round_trip(self, mhng_log, tmp_path):
         path = tmp_path / "beliefs.csv"
         write_beliefs_csv(mhng_log, path)
-        parent_rounds, infant_states = load_beliefs_csv(path)
+        parent_rounds = load_beliefs_csv(path)
         assert parent_rounds.shape == (60, 36)
         assert np.allclose(parent_rounds, mhng_log.parent_round_beliefs, atol=1e-9)
-        assert np.array_equal(infant_states, mhng_log.landing_states())
+
+    def test_one_line_per_round_of_the_parent(self, mhng_log, tmp_path):
+        # The infant's belief is one-hot at the state the trial CSV holds.
+        path = tmp_path / "beliefs.csv"
+        write_beliefs_csv(mhng_log, path)
+        header, *rows = path.read_text().splitlines()
+        assert header == ",".join(["iteration", "round"] + [f"q{i:02d}" for i in range(36)])
+        assert [row.split(",", 2)[:2] for row in rows[:3]] == [["1", "1"], ["1", "2"], ["2", "1"]]
+        assert len(rows) == len(mhng_log.rounds)
 
     def test_bytes_equal_the_csv_writer(self, tmp_path):
         # The per-row template against the csv module's rows of _fmt cells,
-        # with one-hot, uniform and exact-zero rows on the parent side too.
+        # with one-hot, uniform and exact-zero rows.
         log = run_trial(small_config(dump_beliefs=True), "mhng", 0)
         log.parent_round_beliefs[:3] = np.eye(36)[[0, 35, 7]]
         log.parent_round_beliefs[3] = np.full(36, 1.0 / 36)
         write_beliefs_csv(log, tmp_path / "fast.csv")
-        infant = np.eye(36)[log.landing_states()]
-        rounds = zip(log.parent_round_beliefs.tolist(), infant.tolist())
-        rows = (
-            [row // 2 + 1, row % 2 + 1, agent, *map(harness._fmt, belief)]
-            for row, pair in enumerate(rounds)
-            for agent, belief in zip(("parent", "infant"), pair)
-        )
-        harness._write_csv(tmp_path / "csv.csv", harness.BELIEF_HEADER, rows)
+        write_beliefs_csv_generic(log, tmp_path / "csv.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
 
     @pytest.mark.parametrize("condition", CONDITION_NAMES)
     def test_bytes_equal_the_generic_writer(self, condition, tmp_path):
-        # Infant lines from the one-hot cell strings against lines formatted
-        # from the one-hot rows, and the file reads back.
         log = run_trial(small_config(dump_beliefs=True), condition, 0)
         write_beliefs_csv(log, tmp_path / "fast.csv")
         write_beliefs_csv_generic(log, tmp_path / "generic.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
-        parent_rounds, infant_states = load_beliefs_csv(tmp_path / "fast.csv")
+        parent_rounds = load_beliefs_csv(tmp_path / "fast.csv")
         assert np.allclose(parent_rounds, log.parent_round_beliefs, atol=1e-9)
-        assert np.array_equal(infant_states, log.landing_states())
-
-    def test_one_hot_cells_are_the_formatted_rows(self):
-        eye = np.eye(36)
-        assert len(harness.ONE_HOT_CELLS) == 36
-        for k, cells in enumerate(harness.ONE_HOT_CELLS):
-            assert cells == ",".join("%.9g" % v for v in eye[k])
 
     def test_same_bytes_with_or_without_the_dump_flag(self, mhng_log, tmp_path):
         # Every trial records the parent's beliefs; the flag only decides
@@ -403,6 +395,11 @@ class TestBeliefsCsv:
         path.write_text("x,y\n1,2\n")
         with pytest.raises(ValueError):
             load_beliefs_csv(path)
+        # A dump with an agent column and infant rows is not this format.
+        header = ["iteration", "round", "agent"] + [f"q{i:02d}" for i in range(36)]
+        path.write_text(",".join(header) + "\n1,1,parent" + ",0" * 35 + ",1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unexpected CSV header"):
+            load_beliefs_csv(path)
 
     def test_damaged_files_fail_naming_the_file(self, mhng_log, tmp_path):
         # Drop an iteration, swap two rows, corrupt a cell, or make a row
@@ -413,8 +410,7 @@ class TestBeliefsCsv:
         # The file is written with CRLF line ends; it loads the same with LF.
         lf = tmp_path / "lf.csv"
         lf.write_text("\n".join([header, *rows]) + "\n")
-        for a, b in zip(load_beliefs_csv(lf), load_beliefs_csv(good)):
-            assert a.tobytes() == b.tobytes()
+        assert load_beliefs_csv(lf).tobytes() == load_beliefs_csv(good).tobytes()
         rng = np.random.default_rng(2025)
         for case in range(80):
             lines = list(rows)
@@ -422,8 +418,8 @@ class TestBeliefsCsv:
             if kind == 0:
                 # Any iteration but the last, whose loss leaves a valid,
                 # shorter dump.
-                it = int(rng.integers(len(lines) // 4 - 1))
-                del lines[4 * it : 4 * it + 4]
+                it = int(rng.integers(len(lines) // 2 - 1))
+                del lines[2 * it : 2 * it + 2]
             elif kind == 1:
                 i, j = rng.choice(len(lines), size=2, replace=False)
                 lines[i], lines[j] = lines[j], lines[i]
@@ -441,24 +437,24 @@ class TestBeliefsCsv:
             path.write_text("\n".join([header, *lines]) + "\n")
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
                 load_beliefs_csv(path)
-        # Row 37 is iteration 10's first infant row. int() reads 1_0 as 10,
-        # and float() reads 0_0 as 0, which leaves the belief one-hot.
-        zero = rows[37].split(",").index("0", 3)
+        # Row 18 is iteration 10's first. int() reads 1_0 as 10, and float()
+        # reads 0_0 as 0, which leaves the belief as it was.
+        zero = rows[18].split(",").index("0", 2)
         cells = [(zero, '"0"'), (0, "1_0"), (zero, "1_0"), (zero, "0_0"), (0, "10.0")]
-        for case, lines in enumerate(trap_lines(rows, 37, cells)):
+        for case, lines in enumerate(trap_lines(rows, 18, cells)):
             path = tmp_path / f"trap{case}.csv"
             path.write_text("\n".join([header, *lines]) + "\n")
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
                 load_beliefs_csv(path)
         # A cell that does not parse is named by its file line and column.
         path = tmp_path / "bad_cell.csv"
-        line = rows[37].split(",")
-        line[3 + 5] = "x"
-        path.write_text("\n".join([header, *rows[:37], ",".join(line), *rows[38:]]) + "\n")
+        line = rows[18].split(",")
+        line[2 + 5] = "x"
+        path.write_text("\n".join([header, *rows[:18], ",".join(line), *rows[19:]]) + "\n")
         with pytest.raises(ValueError) as exc:
             load_beliefs_csv(path)
         assert str(exc.value) == (
-            f"{path}: line 39, column q05: could not convert string 'x' to float64"
+            f"{path}: line 20, column q05: could not convert string 'x' to float64"
         )
 
 
@@ -473,9 +469,8 @@ class TestLoadersEqualTheOracles:
         new, old = load_trial_csv(trial), oracles.load_trial_csv(trial)
         assert new.rounds.tobytes() == old.rounds.tobytes()
         assert (new.condition, new.trial_index) == (old.condition, old.trial_index)
-        # The parent's beliefs, then the infant's states.
-        for a, b in zip(load_beliefs_csv(beliefs), oracles.load_beliefs_csv(beliefs)):
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        a, b = load_beliefs_csv(beliefs), oracles.load_beliefs_csv(beliefs)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
     @pytest.mark.parametrize("mh_current_w", ["fresh", "persistent"])
     @pytest.mark.parametrize("round_order", ROUND_ORDERS)
@@ -560,11 +555,12 @@ class TestRunExperiment:
 
     def test_manifest_round_trips(self, run_dir):
         out, cfg, manifest = run_dir
-        loaded = load_manifest(out)
-        assert loaded.artifacts == manifest.artifacts
-        assert loaded.trial_seeds == {
+        run = open_run(out)
+        assert run.manifest.artifacts == manifest.artifacts
+        assert run.manifest.trial_seeds == {
             c: [trial_seed(cfg.seed, c, t) for t in range(2)] for c in cfg.conditions
         }
+        assert run.config == cfg.replaced(out_dir=".", workers=1)
 
     def test_summary_json_parses(self, run_dir):
         out, cfg, _ = run_dir
@@ -662,8 +658,8 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         cfg = small_config(trials=trials, iterations=3, workers=workers, out_dir=str(tmp_path))

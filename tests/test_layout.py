@@ -3,11 +3,14 @@
 Every top-level function, every class and every method that is not a
 dunder, defined under src/dyadreg, must be referenced by name somewhere
 under src/dyadreg. A definition only the tests call belongs in
-tests/oracles.py.
+tests/oracles.py. The CLI reaches a finished run only through
+harness.open_run, which holds every check on what it reads.
 """
 
 import ast
 from pathlib import Path
+
+from dyadreg import harness
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dyadreg"
 
@@ -49,3 +52,14 @@ def test_every_definition_is_referenced_in_the_package():
         if name.rsplit(".", 1)[-1] not in referenced
     ]
     assert unused == []
+
+
+def test_cli_reads_a_run_only_through_open_run():
+    # The read checks live behind harness.open_run; a command that loaded a
+    # run's files or its config itself would need its own copy of them.
+    cli = {"cli.py": _trees()["cli.py"]}
+    referenced = _references(cli)
+    loaders = {name for name in vars(harness) if name.startswith("load_")}
+    assert "open_run" in referenced
+    assert sorted(referenced & loaders) == []
+    assert "from_dict" not in referenced

@@ -22,7 +22,7 @@ from .environment import (
     identity_sensory_map,
     preferred_obs_distribution,
 )
-from .probability import KL_FLOOR, Categorical, digamma, dirichlet_mean, softmax_neg
+from .probability import KL_FLOOR, digamma, softmax_neg
 
 # Flat Dirichlet concentration of every learned cell: 1/36 per cell gives
 # each 36-cell column a total prior weight of one observation (Perks'
@@ -80,9 +80,9 @@ class Agent:
     `concentration`, or keeps `transitions` fixed without it. The learned
     matrix is always the mean of its concentrations, so batch replay of
     the same updates reproduces it exactly. Symbol w names action w. Beliefs and
-    posteriors are plain probability vectors. `state` is the flat state the
-    infant last observed, and None before its first cue and after its
-    belief is set.
+    posteriors are plain probability vectors; only assimilate replaces
+    `belief`. `state` is the flat state the infant last observed, and None
+    before its first cue; whoever sets `belief` by hand must reset it.
     """
 
     def __init__(
@@ -101,7 +101,7 @@ class Agent:
         # call. learn_B keeps it current.
         self._B_rows = np.ascontiguousarray(transitions.transpose(1, 0, 2)).reshape(N_STATES, -1)
         self.state: int | None = None
-        self._belief = np.full(N_STATES, 1.0 / N_STATES)
+        self.belief = np.full(N_STATES, 1.0 / N_STATES)
         if kind is AgentKind.PARENT:
             if concentration is None:
                 raise ValueError("a parent needs counts over its sensory map (concentration)")
@@ -124,36 +124,23 @@ class Agent:
 
     # -- belief ----------------------------------------------------------
 
-    @property
-    def belief(self) -> np.ndarray:
-        return self._belief
-
-    @belief.setter
-    def belief(self, value):
-        """Set the belief from any probability vector, validated here."""
-        probs = Categorical(value).probs
-        if probs.size != N_STATES:
-            raise ValueError("belief support must match the state space")
-        self._belief = probs
-        self.state = None
-
     def assimilate(self, action: int, obs: int) -> tuple[np.ndarray, np.ndarray]:
         """Predict through `action`, correct by `obs`, adopt the result.
 
         Returns (previous belief, new belief); the pair is what dynamics
         learning needs.
         """
-        prev = self._belief
+        prev = self.belief
         if self.kind is AgentKind.INFANT:
             # What update_belief gives under an identity map: pred[obs] /
             # pred[obs] = 1 at obs, 0 elsewhere, and the same vector from its
             # fallback when pred[obs] = 0.
-            self._belief = np.zeros(N_STATES)
-            self._belief[obs] = 1.0
+            self.belief = np.zeros(N_STATES)
+            self.belief[obs] = 1.0
             self.state = obs
         else:
-            self._belief = update_belief(predict_belief(prev, self.B, action), self.A, obs)
-        return prev, self._belief
+            self.belief = update_belief(predict_belief(prev, self.B, action), self.A, obs)
+        return prev, self.belief
 
     # -- action and symbol scoring ----------------------------------------
 
@@ -169,7 +156,7 @@ class Agent:
             # A one-hot belief picks one row out of the product below, and
             # the identity map leaves only that row's risk.
             return self._risk[self.state].copy()
-        q_pred = np.dot(self._belief.reshape(1, N_STATES), self._B_rows)
+        q_pred = np.dot(self.belief.reshape(1, N_STATES), self._B_rows)
         q_pred = q_pred.reshape(N_STATES, N_ACTIONS)
         risk = _risk_terms(self.A @ q_pred, self._log_pref).sum(axis=0)
         return self._sensory_entropy @ q_pred + risk
@@ -243,7 +230,7 @@ def init_agent(
 
     The parent keeps the exact dynamics and starts a flat Dirichlet over
     the sensory map; the infant keeps the exact (identity) sensory map and
-    starts a flat Dirichlet over the dynamics.
+    starts a flat Dirichlet over the dynamics, at its mean.
     """
     if not 0.0 < prior_concentration < math.inf:
         raise ValueError("prior concentration must be positive and finite")
@@ -251,4 +238,4 @@ def init_agent(
     if kind is AgentKind.PARENT:
         return Agent(kind, truth.tensor, preferred, np.full((N_STATES, N_STATES), prior_concentration))
     beta = np.full((N_STATES, N_STATES, N_ACTIONS), prior_concentration)
-    return Agent(kind, dirichlet_mean(beta, axis=0), preferred, beta)
+    return Agent(kind, beta / beta.sum(axis=0), preferred, beta)

@@ -9,21 +9,36 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .agents import DIRICHLET_PRIOR
 from .dialogue import CONDITION_NAMES, ROUND_ORDERS
 from .environment import BRANCH_PROB, C_FLOOR, C_SIGMA, EAT_GAIN, N_LEVELS, N_STATES, TEMP_HIGH_MIN
+from .metrics import ROUND_DTYPE
 
 CURRENT_W_MODES = ("fresh", "persistent")
 PREFERENCE_MODES = ("linear", "softmax")
 # The most trial processes a run may start; each is a full interpreter.
 MAX_WORKERS = 64
+# The trial CSV's iteration column bounds a trial's length.
+MAX_ITERATIONS = int(np.iinfo(ROUND_DTYPE["iteration"]).max)
+FLOAT_MAX = sys.float_info.max
+# The largest squared distance of a cell from the comfort bump's centre, a corner's.
+_CORNER_D2 = 2 * ((N_LEVELS - 1) / 2) ** 2
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _sums_finitely(values) -> bool:
+    """Whether numpy sums these preferences finitely, as preferred_obs_distribution does."""
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(np.asarray(values, dtype=float).sum()))
 
 
 def _type_error(name: str, value, kind: str) -> str | None:
@@ -110,8 +125,8 @@ class ExperimentConfig:
             raise ConfigError("conditions must be unique")
         if self.trials < 1:
             raise ConfigError("trials must be a positive integer")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be a positive integer")
+        if not 1 <= self.iterations <= MAX_ITERATIONS:
+            raise ConfigError(f"iterations must be an integer in [1, {MAX_ITERATIONS}]")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
         if self.round_order not in ROUND_ORDERS:
@@ -122,23 +137,39 @@ class ExperimentConfig:
             raise ConfigError(f"preference_mode must be one of {PREFERENCE_MODES}")
         if self.shuffle_permutations < 1:
             raise ConfigError("shuffle_permutations must be a positive integer")
-        if not 0.0 < self.dirichlet_prior < math.inf:
-            raise ConfigError("dirichlet_prior must be positive and finite")
+        # digamma squares its argument plus 10. Its largest argument is a
+        # parent's column total plus 1: N_STATES priors and at most one count
+        # per round, which a float sum rounds up by at most N_STATES ulps.
+        top = math.sqrt(FLOAT_MAX) / (1.0 + N_STATES * sys.float_info.epsilon)
+        max_prior = (top - 2 * self.iterations - 11) / N_STATES
+        if not 0.0 < self.dirichlet_prior <= max_prior:
+            raise ConfigError(
+                f"dirichlet_prior must lie in (0, {max_prior:.4g}], not {self.dirichlet_prior!r}"
+            )
         if not 0.0 <= self.branch_prob <= 1.0:
             raise ConfigError("branch_prob must lie in [0, 1]")
         if self.eat_gain < 0:
             raise ConfigError("eat_gain must be a non-negative integer")
         if not 0 <= self.temp_high_min <= N_LEVELS:
             raise ConfigError(f"temp_high_min must lie in [0, {N_LEVELS}]")
-        if not 0.0 < self.c_sigma < math.inf:
-            raise ConfigError("c_sigma must be positive and finite")
-        if not 0.0 < self.c_floor < math.inf:
-            raise ConfigError("c_floor must be positive and finite")
+        # The comfort bump divides each squared distance by 2 c_sigma**2, finitely.
+        spread = 2.0 * self.c_sigma * self.c_sigma if 0.0 < self.c_sigma <= FLOAT_MAX else 0.0
+        if not (0.0 < spread and _CORNER_D2 / spread < math.inf):
+            least = math.sqrt(_CORNER_D2 / 2.0 / FLOAT_MAX)
+            raise ConfigError(
+                f"c_sigma must lie in [{least:.4g}, {FLOAT_MAX:.4g}], not {self.c_sigma!r}"
+            )
+        # Every preference is at least c_floor, and their sum must be finite.
+        if not (0.0 < self.c_floor <= FLOAT_MAX and _sums_finitely([self.c_floor] * N_STATES)):
+            raise ConfigError(
+                f"c_floor must lie in (0, {FLOAT_MAX / N_STATES:.4g}], not {self.c_floor!r}"
+            )
         if self.c_values is not None:
             if len(self.c_values) != N_STATES:
                 raise ConfigError(f"c_values needs exactly {N_STATES} entries")
-            if not all(0.0 < v < math.inf for v in self.c_values):
-                raise ConfigError("c_values must be strictly positive and finite")
+            finite = all(0.0 < v <= FLOAT_MAX for v in self.c_values)
+            if not (finite and _sums_finitely(self.c_values)):
+                raise ConfigError("c_values must be positive and finite, with a finite sum")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ConfigError(f"workers must be an integer in [1, {MAX_WORKERS}]")
 

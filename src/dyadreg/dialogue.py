@@ -110,9 +110,9 @@ def run_iteration(
     persist_w: bool = False,
     on_round: Optional[Callable[[Agent, DialogueOutcome, int, bool], None]] = None,
 ) -> tuple[int, int]:
-    """Two rounds with swapped speakers, each followed by one world step
-    from the flat true state z. Returns the landing state and the last
-    agreed symbol.
+    """Two rounds with swapped speakers, in the order ROUND_SPEAKERS gives
+    for round_order, each followed by one world step from the flat true
+    state z. Returns the landing state and the last agreed symbol.
 
     After every round both agents assimilate their own cue of the landing
     state (emission is the identity, so the cue is the state's flat index),
@@ -123,8 +123,6 @@ def run_iteration(
     fires after learning, once per round, with the speaker, the outcome,
     the landing state and whether the rare branch fired.
     """
-    if round_order not in ROUND_SPEAKERS:
-        raise ValueError(f"unknown round order: {round_order!r}")
     agents = {AgentKind.PARENT: (parent, infant), AgentKind.INFANT: (infant, parent)}
     for kind in ROUND_SPEAKERS[round_order]:
         speaker, listener = agents[kind]

@@ -232,6 +232,7 @@ def _load_csv(path, header, dtype) -> np.ndarray:
         raise ValueError(f"{path}: unexpected CSV header")
     if not lines:
         raise ValueError(f"{path}: no data rows")
+    # np.loadtxt skips a blank line, so this count alone refuses one.
     if {line.count(",") for line in lines} != {len(header) - 1}:
         raise ValueError(f"{path}: every row needs {len(header)} cells")
     try:
@@ -266,11 +267,11 @@ def write_trial_csv(log: TrialLog, path):
     _write_csv(path, CSV_HEADER, zip(*columns))
 
 
-def load_trial_csv(path, seed: int = -1) -> TrialLog:
-    """A trial log rebuilt from its CSV, without beliefs, its seed unknown
-    unless supplied. The file must load as _load_csv loads it, its condition
-    and speaker cells must name a condition and an agent, and its true_x and
-    true_y cells must lie in [0, N_LEVELS); otherwise ValueError names it."""
+def load_trial_csv(path) -> np.ndarray:
+    """A trial CSV's rows, with dtype ROUND_DTYPE. The file must load as
+    _load_csv loads it, its condition and speaker cells must name a
+    condition and an agent, and its true_x and true_y cells must lie in
+    [0, N_LEVELS); otherwise ValueError names it."""
     rounds = _load_csv(path, CSV_HEADER, CSV_READ_DTYPE).astype(ROUND_DTYPE)
     if not (
         np.isin(rounds["condition"], CONDITION_NAMES).all()
@@ -279,7 +280,7 @@ def load_trial_csv(path, seed: int = -1) -> TrialLog:
         raise ValueError(f"{path}: a condition or speaker cell names no condition or agent")
     if not all(((rounds[n] >= 0) & (rounds[n] < N_LEVELS)).all() for n in ("true_x", "true_y")):
         raise ValueError(f"{path}: a true_x or true_y cell lies outside [0, {N_LEVELS})")
-    return TrialLog(str(rounds["condition"][0]), int(rounds["trial"][0]), seed, rounds)
+    return rounds
 
 
 def write_beliefs_csv(log: TrialLog, path):
@@ -472,7 +473,7 @@ class FinishedRun:
         path = self._listed_path(condition, index, name)
         if name not in self.manifest.artifacts:
             raise ValueError(f"{self.path / 'manifest.json'}: does not list {name}")
-        rounds = self._whole(path, load_trial_csv(path).rounds)
+        rounds = self._whole(path, load_trial_csv(path))
         if not (np.all(rounds["condition"] == condition) and np.all(rounds["trial"] == index)):
             raise ValueError(
                 f"{path}: every row must be condition {condition}, trial {index}, "

@@ -43,7 +43,7 @@ def kld_B_error(
     columns: Iterable[int],
 ) -> float:
     """Mean per-state KL between the exact and learned transition columns
-    of one action.
+    of one action; both tensors are (z', z, a).
 
     `kls` keeps the per-column KLs, KL(p_j || q_j) = sum_i p_ij (ln p_ij -
     ln q_ij) with the learned column floored at KL_FLOOR and renormalized;
@@ -51,8 +51,6 @@ def kld_B_error(
     recomputed. Each is summed in order over the true column's nonzero
     cells, since the others add exact zeros.
     """
-    if dynamics_true.shape != dynamics_learned.shape or dynamics_true.ndim != 3:
-        raise ValueError("dynamics tensors must share a (n, n, actions) shape")
     for j in columns:
         q = np.maximum(dynamics_learned[:, j, action], KL_FLOOR)
         true_col = dynamics_true[:, j, action]

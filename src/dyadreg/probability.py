@@ -1,8 +1,9 @@
 """Finite-support probability primitives shared across the simulator.
 
-A negative softmax, Dirichlet means, the digamma function, and
-deterministic seeded sampling, all on plain probability vectors.
-Categorical is the one check a vector gets where it enters the program.
+A negative softmax, the digamma function, and deterministic seeded
+sampling, all on plain probability vectors. Categorical is the one check a
+vector gets where it enters the program; the per-round functions here check
+nothing, since the config and the constructors bound what they are given.
 All logarithms are natural, so every information quantity is in nats.
 """
 
@@ -48,18 +49,13 @@ class Categorical:
         self.probs = p
 
 
-def softmax_neg(values) -> np.ndarray:
-    """Normalized exp(-v): the smallest value gets the largest probability.
+def softmax_neg(v: np.ndarray) -> np.ndarray:
+    """Normalized exp(-v) of a non-empty 1-d array of finite values: the
+    smallest value gets the largest probability.
 
     The maximum of -v is subtracted before exponentiation, so arbitrarily
-    large inputs do not overflow. Values must be finite: a NaN would
-    otherwise pass silently into sample().
+    large inputs do not overflow.
     """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("need a non-empty 1-d value vector")
-    if not np.isfinite(v).all():
-        raise ValueError("softmax_neg requires finite values")
     w = np.exp(v.min() - v)
     p = w / w.sum()
     # Normalized a second time, as a validating constructor would: the
@@ -74,28 +70,15 @@ def sample(p: np.ndarray, rng: np.random.Generator) -> int:
     return min(idx, p.size - 1)
 
 
-def dirichlet_mean(concentrations, axis: int = 0) -> np.ndarray:
-    """Mean of independent Dirichlet distributions stacked along `axis`.
-
-    Each slice of strictly positive concentrations is normalized into a
-    probability vector along the given axis.
-    """
-    c = np.asarray(concentrations, dtype=float)
-    if (c <= 0.0).any() or not np.isfinite(c).all():
-        raise ValueError("concentrations must be finite and strictly positive")
-    return c / c.sum(axis=axis, keepdims=True)
-
-
 def digamma(x) -> np.ndarray:
-    """Digamma function, elementwise, for strictly positive arguments.
+    """Digamma function, elementwise, for strictly positive arguments; the
+    program passes Dirichlet counts plus 1.
 
     The recurrence psi(x) = psi(x + 10) - sum_{k<10} 1 / (x + k) moves every
     argument to at least 10, where the asymptotic series below is accurate
     to about 1e-14.
     """
     x = np.asarray(x, dtype=float)
-    if (x <= 0.0).any():
-        raise ValueError("digamma needs strictly positive arguments")
     shift = (1.0 / np.add.outer(x, _DIGAMMA_SHIFTS)).sum(axis=-1)
     y = x + 10.0
     inv2 = 1.0 / (y * y)

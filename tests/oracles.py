@@ -10,10 +10,10 @@ import csv
 import numpy as np
 
 from dyadreg import harness
-from dyadreg.environment import N_ACTIONS
+from dyadreg.environment import N_ACTIONS, N_STATES
 from dyadreg.harness import BELIEF_HEADER, CSV_HEADER
-from dyadreg.metrics import ROUND_DTYPE, TrialLog
-from dyadreg.probability import KL_FLOOR, RENORM_TOL, digamma
+from dyadreg.metrics import ROUND_DTYPE
+from dyadreg.probability import KL_FLOOR, RENORM_TOL, Categorical, digamma
 
 
 def entropy(p: np.ndarray) -> float:
@@ -110,6 +110,17 @@ def mean_column_kl(true_cols: np.ndarray, learned_cols: np.ndarray) -> float:
     return float(column_kls(true_cols, learned_cols).mean())
 
 
+def set_belief(agent, probs):
+    """Give an agent a belief no round gave it: `probs` must be a probability
+    vector over the states. The agent then has no sensed state, so its
+    expected free energy takes the general path until its next cue."""
+    belief = Categorical(probs).probs
+    if belief.size != N_STATES:
+        raise ValueError("belief support must match the state space")
+    agent.belief = belief
+    agent.state = None
+
+
 def outer_product_learn_B(agent, prev, post, action):
     """Agent.learn_B's general form, whatever the beliefs: count the outer
     product, renormalize the whole action slice, copy it into the rows."""
@@ -166,12 +177,11 @@ def _read_csv(path, header) -> list:
     return rows
 
 
-def load_trial_csv(path, seed: int = -1) -> TrialLog:
-    """Rebuild a trial log from its CSV.
+def load_trial_csv(path) -> np.ndarray:
+    """A trial CSV's rows, with dtype ROUND_DTYPE.
 
     Every cell must parse, and the rows must be rounds 1 and 2 of
-    iterations 1, 2, ... in order; otherwise ValueError names the file.
-    The beliefs are not part of the CSV; the seed is unknown unless supplied."""
+    iterations 1, 2, ... in order; otherwise ValueError names the file."""
     rows = _read_csv(path, CSV_HEADER)
     rounds = np.empty(len(rows), ROUND_DTYPE)
     for name, cells in zip(CSV_HEADER, zip(*rows)):
@@ -190,7 +200,7 @@ def load_trial_csv(path, seed: int = -1) -> TrialLog:
         raise ValueError(
             f"{path}: rows must be rounds 1 and 2 of iterations 1, 2, ... in order"
         )
-    return TrialLog(str(rounds["condition"][0]), int(rounds["trial"][0]), seed, rounds)
+    return rounds
 
 
 def load_beliefs_csv(path) -> np.ndarray:

@@ -34,7 +34,7 @@ from dyadreg.probability import (
     make_rng,
 )
 from dyadreg.metrics import jsd_latent
-from oracles import js_divergence, kl_divergence, run_trial_keeping_agents
+from oracles import js_divergence, kl_divergence, run_trial_keeping_agents, set_belief
 from oracles import jsd_latent as scalar_jsd_latent
 
 SEEDS = (0, 1, 2)
@@ -228,7 +228,7 @@ def test_criterion_6_mh_stationarity_oracle():
         agents = []
         for kind in (AgentKind.PARENT, AgentKind.INFANT):
             agent = Agent(AgentKind.INFANT, world.tensor, preferred_obs_distribution(pref))
-            agent.belief = Categorical(fixture_rng.dirichlet(np.ones(36))).probs
+            set_belief(agent, Categorical(fixture_rng.dirichlet(np.ones(36))).probs)
             agents.append(PinnedAgent(kind, agent))
         parent, infant = agents
         target = parent.symbol_posterior() * infant.symbol_posterior()

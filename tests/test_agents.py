@@ -19,7 +19,7 @@ from dyadreg.environment import (
     preferred_obs_distribution,
 )
 from dyadreg.probability import KL_FLOOR, Categorical, make_rng
-from oracles import dirichlet_expected_entropy, kl_divergence, outer_product_learn_B
+from oracles import dirichlet_expected_entropy, kl_divergence, outer_product_learn_B, set_belief
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +121,7 @@ class TestFiltering:
 
     def test_assimilate_returns_prev_and_new(self, world, pref):
         i = fresh_infant(world, pref)
-        i.belief = np.eye(N_STATES)[14]
+        set_belief(i, np.eye(N_STATES)[14])
         prev, new = i.assimilate(Action.SLEEP, 20)
         assert np.array_equal(prev, np.eye(N_STATES)[14])
         assert new[20] == 1.0
@@ -139,7 +139,7 @@ class TestExpectedFreeEnergy:
             parent.learn_A(
                 Categorical(rng.dirichlet(np.ones(N_STATES))).probs, int(rng.integers(36))
             )
-        parent.belief = Categorical(rng.dirichlet(np.ones(N_STATES))).probs
+        set_belief(parent, Categorical(rng.dirichlet(np.ones(N_STATES))).probs)
         vec = parent.efe_per_action()
         for a in range(5):
             q_pred = predict_belief(parent.belief, parent.B, a)
@@ -154,7 +154,7 @@ class TestExpectedFreeEnergy:
 
     def test_identity_sensing_has_zero_ambiguity(self, world, pref):
         agent = omniscient(world, pref)
-        agent.belief = np.eye(N_STATES)[VisceralState(2, 2).flat]
+        set_belief(agent, np.eye(N_STATES)[VisceralState(2, 2).flat])
         for a in range(5):
             q_pred = predict_belief(agent.belief, agent.B, a)
             risk = kl_divergence(agent.A @ q_pred, agent.preferred_obs)
@@ -162,7 +162,7 @@ class TestExpectedFreeEnergy:
 
     def test_sleep_preferred_at_comfort_peak(self, world, pref):
         agent = omniscient(world, pref)
-        agent.belief = np.eye(N_STATES)[VisceralState(2, 2).flat]
+        set_belief(agent, np.eye(N_STATES)[VisceralState(2, 2).flat])
         vec = agent.efe_per_action()
         assert int(vec.argmin()) == Action.SLEEP
         assert agent.symbol_posterior().argmax() == Action.SLEEP
@@ -179,7 +179,7 @@ class TestExpectedFreeEnergy:
 class TestSymbolPosterior:
     def test_softmax_of_negative_scores(self, world, pref):
         agent = omniscient(world, pref)
-        agent.belief = np.eye(N_STATES)[VisceralState(4, 4).flat]
+        set_belief(agent, np.eye(N_STATES)[VisceralState(4, 4).flat])
         g = agent.efe_per_action()
         expect = np.exp(-(g - g.min()))
         expect /= expect.sum()
@@ -187,9 +187,9 @@ class TestSymbolPosterior:
 
     def test_cache_invalidated_by_belief_change(self, world, pref):
         agent = omniscient(world, pref)
-        agent.belief = np.eye(N_STATES)[VisceralState(2, 2).flat]
+        set_belief(agent, np.eye(N_STATES)[VisceralState(2, 2).flat])
         first = agent.symbol_posterior()
-        agent.belief = np.eye(N_STATES)[VisceralState(5, 0).flat]
+        set_belief(agent, np.eye(N_STATES)[VisceralState(5, 0).flat])
         second = agent.symbol_posterior()
         assert not np.allclose(first, second)
 
@@ -298,11 +298,11 @@ def random_belief(rng):
 def infant_rounds(infant, rng, steps=150):
     """A seeded run of rounds for an infant as a trial drives it: its
     uniform start belief first, then the one-hot beliefs its cues give,
-    with a belief set through the setter halfway. Yields each round's
+    with a belief set through set_belief halfway. Yields each round's
     (prev, new, action) after assimilate and before learn_B."""
     for step in range(steps):
         if step == steps // 2:
-            infant.belief = random_belief(rng)
+            set_belief(infant, random_belief(rng))
         action, obs = int(rng.integers(5)), int(rng.integers(N_STATES))
         prev, new = infant.assimilate(action, obs)
         yield prev, new, action
@@ -322,7 +322,7 @@ class TestStructureShortcuts:
     def test_identity_efe_equals_general_formula(self, world, pref):
         infant, rng = self.learned_infant(world, pref, 41)
         for _ in range(20):
-            infant.belief = random_belief(rng)
+            set_belief(infant, random_belief(rng))
             assert np.array_equal(infant.efe_per_action(), general_efe(infant))
             # After an observation the belief is one-hot and EFE reads one
             # row of the cached dynamics layout.
@@ -336,7 +336,7 @@ class TestStructureShortcuts:
         infant, rng = self.learned_infant(world, pref, 47)
         for _ in range(200):
             if rng.random() < 0.3:
-                infant.belief = random_belief(rng)
+                set_belief(infant, random_belief(rng))
             action, obs = int(rng.integers(5)), int(rng.integers(N_STATES))
             expect = update_belief(predict_belief(infant.belief, infant.B, action), infant.A, obs)
             _, new = infant.assimilate(action, obs)
@@ -348,7 +348,7 @@ class TestStructureShortcuts:
         # on the far corner, so update_belief falls back to the likelihood.
         agent = omniscient(world, pref)
         start, far = VisceralState(2, 2).flat, VisceralState(5, 5).flat
-        agent.belief = np.eye(N_STATES)[start]
+        set_belief(agent, np.eye(N_STATES)[start])
         pred = predict_belief(agent.belief, agent.B, Action.SLEEP)
         assert pred[far] == 0.0
         _, new = agent.assimilate(Action.SLEEP, far)
@@ -378,13 +378,13 @@ class TestStructureShortcuts:
             assert np.array_equal(infant.trans_concentration, twin.trans_concentration)
             assert np.array_equal(infant.B, twin.B)
             assert np.array_equal(infant._B_rows, twin._B_rows)
-        # Every round but the first and the one after the setter.
+        # Every round but the first and the one after set_belief.
         assert one_column == 148
 
     def test_setter_returns_to_the_general_path(self, world, pref):
         infant, rng = self.learned_infant(world, pref, 53)
         infant.assimilate(Action.EAT, 7)
         one_hot_efe = infant.efe_per_action()
-        infant.belief = random_belief(rng)
+        set_belief(infant, random_belief(rng))
         assert np.array_equal(infant.efe_per_action(), general_efe(infant))
         assert not np.array_equal(infant.efe_per_action(), one_hot_efe)

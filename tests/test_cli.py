@@ -736,6 +736,33 @@ class TestEntrypoints:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            ({"dirichlet_prior": 1e306}, "dirichlet_prior"),
+            ({"dirichlet_prior": 1e200}, "dirichlet_prior"),
+            ({"c_sigma": 1e-200}, "c_sigma"),
+            ({"c_floor": 1e307}, "c_floor"),
+            ({"c_values": [5e306] * 36}, "c_values"),
+        ],
+    )
+    def test_config_the_model_cannot_compute_leaves_the_previous_run(
+        self, tmp_path, capsys, body, field
+    ):
+        out = tmp_path / "out"
+        small = ("--iterations", "3", "--trials", "1", "--conditions", "mhng", "--out", str(out))
+        assert run_cli("run", *small) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(body))
+        assert run_cli("run", "--config", str(bad), *small) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field} ")
+        assert captured.err.count("\n") == 1
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     def test_too_many_workers_fails_in_one_line(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("run", "--workers", "100000", "--trials", "1", "--out", str(out)) == 2

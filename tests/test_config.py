@@ -1,12 +1,20 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from dyadreg.agents import AgentKind, init_agent
-from dyadreg.config import MAX_WORKERS, ConfigError, ExperimentConfig, load_config, save_config
-from dyadreg.harness import build_world
+from dyadreg.config import (
+    MAX_ITERATIONS,
+    MAX_WORKERS,
+    ConfigError,
+    ExperimentConfig,
+    load_config,
+    save_config,
+)
+from dyadreg.harness import build_world, run_trial
 
 
 class TestDefaults:
@@ -67,11 +75,60 @@ class TestValidation:
             {"out_dir": 3},
             {"dirichlet_prior": float("inf")},
             {"c_floor": float("inf")},
+            # Values a run cannot compute without an overflow.
+            {"dirichlet_prior": 1e200},
+            {"dirichlet_prior": 1e306},
+            {"dirichlet_prior": 10**400},
+            {"c_sigma": 1e-160},
+            {"c_sigma": 1e-200},
+            {"c_sigma": 10**400},
+            {"c_floor": 5e306},
+            {"c_floor": 1e307},
+            {"c_values": (5e306,) * 36},
+            {"c_values": (5e306,) * 36, "preference_mode": "softmax"},
+            {"c_values": (10**400,) * 36},
+            {"iterations": MAX_ITERATIONS + 1},
         ],
     )
     def test_rejects(self, changes):
         with pytest.raises(ConfigError):
             ExperimentConfig(**changes)
+
+    @pytest.mark.parametrize(
+        "field, accepted, refused",
+        [
+            ("dirichlet_prior", 1.0, 1e200),
+            ("dirichlet_prior", 1.0, 0.0),
+            ("c_sigma", 1.0, 1e-200),
+            ("c_sigma", 1.0, math.inf),
+            ("c_floor", 1.0, 1e307),
+            ("c_floor", 1.0, 0.0),
+            ("c_values", 1.0, 1e307),
+            ("c_values", 1.0, 0.0),
+        ],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_trial_runs_at_each_accepted_extreme(self, field, accepted, refused):
+        # Bisect the floats between an accepted and a refused value down to
+        # the accepted one next to the boundary; every condition's trial
+        # must run there with no numpy warning.
+        def config(bits):
+            value = float(np.int64(bits).view(np.float64))
+            value = [value] * 36 if field == "c_values" else value
+            return ExperimentConfig(iterations=30, **{field: value})
+
+        good, bad = (int(np.float64(v).view(np.int64)) for v in (accepted, refused))
+        while abs(bad - good) > 1:
+            middle = (good + bad) // 2
+            try:
+                config(middle)
+                good = middle
+            except ConfigError:
+                bad = middle
+        cfg = config(good)
+        for condition in cfg.conditions:
+            log = run_trial(cfg, condition, 0)
+            assert np.isfinite(log.parent_round_beliefs).all()
 
     def test_int_accepted_where_float_expected(self):
         cfg = ExperimentConfig(branch_prob=1, dirichlet_prior=2, c_values=[1] * 36)

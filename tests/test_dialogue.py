@@ -188,19 +188,6 @@ class TestRunIteration:
         _, seen = run_recorded(parent, infant, world, 14, round_order="parent-first")
         assert [r[0] for r in seen] == [parent, infant]
 
-    def test_unknown_order_rejected(self, world, pref):
-        parent, infant = make_dyad(world, pref)
-        with pytest.raises(ValueError):
-            run_iteration(
-                parent,
-                infant,
-                world,
-                START,
-                Condition.MHNG,
-                make_rng(15),
-                round_order="alphabetical",
-            )
-
     def test_state_tracks_last_step(self, world, pref):
         parent, infant = make_dyad(world, pref)
         (z, shared_w), seen = run_recorded(parent, infant, world, 16)

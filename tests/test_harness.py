@@ -25,6 +25,7 @@ from dyadreg.harness import (
     write_beliefs_csv,
     write_trial_csv,
 )
+from dyadreg.metrics import TrialLog
 from dyadreg.probability import derive_seed, make_rng
 import oracles
 from oracles import jsd_latent, mean_column_kl, run_trial_keeping_agents
@@ -158,7 +159,8 @@ class TestTrialCsv:
     def test_round_trip(self, mhng_log, tmp_path):
         path = tmp_path / "trial.csv"
         write_trial_csv(mhng_log, path)
-        again = load_trial_csv(path, seed=mhng_log.seed)
+        rounds = load_trial_csv(path)
+        again = TrialLog(str(rounds["condition"][0]), int(rounds["trial"][0]), mhng_log.seed, rounds)
         assert again.condition == "mhng"
         assert again.trial_index == 0
         assert len(again.rounds) == len(mhng_log.rounds)
@@ -278,7 +280,7 @@ class TestTrialCsvFuzz:
         # The file is written with CRLF line ends; it loads the same with LF.
         lf = tmp_path / "lf.csv"
         lf.write_text("\n".join([header, *rows]) + "\n")
-        assert load_trial_csv(lf).rounds.tobytes() == load_trial_csv(good).rounds.tobytes()
+        assert load_trial_csv(lf).tobytes() == load_trial_csv(good).tobytes()
         numeric = [i for i, name in enumerate(CSV_HEADER) if name not in ("condition", "speaker")]
         rng = np.random.default_rng(2024)
         for case in range(90):
@@ -299,7 +301,7 @@ class TestTrialCsvFuzz:
             path.write_text("\n".join([header, *lines]) + "\n")
             if kind == 0 and kept % 2 == 0:
                 # A cut between iterations leaves a shorter, valid trial.
-                assert load_trial_csv(path).iteration_series("jsd_z").size == kept // 2
+                assert load_trial_csv(path)["jsd_z"][1::2].size == kept // 2
                 continue
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
                 load_trial_csv(path)
@@ -467,8 +469,8 @@ class TestLoadersEqualTheOracles:
         write_trial_csv(log, trial)
         write_beliefs_csv(log, beliefs)
         new, old = load_trial_csv(trial), oracles.load_trial_csv(trial)
-        assert new.rounds.tobytes() == old.rounds.tobytes()
-        assert (new.condition, new.trial_index) == (old.condition, old.trial_index)
+        assert new.tobytes() == old.tobytes()
+        assert (new["condition"][0], new["trial"][0]) == (old["condition"][0], old["trial"][0])
         a, b = load_beliefs_csv(beliefs), oracles.load_beliefs_csv(beliefs)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 

@@ -4,7 +4,9 @@ Every top-level function, every class and every method that is not a
 dunder, defined under src/dyadreg, must be referenced by name somewhere
 under src/dyadreg. A definition only the tests call belongs in
 tests/oracles.py. The CLI reaches a finished run only through
-harness.open_run, which holds every check on what it reads.
+harness.open_run, which holds every check on what it reads. The functions
+every round calls raise nothing: their inputs were checked where they
+entered the program.
 """
 
 import ast
@@ -20,15 +22,16 @@ def _trees():
 
 
 def _definitions(tree):
+    """(name, node) of every top-level function and class, and of every
+    method that is not a dunder."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            yield node.name
-        elif isinstance(node, ast.ClassDef):
-            yield node.name
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
             for item in node.body:
                 is_method = isinstance(item, ast.FunctionDef)
                 if is_method and not (item.name.startswith("__") and item.name.endswith("__")):
-                    yield f"{node.name}.{item.name}"
+                    yield f"{node.name}.{item.name}", item
 
 
 def _references(trees):
@@ -48,7 +51,7 @@ def test_every_definition_is_referenced_in_the_package():
     unused = [
         f"{module}:{name}"
         for module, tree in trees.items()
-        for name in _definitions(tree)
+        for name, _ in _definitions(tree)
         if name.rsplit(".", 1)[-1] not in referenced
     ]
     assert unused == []
@@ -63,3 +66,30 @@ def test_cli_reads_a_run_only_through_open_run():
     assert "open_run" in referenced
     assert sorted(referenced & loaders) == []
     assert "from_dict" not in referenced
+
+
+# The functions a round calls, by module. ExperimentConfig.validate and the
+# public constructors bound every value they are given.
+ROUND_PATH = {
+    "probability.py": ("softmax_neg", "sample", "digamma"),
+    "dialogue.py": ("mh_accept", "run_round", "run_iteration"),
+    "metrics.py": ("kld_A_error", "kld_B_error"),
+    "agents.py": (
+        "predict_belief",
+        "_risk_terms",
+        "Agent.efe_per_action",
+        "Agent.symbol_posterior",
+        "Agent.assimilate",
+    ),
+}
+
+
+def test_the_round_path_raises_nothing():
+    trees = _trees()
+    raising = []
+    for module, names in ROUND_PATH.items():
+        definitions = dict(_definitions(trees[module]))
+        for name in names:
+            if any(isinstance(node, ast.Raise) for node in ast.walk(definitions[name])):
+                raising.append(f"{module}:{name}")
+    assert raising == []

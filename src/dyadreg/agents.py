@@ -38,7 +38,7 @@ class AgentKind(Enum):
 def predict_belief(belief: np.ndarray, transitions: np.ndarray, action: int) -> np.ndarray:
     """Push a belief one step through the dynamics for the given action."""
     p = transitions[:, :, action] @ belief
-    return p / p.sum()
+    return np.divide(p, np.add.reduce(p), out=p)
 
 
 def update_belief(belief_pred: np.ndarray, sensory: np.ndarray, obs: int) -> np.ndarray:
@@ -49,23 +49,23 @@ def update_belief(belief_pred: np.ndarray, sensory: np.ndarray, obs: int) -> np.
     """
     like = sensory[obs, :]
     post = like * belief_pred
-    total = post.sum()
+    total = np.add.reduce(post)
     if total <= 0.0:
         post = like
-        total = post.sum()
+        total = np.add.reduce(post)
         if total <= 0.0:
             raise ValueError(f"observation {obs} has an all-zero likelihood row")
     post = post / total
     # Normalized a second time, as a validating constructor would: the
     # artifacts depend on these exact bits.
-    return post / post.sum()
+    return np.divide(post, np.add.reduce(post), out=post)
 
 
 def _risk_terms(q_obs: np.ndarray, log_pref: np.ndarray) -> np.ndarray:
     """q_obs * (log q_obs - log_pref) cell by cell, observations on axis 0.
     Summed over that axis in order, each column gives the KL from one
     predicted observation distribution to the comfort distribution."""
-    logs = np.where(q_obs > 0.0, np.log(np.where(q_obs > 0.0, q_obs, 1.0)), 0.0)
+    logs = np.log(q_obs, out=np.zeros(q_obs.shape), where=q_obs > 0.0)
     return q_obs * (logs - log_pref.reshape((-1,) + (1,) * (q_obs.ndim - 1)))
 
 
@@ -156,9 +156,9 @@ class Agent:
             # A one-hot belief picks one row out of the product below, and
             # the identity map leaves only that row's risk.
             return self._risk[self.state].copy()
-        q_pred = np.dot(self.belief.reshape(1, N_STATES), self._B_rows)
+        q_pred = self.belief.reshape(1, N_STATES).dot(self._B_rows)
         q_pred = q_pred.reshape(N_STATES, N_ACTIONS)
-        risk = _risk_terms(self.A @ q_pred, self._log_pref).sum(axis=0)
+        risk = np.add.reduce(_risk_terms(self.A @ q_pred, self._log_pref), axis=0)
         return self._sensory_entropy @ q_pred + risk
 
     def symbol_posterior(self) -> np.ndarray:
@@ -207,7 +207,7 @@ class Agent:
         `obs` recomputes only that column of them.
         """
         c = self.obs_concentration
-        c0 = c.sum(axis=1)
+        c0 = np.add.reduce(c, axis=1)
         self.A = (c / c0[:, None]).T
         if obs is None:
             self._psi_terms = c * digamma(c + 1.0)
@@ -216,7 +216,7 @@ class Agent:
             psi = digamma(np.concatenate((c[:, obs], c0)) + 1.0)
             self._psi_terms[:, obs] = c[:, obs] * psi[: c.shape[0]]
             psi_c0 = psi[c.shape[0] :]
-        self._sensory_entropy = psi_c0 - self._psi_terms.sum(axis=1) / c0
+        self._sensory_entropy = psi_c0 - np.add.reduce(self._psi_terms, axis=1) / c0
 
 
 def init_agent(

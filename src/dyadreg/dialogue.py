@@ -8,9 +8,8 @@ rounds with the speaker role swapped, filtering and learning after each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -37,8 +36,7 @@ ROUND_SPEAKERS = {
 ROUND_ORDERS = tuple(ROUND_SPEAKERS)
 
 
-@dataclass(frozen=True)
-class DialogueOutcome:
+class DialogueOutcome(NamedTuple):
     proposed_w: int
     listener_own_w: int
     accepted: bool
@@ -123,9 +121,8 @@ def run_iteration(
     fires after learning, once per round, with the speaker, the outcome,
     the landing state and whether the rare branch fired.
     """
-    agents = {AgentKind.PARENT: (parent, infant), AgentKind.INFANT: (infant, parent)}
     for kind in ROUND_SPEAKERS[round_order]:
-        speaker, listener = agents[kind]
+        speaker, listener = (parent, infant) if kind is AgentKind.PARENT else (infant, parent)
         outcome = run_round(
             speaker, listener, condition, rng, current_w if persist_w else None
         )

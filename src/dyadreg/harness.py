@@ -14,7 +14,6 @@ import json
 import re
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -143,19 +142,8 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int, env=None) -
             kld_B_sleep = kld_B_error(world.tensor, infant.B, Action.SLEEP, sleep_kls, columns)
         prev_state = infant.state
         parent_round_beliefs[len(recorded)] = parent.belief
-        recorded.append(
-            (
-                outcome.proposed_w,
-                outcome.listener_own_w,
-                outcome.accepted,
-                outcome.acceptance_prob,
-                outcome.shared_w,
-                z,
-                rare,
-                kld_A_error(parent.A),
-                kld_B_sleep,
-            )
-        )
+        # The outcome's fields, in order, are the first five recorded columns.
+        recorded.append((*outcome, z, rare, kld_A_error(parent.A), kld_B_sleep))
 
     persist = config.mh_current_w == "persistent"
     z = START_STATE.flat
@@ -257,14 +245,14 @@ def _load_csv(path, header, dtype) -> np.ndarray:
 
 
 def write_trial_csv(log: TrialLog, path):
-    columns = []
-    for name in CSV_HEADER:
-        column = log.rounds[name]
-        kind = column.dtype.kind
-        if kind == "b":  # flags are written as 0/1
-            column = column.astype(int)
-        columns.append(map(_fmt, column.tolist()) if kind == "f" else column.tolist())
-    _write_csv(path, CSV_HEADER, zip(*columns))
+    """The trial CSV, as _write_csv would write it with flags as 0/1 and
+    floats as _fmt cells (no cell needs quoting, and "%.9g" formats a float
+    as _fmt does)."""
+    kinds = [ROUND_DTYPE[name].kind for name in CSV_HEADER]
+    line = ",".join({"f": "%.9g", "U": "%s"}.get(kind, "%d") for kind in kinds) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        fh.writelines(line % row for row in log.rounds.tolist())
 
 
 def load_trial_csv(path) -> np.ndarray:
@@ -577,6 +565,10 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     jobs = [(config, cond, t, env) for cond in config.conditions for t in range(config.trials)]
     workers = min(config.workers, len(jobs))
     if workers > 1:
+        # Imported only for a pool: with multiprocessing, socket and logging
+        # it would add 15-20 ms to every start-up, serial runs included.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             logs = list(pool.map(run_trial, *zip(*jobs)))
     else:

@@ -31,8 +31,8 @@ def kld_A_error(learned_sensory: np.ndarray) -> float:
     """Mean over states j of KL(e_j || q_j) = -ln(q_jj / sum_i q_ij), with q
     the learned sensory map floored at KL_FLOOR: the true map is the identity."""
     q = np.maximum(learned_sensory, KL_FLOOR)
-    kls = 0.0 - np.log(np.diagonal(q) / q.sum(axis=0))
-    return float(kls.sum() / kls.size)
+    kls = 0.0 - np.log(q.diagonal() / np.add.reduce(q, axis=0))
+    return float(np.add.reduce(kls) / kls.size)
 
 
 def kld_B_error(
@@ -57,7 +57,7 @@ def kld_B_error(
         nz = true_col.nonzero()[0]
         p = true_col[nz]
         kls[j] = (p * (np.log(p) - np.log(q[nz] / q.cumsum()[-1]))).cumsum()[-1]
-    return float(kls.sum() / kls.size)
+    return float(np.add.reduce(kls) / kls.size)
 
 
 def _js_half(v: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -56,11 +56,11 @@ def softmax_neg(v: np.ndarray) -> np.ndarray:
     The maximum of -v is subtracted before exponentiation, so arbitrarily
     large inputs do not overflow.
     """
-    w = np.exp(v.min() - v)
-    p = w / w.sum()
+    w = np.exp(np.minimum.reduce(v) - v)
+    np.divide(w, np.add.reduce(w), out=w)
     # Normalized a second time, as a validating constructor would: the
     # artifacts depend on these exact bits.
-    return p / p.sum()
+    return np.divide(w, np.add.reduce(w), out=w)
 
 
 def sample(p: np.ndarray, rng: np.random.Generator) -> int:
@@ -79,7 +79,7 @@ def digamma(x) -> np.ndarray:
     to about 1e-14.
     """
     x = np.asarray(x, dtype=float)
-    shift = (1.0 / np.add.outer(x, _DIGAMMA_SHIFTS)).sum(axis=-1)
+    shift = np.add.reduce(1.0 / np.add.outer(x, _DIGAMMA_SHIFTS), axis=-1)
     y = x + 10.0
     inv2 = 1.0 / (y * y)
     series = inv2 * (1 / 12 - inv2 * (1 / 120 - inv2 * (1 / 252 - inv2 * (1 / 240 - inv2 / 132))))

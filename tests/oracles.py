@@ -140,6 +140,19 @@ def write_beliefs_csv(log, path):
     harness._write_csv(path, BELIEF_HEADER, rows)
 
 
+def write_trial_csv(log, path):
+    """The trial CSV as the csv module writes it: per round, its cells in
+    CSV_HEADER order, flags as 0/1 and each float as _fmt formats it."""
+    columns = []
+    for name in CSV_HEADER:
+        column = log.rounds[name]
+        kind = column.dtype.kind
+        if kind == "b":
+            column = column.astype(int)
+        columns.append(map(harness._fmt, column.tolist()) if kind == "f" else column.tolist())
+    harness._write_csv(path, CSV_HEADER, zip(*columns))
+
+
 def run_trial_keeping_agents(monkeypatch, config, condition, trial_index):
     """harness.run_trial, plus the two agents it built: `(log, (parent,
     infant))`. The log does not keep the agents' final Dirichlet counts,

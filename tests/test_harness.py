@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import re
 from pathlib import Path
@@ -30,6 +31,7 @@ from dyadreg.probability import derive_seed, make_rng
 import oracles
 from oracles import jsd_latent, mean_column_kl, run_trial_keeping_agents
 from oracles import write_beliefs_csv as write_beliefs_csv_generic
+from oracles import write_trial_csv as write_trial_csv_generic
 
 ITERATION_SERIES = ("c_norm", "jsd_z", "kld_A", "kld_B_sleep", "rare_branch")
 
@@ -175,6 +177,17 @@ class TestTrialCsv:
             a, b = again.iteration_series(name), mhng_log.iteration_series(name)
             assert a.shape == b.shape
             assert np.allclose(a, b, rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("condition", CONDITION_NAMES)
+    def test_bytes_equal_the_csv_writer(self, condition, tmp_path):
+        # The line template against the csv module's rows of _fmt cells,
+        # with exact-zero, one and subnormal cells in every float column.
+        log = run_trial(small_config(), condition, 0)
+        for name in ("acceptance_prob", "c_norm", "jsd_z", "kld_A", "kld_B_sleep"):
+            log.rounds[name][:4] = (0.0, 1.0, 5e-324, 2.5e-310)
+        write_trial_csv(log, tmp_path / "fast.csv")
+        write_trial_csv_generic(log, tmp_path / "csv.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
 
     def test_header_written(self, mhng_log, tmp_path):
         path = tmp_path / "trial.csv"
@@ -663,7 +676,8 @@ class TestRunExperiment:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        # run_experiment imports the pool only when it starts one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = small_config(trials=trials, iterations=3, workers=workers, out_dir=str(tmp_path))
         run_experiment(cfg)
         assert sizes == started

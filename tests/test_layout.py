@@ -6,7 +6,8 @@ under src/dyadreg. A definition only the tests call belongs in
 tests/oracles.py. The CLI reaches a finished run only through
 harness.open_run, which holds every check on what it reads. The functions
 every round calls raise nothing: their inputs were checked where they
-entered the program.
+entered the program. Nor do they call a numpy reduction or function through
+its Python-level wrapper.
 """
 
 import ast
@@ -93,3 +94,29 @@ def test_the_round_path_raises_nothing():
             if any(isinstance(node, ast.Raise) for node in ast.walk(definitions[name])):
                 raising.append(f"{module}:{name}")
     assert raising == []
+
+
+# numpy reductions and functions that pass through a Python-level wrapper
+# before their C code: ndarray.sum and its kin, and np.where, np.zeros_like,
+# np.diagonal and np.dot. A round calls its functions dozens of times, so
+# they call the ufunc (np.add.reduce, np.minimum.reduce) or the C method.
+WRAPPED_METHODS = {"sum", "min", "max", "mean"}
+WRAPPED_NP_FUNCTIONS = {"where", "zeros_like", "diagonal", "dot"}
+
+
+def test_the_round_path_calls_no_python_level_numpy_wrapper():
+    trees = _trees()
+    learning = ("update_belief", "Agent.learn_A", "Agent._refresh_sensory", "Agent.learn_B")
+    round_calls = {**ROUND_PATH, "agents.py": ROUND_PATH["agents.py"] + learning}
+    wrapped = []
+    for module, names in round_calls.items():
+        definitions = dict(_definitions(trees[module]))
+        for name in names:
+            for node in ast.walk(definitions[name]):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                    continue
+                owner, attr = node.func.value, node.func.attr
+                on_np = isinstance(owner, ast.Name) and owner.id == "np"
+                if attr in WRAPPED_METHODS or (on_np and attr in WRAPPED_NP_FUNCTIONS):
+                    wrapped.append(f"{module}:{name}: {ast.unparse(node.func)}")
+    assert wrapped == []

@@ -8,7 +8,6 @@ sub-seeds, so reruns and parallel runs produce identical artifacts.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import re
@@ -22,7 +21,7 @@ import numpy as np
 from . import __version__
 from .agents import AgentKind, init_agent
 from .config import ExperimentConfig, save_config
-from .dialogue import CONDITION_NAMES, ROUND_SPEAKERS, Condition, run_iteration
+from .dialogue import CONDITION_NAMES, ROUND_SPEAKERS, Condition, DialogueOutcome, run_iteration
 from .environment import (
     Action,
     N_LEVELS,
@@ -113,10 +112,11 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int, env=None) -
     start state, with metrics recorded after every round. `env` is
     build_world(config), built here unless given.
 
-    Each round keeps what the dialogue produced, the parent's belief and
-    the two errors that read the agents as they are then; the other
-    columns are derived after the last round from the landing states and
-    the parent's recorded beliefs."""
+    Each round writes its cells into the trial's record in place: what the
+    dialogue produced, the parent's belief, the landing state and the two
+    errors that read the agents as they are then. The other columns are
+    derived after the last round from the landing states and the parent's
+    recorded beliefs."""
     cond = Condition(condition)
     world, pref = build_world(config) if env is None else env
     seed = trial_seed(config.seed, cond.value, trial_index)
@@ -125,25 +125,31 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int, env=None) -
         init_agent(kind, world, pref, config.dirichlet_prior, config.preference_mode)
         for kind in (AgentKind.PARENT, AgentKind.INFANT)
     )
-    parent_round_beliefs = np.empty((2 * config.iterations, N_STATES))
-    recorded = []
+    n = 2 * config.iterations
+    rounds = np.zeros(n, ROUND_DTYPE)
+    parent_round_beliefs = np.empty((n, N_STATES))
+    states = np.empty(n, int)
+    # The cells a round writes, in ROUND_DTYPE order, the outcome's first.
+    written = rounds[[*DialogueOutcome._fields, "rare_branch", "kld_A", "kld_B_sleep"]]
+    row = 0
     # Learning changes only the acted slice of the infant's dynamics, and
-    # from a sensed previous state only its source column, so the Sleep
-    # error moves only after a Sleep round, by that column's KL.
+    # there the source columns its belief before the round weighs, as
+    # learn_B does: all 36 from the uniform start, one from a sensed state.
+    # So the Sleep error moves only after a Sleep round, by those columns' KL.
     sleep_kls = np.empty(N_STATES)
     kld_B_sleep = kld_B_error(world.tensor, infant.B, Action.SLEEP, sleep_kls, range(N_STATES))
-    prev_state = infant.state
+    prior = infant.belief
 
     def on_round(speaker, outcome, z, rare):
-        nonlocal kld_B_sleep, prev_state
+        nonlocal row, kld_B_sleep, prior
         if outcome.shared_w == Action.SLEEP:
-            # Learning from the uniform start belief touched every column.
-            columns = range(N_STATES) if prev_state is None else (prev_state,)
-            kld_B_sleep = kld_B_error(world.tensor, infant.B, Action.SLEEP, sleep_kls, columns)
-        prev_state = infant.state
-        parent_round_beliefs[len(recorded)] = parent.belief
-        # The outcome's fields, in order, are the first five recorded columns.
-        recorded.append((*outcome, z, rare, kld_A_error(parent.A), kld_B_sleep))
+            learned = prior.nonzero()[0].tolist()
+            kld_B_sleep = kld_B_error(world.tensor, infant.B, Action.SLEEP, sleep_kls, learned)
+        prior = infant.belief
+        parent_round_beliefs[row] = parent.belief
+        states[row] = z
+        written[row] = (*outcome, rare, kld_A_error(parent.A), kld_B_sleep)
+        row += 1
 
     persist = config.mh_current_w == "persistent"
     z = START_STATE.flat
@@ -161,35 +167,19 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int, env=None) -
             persist_w=persist,
             on_round=on_round,
         )
-    proposed, own, accepted, prob, shared, states, rare, kld_A, kld_B = map(
-        np.array, zip(*recorded)
-    )
-    index = np.arange(states.size)
+    index = np.arange(n)
+    rounds["condition"] = cond.value
+    rounds["trial"] = trial_index
+    rounds["iteration"] = index // 2 + 1
+    rounds["round"] = index % 2 + 1
     speakers = [kind.value for kind in ROUND_SPEAKERS[config.round_order]]
-    columns = {
-        "condition": cond.value,
-        "trial": trial_index,
-        "iteration": index // 2 + 1,
-        "round": index % 2 + 1,
-        "speaker": speakers * config.iterations,
-        "proposed_w": proposed,
-        "listener_own_w": own,
-        "accepted": accepted,
-        "acceptance_prob": prob,
-        "shared_w": shared,
-        # The action column: symbol w names action w.
-        "action": shared,
-        "true_x": states % N_LEVELS,
-        "true_y": states // N_LEVELS,
-        "rare_branch": rare,
-        "c_norm": c_norm(states, pref),
-        "jsd_z": jsd_latent(parent_round_beliefs, states),
-        "kld_A": kld_A,
-        "kld_B_sleep": kld_B,
-    }
-    rounds = np.empty(states.size, ROUND_DTYPE)
-    for name in CSV_HEADER:
-        rounds[name] = columns[name]
+    rounds["speaker"] = speakers * config.iterations
+    # The action column: symbol w names action w.
+    rounds["action"] = rounds["shared_w"]
+    rounds["true_x"] = states % N_LEVELS
+    rounds["true_y"] = states // N_LEVELS
+    rounds["c_norm"] = c_norm(states, pref)
+    rounds["jsd_z"] = jsd_latent(parent_round_beliefs, states)
     return TrialLog(cond.value, trial_index, seed, rounds, parent_round_beliefs)
 
 
@@ -202,11 +192,14 @@ def trial_files(condition: str, trial_index: int) -> tuple:
     return f"{stem}.csv", f"{stem}_beliefs.csv"
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, line, rows):
+    """Write the header, then `line % row` for each row, each line ending
+    in CRLF as the csv module ends it. No cell the program writes needs
+    quoting, and "%.9g" formats a float as _fmt does."""
+    line += "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line % row for row in rows)
 
 
 def _load_csv(path, header, dtype) -> np.ndarray:
@@ -245,14 +238,11 @@ def _load_csv(path, header, dtype) -> np.ndarray:
 
 
 def write_trial_csv(log: TrialLog, path):
-    """The trial CSV, as _write_csv would write it with flags as 0/1 and
-    floats as _fmt cells (no cell needs quoting, and "%.9g" formats a float
-    as _fmt does)."""
+    """The trial CSV: a row per round, its flags as 0/1 (tolist gives a
+    bool, which "%s" would print as True) and its floats as _fmt cells."""
     kinds = [ROUND_DTYPE[name].kind for name in CSV_HEADER]
-    line = ",".join({"f": "%.9g", "U": "%s"}.get(kind, "%d") for kind in kinds) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\r\n")
-        fh.writelines(line % row for row in log.rounds.tolist())
+    line = ",".join({"f": "%.9g", "U": "%s"}.get(kind, "%d") for kind in kinds)
+    _write_csv(path, CSV_HEADER, line, log.rounds.tolist())
 
 
 def load_trial_csv(path) -> np.ndarray:
@@ -272,17 +262,12 @@ def load_trial_csv(path) -> np.ndarray:
 
 
 def write_beliefs_csv(log: TrialLog, path):
-    """The belief dump: the parent's belief after every round, as _write_csv
-    would write it (no cell needs quoting, and "%.9g" formats a float as
-    _fmt does). The infant's belief is one-hot at the state the trial CSV
-    records, so the dump does not repeat it."""
-    line = "%d,%d" + ",%.9g" * N_STATES + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(BELIEF_HEADER) + "\r\n")
-        fh.writelines(
-            line % (row // 2 + 1, row % 2 + 1, *belief)
-            for row, belief in enumerate(log.parent_round_beliefs.tolist())
-        )
+    """The belief dump: the parent's belief after every round, its floats
+    as _fmt cells. The infant's belief is one-hot at the state the trial
+    CSV records, so the dump does not repeat it."""
+    rows = enumerate(log.parent_round_beliefs.tolist())
+    line = "%d,%d" + ",%.9g" * N_STATES
+    _write_csv(path, BELIEF_HEADER, line, ((i // 2 + 1, i % 2 + 1, *q) for i, q in rows))
 
 
 def load_beliefs_csv(path) -> np.ndarray:
@@ -594,16 +579,18 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     _write_csv(
         out / "summary_cnorm.csv",
         ["condition", *stats, "n_trials"],
+        "%s,%s,%s,%s,%d",
         (
-            [cond, *(_fmt(conditions[cond][k]) for k in stats), conditions[cond]["n_trials"]]
+            (cond, *(_fmt(conditions[cond][k]) for k in stats), conditions[cond]["n_trials"])
             for cond in config.conditions
         ),
     )
     _write_csv(
         out / "summary_auc.csv",
         ["condition", "trial", "auc_original", "auc_shuffled"],
+        "%s,%d,%s,%s",
         (
-            [cond, row["trial"], _fmt(row["auc_original"]), _fmt(row["auc_shuffled"])]
+            (cond, row["trial"], _fmt(row["auc_original"]), _fmt(row["auc_shuffled"]))
             for cond in config.conditions
             for row in conditions[cond]["trials"]
             if "auc_original" in row
@@ -614,7 +601,8 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         name = f"curves_{cond}.csv"
         columns = [map(_fmt, curve.tolist()) for curve in curves.values()]
         iterations = range(1, config.iterations + 1)
-        _write_csv(out / name, ["iteration", *curves], zip(iterations, *columns))
+        line = "%d" + ",%s" * len(curves)
+        _write_csv(out / name, ["iteration", *curves], line, zip(iterations, *columns))
         artifacts.append(name)
 
     artifacts.extend(emit_plots(out, config, summary))

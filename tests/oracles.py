@@ -130,6 +130,15 @@ def outer_product_learn_B(agent, prev, post, action):
     agent._B_rows[:, action::N_ACTIONS] = agent.B[:, :, action].T
 
 
+def write_csv(path, header, rows):
+    """A CSV as the csv module writes it: the header, then each row, every
+    line ending in CRLF. harness._write_csv must give its bytes."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_beliefs_csv(log, path):
     """The belief dump as the csv module writes it: per round, its iteration
     and round, then the parent's belief as _fmt formats each float."""
@@ -137,7 +146,7 @@ def write_beliefs_csv(log, path):
         [row // 2 + 1, row % 2 + 1, *map(harness._fmt, belief)]
         for row, belief in enumerate(log.parent_round_beliefs.tolist())
     )
-    harness._write_csv(path, BELIEF_HEADER, rows)
+    write_csv(path, BELIEF_HEADER, rows)
 
 
 def write_trial_csv(log, path):
@@ -150,7 +159,7 @@ def write_trial_csv(log, path):
         if kind == "b":
             column = column.astype(int)
         columns.append(map(harness._fmt, column.tolist()) if kind == "f" else column.tolist())
-    harness._write_csv(path, CSV_HEADER, zip(*columns))
+    write_csv(path, CSV_HEADER, zip(*columns))
 
 
 def run_trial_keeping_agents(monkeypatch, config, condition, trial_index):

@@ -9,7 +9,7 @@ import pytest
 from dyadreg import dialogue, harness
 from dyadreg.agents import AgentKind, init_agent
 from dyadreg.config import MAX_WORKERS, ExperimentConfig
-from dyadreg.dialogue import CONDITION_NAMES, ROUND_ORDERS, Condition
+from dyadreg.dialogue import CONDITION_NAMES, ROUND_ORDERS, Condition, DialogueOutcome
 from dyadreg.environment import Action, build_prior_preference, build_transition_model
 from dyadreg.harness import (
     CSV_HEADER,
@@ -26,7 +26,7 @@ from dyadreg.harness import (
     write_beliefs_csv,
     write_trial_csv,
 )
-from dyadreg.metrics import TrialLog
+from dyadreg.metrics import ROUND_DTYPE, TrialLog
 from dyadreg.probability import derive_seed, make_rng
 import oracles
 from oracles import jsd_latent, mean_column_kl, run_trial_keeping_agents
@@ -90,6 +90,14 @@ class TestRunTrial:
             assert m["kld_A"][i] == second["kld_A"]
             assert m["kld_B_sleep"][i] == second["kld_B_sleep"]
             assert m["rare_branch"][i] == (first["rare_branch"] or second["rare_branch"])
+
+    def test_outcome_fields_are_round_columns_in_order(self):
+        # run_trial writes an outcome into its row as one tuple, through a
+        # view of these columns in ROUND_DTYPE order.
+        names = list(ROUND_DTYPE.names)
+        positions = [names.index(field) for field in DialogueOutcome._fields]
+        assert positions == sorted(positions)
+        assert positions[-1] < names.index("rare_branch")
 
     def test_beliefs_are_valid_rows(self, mhng_log):
         mat = mhng_log.parent_round_beliefs
@@ -559,6 +567,40 @@ def run_dir(tmp_path_factory):
     )
     manifest = run_experiment(cfg)
     return out, cfg, manifest
+
+
+class TestWriteCsv:
+    def test_every_table_equals_the_csv_module(self, tmp_path, monkeypatch):
+        # Every CSV of a run goes through _write_csv. The summary tables'
+        # templates, as run_experiment passes them, must give the csv
+        # module's bytes for an exact zero, a subnormal, 1e300 and a
+        # negative value in every float column.
+        templates = {}
+        write_csv = harness._write_csv
+
+        def record(path, header, line, rows):
+            templates[Path(path).name] = (header, line)
+            write_csv(path, header, line, rows)
+
+        monkeypatch.setattr(harness, "_write_csv", record)
+        out = tmp_path / "run"
+        run_experiment(small_config(iterations=5, dump_beliefs=True, out_dir=str(out)))
+        assert sorted(templates) == sorted(path.name for path in out.rglob("*.csv"))
+
+        def cell(column, k, value):
+            if column == "condition":
+                return CONDITION_NAMES[k % len(CONDITION_NAMES)]
+            return k if column in ("trial", "n_trials", "iteration") else harness._fmt(value)
+
+        for name in ("summary_cnorm.csv", "summary_auc.csv", "curves_mhng.csv"):
+            header, line = templates[name]
+            rows = [
+                tuple(cell(column, k, value) for column in header)
+                for k, value in enumerate((0.0, 5e-324, 1e300, -0.25))
+            ]
+            write_csv(tmp_path / "fast.csv", header, line, rows)
+            oracles.write_csv(tmp_path / "csv.csv", header, rows)
+            assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
 
 
 class TestRunExperiment:

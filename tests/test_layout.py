@@ -4,7 +4,9 @@ Every top-level function, every class and every method that is not a
 dunder, defined under src/dyadreg, must be referenced by name somewhere
 under src/dyadreg. A definition only the tests call belongs in
 tests/oracles.py. The CLI reaches a finished run only through
-harness.open_run, which holds every check on what it reads. The functions
+harness.open_run, which holds every check on what it reads. Every CSV is
+written through one line writer, and a trial's rounds go straight into its
+preallocated record. The functions
 every round calls raise nothing: their inputs were checked where they
 entered the program. Nor do they call a numpy reduction or function through
 its Python-level wrapper.
@@ -120,3 +122,31 @@ def test_the_round_path_calls_no_python_level_numpy_wrapper():
                 if attr in WRAPPED_METHODS or (on_np and attr in WRAPPED_NP_FUNCTIONS):
                     wrapped.append(f"{module}:{name}: {ast.unparse(node.func)}")
     assert wrapped == []
+
+
+def test_no_module_imports_csv():
+    # harness._write_csv writes every CSV; the csv module is the tests' oracle.
+    importing = [
+        module
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "csv"
+    ]
+    assert importing == []
+
+
+def test_run_trial_writes_each_round_in_place():
+    # Each round's cells go into the preallocated record as the round ends,
+    # not into a list that is taken apart after the last round.
+    run_trial = dict(_definitions(_trees()["harness.py"]))["run_trial"]
+    calls = [
+        ast.unparse(node.func)
+        for node in ast.walk(run_trial)
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name) and node.func.id == "zip"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "append"
+        )
+    ]
+    assert calls == []

@@ -1,10 +1,12 @@
-"""Active-inference agents.
+"""Active-inference agents, each for a batch of trials: every per-trial
+array has a leading trial axis.
 
-Each agent filters a belief over the 36 latent states, scores candidate
-actions by expected free energy (ambiguity plus risk against its comfort
-preference), turns those scores into a posterior over symbols, and learns
-whichever generative matrix it lacks through Dirichlet count updates: the
-parent learns the observation map, the infant learns the dynamics.
+Each agent scores candidate actions by expected free energy (ambiguity
+plus risk against its comfort preference), turns those scores into a
+posterior over symbols, and learns whichever generative matrix it lacks
+through Dirichlet count updates: the parent filters a belief over the 36
+latent states and learns the observation map, the infant senses its state
+and learns the dynamics.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .environment import (
     N_STATES,
     PriorPreference,
     TransitionModel,
-    identity_sensory_map,
     preferred_obs_distribution,
 )
 from .probability import KL_FLOOR, digamma, softmax_neg
@@ -35,54 +36,67 @@ class AgentKind(Enum):
     INFANT = "infant"
 
 
-def predict_belief(belief: np.ndarray, transitions: np.ndarray, action: int) -> np.ndarray:
-    """Push a belief one step through the dynamics for the given action."""
-    p = transitions[:, :, action] @ belief
-    return np.divide(p, np.add.reduce(p), out=p)
+def predict_belief(beliefs: np.ndarray, sources: tuple, actions: np.ndarray) -> np.ndarray:
+    """Push each trial's belief one step through the dynamics for its action,
+    `sources` being prediction_sources(transitions). Each cell sums its
+    products in order over the source states, as transitions[:, :, a] @
+    belief does without BLAS on that strided slice (a BLAS product of the
+    gathered slices rounds differently). Exact-zero products leave such a
+    sum as it is, so only the sources that reach a cell are added, row after
+    row along an outer axis."""
+    index, weight = sources
+    rows = np.arange(len(actions))[:, None, None]
+    p = np.add.reduce(weight[actions] * beliefs[rows, index[actions]], axis=1)
+    return np.divide(p, np.add.reduce(p, axis=1, keepdims=True), out=p)
 
 
-def update_belief(belief_pred: np.ndarray, sensory: np.ndarray, obs: int) -> np.ndarray:
-    """Bayes correction of a predicted belief by an observed cue.
+def prediction_sources(transitions: np.ndarray) -> tuple:
+    """index[a, k, z'], the states that reach z' under action a in ascending
+    order, padded with states that do not, and weight[a, k, z'], theirs."""
+    empty = transitions.transpose(2, 1, 0) == 0.0
+    reach = np.add.reduce(~empty, axis=1).max()
+    index = np.argsort(empty, axis=1, kind="stable")[:, :reach]
+    return index, np.take_along_axis(transitions.transpose(2, 1, 0), index, axis=1)
 
-    If the likelihood wipes out the entire prediction, the normalized
+
+def update_belief(belief_pred: np.ndarray, sensory: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """Bayes correction of each trial's predicted belief by its observed
+    cue; `sensory` holds each trial's map A[obs, z].
+
+    Where the likelihood wipes out the entire prediction, the normalized
     likelihood row is used alone so the belief never degenerates.
     """
-    like = sensory[obs, :]
+    like = sensory[np.arange(len(obs)), obs]
     post = like * belief_pred
-    total = np.add.reduce(post)
-    if total <= 0.0:
-        post = like
-        total = np.add.reduce(post)
-        if total <= 0.0:
-            raise ValueError(f"observation {obs} has an all-zero likelihood row")
+    total = np.add.reduce(post, axis=1, keepdims=True)
+    if np.minimum.reduce(total, axis=None) <= 0.0:
+        dead = total[:, 0] <= 0.0
+        post[dead], total[dead] = like[dead], np.add.reduce(like[dead], axis=1, keepdims=True)
+        if np.minimum.reduce(total, axis=None) <= 0.0:
+            raise ValueError("an observation has an all-zero likelihood row")
     post = post / total
     # Normalized a second time, as a validating constructor would: the
     # artifacts depend on these exact bits.
-    return np.divide(post, np.add.reduce(post), out=post)
+    return np.divide(post, np.add.reduce(post, axis=1, keepdims=True), out=post)
 
 
 def _risk_terms(q_obs: np.ndarray, log_pref: np.ndarray) -> np.ndarray:
-    """q_obs * (log q_obs - log_pref) cell by cell, observations on axis 0.
-    Summed over that axis in order, each column gives the KL from one
-    predicted observation distribution to the comfort distribution."""
-    logs = np.log(q_obs, out=np.zeros(q_obs.shape), where=q_obs > 0.0)
-    return q_obs * (logs - log_pref.reshape((-1,) + (1,) * (q_obs.ndim - 1)))
+    """q_obs * (log q_obs - log_pref) cell by cell, with log_pref shaped to
+    broadcast along the observation axis. Summed over that axis in order,
+    each distribution gives its KL to the comfort distribution."""
+    terms = np.log(q_obs, out=np.zeros(q_obs.shape), where=q_obs > 0.0)
+    terms -= log_pref
+    terms *= q_obs
+    return terms
 
 
 class Agent:
-    """One member of the dyad.
-
-    Holds the sensory map A[obs, z], the dynamics B[z', z, a], the comfort
-    preference, a persistent belief, and the Dirichlet concentrations
-    behind whichever of A or B is being learned. The kind decides which:
-    the parent knows the dynamics and learns A from `concentration`; the
-    infant senses its state through the identity map and learns B from
-    `concentration`, or keeps `transitions` fixed without it. The learned
-    matrix is always the mean of its concentrations, so batch replay of
-    the same updates reproduces it exactly. Symbol w names action w. Beliefs and
-    posteriors are plain probability vectors; only assimilate replaces
-    `belief`. `state` is the flat state the infant last observed, and None
-    before its first cue; whoever sets `belief` by hand must reset it.
+    """One member of the dyad in each of a batch of trials. The parent knows
+    the dynamics B[z', z, a], filters a belief, and learns its sensory map
+    A[obs, z] as the mean of its counts `concentration` over (z, obs). The
+    infant holds the state it sensed (None before its first cue, when its
+    belief is uniform), and learns the dynamics as the mean of its counts
+    over (z, a, z'), from `transitions`, or keeps them fixed without counts.
     """
 
     def __init__(
@@ -95,106 +109,94 @@ class Agent:
         self.kind = kind
         self.preferred_obs = preferred_obs
         self._log_pref = np.log(np.maximum(preferred_obs, KL_FLOOR))
-        self.B = transitions
-        # B[z', z, a] as rows z of (z', a) cells: the C-contiguous array
-        # np.tensordot(belief, B, axes=(0, 1)) would copy out on every
-        # call. learn_B keeps it current.
-        self._B_rows = np.ascontiguousarray(transitions.transpose(1, 0, 2)).reshape(N_STATES, -1)
-        self.state: int | None = None
-        self.belief = np.full(N_STATES, 1.0 / N_STATES)
+        trials = 1 if concentration is None else len(concentration)
+        self._trials = np.arange(trials)
+        self.state: np.ndarray | None = None
+        # B[z', z, a] as rows z of (z', a) cells, for a belief's free energy.
+        rows = np.ascontiguousarray(transitions.transpose(1, 0, 2)).reshape(N_STATES, -1)
         if kind is AgentKind.PARENT:
             if concentration is None:
                 raise ValueError("a parent needs counts over its sensory map (concentration)")
+            self.B = transitions
+            self._B_rows = rows
+            self._sources = prediction_sources(transitions)
+            self.belief = np.full((trials, N_STATES), 1.0 / N_STATES)
             self.obs_concentration = concentration
             self.trans_concentration = None
             self._refresh_sensory()
         elif kind is AgentKind.INFANT:
             self.obs_concentration = None
             self.trans_concentration = concentration
-            # Sensing its state, the infant has no ambiguity, its predicted
-            # cue is its predicted state, and every observation leaves it
-            # certain of the state observed.
-            self.A = identity_sensory_map()
-            self._sensory_entropy = np.zeros(N_STATES)
-            # Its EFE from a known state s is its risk alone, the row
-            # _risk[s] over actions. learn_B keeps it current.
-            self._risk = _risk_terms(transitions, self._log_pref).sum(axis=0)
+            # From a sensed state s its EFE is its risk row _risk[t, s].
+            risk = _risk_terms(transitions, self._log_pref[:, None, None]).sum(axis=0)
+            self._risk = np.tile(risk, (trials, 1, 1))
+            q_pred = np.full((1, N_STATES), 1.0 / N_STATES).dot(rows).reshape(N_STATES, N_ACTIONS)
+            start = np.add.reduce(_risk_terms(q_pred, self._log_pref[:, None]), axis=0)
+            self._start_efe = np.tile(start, (trials, 1))
         else:
             raise ValueError(f"unknown agent kind: {kind!r}")
 
     # -- belief ----------------------------------------------------------
 
-    def assimilate(self, action: int, obs: int) -> tuple[np.ndarray, np.ndarray]:
-        """Predict through `action`, correct by `obs`, adopt the result.
-
-        Returns (previous belief, new belief); the pair is what dynamics
-        learning needs.
-        """
-        prev = self.belief
+    def assimilate(self, action: np.ndarray, obs: np.ndarray) -> tuple:
+        """Take in each trial's cue after `action`: the infant adopts the state
+        it senses, the parent predicts and corrects its belief. Returns the
+        previous and the new state (infant) or belief (parent)."""
         if self.kind is AgentKind.INFANT:
-            # What update_belief gives under an identity map: pred[obs] /
-            # pred[obs] = 1 at obs, 0 elsewhere, and the same vector from its
-            # fallback when pred[obs] = 0.
-            self.belief = np.zeros(N_STATES)
-            self.belief[obs] = 1.0
-            self.state = obs
-        else:
-            self.belief = update_belief(predict_belief(prev, self.B, action), self.A, obs)
+            prev, self.state = self.state, obs
+            return prev, obs
+        prev = self.belief
+        self.belief = update_belief(predict_belief(prev, self._sources, action), self.A, obs)
         return prev, self.belief
 
     # -- action and symbol scoring ----------------------------------------
 
     def efe_per_action(self) -> np.ndarray:
-        """Expected free energy of every action from the current belief.
-
+        """Expected free energy of every action from each trial's belief.
         Ambiguity is the belief-weighted entropy of the sensory columns
-        after the one-step prediction, taken in expectation under the
-        parent's Dirichlet and zero for the infant; risk is the KL from the
-        predicted observation distribution to the comfort distribution.
-        """
-        if self.state is not None:
-            # A one-hot belief picks one row out of the product below, and
-            # the identity map leaves only that row's risk.
-            return self._risk[self.state].copy()
-        q_pred = self.belief.reshape(1, N_STATES).dot(self._B_rows)
-        q_pred = q_pred.reshape(N_STATES, N_ACTIONS)
-        risk = np.add.reduce(_risk_terms(self.A @ q_pred, self._log_pref), axis=0)
-        return self._sensory_entropy @ q_pred + risk
+        after the one-step prediction, in expectation under the parent's
+        Dirichlet and zero for the infant; risk is the KL from the predicted
+        observation distribution to the comfort distribution."""
+        if self.kind is AgentKind.INFANT:
+            return self._start_efe if self.state is None else self._risk[self._trials, self.state]
+        q_pred = np.matmul(self.belief[:, None, :], self._B_rows).reshape(-1, N_STATES, N_ACTIONS)
+        risk = np.add.reduce(_risk_terms(self.A @ q_pred, self._log_pref[:, None]), axis=1)
+        return np.matmul(self._sensory_entropy[:, None, :], q_pred)[:, 0] + risk
 
     def symbol_posterior(self) -> np.ndarray:
-        """Distribution over symbols: softmax of minus the free energy of
-        the action each symbol names."""
+        """Distribution over symbols per trial: softmax of minus the free
+        energy of the action each symbol names."""
         return softmax_neg(self.efe_per_action())
 
     # -- learning ----------------------------------------------------------
 
-    def learn_A(self, posterior: np.ndarray, obs: int):
-        """Accumulate belief mass into the observation counts for `obs`."""
+    def learn_A(self, posterior: np.ndarray, obs: np.ndarray):
+        """Accumulate each trial's belief mass into its counts for its cue."""
         if self.obs_concentration is None:
             raise ValueError(f"{self.kind.value} does not learn the sensory map")
-        self.obs_concentration[:, obs] += posterior
-        self._refresh_sensory(obs)
+        column = self.obs_concentration[self._trials, :, obs] + posterior
+        self.obs_concentration[self._trials, :, obs] = column
+        self._refresh_sensory(obs, column)
 
-    def learn_B(self, prev_posterior: np.ndarray, posterior: np.ndarray, action: int):
-        """Accumulate the outer product of consecutive beliefs into the
-        transition counts for `action`.
-
-        Source column s of the product is posterior * prev_posterior[s], so
-        only the columns where the previous belief is positive are counted
-        and renormalized, each with its cells summed in order. From a sensed
-        state that is one column; from the uniform start belief, all 36.
-        """
+    def learn_B(self, prev: np.ndarray | None, obs: np.ndarray, action: np.ndarray):
+        """Count the outer product of each trial's consecutive beliefs under
+        `action`: one unit at (prev, action, obs) from the sensed state prev,
+        and 1/36 at (s, action, obs) for every s from the uniform start
+        (prev None). Each column counted is renormalized, its cells summed
+        in order, and its risk cell renewed."""
         if self.trans_concentration is None:
             raise ValueError(f"{self.kind.value} does not learn the dynamics")
-        for s in prev_posterior.nonzero()[0].tolist():
-            counts = self.trans_concentration[:, s, action]
-            counts += posterior * prev_posterior[s]
-            column = counts / counts.cumsum()[-1]
-            self.B[:, s, action] = column
-            self._B_rows[s, action::N_ACTIONS] = column
-            self._risk[s, action] = _risk_terms(column, self._log_pref).cumsum()[-1]
+        trials, weight = self._trials, 1.0
+        if prev is None:
+            trials, prev, weight = trials[:, None], np.arange(N_STATES), 1.0 / N_STATES
+            action, obs = action[:, None], obs[:, None]
+        counts = self.trans_concentration
+        counts[trials, prev, action, obs] += weight
+        columns = counts[trials, prev, action]
+        columns /= columns.cumsum(axis=-1)[..., -1:]
+        self._risk[trials, prev, action] = _risk_terms(columns, self._log_pref).cumsum(axis=-1)[..., -1]
 
-    def _refresh_sensory(self, obs: int | None = None):
+    def _refresh_sensory(self, obs: np.ndarray | None = None, column: np.ndarray | None = None):
         """The parent's sensory map, the mean of its Dirichlet
         concentrations, and the ambiguity of each state's column.
 
@@ -203,20 +205,22 @@ class Agent:
         c0 = sum_o c_o. The entropy of the Dirichlet mean would count the
         parent's own ignorance of a cue as noise in the cue, and so steer it
         away from exactly the states whose cues it has yet to learn. The
-        cells' c psi(c + 1) terms are cached, so learning from observation
-        `obs` recomputes only that column of them.
+        cells' c psi(c + 1) terms are cached, so learning from each trial's
+        cue `obs` recomputes only that column of them, `column` its counts.
         """
         c = self.obs_concentration
-        c0 = np.add.reduce(c, axis=1)
-        self.A = (c / c0[:, None]).T
+        c0 = np.add.reduce(c, axis=2)
         if obs is None:
-            self._psi_terms = c * digamma(c + 1.0)
+            # A is rewritten in place; one trial at a time, digamma holds ten c's.
+            self.A = np.empty(c.shape).swapaxes(1, 2)
+            self._psi_terms = np.array([counts * digamma(counts + 1.0) for counts in c])
             psi_c0 = digamma(c0 + 1.0)
         else:
-            psi = digamma(np.concatenate((c[:, obs], c0)) + 1.0)
-            self._psi_terms[:, obs] = c[:, obs] * psi[: c.shape[0]]
-            psi_c0 = psi[c.shape[0] :]
-        self._sensory_entropy = psi_c0 - np.add.reduce(self._psi_terms, axis=1) / c0
+            psi = digamma(np.concatenate((column, c0), axis=1) + 1.0)
+            self._psi_terms[self._trials, :, obs] = column * psi[:, :N_STATES]
+            psi_c0 = psi[:, N_STATES:]
+        np.divide(c, c0[:, :, None], out=self.A.swapaxes(1, 2))
+        self._sensory_entropy = psi_c0 - np.add.reduce(self._psi_terms, axis=2) / c0
 
 
 def init_agent(
@@ -225,17 +229,20 @@ def init_agent(
     preference: PriorPreference,
     prior_concentration: float = DIRICHLET_PRIOR,
     preference_mode: str = "linear",
+    trials: int = 1,
 ) -> Agent:
-    """Fresh agent with a uniform belief.
+    """Fresh agents for a batch of `trials` trials, each with a uniform belief.
 
     The parent keeps the exact dynamics and starts a flat Dirichlet over
-    the sensory map; the infant keeps the exact (identity) sensory map and
-    starts a flat Dirichlet over the dynamics, at its mean.
+    the sensory map; the infant senses its state exactly and starts a flat
+    Dirichlet over the dynamics, at its mean.
     """
     if not 0.0 < prior_concentration < math.inf:
         raise ValueError("prior concentration must be positive and finite")
     preferred = preferred_obs_distribution(preference, preference_mode)
     if kind is AgentKind.PARENT:
-        return Agent(kind, truth.tensor, preferred, np.full((N_STATES, N_STATES), prior_concentration))
+        counts = np.full((trials, N_STATES, N_STATES), prior_concentration)
+        return Agent(kind, truth.tensor, preferred, counts)
     beta = np.full((N_STATES, N_STATES, N_ACTIONS), prior_concentration)
-    return Agent(kind, beta / beta.sum(axis=0), preferred, beta)
+    counts = np.full((trials, N_STATES, N_ACTIONS, N_STATES), prior_concentration)
+    return Agent(kind, beta / beta.sum(axis=0), preferred, counts)

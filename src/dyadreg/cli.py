@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a full experiment")
     add_common(p_run)
     p_run.add_argument("--trials", type=int, help="seeded repetitions per condition")
-    p_run.add_argument("--workers", type=int, help="trial-level processes")
+    p_run.add_argument("--workers", type=int, help="processes that run batches of trials")
     p_run.add_argument(
         "--print-default-config",
         action="store_true",
@@ -157,7 +157,7 @@ def _cmd_trial(args) -> int:
     if not 0 <= args.trial_index < limit:
         raise ConfigError(f"--trial-index must lie in [0, {limit}), not {args.trial_index}")
     condition = config.conditions[0]
-    log = run_trial(config, condition, args.trial_index)
+    (log,) = run_trial(config, condition, [args.trial_index])
     for name in write_trial_files(log, out, config.dump_beliefs):
         print(f"wrote {out / name}")
     mean_c = float(log.iteration_series("c_norm").mean())

@@ -22,7 +22,7 @@ from .metrics import ROUND_DTYPE
 
 CURRENT_W_MODES = ("fresh", "persistent")
 PREFERENCE_MODES = ("linear", "softmax")
-# The most trial processes a run may start; each is a full interpreter.
+# The most processes a run may start; each is a full interpreter.
 MAX_WORKERS = 64
 # The trial CSV's iteration column bounds a trial's length.
 MAX_ITERATIONS = int(np.iinfo(ROUND_DTYPE["iteration"]).max)
@@ -79,7 +79,8 @@ class ExperimentConfig:
     c_sigma / c_floor  comfort bump shape; c_values overrides it outright
     out_dir          artifact directory for full runs
     dump_beliefs     also write per-round belief vectors
-    workers          trial-level process parallelism
+    workers          processes; each condition's trials run in this many
+                     batches (fewer if it has fewer trials)
     """
 
     conditions: tuple[str, ...] = CONDITION_NAMES

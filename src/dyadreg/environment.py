@@ -122,15 +122,12 @@ def build_transition_model(
     return TransitionModel(tensor, main_next, rare_next, branch_prob)
 
 
-def step(
-    model: TransitionModel, z: int, action: int, rng: np.random.Generator
-) -> tuple[int, bool]:
-    """Advance the flat true state z by one action, consuming exactly one
-    uniform. Returns (z_next, rare): rare is set only when a distinct rare
-    successor was sampled.
+def step(model: TransitionModel, z: int, action: int, u: float) -> tuple[int, bool]:
+    """Advance the flat true state z by one action, by one uniform u.
+    Returns (z_next, rare): rare is set only when a distinct rare successor
+    was sampled.
     """
     rare = int(model.rare_next[z, action])
-    u = rng.random()
     fired = rare >= 0 and u < model.branch_prob
     return (rare if fired else int(model.main_next[z, action])), fired
 
@@ -184,10 +181,3 @@ def preferred_obs_distribution(pref: PriorPreference, mode: str = "linear") -> n
         w = np.exp(pref.values - pref.values.max())
         return Categorical(w / w.sum()).probs
     raise ValueError(f"unknown preference mode: {mode!r}")
-
-
-def identity_sensory_map() -> np.ndarray:
-    """Exact observation model: each state emits its own one-hot cue."""
-    eye = np.eye(N_STATES)
-    eye.setflags(write=False)
-    return eye

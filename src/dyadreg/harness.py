@@ -107,69 +107,64 @@ def build_world(config: ExperimentConfig):
     return world, pref
 
 
-def run_trial(config: ExperimentConfig, condition, trial_index: int, env=None) -> TrialLog:
-    """One seeded trial: `iterations` two-round exchanges from the fixed
-    start state, with metrics recorded after every round. `env` is
-    build_world(config), built here unless given.
+def run_trial(config: ExperimentConfig, condition, trials, env=None) -> list:
+    """The seeded trials of one condition whose indices `trials` lists, run
+    as one batch: each `iterations` two-round exchanges from the fixed start
+    state. Returns their TrialLogs in that order; a trial's log does not
+    depend on its batch. `env` is build_world(config), built unless given.
 
-    Each round writes its cells into the trial's record in place: what the
-    dialogue produced, the parent's belief, the landing state and the two
-    errors that read the agents as they are then. The other columns are
-    derived after the last round from the landing states and the parent's
-    recorded beliefs."""
+    Each round writes its cells into the record in place: the outcome, the
+    parent's beliefs, the landing states and the two model errors. The
+    other columns are derived after the last round."""
     cond = Condition(condition)
     world, pref = build_world(config) if env is None else env
-    seed = trial_seed(config.seed, cond.value, trial_index)
-    rng = make_rng(seed)
+    seeds = [trial_seed(config.seed, cond.value, t) for t in trials]
+    count, n = len(seeds), 2 * config.iterations
+    # A round draws at most four uniforms from each trial's own generator,
+    # so they are drawn up front: rng.random(k) gives k single draws' bits.
+    draws = iter(np.array([make_rng(seed).random(4 * n) for seed in seeds]).T)
     parent, infant = (
-        init_agent(kind, world, pref, config.dirichlet_prior, config.preference_mode)
+        init_agent(kind, world, pref, config.dirichlet_prior, config.preference_mode, count)
         for kind in (AgentKind.PARENT, AgentKind.INFANT)
     )
-    n = 2 * config.iterations
-    rounds = np.zeros(n, ROUND_DTYPE)
-    parent_round_beliefs = np.empty((n, N_STATES))
-    states = np.empty(n, int)
-    # The cells a round writes, in ROUND_DTYPE order, the outcome's first.
-    written = rounds[[*DialogueOutcome._fields, "rare_branch", "kld_A", "kld_B_sleep"]]
+    rounds = np.zeros((count, n), ROUND_DTYPE)
+    parent_round_beliefs = np.empty((count, n, N_STATES))
+    states = np.empty((count, n), int)
+    written = (*DialogueOutcome._fields, "rare_branch", "kld_A", "kld_B_sleep")
     row = 0
-    # Learning changes only the acted slice of the infant's dynamics, and
-    # there the source columns its belief before the round weighs, as
-    # learn_B does: all 36 from the uniform start, one from a sensed state.
-    # So the Sleep error moves only after a Sleep round, by those columns' KL.
-    sleep_kls = np.empty(N_STATES)
-    kld_B_sleep = kld_B_error(world.tensor, infant.B, Action.SLEEP, sleep_kls, range(N_STATES))
-    prior = infant.belief
+    # A round's learning renews the acted source columns its belief before
+    # the round weighs: all 36 from the uniform start, one from a sensed
+    # state. So a trial's Sleep error moves only after a Sleep round.
+    sleep_kls = np.empty((count, N_STATES))
+    counts = infant.trans_concentration
+    kld_B_sleep = kld_B_error(world.tensor, counts, Action.SLEEP, sleep_kls, np.arange(count))
+    prior = infant.state
 
     def on_round(speaker, outcome, z, rare):
         nonlocal row, kld_B_sleep, prior
-        if outcome.shared_w == Action.SLEEP:
-            learned = prior.nonzero()[0].tolist()
-            kld_B_sleep = kld_B_error(world.tensor, infant.B, Action.SLEEP, sleep_kls, learned)
-        prior = infant.belief
-        parent_round_beliefs[row] = parent.belief
-        states[row] = z
-        written[row] = (*outcome, rare, kld_A_error(parent.A), kld_B_sleep)
+        slept = (outcome.shared_w == Action.SLEEP).nonzero()[0]
+        if slept.size:
+            learned = None if prior is None else prior[slept]
+            kld_B_sleep = kld_B_error(world.tensor, counts, Action.SLEEP, sleep_kls, slept, learned)
+        prior = infant.state
+        parent_round_beliefs[:, row] = parent.belief
+        states[:, row] = z
+        values = (*outcome, rare, kld_A_error(parent.A), kld_B_sleep)
+        for i, name in enumerate(written):
+            rounds[name][:, row] = values[i]
         row += 1
 
     persist = config.mh_current_w == "persistent"
-    z = START_STATE.flat
-    current_w = None
+    z, current_w = np.full(count, START_STATE.flat), None
     for _ in range(config.iterations):
         z, current_w = run_iteration(
-            parent,
-            infant,
-            world,
-            z,
-            cond,
-            rng,
-            round_order=config.round_order,
-            current_w=current_w,
-            persist_w=persist,
+            parent, infant, world, z, cond, draws, config.round_order, current_w, persist,
             on_round=on_round,
         )
+    del parent, infant, counts, draws  # the derived columns below reuse their memory
     index = np.arange(n)
     rounds["condition"] = cond.value
-    rounds["trial"] = trial_index
+    rounds["trial"] = np.array(trials).reshape(count, 1)
     rounds["iteration"] = index // 2 + 1
     rounds["round"] = index % 2 + 1
     speakers = [kind.value for kind in ROUND_SPEAKERS[config.round_order]]
@@ -179,8 +174,12 @@ def run_trial(config: ExperimentConfig, condition, trial_index: int, env=None) -
     rounds["true_x"] = states % N_LEVELS
     rounds["true_y"] = states // N_LEVELS
     rounds["c_norm"] = c_norm(states, pref)
-    rounds["jsd_z"] = jsd_latent(parent_round_beliefs, states)
-    return TrialLog(cond.value, trial_index, seed, rounds, parent_round_beliefs)
+    for i in range(count):
+        rounds[i]["jsd_z"] = jsd_latent(parent_round_beliefs[i], states[i])
+    return [
+        TrialLog(cond.value, trials[i], seeds[i], rounds[i], parent_round_beliefs[i])
+        for i in range(count)
+    ]
 
 
 # -- the run directory and its CSV tables --------------------------------------
@@ -536,7 +535,7 @@ def _remove_previous_run(out: Path):
 
 
 def run_experiment(config: ExperimentConfig) -> RunManifest:
-    """Run every (condition, trial) pair and write all artifacts.
+    """Run every (condition, trial) pair, in batches, and write all artifacts.
 
     Artifacts are byte-stable for a given config regardless of the worker
     count; only the manifest's timings entry varies between runs. The files
@@ -547,7 +546,10 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     out = Path(config.out_dir)
     _remove_previous_run(out)
     env = build_world(config)
-    jobs = [(config, cond, t, env) for cond in config.conditions for t in range(config.trials)]
+    # Each condition's trials in min(workers, trials) contiguous batches,
+    # condition-major and trial-ascending, so the logs keep the serial order.
+    batches = np.array_split(np.arange(config.trials), min(config.workers, config.trials))
+    jobs = [(config, cond, b.tolist(), env) for cond in config.conditions for b in batches]
     workers = min(config.workers, len(jobs))
     if workers > 1:
         # Imported only for a pool: with multiprocessing, socket and logging
@@ -555,9 +557,10 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            logs = list(pool.map(run_trial, *zip(*jobs)))
+            batch_logs = list(pool.map(run_trial, *zip(*jobs)))
     else:
-        logs = [run_trial(*job) for job in jobs]
+        batch_logs = [run_trial(*job) for job in jobs]
+    logs = [log for batch in batch_logs for log in batch]
 
     artifacts = ["config.json", "summary.json", "summary_cnorm.csv", "summary_auc.csv"]
     for log in logs:

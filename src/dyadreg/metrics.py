@@ -27,37 +27,36 @@ def c_norm(states, pref: PriorPreference) -> np.ndarray:
     return pref.values[states] / pref.max_value
 
 
-def kld_A_error(learned_sensory: np.ndarray) -> float:
+def kld_A_error(learned_sensory: np.ndarray) -> np.ndarray:
     """Mean over states j of KL(e_j || q_j) = -ln(q_jj / sum_i q_ij), with q
-    the learned sensory map floored at KL_FLOOR: the true map is the identity."""
+    the learned sensory map A[obs, z] floored at KL_FLOOR, per map of a
+    stack of them: the true map is the identity."""
     q = np.maximum(learned_sensory, KL_FLOOR)
-    kls = 0.0 - np.log(q.diagonal() / np.add.reduce(q, axis=0))
-    return float(np.add.reduce(kls) / kls.size)
+    kls = 0.0 - np.log(q.diagonal(axis1=-2, axis2=-1) / np.add.reduce(q, axis=-2))
+    return np.add.reduce(kls, axis=-1) / kls.shape[-1]
 
 
 def kld_B_error(
-    dynamics_true: np.ndarray,
-    dynamics_learned: np.ndarray,
-    action: int,
-    kls: np.ndarray,
-    columns: Iterable[int],
-) -> float:
-    """Mean per-state KL between the exact and learned transition columns
-    of one action; both tensors are (z', z, a).
-
-    `kls` keeps the per-column KLs, KL(p_j || q_j) = sum_i p_ij (ln p_ij -
-    ln q_ij) with the learned column floored at KL_FLOOR and renormalized;
-    only those of `columns`, the source columns learned since, are
-    recomputed. Each is summed in order over the true column's nonzero
-    cells, since the others add exact zeros.
+    dynamics_true: np.ndarray, counts: np.ndarray, action: int, kls, trials, columns=None
+) -> np.ndarray:
+    """Per trial, the mean per-state KL between the exact transition columns
+    of one action, dynamics_true[z', z, a], and the means of the infant's
+    counts[trial, z, a, z']. `kls` keeps the per-column KLs, KL(p_j || q_j)
+    = sum_i p_ij (ln p_ij - ln q_ij), the learned column floored at KL_FLOOR
+    and renormalized, each summed in order; only column columns[k] of trial
+    trials[k] is renewed, or all columns of `trials` if `columns` is None.
     """
-    for j in columns:
-        q = np.maximum(dynamics_learned[:, j, action], KL_FLOOR)
-        true_col = dynamics_true[:, j, action]
-        nz = true_col.nonzero()[0]
-        p = true_col[nz]
-        kls[j] = (p * (np.log(p) - np.log(q[nz] / q.cumsum()[-1]))).cumsum()[-1]
-    return float(np.add.reduce(kls) / kls.size)
+    if columns is None:
+        trials, columns = trials[:, None], np.arange(kls.shape[1])
+    q = counts[trials, columns, action]
+    q /= q.cumsum(axis=-1)[..., -1:]
+    np.maximum(q, KL_FLOOR, out=q)
+    q /= q.cumsum(axis=-1)[..., -1:]
+    p = dynamics_true[:, columns, action].T
+    terms = np.subtract(np.log(p, out=np.zeros(p.shape), where=p > 0.0), np.log(q, out=q), out=q)
+    terms *= p
+    kls[trials, columns] = terms.cumsum(axis=-1)[..., -1]
+    return np.add.reduce(kls, axis=1) / kls.shape[1]
 
 
 def _js_half(v: np.ndarray, m: np.ndarray) -> np.ndarray:

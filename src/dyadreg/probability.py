@@ -1,16 +1,16 @@
 """Finite-support probability primitives shared across the simulator.
 
-A negative softmax, the digamma function, and deterministic seeded
-sampling, all on plain probability vectors. Categorical is the one check a
-vector gets where it enters the program; the per-round functions here check
-nothing, since the config and the constructors bound what they are given.
+A negative softmax, the digamma function, and sampling by given
+uniforms, all on plain probability vectors, a row per trial. Categorical
+is the one check a vector gets where it enters the program; the per-round
+functions here check nothing, since the config and the constructors bound
+what they are given.
 All logarithms are natural, so every information quantity is in nats.
 """
 
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
 
 import numpy as np
 
@@ -50,24 +50,25 @@ class Categorical:
 
 
 def softmax_neg(v: np.ndarray) -> np.ndarray:
-    """Normalized exp(-v) of a non-empty 1-d array of finite values: the
-    smallest value gets the largest probability.
+    """Normalized exp(-v) along the last axis of an array of finite values,
+    each row non-empty: the smallest value gets the largest probability.
 
     The maximum of -v is subtracted before exponentiation, so arbitrarily
     large inputs do not overflow.
     """
-    w = np.exp(np.minimum.reduce(v) - v)
-    np.divide(w, np.add.reduce(w), out=w)
+    w = np.exp(np.minimum.reduce(v, axis=-1, keepdims=True) - v)
+    np.divide(w, np.add.reduce(w, axis=-1, keepdims=True), out=w)
     # Normalized a second time, as a validating constructor would: the
     # artifacts depend on these exact bits.
-    return np.divide(w, np.add.reduce(w), out=w)
+    return np.divide(w, np.add.reduce(w, axis=-1, keepdims=True), out=w)
 
 
-def sample(p: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one index from p, consuming exactly one uniform from rng: the
-    first whose cumulative probability exceeds the uniform."""
-    idx = bisect_right(p.cumsum().tolist(), rng.random())
-    return min(idx, p.size - 1)
+def sample(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Draw one index per row of p, by that row's uniform in u: the first
+    index whose cumulative probability exceeds the uniform, which is the
+    count of cumulative probabilities at or below it, or the last index if
+    rounding leaves the total below the uniform."""
+    return np.add.reduce(p.cumsum(axis=1)[:, :-1] <= u[:, None], axis=1)
 
 
 def digamma(x) -> np.ndarray:
@@ -76,10 +77,15 @@ def digamma(x) -> np.ndarray:
 
     The recurrence psi(x) = psi(x + 10) - sum_{k<10} 1 / (x + k) moves every
     argument to at least 10, where the asymptotic series below is accurate
-    to about 1e-14.
+    to about 1e-14. The ten terms are summed in the order np.add.reduce
+    sums a row of ten, eight paired partial sums and then the last two, as
+    whole arrays, so a batch of arguments gives each its own bits.
     """
     x = np.asarray(x, dtype=float)
-    shift = np.add.reduce(1.0 / np.add.outer(x, _DIGAMMA_SHIFTS), axis=-1)
+    t = 1.0 / (x + _DIGAMMA_SHIFTS.reshape((10,) + (1,) * x.ndim))
+    pairs = t[0:8:2] + t[1:8:2]
+    quads = pairs[0::2] + pairs[1::2]
+    shift = quads[0] + quads[1] + t[8] + t[9]
     y = x + 10.0
     inv2 = 1.0 / (y * y)
     series = inv2 * (1 / 12 - inv2 * (1 / 120 - inv2 * (1 / 252 - inv2 * (1 / 240 - inv2 / 132))))

@@ -6,10 +6,13 @@ or a helper that reaches into a trial for what its log does not keep.
 """
 
 import csv
+from bisect import bisect_right
 
 import numpy as np
 
 from dyadreg import harness
+from dyadreg.agents import AgentKind
+from dyadreg.dialogue import Condition, DialogueOutcome
 from dyadreg.environment import N_ACTIONS, N_STATES
 from dyadreg.harness import BELIEF_HEADER, CSV_HEADER
 from dyadreg.metrics import ROUND_DTYPE
@@ -85,10 +88,23 @@ def dirichlet_expected_entropy(concentrations) -> float:
     return float(digamma(c0 + 1.0) - (c * digamma(c + 1.0)).sum() / c0)
 
 
-def one_hot_index(p: np.ndarray) -> int | None:
-    """The index of the single 1 if p is exactly a one-hot vector, else None."""
-    i = int(p.argmax())
-    return i if p[i] == 1.0 and np.count_nonzero(p) == 1 else None
+def identity_sensory_map() -> np.ndarray:
+    """Exact observation model: each state emits its own one-hot cue. The
+    program never builds it: the infant senses its state directly."""
+    eye = np.eye(N_STATES)
+    eye.setflags(write=False)
+    return eye
+
+
+def digamma_by_reduce(x) -> np.ndarray:
+    """probability.digamma with its ten recurrence terms summed by
+    np.add.reduce along a last axis of ten."""
+    x = np.asarray(x, dtype=float)
+    shift = np.add.reduce(1.0 / np.add.outer(x, np.arange(10.0)), axis=-1)
+    y = x + 10.0
+    inv2 = 1.0 / (y * y)
+    series = inv2 * (1 / 12 - inv2 * (1 / 120 - inv2 * (1 / 252 - inv2 * (1 / 240 - inv2 / 132))))
+    return np.log(y) - 0.5 / y - series - shift
 
 
 def column_kls(true_cols: np.ndarray, learned_cols: np.ndarray) -> np.ndarray:
@@ -111,23 +127,107 @@ def mean_column_kl(true_cols: np.ndarray, learned_cols: np.ndarray) -> float:
 
 
 def set_belief(agent, probs):
-    """Give an agent a belief no round gave it: `probs` must be a probability
-    vector over the states. The agent then has no sensed state, so its
-    expected free energy takes the general path until its next cue."""
+    """Give a parent a belief no round gave it, in every trial of its batch:
+    `probs` must be a probability vector over the states."""
     belief = Categorical(probs).probs
     if belief.size != N_STATES:
         raise ValueError("belief support must match the state space")
-    agent.belief = belief
-    agent.state = None
+    agent.belief = np.tile(belief, (len(agent.belief), 1))
 
 
-def outer_product_learn_B(agent, prev, post, action):
-    """Agent.learn_B's general form, whatever the beliefs: count the outer
-    product, renormalize the whole action slice, copy it into the rows."""
-    agent.trans_concentration[:, :, action] += np.outer(post, prev)
-    slice_a = agent.trans_concentration[:, :, action]
-    agent.B[:, :, action] = slice_a / slice_a.sum(axis=0, keepdims=True)
-    agent._B_rows[:, action::N_ACTIONS] = agent.B[:, :, action].T
+def learned_dynamics(infant) -> np.ndarray:
+    """The infant's learned dynamics B[t, z', z, a] per trial, C-contiguous:
+    the mean of its counts[t, z, a, z'], each column summed in order."""
+    counts = infant.trans_concentration
+    return np.ascontiguousarray((counts / counts.cumsum(axis=-1)[..., -1:]).transpose(0, 3, 1, 2))
+
+
+def outer_product_learn_B(counts, prev, post, action):
+    """learn_B's general form, whatever the beliefs: count the outer product
+    of consecutive beliefs into counts[z', z, a] for `action`, and return
+    the renormalized slice."""
+    counts[:, :, action] += np.outer(post, prev)
+    slice_a = counts[:, :, action]
+    return slice_a / slice_a.sum(axis=0, keepdims=True)
+
+
+def identity_efe(transitions, preferred_obs, belief) -> np.ndarray:
+    """The expected free energy of every action from a belief, for an agent
+    that senses its state through the identity map and knows
+    `transitions`, by the general product: a one-step prediction, the
+    identity map applied to it, no ambiguity, and the risk of the result."""
+    rows = np.ascontiguousarray(transitions.transpose(1, 0, 2)).reshape(N_STATES, -1)
+    q_pred = belief.reshape(1, N_STATES).dot(rows).reshape(N_STATES, N_ACTIONS)
+    q_obs = identity_sensory_map() @ q_pred
+    log_pref = np.log(np.maximum(preferred_obs, KL_FLOOR))
+    logs = np.log(q_obs, out=np.zeros(q_obs.shape), where=q_obs > 0.0)
+    risk = np.add.reduce(q_obs * (logs - log_pref[:, None]), axis=0)
+    return np.zeros(N_STATES) @ q_pred + risk
+
+
+# The one-trial forms of the round path: the program runs each on a batch
+# of trials, and must give every trial these bits.
+
+
+def predict_belief(belief: np.ndarray, transitions: np.ndarray, action: int) -> np.ndarray:
+    """Push a belief one step through the dynamics for the given action."""
+    p = transitions[:, :, action] @ belief
+    return np.divide(p, np.add.reduce(p), out=p)
+
+
+def update_belief(belief_pred: np.ndarray, sensory: np.ndarray, obs: int) -> np.ndarray:
+    """Bayes correction of a predicted belief by an observed cue.
+
+    If the likelihood wipes out the entire prediction, the normalized
+    likelihood row is used alone so the belief never degenerates.
+    """
+    like = sensory[obs, :]
+    post = like * belief_pred
+    total = np.add.reduce(post)
+    if total <= 0.0:
+        post = like
+        total = np.add.reduce(post)
+        if total <= 0.0:
+            raise ValueError(f"observation {obs} has an all-zero likelihood row")
+    post = post / total
+    return np.divide(post, np.add.reduce(post), out=post)
+
+
+def sample(p: np.ndarray, rng) -> int:
+    """Draw one index from p, consuming exactly one uniform from rng: the
+    first whose cumulative probability exceeds the uniform."""
+    idx = bisect_right(p.cumsum().tolist(), rng.random())
+    return min(idx, p.size - 1)
+
+
+def mh_accept(proposed_w: int, current_w: int, listener_posterior: np.ndarray, rng):
+    """Metropolis-Hastings acceptance using only the listener's posterior,
+    consuming one uniform: min(1, P(proposed) / P(current)), and certain
+    acceptance for a zero denominator."""
+    num = float(listener_posterior[proposed_w])
+    den = float(listener_posterior[current_w])
+    prob = 1.0 if den <= 0.0 else min(1.0, num / den)
+    return bool(rng.random() < prob), prob
+
+
+def run_round(speaker, listener, condition, rng, current_w=None) -> DialogueOutcome:
+    """One naming-game round of one trial, between agents whose
+    symbol_posterior is a vector, drawing its uniforms from rng."""
+    proposed = sample(speaker.symbol_posterior(), rng)
+    mhng = condition is Condition.MHNG
+    posterior = listener.symbol_posterior() if mhng or current_w is None else None
+    own = sample(posterior, rng) if current_w is None else int(current_w)
+    if mhng:
+        accepted, prob = mh_accept(proposed, own, posterior, rng)
+    else:
+        leader = AgentKind.PARENT if condition is Condition.A_LED else AgentKind.INFANT
+        if listener.kind is leader:
+            accepted = proposed == own
+            prob = 1.0 if accepted else 0.0
+        else:
+            accepted, prob = True, 1.0
+    shared = proposed if accepted else own
+    return DialogueOutcome(proposed, own, accepted, prob, shared)
 
 
 def write_csv(path, header, rows):
@@ -163,9 +263,10 @@ def write_trial_csv(log, path):
 
 
 def run_trial_keeping_agents(monkeypatch, config, condition, trial_index):
-    """harness.run_trial, plus the two agents it built: `(log, (parent,
-    infant))`. The log does not keep the agents' final Dirichlet counts,
-    so this wraps harness.init_agent to hold on to the agents."""
+    """harness.run_trial of one trial, plus the two agents it built, each a
+    batch of one: `(log, (parent, infant))`. The log does not keep the
+    agents' final Dirichlet counts, so this wraps harness.init_agent to
+    hold on to the agents."""
     agents = []
     init_agent = harness.init_agent
 
@@ -175,7 +276,7 @@ def run_trial_keeping_agents(monkeypatch, config, condition, trial_index):
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "init_agent", keep)
-        log = harness.run_trial(config, condition, trial_index)
+        log = harness.run_trial(config, condition, [trial_index])[0]
     parent, infant = agents
     return log, (parent, infant)
 

@@ -13,7 +13,7 @@ import pytest
 
 import conftest
 
-from dyadreg.agents import Agent, AgentKind
+from dyadreg.agents import AgentKind
 from dyadreg.config import ExperimentConfig
 from dyadreg.dialogue import Condition, run_round
 from dyadreg.environment import (
@@ -32,9 +32,10 @@ from dyadreg.harness import (
 from dyadreg.probability import (
     Categorical,
     make_rng,
+    softmax_neg,
 )
 from dyadreg.metrics import jsd_latent
-from oracles import js_divergence, kl_divergence, run_trial_keeping_agents, set_belief
+from oracles import identity_efe, js_divergence, kl_divergence, run_trial_keeping_agents
 from oracles import jsd_latent as scalar_jsd_latent
 
 SEEDS = (0, 1, 2)
@@ -55,7 +56,7 @@ def grid():
     for seed in SEEDS:
         cfg = ExperimentConfig(seed=seed)
         runs[seed] = {
-            cond: [run_trial(cfg, cond, t) for t in range(TRIALS)]
+            cond: run_trial(cfg, cond, range(TRIALS))
             for cond in CONDITIONS
         }
     return runs
@@ -205,13 +206,13 @@ def test_criterion_5_spike_association(mhng_summary):
 
 
 class PinnedAgent:
-    """A dyad role and an agent's symbol posterior, computed once: with the
-    belief frozen, every round would recompute the same vector. The role
-    decides who speaks; the agent need not be of that kind."""
+    """A dyad role and a symbol posterior per fixture, computed once: with
+    the beliefs frozen, every round would recompute the same vectors. The
+    role decides who speaks; the posterior need not come from that kind."""
 
-    def __init__(self, kind, agent):
+    def __init__(self, kind, posterior):
         self.kind = kind
-        self._posterior = agent.symbol_posterior()
+        self._posterior = posterior
 
     def symbol_posterior(self):
         return self._posterior
@@ -219,28 +220,35 @@ class PinnedAgent:
 
 def test_criterion_6_mh_stationarity_oracle():
     # Frozen beliefs, the agreed symbol carried between rounds: the chain
-    # must sample the normalized product of the two symbol posteriors.
+    # must sample the normalized product of the two symbol posteriors. The
+    # five fixtures run as one batch, each on its own uniforms.
     world = build_transition_model()
     pref = build_prior_preference()
+    preferred = preferred_obs_distribution(pref)
     fixture_rng = make_rng(606)
+    fixtures = 5
+    posteriors = np.array([
+        softmax_neg(identity_efe(world.tensor, preferred, belief))
+        for belief in (
+            Categorical(fixture_rng.dirichlet(np.ones(36))).probs for _ in range(2 * fixtures)
+        )
+    ]).reshape(fixtures, 2, 5)
+    parent = PinnedAgent(AgentKind.PARENT, posteriors[:, 0])
+    infant = PinnedAgent(AgentKind.INFANT, posteriors[:, 1])
+    draws = iter(np.array([make_rng(7000 + f).random(200_000) for f in range(fixtures)]).T)
+    current = np.zeros(fixtures, int)
+    counts = np.zeros((fixtures, 5))
+    rows = np.arange(fixtures)
+    for _ in range(100_000):
+        out = run_round(infant, parent, Condition.MHNG, draws, current_w=current)
+        current = out.shared_w
+        counts[rows, current] += 1
     worst = 0.0
-    for fixture in range(5):
-        agents = []
-        for kind in (AgentKind.PARENT, AgentKind.INFANT):
-            agent = Agent(AgentKind.INFANT, world.tensor, preferred_obs_distribution(pref))
-            set_belief(agent, Categorical(fixture_rng.dirichlet(np.ones(36))).probs)
-            agents.append(PinnedAgent(kind, agent))
-        parent, infant = agents
-        target = parent.symbol_posterior() * infant.symbol_posterior()
+    for fixture in range(fixtures):
+        target = posteriors[fixture, 0] * posteriors[fixture, 1]
         target = target / target.sum()
-        rng = make_rng(7000 + fixture)
-        current = 0
-        counts = np.zeros(5)
-        for _ in range(100_000):
-            out = run_round(infant, parent, Condition.MHNG, rng, current_w=current)
-            current = out.shared_w
-            counts[current] += 1
-        tv = 0.5 * float(np.abs(counts / counts.sum() - target).sum())
+        freqs = counts[fixture] / counts[fixture].sum()
+        tv = 0.5 * float(np.abs(freqs - target).sum())
         worst = max(worst, tv)
         assert tv <= 0.02, f"fixture {fixture}: TV {tv:.4f} vs PoE target {target}"
     verdict(6, True, f"worst TV over 5 fixtures = {worst:.4f} (need <= 0.02)")
@@ -258,17 +266,16 @@ def test_criterion_7_dirichlet_counting_oracle(monkeypatch):
         alpha[:, obs] += log.parent_round_beliefs[r]
         beta[:, :, rec["action"]] += np.outer(infant[r], prev_infant)
         prev_infant = infant[r]
-    alpha_err = float(np.abs(alpha - parent.obs_concentration).max())
-    beta_err = float(np.abs(beta - infant_agent.trans_concentration).max())
+    # The agents are a batch of one; the infant counts over (z, a, z'),
+    # laid out here as beta is.
+    alpha_online = parent.obs_concentration[0]
+    beta_online = np.ascontiguousarray(infant_agent.trans_concentration[0].transpose(2, 0, 1))
+    alpha_err = float(np.abs(alpha - alpha_online).max())
+    beta_err = float(np.abs(beta - beta_online).max())
     a_batch = (alpha / alpha.sum(axis=1, keepdims=True)).T
-    a_online = (
-        parent.obs_concentration
-        / parent.obs_concentration.sum(axis=1, keepdims=True)
-    ).T
+    a_online = (alpha_online / alpha_online.sum(axis=1, keepdims=True)).T
     b_batch = beta / beta.sum(axis=0, keepdims=True)
-    b_online = infant_agent.trans_concentration / infant_agent.trans_concentration.sum(
-        axis=0, keepdims=True
-    )
+    b_online = beta_online / beta_online.sum(axis=0, keepdims=True)
     a_mat_err = float(np.abs(a_batch - a_online).max())
     b_mat_err = float(np.abs(b_batch - b_online).max())
     ok = max(alpha_err, beta_err, a_mat_err, b_mat_err) < 1e-9
@@ -318,15 +325,17 @@ def test_criterion_8_property_battery(tmp_path):
     infant = init_agent(AgentKind.INFANT, world, pref)
     fuzz = make_rng(909)
     for step_i in range(10_000):
-        action = int(fuzz.integers(5))
-        obs = int(fuzz.integers(36))
-        for agent in (parent, infant):
-            prev, post = agent.assimilate(action, obs)
-            assert np.all(post >= 0.0)
-            assert abs(post.sum() - 1.0) <= 1e-9
+        action = fuzz.integers(5, size=1)
+        obs = fuzz.integers(36, size=1)
+        _, post = parent.assimilate(action, obs)
+        assert np.all(post >= 0.0)
+        assert abs(post.sum() - 1.0) <= 1e-9
+        # The infant's belief is one-hot at the state it holds.
+        prev, state = infant.assimilate(action, obs)
+        assert state.tolist() == obs.tolist()
         if step_i % 7 == 0:
             parent.learn_A(parent.belief, obs)
-            infant.learn_B(prev, infant.belief, action)
+            infant.learn_B(prev, state, action)
 
     # Repeated runs produce byte-identical artifacts (manifest timings
     # excepted, as wall-clock bookkeeping).

@@ -8,6 +8,7 @@ from dyadreg.agents import (
     AgentKind,
     init_agent,
     predict_belief,
+    prediction_sources,
     update_belief,
 )
 from dyadreg.environment import (
@@ -18,8 +19,16 @@ from dyadreg.environment import (
     build_transition_model,
     preferred_obs_distribution,
 )
-from dyadreg.probability import KL_FLOOR, Categorical, make_rng
-from oracles import dirichlet_expected_entropy, kl_divergence, outer_product_learn_B, set_belief
+from dyadreg.probability import KL_FLOOR, Categorical, digamma, make_rng
+import oracles
+from oracles import (
+    dirichlet_expected_entropy,
+    identity_sensory_map,
+    kl_divergence,
+    learned_dynamics,
+    outer_product_learn_B,
+    set_belief,
+)
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +42,8 @@ def pref():
 
 
 # A unit prior per cell keeps the count oracles below readable; the
-# experiment's default prior is a config knob (dirichlet_prior).
+# experiment's default prior is a config knob (dirichlet_prior). Each agent
+# is a batch of one trial unless a test says otherwise.
 def fresh_parent(world, pref):
     return init_agent(AgentKind.PARENT, world, pref, prior_concentration=1.0)
 
@@ -48,6 +58,11 @@ def omniscient(world, pref):
     return Agent(AgentKind.INFANT, world.tensor, preferred_obs_distribution(pref))
 
 
+def at(*values):
+    """One value per trial of a batch."""
+    return np.array(values)
+
+
 class TestInit:
     def test_parent_starts_flat_sensory(self, world, pref):
         p = fresh_parent(world, pref)
@@ -59,8 +74,9 @@ class TestInit:
 
     def test_infant_starts_flat_dynamics(self, world, pref):
         i = fresh_infant(world, pref)
-        assert np.array_equal(i.A, np.eye(N_STATES))
-        assert np.allclose(i.B, 1.0 / N_STATES)
+        # It senses its state, and has sensed none yet.
+        assert i.state is None
+        assert np.allclose(learned_dynamics(i), 1.0 / N_STATES)
         assert i.trans_concentration is not None
         assert i.obs_concentration is None
 
@@ -76,56 +92,59 @@ class TestInit:
 
     def test_infant_without_counts_keeps_its_dynamics(self, world, pref):
         agent = omniscient(world, pref)
-        assert agent.B is world.tensor
-        assert np.array_equal(agent.A, np.eye(N_STATES))
-        uniform = np.full(N_STATES, 1.0 / N_STATES)
+        # Its free energy from every state is the exact dynamics' own.
+        states = np.eye(N_STATES)
+        for s in range(N_STATES):
+            agent.state = at(s)
+            expect = general_efe(identity_sensory_map(), world.tensor, agent.preferred_obs, states[s])
+            assert np.array_equal(agent.efe_per_action()[0], expect)
         with pytest.raises(ValueError, match="does not learn the dynamics"):
-            agent.learn_B(uniform, uniform, 0)
+            agent.learn_B(None, at(0), at(0))
 
 
 class TestFiltering:
     def test_predict_splits_on_branch(self, world):
-        q = np.eye(N_STATES)[VisceralState(3, 3).flat]
-        out = predict_belief(q, world.tensor, Action.SLEEP)
+        q = np.eye(N_STATES)[[VisceralState(3, 3).flat]]
+        (out,) = predict_belief(q, prediction_sources(world.tensor), at(Action.SLEEP))
         assert out[VisceralState(3, 3).flat] == pytest.approx(0.8)
         assert out[VisceralState(3, 4).flat] == pytest.approx(0.2)
 
     def test_predict_keeps_normalization(self, world):
         rng = make_rng(0)
-        for _ in range(20):
-            q = Categorical(rng.dirichlet(np.ones(N_STATES))).probs
-            for a in range(5):
-                out = predict_belief(q, world.tensor, a)
-                assert out.sum() == pytest.approx(1.0, abs=1e-9)
+        sources = prediction_sources(world.tensor)
+        beliefs = np.array([Categorical(rng.dirichlet(np.ones(N_STATES))).probs for _ in range(20)])
+        for a in range(5):
+            out = predict_belief(beliefs, sources, np.full(20, a))
+            assert np.allclose(out.sum(axis=1), 1.0, atol=1e-9, rtol=0.0)
 
     def test_update_with_identity_pins_to_obs(self):
         pred = Categorical([0.25, 0.25, 0.5]).probs
-        post = update_belief(pred, np.eye(3), 2)
-        assert np.array_equal(post, [0.0, 0.0, 1.0])
+        post = update_belief(pred[None], np.eye(3)[None], at(2))
+        assert np.array_equal(post, [[0.0, 0.0, 1.0]])
 
     def test_update_falls_back_on_dead_product(self):
-        pred = np.eye(3)[0]
-        post = update_belief(pred, np.eye(3), 2)
-        assert np.array_equal(post, [0.0, 0.0, 1.0])
+        pred = np.eye(3)[[0]]
+        post = update_belief(pred, np.eye(3)[None], at(2))
+        assert np.array_equal(post, [[0.0, 0.0, 1.0]])
 
     def test_update_rejects_zero_likelihood_row(self):
-        sensory = np.zeros((3, 3))
-        sensory[0, 0] = 1.0
+        sensory = np.zeros((1, 3, 3))
+        sensory[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
-            update_belief(np.full(3, 1.0 / 3), sensory, 2)
+            update_belief(np.full((1, 3), 1.0 / 3), sensory, at(2))
 
     def test_update_weighs_soft_likelihoods(self):
-        sensory = np.array([[0.9, 0.1], [0.1, 0.9]])
-        post = update_belief(Categorical([0.5, 0.5]).probs, sensory, 0)
-        assert post[0] == pytest.approx(0.9)
+        sensory = np.array([[[0.9, 0.1], [0.1, 0.9]]])
+        post = update_belief(Categorical([0.5, 0.5]).probs[None], sensory, at(0))
+        assert post[0, 0] == pytest.approx(0.9)
 
     def test_assimilate_returns_prev_and_new(self, world, pref):
         i = fresh_infant(world, pref)
-        set_belief(i, np.eye(N_STATES)[14])
-        prev, new = i.assimilate(Action.SLEEP, 20)
-        assert np.array_equal(prev, np.eye(N_STATES)[14])
-        assert new[20] == 1.0
-        assert i.belief is new
+        i.state = at(14)
+        prev, new = i.assimilate(at(Action.SLEEP), at(20))
+        assert prev.tolist() == [14]
+        assert new.tolist() == [20]
+        assert i.state is new
 
 
 class TestExpectedFreeEnergy:
@@ -137,41 +156,42 @@ class TestExpectedFreeEnergy:
         rng = make_rng(33)
         for _ in range(5):
             parent.learn_A(
-                Categorical(rng.dirichlet(np.ones(N_STATES))).probs, int(rng.integers(36))
+                Categorical(rng.dirichlet(np.ones(N_STATES))).probs[None], at(rng.integers(36))
             )
         set_belief(parent, Categorical(rng.dirichlet(np.ones(N_STATES))).probs)
-        vec = parent.efe_per_action()
+        vec = parent.efe_per_action()[0]
         for a in range(5):
-            q_pred = predict_belief(parent.belief, parent.B, a)
+            q_pred = oracles.predict_belief(parent.belief[0], parent.B, a)
             ambiguity = sum(
-                q_pred[z] * dirichlet_expected_entropy(parent.obs_concentration[z])
+                q_pred[z] * dirichlet_expected_entropy(parent.obs_concentration[0, z])
                 for z in range(N_STATES)
             )
-            q_obs = parent.A @ q_pred
+            q_obs = parent.A[0] @ q_pred
             risk = kl_divergence(q_obs, parent.preferred_obs)
             assert vec[a] == pytest.approx(ambiguity + risk, abs=1e-9)
-            assert parent.efe_per_action()[a] == pytest.approx(vec[a], abs=1e-12)
+            assert parent.efe_per_action()[0, a] == pytest.approx(vec[a], abs=1e-12)
 
     def test_identity_sensing_has_zero_ambiguity(self, world, pref):
         agent = omniscient(world, pref)
-        set_belief(agent, np.eye(N_STATES)[VisceralState(2, 2).flat])
+        start = VisceralState(2, 2).flat
+        agent.state = at(start)
         for a in range(5):
-            q_pred = predict_belief(agent.belief, agent.B, a)
-            risk = kl_divergence(agent.A @ q_pred, agent.preferred_obs)
-            assert agent.efe_per_action()[a] == pytest.approx(risk, abs=1e-12)
+            q_pred = oracles.predict_belief(np.eye(N_STATES)[start], world.tensor, a)
+            risk = kl_divergence(identity_sensory_map() @ q_pred, agent.preferred_obs)
+            assert agent.efe_per_action()[0, a] == pytest.approx(risk, abs=1e-12)
 
     def test_sleep_preferred_at_comfort_peak(self, world, pref):
         agent = omniscient(world, pref)
-        set_belief(agent, np.eye(N_STATES)[VisceralState(2, 2).flat])
-        vec = agent.efe_per_action()
+        agent.state = at(VisceralState(2, 2).flat)
+        vec = agent.efe_per_action()[0]
         assert int(vec.argmin()) == Action.SLEEP
-        assert agent.symbol_posterior().argmax() == Action.SLEEP
+        assert agent.symbol_posterior()[0].argmax() == Action.SLEEP
 
     def test_flat_parent_scores_all_actions_equally(self, world, pref):
         # A uniform sensory map erases any information the prediction
         # carries, so every action looks alike at first.
         parent = fresh_parent(world, pref)
-        vec = parent.efe_per_action()
+        vec = parent.efe_per_action()[0]
         assert np.allclose(vec, vec[0], atol=1e-12)
         assert np.allclose(parent.symbol_posterior(), 0.2, atol=1e-12)
 
@@ -179,80 +199,79 @@ class TestExpectedFreeEnergy:
 class TestSymbolPosterior:
     def test_softmax_of_negative_scores(self, world, pref):
         agent = omniscient(world, pref)
-        set_belief(agent, np.eye(N_STATES)[VisceralState(4, 4).flat])
-        g = agent.efe_per_action()
+        agent.state = at(VisceralState(4, 4).flat)
+        g = agent.efe_per_action()[0]
         expect = np.exp(-(g - g.min()))
         expect /= expect.sum()
-        assert np.allclose(agent.symbol_posterior(), expect, atol=1e-12)
+        assert np.allclose(agent.symbol_posterior()[0], expect, atol=1e-12)
 
     def test_cache_invalidated_by_belief_change(self, world, pref):
         agent = omniscient(world, pref)
-        set_belief(agent, np.eye(N_STATES)[VisceralState(2, 2).flat])
+        agent.state = at(VisceralState(2, 2).flat)
         first = agent.symbol_posterior()
-        set_belief(agent, np.eye(N_STATES)[VisceralState(5, 0).flat])
+        agent.state = at(VisceralState(5, 0).flat)
         second = agent.symbol_posterior()
         assert not np.allclose(first, second)
 
     def test_cache_invalidated_by_learning(self, world, pref):
         infant = fresh_infant(world, pref)
+        infant.state = at(0)
         first = infant.symbol_posterior()
-        infant.learn_B(
-            np.eye(N_STATES)[0],
-            np.eye(N_STATES)[6],
-            Action.EAT,
-        )
+        infant.learn_B(at(0), at(6), at(Action.EAT))
         assert not np.array_equal(infant.symbol_posterior(), first)
 
 
 class TestLearning:
     def test_first_sensory_update_counts(self, world, pref):
         parent = fresh_parent(world, pref)
-        parent.learn_A(np.eye(N_STATES)[7], obs=7)
-        assert parent.obs_concentration[7, 7] == 2.0
-        assert parent.A[7, 7] == pytest.approx(2.0 / 37.0)
-        assert parent.A[3, 7] == pytest.approx(1.0 / 37.0)
-        assert parent.A[:, 7].sum() == pytest.approx(1.0)
+        parent.learn_A(np.eye(N_STATES)[[7]], at(7))
+        assert parent.obs_concentration[0, 7, 7] == 2.0
+        assert parent.A[0, 7, 7] == pytest.approx(2.0 / 37.0)
+        assert parent.A[0, 3, 7] == pytest.approx(1.0 / 37.0)
+        assert parent.A[0, :, 7].sum() == pytest.approx(1.0)
 
     def test_uniform_posterior_keeps_columns_equal(self, world, pref):
         parent = fresh_parent(world, pref)
-        parent.learn_A(np.full(N_STATES, 1.0 / N_STATES), obs=11)
-        assert np.allclose(parent.A, parent.A[:, :1])
+        parent.learn_A(np.full((1, N_STATES), 1.0 / N_STATES), at(11))
+        assert np.allclose(parent.A[0], parent.A[0][:, :1])
 
     def test_sensory_learning_never_touches_dynamics(self, world, pref):
         parent = fresh_parent(world, pref)
         for k in range(10):
-            parent.learn_A(np.eye(N_STATES)[k], obs=k)
+            parent.learn_A(np.eye(N_STATES)[[k]], at(k))
         assert parent.B is world.tensor
         assert np.array_equal(parent.B, world.tensor)
 
     def test_first_dynamics_update_counts(self, world, pref):
         infant = fresh_infant(world, pref)
-        infant.learn_B(
-            np.eye(N_STATES)[4],
-            np.eye(N_STATES)[9],
-            Action.WARM,
-        )
-        assert infant.trans_concentration[9, 4, Action.WARM] == 2.0
-        assert infant.B[9, 4, Action.WARM] == pytest.approx(2.0 / 37.0)
+        infant.learn_B(at(4), at(9), at(Action.WARM))
+        assert infant.trans_concentration[0, 4, Action.WARM, 9] == 2.0
+        learned = learned_dynamics(infant)[0]
+        assert learned[9, 4, Action.WARM] == pytest.approx(2.0 / 37.0)
         # Other actions stay flat.
-        assert np.allclose(infant.B[:, :, Action.COOL], 1.0 / N_STATES)
+        assert np.allclose(learned[:, :, Action.COOL], 1.0 / N_STATES)
 
     def test_dynamics_columns_stay_stochastic(self, world, pref):
         infant = fresh_infant(world, pref)
         rng = make_rng(8)
+        prev = None
         for _ in range(50):
-            prev = Categorical(rng.dirichlet(np.ones(N_STATES))).probs
-            curr = Categorical(rng.dirichlet(np.ones(N_STATES))).probs
-            infant.learn_B(prev, curr, int(rng.integers(5)))
-        sums = infant.B.sum(axis=0)
-        assert np.allclose(sums, 1.0, atol=1e-9)
-        assert np.all(infant.B >= 0.0)
+            obs = at(rng.integers(N_STATES))
+            infant.learn_B(prev, obs, at(rng.integers(5)))
+            prev = obs
+        learned = learned_dynamics(infant)
+        assert np.allclose(learned.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(learned >= 0.0)
 
     def test_dynamics_learning_never_touches_sensing(self, world, pref):
+        # Learning the dynamics leaves the state the infant senses as it is.
         infant = fresh_infant(world, pref)
-        uniform = np.full(N_STATES, 1.0 / N_STATES)
-        infant.learn_B(uniform, uniform, 0)
-        assert np.array_equal(infant.A, np.eye(N_STATES))
+        infant.learn_B(None, at(5), at(0))
+        assert infant.state is None
+        infant.assimilate(at(0), at(5))
+        sensed = infant.state
+        infant.learn_B(at(5), at(7), at(0))
+        assert infant.state is sensed and sensed.tolist() == [5]
 
     def test_online_equals_batch_replay(self, world, pref):
         # The learned matrix is a pure function of the accumulated counts.
@@ -263,49 +282,46 @@ class TestLearning:
         ]
         online = fresh_parent(world, pref)
         for q, obs in events:
-            online.learn_A(q, obs)
+            online.learn_A(q[None], at(obs))
         alpha = np.ones((N_STATES, N_STATES))
         for q, obs in events:
             alpha[:, obs] += q
         batch = alpha / alpha.sum(axis=1, keepdims=True)
-        assert np.allclose(online.A, batch.T, atol=1e-9)
+        assert np.allclose(online.A[0], batch.T, atol=1e-9)
 
     def test_wrong_role_raises(self, world, pref):
         with pytest.raises(ValueError):
-            uniform = np.full(N_STATES, 1.0 / N_STATES)
-            fresh_parent(world, pref).learn_B(uniform, uniform, 0)
+            fresh_parent(world, pref).learn_B(None, at(0), at(0))
         with pytest.raises(ValueError):
-            fresh_infant(world, pref).learn_A(np.full(N_STATES, 1.0 / N_STATES), 0)
+            fresh_infant(world, pref).learn_A(np.full((1, N_STATES), 1.0 / N_STATES), at(0))
 
 
-def general_efe(agent, belief=None):
+def general_efe(sensory, transitions, preferred_obs, belief):
     """The expected free energy by the general formula, for a known sensory
-    map: tensordot prediction, column-entropy ambiguity, A @ prediction.
-    From the agent's belief unless another is given."""
-    q_pred = np.tensordot(agent.belief if belief is None else belief, agent.B, axes=(0, 1))
-    a = agent.A
+    map: tensordot prediction, column-entropy ambiguity, A @ prediction."""
+    q_pred = np.tensordot(belief, transitions, axes=(0, 1))
+    a = sensory
     ambiguity = -np.where(a > 0.0, a * np.log(np.where(a > 0.0, a, 1.0)), 0.0).sum(axis=0) @ q_pred
     q_obs = a @ q_pred
     logs = np.where(q_obs > 0.0, np.log(np.where(q_obs > 0.0, q_obs, 1.0)), 0.0)
-    log_pref = np.log(np.maximum(agent.preferred_obs, KL_FLOOR))
+    log_pref = np.log(np.maximum(preferred_obs, KL_FLOOR))
     return ambiguity + (q_obs * (logs - log_pref[:, None])).sum(axis=0)
 
 
-def random_belief(rng):
-    return Categorical(rng.dirichlet(np.ones(N_STATES))).probs
+def infant_efe(infant, belief):
+    """general_efe of the infant's learned dynamics in its first trial."""
+    dynamics = learned_dynamics(infant)[0]
+    return general_efe(identity_sensory_map(), dynamics, infant.preferred_obs, belief)
 
 
 def infant_rounds(infant, rng, steps=150):
     """A seeded run of rounds for an infant as a trial drives it: its
-    uniform start belief first, then the one-hot beliefs its cues give,
-    with a belief set through set_belief halfway. Yields each round's
-    (prev, new, action) after assimilate and before learn_B."""
-    for step in range(steps):
-        if step == steps // 2:
-            set_belief(infant, random_belief(rng))
+    uniform start belief first, then the states its cues give. Yields each
+    round's (prev, new, action) after assimilate and before learn_B."""
+    for _ in range(steps):
         action, obs = int(rng.integers(5)), int(rng.integers(N_STATES))
-        prev, new = infant.assimilate(action, obs)
-        yield prev, new, action
+        prev, new = infant.assimilate(at(action), at(obs))
+        yield prev, new, at(action)
 
 
 class TestStructureShortcuts:
@@ -315,76 +331,131 @@ class TestStructureShortcuts:
     def learned_infant(self, world, pref, seed):
         infant = fresh_infant(world, pref)
         rng = make_rng(seed)
-        for _ in range(30):
-            infant.learn_B(random_belief(rng), random_belief(rng), int(rng.integers(5)))
+        for prev, new, action in infant_rounds(infant, rng, 30):
+            infant.learn_B(prev, new, action)
         return infant, rng
 
     def test_identity_efe_equals_general_formula(self, world, pref):
-        infant, rng = self.learned_infant(world, pref, 41)
-        for _ in range(20):
-            set_belief(infant, random_belief(rng))
-            assert np.array_equal(infant.efe_per_action(), general_efe(infant))
-            # After an observation the belief is one-hot and EFE reads one
-            # row of the cached dynamics layout.
-            infant.assimilate(int(rng.integers(5)), int(rng.integers(N_STATES)))
-            assert np.array_equal(infant.efe_per_action(), general_efe(infant))
-            prev = infant.belief
-            infant.learn_B(prev, random_belief(rng), int(rng.integers(5)))
-            assert np.array_equal(infant.efe_per_action(), general_efe(infant))
+        # From its uniform start belief, and from every state it senses
+        # after that, before and after learning.
+        infant = fresh_infant(world, pref)
+        uniform = np.full(N_STATES, 1.0 / N_STATES)
+        assert np.array_equal(infant.efe_per_action()[0], infant_efe(infant, uniform))
+        rng = make_rng(41)
+        states = np.eye(N_STATES)
+        for prev, new, action in infant_rounds(infant, rng, 20):
+            assert np.array_equal(infant.efe_per_action()[0], infant_efe(infant, states[new[0]]))
+            infant.learn_B(prev, new, action)
+            assert np.array_equal(infant.efe_per_action()[0], infant_efe(infant, states[new[0]]))
 
     def test_infant_belief_is_one_hot_after_every_assimilate(self, world, pref):
+        # The state it adopts is what the general update gives under the
+        # identity map: one-hot at the cue, bit for bit.
         infant, rng = self.learned_infant(world, pref, 47)
+        dynamics = learned_dynamics(infant)[0]
+        states = np.eye(N_STATES)
         for _ in range(200):
-            if rng.random() < 0.3:
-                set_belief(infant, random_belief(rng))
             action, obs = int(rng.integers(5)), int(rng.integers(N_STATES))
-            expect = update_belief(predict_belief(infant.belief, infant.B, action), infant.A, obs)
-            _, new = infant.assimilate(action, obs)
-            assert np.array_equal(new, np.eye(N_STATES)[obs])
-            assert np.array_equal(new, expect)
+            prior = states[infant.state[0]]
+            pred = oracles.predict_belief(prior, dynamics, action)
+            expect = oracles.update_belief(pred, identity_sensory_map(), obs)
+            _, new = infant.assimilate(at(action), at(obs))
+            assert new.tolist() == [obs]
+            assert np.array_equal(states[new[0]], expect)
 
     def test_zero_likelihood_fallback_is_one_hot(self, world, pref):
         # Under the exact dynamics, Sleep from the comfort peak cannot land
-        # on the far corner, so update_belief falls back to the likelihood.
+        # on the far corner, so the update falls back to the likelihood.
         agent = omniscient(world, pref)
         start, far = VisceralState(2, 2).flat, VisceralState(5, 5).flat
-        set_belief(agent, np.eye(N_STATES)[start])
-        pred = predict_belief(agent.belief, agent.B, Action.SLEEP)
+        agent.state = at(start)
+        pred = oracles.predict_belief(np.eye(N_STATES)[start], world.tensor, Action.SLEEP)
         assert pred[far] == 0.0
-        _, new = agent.assimilate(Action.SLEEP, far)
-        assert np.array_equal(new, update_belief(pred, agent.A, far))
-        assert np.array_equal(new, np.eye(N_STATES)[far])
+        _, new = agent.assimilate(at(Action.SLEEP), at(far))
+        expect = oracles.update_belief(pred, identity_sensory_map(), far)
+        assert np.array_equal(np.eye(N_STATES)[new[0]], expect)
+        assert np.array_equal(expect, np.eye(N_STATES)[far])
 
     def test_risk_table_equals_general_formula(self, world, pref):
-        # Every row of the table, after every round's learning: the first
-        # from the uniform start belief and one from a belief set halfway
-        # learn all 36 source columns, the others one column.
+        # Every row of the table, after every round's learning: the first,
+        # from the uniform start belief, learns all 36 source columns, the
+        # others one column.
         infant = init_agent(AgentKind.INFANT, world, pref)
         states = np.eye(N_STATES)
         for prev, new, action in infant_rounds(infant, make_rng(59)):
             infant.learn_B(prev, new, action)
-            assert np.array_equal(infant.efe_per_action(), general_efe(infant))
-            table = np.array([general_efe(infant, states[s]) for s in range(N_STATES)])
-            assert np.array_equal(infant._risk, table)
+            assert np.array_equal(infant.efe_per_action()[0], infant_efe(infant, states[new[0]]))
+            table = np.array([infant_efe(infant, states[s]) for s in range(N_STATES)])
+            assert np.array_equal(infant._risk[0], table)
 
     def test_one_column_learning_equals_outer_product(self, world, pref):
         infant = init_agent(AgentKind.INFANT, world, pref)
-        twin = init_agent(AgentKind.INFANT, world, pref)
+        twin = np.full((N_STATES, N_STATES, 5), infant.trans_concentration[0, 0, 0, 0])
+        states = np.eye(N_STATES)
         one_column = 0
         for prev, new, action in infant_rounds(infant, make_rng(61)):
-            one_column += np.count_nonzero(prev) == 1
+            prev_belief = np.full(N_STATES, 1.0 / N_STATES) if prev is None else states[prev[0]]
+            one_column += np.count_nonzero(prev_belief) == 1
             infant.learn_B(prev, new, action)
-            outer_product_learn_B(twin, prev, new, action)
-            assert np.array_equal(infant.trans_concentration, twin.trans_concentration)
-            assert np.array_equal(infant.B, twin.B)
-            assert np.array_equal(infant._B_rows, twin._B_rows)
-        # Every round but the first and the one after set_belief.
-        assert one_column == 148
+            slice_a = outer_product_learn_B(twin, prev_belief, states[new[0]], action[0])
+            assert np.array_equal(infant.trans_concentration[0].transpose(2, 0, 1), twin)
+            assert np.array_equal(learned_dynamics(infant)[0][:, :, action[0]], slice_a)
+        # Every round but the first.
+        assert one_column == 149
 
-    def test_setter_returns_to_the_general_path(self, world, pref):
-        infant, rng = self.learned_infant(world, pref, 53)
-        infant.assimilate(Action.EAT, 7)
-        one_hot_efe = infant.efe_per_action()
-        set_belief(infant, random_belief(rng))
-        assert np.array_equal(infant.efe_per_action(), general_efe(infant))
-        assert not np.array_equal(infant.efe_per_action(), one_hot_efe)
+
+class TestBitTraps:
+    """Each batched form must give every trial the bits of its one-trial
+    form, including where an equivalent batched form would not."""
+
+    def test_prediction_equals_the_strided_matmul(self, world):
+        # transitions[:, :, a] @ belief runs on a strided slice, which numpy
+        # sums in order without BLAS; a BLAS product of the gathered slices
+        # rounds differently, and this data shows it.
+        rng = make_rng(83)
+        sources = prediction_sources(world.tensor)
+        by_action = world.tensor.transpose(2, 0, 1)
+        mismatched = 0
+        for trials in (1, 3, 10, 40):
+            for _ in range(3000 // trials // 4 + 1):
+                beliefs = rng.dirichlet(np.full(N_STATES, 0.3), size=trials)
+                actions = rng.integers(5, size=trials)
+                scalar = np.array(
+                    [oracles.predict_belief(b.copy(), world.tensor, a) for b, a in zip(beliefs, actions)]
+                )
+                batched = predict_belief(beliefs, sources, actions)
+                assert batched.tobytes() == scalar.tobytes()
+                gathered = (by_action[actions] @ beliefs[:, :, None])[:, :, 0]
+                gathered /= gathered.sum(axis=1, keepdims=True)
+                mismatched += (gathered != scalar).any(axis=1).sum()
+        assert mismatched > 0
+
+    def test_learn_B_totals_and_risk_cells_equal_the_cumsum_forms(self, world, pref):
+        # A batch of infants with different counts each learn one column;
+        # each column total is summed in order, as counts.cumsum()[-1] sums
+        # it, and so is each risk cell.
+        rng = make_rng(89)
+        trials = 40
+        infant = init_agent(AgentKind.INFANT, world, pref, trials=trials)
+        infant.trans_concentration += rng.random(infant.trans_concentration.shape) * 3.0
+        log_pref = np.log(np.maximum(infant.preferred_obs, KL_FLOOR))
+        for _ in range(25):
+            prev, obs = rng.integers(N_STATES, size=(2, trials))
+            action = rng.integers(5, size=trials)
+            infant.learn_B(prev, obs, action)
+            for t in range(trials):
+                counts = infant.trans_concentration[t, prev[t], action[t]].copy()
+                column = counts / counts.cumsum()[-1]
+                logs = np.log(column, out=np.zeros(N_STATES), where=column > 0.0)
+                risk = (column * (logs - log_pref)).cumsum()[-1]
+                assert infant._risk[t, prev[t], action[t]] == risk
+
+    def test_digamma_on_a_batch_equals_it_row_by_row(self):
+        rng = make_rng(97)
+        x = np.concatenate(
+            [rng.random((30, 72)) * 50.0 + 1.0, 1.0 + 10.0 ** rng.uniform(-12, 6, (30, 72))]
+        )
+        rows = np.array([digamma(row) for row in x])
+        assert digamma(x).tobytes() == rows.tobytes()
+        assert digamma(x).tobytes() == oracles.digamma_by_reduce(x).tobytes()
+        assert digamma(x[0, 0]) == rows[0, 0]

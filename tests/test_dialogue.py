@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from dyadreg.agents import Agent, AgentKind, init_agent
 from dyadreg.dialogue import Condition, mh_accept, run_iteration, run_round
 from dyadreg.environment import (
@@ -23,19 +24,50 @@ def pref():
     return build_prior_preference()
 
 
-def make_dyad(world, pref):
+def make_dyad(world, pref, trials=1):
     return (
-        init_agent(AgentKind.PARENT, world, pref),
-        init_agent(AgentKind.INFANT, world, pref),
+        init_agent(AgentKind.PARENT, world, pref, trials=trials),
+        init_agent(AgentKind.INFANT, world, pref, trials=trials),
     )
 
 
-class FakeAgent:
-    """Stand-in with a pinned symbol posterior."""
+def at(*values):
+    """One value per trial of a batch."""
+    return np.array(values)
 
-    def __init__(self, kind, probs):
+
+class Draws:
+    """A batch's uniforms, one per trial at a time, as the harness hands
+    them out; counts how many were taken."""
+
+    def __init__(self, seed, trials=1, rounds=64):
+        self._rows = iter(make_rng(seed).random((4 * rounds, trials)))
+        self.taken = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.taken += 1
+        return next(self._rows)
+
+
+class Stream:
+    """One trial's uniforms, drawn one at a time as from a generator."""
+
+    def __init__(self, u):
+        self._u = iter(u.tolist())
+
+    def random(self):
+        return next(self._u)
+
+
+class FakeAgent:
+    """Stand-in with a pinned symbol posterior in every trial of a batch."""
+
+    def __init__(self, kind, probs, trials=1):
         self.kind = kind
-        self._posterior = Categorical(probs).probs
+        self._posterior = np.tile(Categorical(probs).probs, (trials, 1))
 
     def symbol_posterior(self):
         return self._posterior
@@ -43,85 +75,77 @@ class FakeAgent:
 
 class TestMhAccept:
     def test_better_symbol_always_accepted(self):
-        post = Categorical([0.1, 0.6, 0.3]).probs
-        rng = make_rng(0)
-        for _ in range(50):
-            accepted, prob = mh_accept(1, 0, post, rng)
-            assert accepted and prob == 1.0
+        post = np.tile(Categorical([0.1, 0.6, 0.3]).probs, (50, 1))
+        accepted, prob = mh_accept(np.full(50, 1), np.full(50, 0), post, make_rng(0).random(50))
+        assert accepted.all() and (prob == 1.0).all()
 
     def test_acceptance_rate_matches_ratio(self):
-        post = Categorical([0.6, 0.3, 0.1]).probs
-        rng = make_rng(1)
-        hits = [mh_accept(1, 0, post, rng)[0] for _ in range(20000)]
+        post = np.tile(Categorical([0.6, 0.3, 0.1]).probs, (20000, 1))
+        hits, _ = mh_accept(np.full(20000, 1), np.full(20000, 0), post, make_rng(1).random(20000))
         assert np.mean(hits) == pytest.approx(0.5, abs=0.01)
-        assert mh_accept(1, 0, post, make_rng(2))[1] == pytest.approx(0.5)
+        assert mh_accept(at(1), at(0), post[:1], make_rng(2).random(1))[1][0] == pytest.approx(0.5)
 
     def test_zero_current_support_accepts(self):
-        post = Categorical([0.5, 0.5, 0.0]).probs
-        accepted, prob = mh_accept(0, 2, post, make_rng(3))
-        assert accepted and prob == 1.0
+        post = Categorical([0.5, 0.5, 0.0]).probs[None]
+        accepted, prob = mh_accept(at(0), at(2), post, make_rng(3).random(1))
+        assert accepted[0] and prob[0] == 1.0
 
     def test_consumes_one_uniform(self):
-        post = Categorical([0.9, 0.1]).probs
-        a, b = make_rng(4), make_rng(4)
-        mh_accept(0, 1, post, a)
-        b.random()
-        assert a.random() == b.random()
+        # Each trial decides by its own one uniform: accepted below the
+        # acceptance probability, refused from it on.
+        post = np.tile(Categorical([0.9, 0.1]).probs, (4, 1))
+        ratio = post[0, 1] / post[0, 0]
+        u = np.array([0.0, np.nextafter(ratio, 0.0), ratio, 0.99])
+        accepted, prob = mh_accept(np.full(4, 1), np.full(4, 0), post, u)
+        assert (prob == ratio).all()
+        assert accepted.tolist() == [True, True, False, False]
 
 
 class TestPropose:
     def test_samples_from_posterior(self):
-        agent = FakeAgent(AgentKind.PARENT, [0.1, 0.6, 0.3, 0.0, 0.0])
-        rng = make_rng(5)
-        draws = np.array([sample(agent.symbol_posterior(), rng) for _ in range(20000)])
+        agent = FakeAgent(AgentKind.PARENT, [0.1, 0.6, 0.3, 0.0, 0.0], trials=20000)
+        draws = sample(agent.symbol_posterior(), make_rng(5).random(20000))
         freqs = np.bincount(draws, minlength=5) / draws.size
-        assert np.allclose(freqs, agent.symbol_posterior(), atol=0.02)
+        assert np.allclose(freqs, agent.symbol_posterior()[0], atol=0.02)
 
 
 class TestRunRound:
     def test_shared_follows_acceptance(self):
-        speaker = FakeAgent(AgentKind.INFANT, [0.2, 0.2, 0.2, 0.2, 0.2])
-        listener = FakeAgent(AgentKind.PARENT, [0.7, 0.1, 0.1, 0.05, 0.05])
-        rng = make_rng(6)
-        for _ in range(500):
-            out = run_round(speaker, listener, Condition.MHNG, rng)
-            assert out.shared_w == (out.proposed_w if out.accepted else out.listener_own_w)
-            assert 0.0 <= out.acceptance_prob <= 1.0
+        speaker = FakeAgent(AgentKind.INFANT, [0.2, 0.2, 0.2, 0.2, 0.2], 500)
+        listener = FakeAgent(AgentKind.PARENT, [0.7, 0.1, 0.1, 0.05, 0.05], 500)
+        out = run_round(speaker, listener, Condition.MHNG, Draws(6, 500))
+        shared = np.where(out.accepted, out.proposed_w, out.listener_own_w)
+        assert np.array_equal(out.shared_w, shared)
+        assert ((0.0 <= out.acceptance_prob) & (out.acceptance_prob <= 1.0)).all()
 
     def test_parent_led_listener_parent_never_yields(self):
-        infant = FakeAgent(AgentKind.INFANT, [0.2] * 5)
-        parent = FakeAgent(AgentKind.PARENT, [0.05, 0.05, 0.8, 0.05, 0.05])
-        rng = make_rng(7)
-        for _ in range(500):
-            out = run_round(infant, parent, Condition.A_LED, rng)
-            assert out.shared_w == out.listener_own_w
-            assert out.accepted == (out.proposed_w == out.listener_own_w)
+        infant = FakeAgent(AgentKind.INFANT, [0.2] * 5, 500)
+        parent = FakeAgent(AgentKind.PARENT, [0.05, 0.05, 0.8, 0.05, 0.05], 500)
+        out = run_round(infant, parent, Condition.A_LED, Draws(7, 500))
+        assert np.array_equal(out.shared_w, out.listener_own_w)
+        assert np.array_equal(out.accepted, out.proposed_w == out.listener_own_w)
 
     def test_parent_led_listener_infant_always_accepts(self):
-        parent = FakeAgent(AgentKind.PARENT, [0.05, 0.05, 0.8, 0.05, 0.05])
-        infant = FakeAgent(AgentKind.INFANT, [0.2] * 5)
-        rng = make_rng(8)
-        for _ in range(500):
-            out = run_round(parent, infant, Condition.A_LED, rng)
-            assert out.accepted and out.acceptance_prob == 1.0
-            assert out.shared_w == out.proposed_w
+        parent = FakeAgent(AgentKind.PARENT, [0.05, 0.05, 0.8, 0.05, 0.05], 500)
+        infant = FakeAgent(AgentKind.INFANT, [0.2] * 5, 500)
+        out = run_round(parent, infant, Condition.A_LED, Draws(8, 500))
+        assert out.accepted.all() and (out.acceptance_prob == 1.0).all()
+        assert np.array_equal(out.shared_w, out.proposed_w)
 
     def test_infant_led_mirrors(self):
-        parent = FakeAgent(AgentKind.PARENT, [0.2] * 5)
-        infant = FakeAgent(AgentKind.INFANT, [0.8, 0.05, 0.05, 0.05, 0.05])
-        rng = make_rng(9)
-        for _ in range(500):
-            out = run_round(parent, infant, Condition.B_LED, rng)
-            assert out.shared_w == out.listener_own_w
-        for _ in range(500):
-            out = run_round(infant, parent, Condition.B_LED, rng)
-            assert out.shared_w == out.proposed_w
+        parent = FakeAgent(AgentKind.PARENT, [0.2] * 5, 500)
+        infant = FakeAgent(AgentKind.INFANT, [0.8, 0.05, 0.05, 0.05, 0.05], 500)
+        draws = Draws(9, 500)
+        out = run_round(parent, infant, Condition.B_LED, draws)
+        assert np.array_equal(out.shared_w, out.listener_own_w)
+        out = run_round(infant, parent, Condition.B_LED, draws)
+        assert np.array_equal(out.shared_w, out.proposed_w)
 
     def test_current_w_replaces_fresh_draw(self):
         speaker = FakeAgent(AgentKind.INFANT, [0.2] * 5)
         listener = FakeAgent(AgentKind.PARENT, [0.2] * 5)
-        out = run_round(speaker, listener, Condition.MHNG, make_rng(10), current_w=3)
-        assert out.listener_own_w == 3
+        out = run_round(speaker, listener, Condition.MHNG, Draws(10), current_w=at(3))
+        assert out.listener_own_w.tolist() == [3]
 
     def test_draw_counts_per_condition(self):
         # Fresh MHNG: speaker draw, listener draw, acceptance draw.
@@ -129,48 +153,70 @@ class TestRunRound:
         speaker = FakeAgent(AgentKind.INFANT, [0.2] * 5)
         listener = FakeAgent(AgentKind.PARENT, [0.2] * 5)
         for condition, n in ((Condition.MHNG, 3), (Condition.A_LED, 2)):
-            a, b = make_rng(11), make_rng(11)
-            run_round(speaker, listener, condition, a)
-            for _ in range(n):
-                b.random()
-            assert a.random() == b.random(), condition
+            draws = Draws(11)
+            run_round(speaker, listener, condition, draws)
+            assert draws.taken == n, condition
+
+    @pytest.mark.parametrize("condition", list(Condition))
+    @pytest.mark.parametrize("persistent", [False, True])
+    def test_every_trial_equals_the_one_trial_round(self, condition, persistent):
+        # Trials with their own posteriors and uniforms, against the
+        # one-trial oracle fed each trial's uniforms in the order drawn.
+        rng = make_rng(12)
+        trials = 300
+        speaker, listener = (FakeAgent(kind, [0.2] * 5, trials) for kind in AgentKind)
+        for agent in (speaker, listener):
+            agent._posterior = rng.dirichlet(np.full(5, 0.5), size=trials)
+            agent._posterior[rng.random(trials) < 0.1, 2] = 0.0
+        current = rng.integers(5, size=trials) if persistent else None
+        u = rng.random((3, trials))
+        out = run_round(speaker, listener, condition, iter(u), current)
+        for t in range(trials):
+            one = (FakeAgent(agent.kind, [0.2] * 5) for agent in (speaker, listener))
+            one_speaker, one_listener = one
+            one_speaker._posterior = speaker._posterior[t]
+            one_listener._posterior = listener._posterior[t]
+            own = None if current is None else current[t]
+            expect = oracles.run_round(one_speaker, one_listener, condition, Stream(u[:, t]), own)
+            assert tuple(field[t] for field in out) == expect
 
 
 class TestPersistentChain:
     def test_chain_converges_to_product_of_posteriors(self):
         # With the agreed symbol carried across rounds this is a textbook
         # Metropolis sampler whose stationary law is the normalized
-        # product of the two posteriors.
+        # product of the two posteriors. A batch runs 100 chains.
         ps = [0.1, 0.2, 0.3, 0.2, 0.2]
         pl = [0.3, 0.3, 0.2, 0.1, 0.1]
-        speaker = FakeAgent(AgentKind.INFANT, ps)
-        listener = FakeAgent(AgentKind.PARENT, pl)
-        rng = make_rng(12)
-        current = 0
+        chains = 100
+        speaker = FakeAgent(AgentKind.INFANT, ps, chains)
+        listener = FakeAgent(AgentKind.PARENT, pl, chains)
+        draws = Draws(12, chains, rounds=1000)
+        current = np.zeros(chains, int)
         counts = np.zeros(5)
         burn = 500
-        n = 50000
+        n = 500
         for i in range(burn + n):
-            out = run_round(speaker, listener, Condition.MHNG, rng, current_w=current)
+            out = run_round(speaker, listener, Condition.MHNG, draws, current_w=current)
             current = out.shared_w
             if i >= burn:
-                counts[current] += 1
+                counts += np.bincount(current, minlength=5)
         target = np.array(ps) * np.array(pl)
         target /= target.sum()
-        assert np.allclose(counts / n, target, atol=0.02)
+        assert np.allclose(counts / counts.sum(), target, atol=0.02)
 
 
-def run_recorded(parent, infant, world, seed, **kwargs):
+def run_recorded(parent, infant, world, seed, trials=1, **kwargs):
     """run_iteration from START, with what on_round saw: per round the
-    speaker, the outcome, the landing state and the rare flag."""
+    speaker, the outcome, the landing states and the rare flags."""
     seen = []
     result = run_iteration(
         parent,
         infant,
         world,
-        START,
+        np.full(trials, START),
         Condition.MHNG,
-        make_rng(seed),
+        Draws(seed, trials),
         on_round=lambda *args: seen.append(args),
         **kwargs,
     )
@@ -189,62 +235,60 @@ class TestRunIteration:
         assert [r[0] for r in seen] == [parent, infant]
 
     def test_state_tracks_last_step(self, world, pref):
-        parent, infant = make_dyad(world, pref)
-        (z, shared_w), seen = run_recorded(parent, infant, world, 16)
-        assert z == seen[-1][2]
-        assert shared_w == seen[-1][1].shared_w
+        parent, infant = make_dyad(world, pref, trials=3)
+        (z, shared_w), seen = run_recorded(parent, infant, world, 16, trials=3)
+        assert np.array_equal(z, seen[-1][2])
+        assert np.array_equal(shared_w, seen[-1][1].shared_w)
 
     def test_both_agents_learn_each_round(self, world, pref):
-        parent, infant = make_dyad(world, pref)
-        alpha_before = parent.obs_concentration.sum()
-        beta_before = infant.trans_concentration.sum()
-        run_iteration(parent, infant, world, START, Condition.MHNG, make_rng(17))
-        assert parent.obs_concentration.sum() == pytest.approx(alpha_before + 2.0)
-        assert infant.trans_concentration.sum() == pytest.approx(beta_before + 2.0)
+        parent, infant = make_dyad(world, pref, trials=3)
+        alpha_before = parent.obs_concentration.sum(axis=(1, 2))
+        beta_before = infant.trans_concentration.sum(axis=(1, 2, 3))
+        run_iteration(parent, infant, world, np.full(3, START), Condition.MHNG, Draws(17, 3))
+        assert parent.obs_concentration.sum(axis=(1, 2)) == pytest.approx(alpha_before + 2.0)
+        assert infant.trans_concentration.sum(axis=(1, 2, 3)) == pytest.approx(beta_before + 2.0)
 
     def test_infant_belief_pins_to_truth(self, world, pref):
-        # Identity sensing makes the infant posterior one-hot at the
-        # landing state after every round.
-        parent, infant = make_dyad(world, pref)
-        (z, _), _ = run_recorded(parent, infant, world, 18)
-        assert infant.belief[z] == 1.0
+        # Identity sensing makes the infant's sensed state the landing
+        # state after every round.
+        parent, infant = make_dyad(world, pref, trials=3)
+        (z, _), _ = run_recorded(parent, infant, world, 18, trials=3)
+        assert np.array_equal(infant.state, z)
 
     def test_on_round_callback_sees_both_rounds(self, world, pref):
-        parent, infant = make_dyad(world, pref)
-        _, seen = run_recorded(parent, infant, world, 19)
+        parent, infant = make_dyad(world, pref, trials=3)
+        _, seen = run_recorded(parent, infant, world, 19, trials=3)
         assert len(seen) == 2
         for speaker, outcome, z, rare in seen:
             assert isinstance(speaker, Agent)
-            assert 0 <= outcome.shared_w < 5
-            assert 0 <= z < 36
-            assert isinstance(rare, bool)
+            assert ((0 <= outcome.shared_w) & (outcome.shared_w < 5)).all()
+            assert ((0 <= z) & (z < 36)).all() and z.shape == (3,)
+            assert rare.dtype == bool and rare.shape == (3,)
 
     def test_persist_w_threads_the_symbol(self, world, pref):
         parent, infant = make_dyad(world, pref)
-        _, seen = run_recorded(parent, infant, world, 20, current_w=4, persist_w=True)
+        _, seen = run_recorded(parent, infant, world, 20, current_w=at(4), persist_w=True)
         first, second = seen[0][1], seen[1][1]
-        assert first.listener_own_w == 4
-        assert second.listener_own_w == first.shared_w
+        assert first.listener_own_w.tolist() == [4]
+        assert np.array_equal(second.listener_own_w, first.shared_w)
 
     def test_draw_counts_fresh_vs_persistent(self, world, pref):
         # Fresh: (3 dialogue + 1 world) x 2. Persistent skips the
         # listener's own draw: (2 + 1) x 2.
         for persist, n in ((False, 8), (True, 6)):
             parent, infant = make_dyad(world, pref)
-            a, b = make_rng(21), make_rng(21)
+            draws = Draws(21)
             run_iteration(
                 parent,
                 infant,
                 world,
-                START,
+                at(START),
                 Condition.MHNG,
-                a,
-                current_w=0 if persist else None,
+                draws,
+                current_w=at(0) if persist else None,
                 persist_w=persist,
             )
-            for _ in range(n):
-                b.random()
-            assert a.random() == b.random(), persist
+            assert draws.taken == n, persist
 
     @pytest.mark.parametrize(
         "condition, persist, per_round",
@@ -259,7 +303,8 @@ class TestRunIteration:
         self, world, pref, monkeypatch, condition, persist, per_round
     ):
         # One symbol posterior per agent that a round reads: the speaker's,
-        # and the listener's only for a fresh draw or the MH test.
+        # and the listener's only for a fresh draw or the MH test. Each
+        # evaluation serves every trial of the batch.
         calls = []
         efe = Agent.efe_per_action
 
@@ -268,8 +313,8 @@ class TestRunIteration:
             return efe(agent)
 
         monkeypatch.setattr(Agent, "efe_per_action", counted)
-        parent, infant = make_dyad(world, pref)
-        rng, z, current_w = make_rng(22), START, 0
+        parent, infant = make_dyad(world, pref, trials=3)
+        draws, z, current_w = Draws(22, 3), np.full(3, START), np.zeros(3, int)
         for _ in range(5):
             z, current_w = run_iteration(
                 parent,
@@ -277,7 +322,7 @@ class TestRunIteration:
                 world,
                 z,
                 condition,
-                rng,
+                draws,
                 current_w=current_w if persist else None,
                 persist_w=persist,
             )

@@ -9,11 +9,11 @@ from dyadreg.environment import (
     VisceralState,
     build_prior_preference,
     build_transition_model,
-    identity_sensory_map,
     preferred_obs_distribution,
     step,
 )
 from dyadreg.probability import make_rng
+from oracles import identity_sensory_map
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +116,7 @@ class TestTransitionModel:
 
 class TestStep:
     def test_deterministic_action(self, model):
-        z, rare = step(model, VisceralState(3, 3).flat, Action.COOL, make_rng(0))
+        z, rare = step(model, VisceralState(3, 3).flat, Action.COOL, make_rng(0).random())
         assert z == VisceralState(2, 2).flat
         assert rare is False
 
@@ -126,19 +126,21 @@ class TestStep:
         emission = identity_sensory_map()
         rng = make_rng(2)
         for _ in range(50):
-            z, _ = step(model, VisceralState(2, 3).flat, Action.SLEEP, rng)
+            z, _ = step(model, VisceralState(2, 3).flat, Action.SLEEP, rng.random())
             assert int(emission[:, z].argmax()) == z
 
     def test_consumes_one_uniform_even_when_deterministic(self, model):
-        a, b = make_rng(7), make_rng(7)
-        step(model, VisceralState(3, 3).flat, Action.COOL, a)
-        b.random()
-        assert a.random() == b.random()
+        # A deterministic action is given its round's uniform like any
+        # other, and lands the same whatever its value.
+        rng = make_rng(7)
+        s = VisceralState(3, 3).flat
+        landed = {step(model, s, Action.COOL, u) for u in (0.0, *rng.random(20), 1.0 - 2**-53)}
+        assert landed == {(VisceralState(2, 2).flat, False)}
 
     def test_branch_frequency(self, model):
         rng = make_rng(123)
         fired = [
-            step(model, VisceralState(3, 3).flat, Action.SLEEP, rng)[1]
+            step(model, VisceralState(3, 3).flat, Action.SLEEP, rng.random())[1]
             for _ in range(20000)
         ]
         assert np.mean(fired) == pytest.approx(0.2, abs=0.01)
@@ -147,14 +149,14 @@ class TestStep:
         rng = make_rng(4)
         s = VisceralState(3, 3).flat
         for _ in range(200):
-            z, rare = step(model, s, Action.SLEEP, rng)
+            z, rare = step(model, s, Action.SLEEP, rng.random())
             expected = VisceralState(3, 4) if rare else VisceralState(3, 3)
             assert z == expected.flat
 
     def test_no_rare_flag_on_merged_rail(self, model):
         rng = make_rng(5)
         for _ in range(100):
-            z, rare = step(model, VisceralState(3, 0).flat, Action.SLEEP, rng)
+            z, rare = step(model, VisceralState(3, 0).flat, Action.SLEEP, rng.random())
             assert rare is False
             assert z == VisceralState(3, 0).flat
 

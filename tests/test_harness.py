@@ -25,11 +25,12 @@ from dyadreg.harness import (
     trial_seed,
     write_beliefs_csv,
     write_trial_csv,
+    write_trial_files,
 )
 from dyadreg.metrics import ROUND_DTYPE, TrialLog
 from dyadreg.probability import derive_seed, make_rng
 import oracles
-from oracles import jsd_latent, mean_column_kl, run_trial_keeping_agents
+from oracles import jsd_latent, learned_dynamics, mean_column_kl, run_trial_keeping_agents
 from oracles import write_beliefs_csv as write_beliefs_csv_generic
 from oracles import write_trial_csv as write_trial_csv_generic
 
@@ -44,7 +45,7 @@ def small_config(**changes):
 
 @pytest.fixture(scope="module")
 def mhng_log():
-    return run_trial(small_config(dump_beliefs=True), "mhng", 0)
+    return run_trial(small_config(dump_beliefs=True), "mhng", [0])[0]
 
 
 class TestSeeds:
@@ -108,21 +109,21 @@ class TestRunTrial:
     @pytest.mark.parametrize("condition", CONDITION_NAMES)
     def test_infant_belief_is_the_landing_state(self, condition, round_order):
         # The log keeps only TrialLog.landing_states() for the infant, on
-        # this ground: after every round its belief is, bit for bit, the
-        # one-hot vector of the state the world landed in.
+        # this ground: after every round its belief is one-hot at the state
+        # the world landed in, the state it holds.
         world, pref = build_world(ExperimentConfig())
-        parent, infant = (init_agent(kind, world, pref) for kind in AgentKind)
-        rng = make_rng(derive_seed(17, condition, round_order))
+        parent, infant = (init_agent(kind, world, pref, trials=3) for kind in AgentKind)
+        draws = iter(make_rng(derive_seed(17, condition, round_order)).random((1600, 3)))
         landed = []
 
         def on_round(speaker, outcome, z, rare):
-            assert infant.belief.tobytes() == np.eye(36)[z].tobytes()
+            assert infant.state.tolist() == z.tolist()
             landed.append(z)
 
-        z = START_STATE.flat
+        z = np.full(3, START_STATE.flat)
         for _ in range(200):
             z, _ = dialogue.run_iteration(
-                parent, infant, world, z, Condition(condition), rng, round_order,
+                parent, infant, world, z, Condition(condition), draws, round_order,
                 on_round=on_round,
             )
         assert len(landed) == 400
@@ -140,24 +141,24 @@ class TestRunTrial:
         )
 
     def test_deterministic_per_seed(self):
-        a = run_trial(small_config(), "mhng", 0)
-        b = run_trial(small_config(), "mhng", 0)
+        a = run_trial(small_config(), "mhng", [0])[0]
+        b = run_trial(small_config(), "mhng", [0])[0]
         assert np.array_equal(a.rounds, b.rounds)
-        c = run_trial(small_config(), "mhng", 1)
+        c = run_trial(small_config(), "mhng", [1])[0]
         assert not np.array_equal(c.rounds, a.rounds)
 
     def test_start_state(self):
         assert (START_STATE.x, START_STATE.y) == (2, 2)
 
     def test_persistent_mode_threads_symbols(self):
-        log = run_trial(small_config(mh_current_w="persistent"), "mhng", 0)
+        log = run_trial(small_config(mh_current_w="persistent"), "mhng", [0])[0]
         # From the second round on, the listener's standing symbol is the
         # previous round's agreement, across iteration boundaries too.
         for prev, curr in zip(log.rounds, log.rounds[1:]):
             assert curr["listener_own_w"] == prev["shared_w"]
 
     def test_parent_led_overrides(self):
-        log = run_trial(small_config(conditions=("a-led",)), "a-led", 0)
+        log = run_trial(small_config(conditions=("a-led",)), "a-led", [0])[0]
         for r in log.rounds:
             if r["speaker"] == "infant":
                 assert r["shared_w"] == r["listener_own_w"]
@@ -190,7 +191,7 @@ class TestTrialCsv:
     def test_bytes_equal_the_csv_writer(self, condition, tmp_path):
         # The line template against the csv module's rows of _fmt cells,
         # with exact-zero, one and subnormal cells in every float column.
-        log = run_trial(small_config(), condition, 0)
+        log = run_trial(small_config(), condition, [0])[0]
         for name in ("acceptance_prob", "c_norm", "jsd_z", "kld_A", "kld_B_sleep"):
             log.rounds[name][:4] = (0.0, 1.0, 5e-324, 2.5e-310)
         write_trial_csv(log, tmp_path / "fast.csv")
@@ -225,14 +226,15 @@ class TestSleepOnlyKldB:
         def run_iteration(parent, infant, world, *args, on_round, **kwargs):
             def record(speaker, outcome, z, rare):
                 sleep = Action.SLEEP
-                every_round.append(mean_column_kl(world.tensor[:, :, sleep], infant.B[:, :, sleep]))
-                actions.append(outcome.shared_w)
+                learned_sleep = learned_dynamics(infant)[0, :, :, sleep]
+                every_round.append(mean_column_kl(world.tensor[:, :, sleep], learned_sleep))
+                actions.append(outcome.shared_w[0])
                 on_round(speaker, outcome, z, rare)
 
             return dialogue.run_iteration(parent, infant, world, *args, on_round=record, **kwargs)
 
         monkeypatch.setattr(harness, "run_iteration", run_iteration)
-        log = run_trial(small_config(iterations=120), "mhng", 0)
+        log = run_trial(small_config(iterations=120), "mhng", [0])[0]
         assert actions[0] == Action.SLEEP
         assert 0 < actions.count(Action.SLEEP) < len(actions)
         assert log.rounds["kld_B_sleep"].tobytes() == np.array(every_round).tobytes()
@@ -253,14 +255,15 @@ class TestColumnsDerivedAfterTheLoop:
 
         def run_iteration(parent, infant, world, *args, on_round, **kwargs):
             def record(speaker, outcome, z, rare):
+                (state,) = z.tolist()
                 seen.append(
                     (
                         speaker.kind.value,
-                        z % 6,
-                        z // 6,
+                        state % 6,
+                        state // 6,
                         # The comfort of the landing state over the best cell's.
-                        float(pref.values[z] / pref.max_value),
-                        jsd_latent(parent.belief, infant.state),
+                        float(pref.values[state] / pref.max_value),
+                        jsd_latent(parent.belief[0].copy(), state),
                     )
                 )
                 on_round(speaker, outcome, z, rare)
@@ -268,13 +271,76 @@ class TestColumnsDerivedAfterTheLoop:
             return dialogue.run_iteration(parent, infant, world, *args, on_round=record, **kwargs)
 
         monkeypatch.setattr(harness, "run_iteration", run_iteration)
-        rounds = run_trial(config, condition, 0).rounds
+        rounds = run_trial(config, condition, [0])[0].rounds
         speaker, true_x, true_y, c_norm, jsd_z = map(np.array, zip(*seen))
         assert rounds["speaker"].tolist() == speaker.tolist()
         assert np.array_equal(rounds["true_x"], true_x)
         assert np.array_equal(rounds["true_y"], true_y)
         assert rounds["c_norm"].tobytes() == c_norm.tobytes()
         assert rounds["jsd_z"].tobytes() == jsd_z.tobytes()
+
+
+class TestBatchReferee:
+    """A trial's artifacts do not depend on the batch it ran in: a batch of
+    one and a batch of several give the same bytes."""
+
+    @staticmethod
+    def files(log, out):
+        return [(out / name).read_bytes() for name in write_trial_files(log, out, True)]
+
+    @pytest.mark.parametrize("preference_mode", ["linear", "softmax"])
+    @pytest.mark.parametrize("mh_current_w", ["fresh", "persistent"])
+    @pytest.mark.parametrize("round_order", ROUND_ORDERS)
+    @pytest.mark.parametrize("condition", CONDITION_NAMES)
+    def test_a_batch_of_one_equals_a_batch_of_four(
+        self, tmp_path, condition, round_order, mh_current_w, preference_mode
+    ):
+        config = small_config(
+            iterations=25,
+            round_order=round_order,
+            mh_current_w=mh_current_w,
+            preference_mode=preference_mode,
+        )
+        batch = run_trial(config, condition, range(4))
+        assert [log.trial_index for log in batch] == [0, 1, 2, 3]
+        for t, log in enumerate(batch):
+            (alone,) = run_trial(config, condition, [t])
+            assert (alone.seed, alone.trial_index) == (log.seed, t)
+            (tmp_path / f"alone{t}").mkdir()
+            (tmp_path / f"batch{t}").mkdir()
+            assert self.files(alone, tmp_path / f"alone{t}") == self.files(log, tmp_path / f"batch{t}")
+
+    def test_two_workers_split_each_condition_into_two_batches(self, tmp_path, monkeypatch):
+        # A stand-in pool runs the jobs in order in this process, as
+        # --workers 2 would in two: each condition's five trials as the
+        # batches [0, 1, 2] and [3, 4].
+        batches = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                batches.extend(zip(iterables[1], iterables[2]))
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        config = small_config(
+            conditions=CONDITION_NAMES, trials=5, iterations=20, dump_beliefs=True,
+            mh_current_w="persistent", round_order="parent-first", preference_mode="softmax",
+        )
+        serial = run_experiment(config.replaced(out_dir=str(tmp_path / "serial")))
+        split = run_experiment(config.replaced(out_dir=str(tmp_path / "split"), workers=2))
+        assert batches == [(c, b) for c in CONDITION_NAMES for b in ([0, 1, 2], [3, 4])]
+        assert split.artifacts == serial.artifacts
+        for rel in serial.artifacts:
+            assert (tmp_path / "split" / rel).read_bytes() == (tmp_path / "serial" / rel).read_bytes()
 
 
 def trap_lines(rows, row, cells):
@@ -390,7 +456,7 @@ class TestBeliefsCsv:
     def test_bytes_equal_the_csv_writer(self, tmp_path):
         # The per-row template against the csv module's rows of _fmt cells,
         # with one-hot, uniform and exact-zero rows.
-        log = run_trial(small_config(dump_beliefs=True), "mhng", 0)
+        log = run_trial(small_config(dump_beliefs=True), "mhng", [0])[0]
         log.parent_round_beliefs[:3] = np.eye(36)[[0, 35, 7]]
         log.parent_round_beliefs[3] = np.full(36, 1.0 / 36)
         write_beliefs_csv(log, tmp_path / "fast.csv")
@@ -399,7 +465,7 @@ class TestBeliefsCsv:
 
     @pytest.mark.parametrize("condition", CONDITION_NAMES)
     def test_bytes_equal_the_generic_writer(self, condition, tmp_path):
-        log = run_trial(small_config(dump_beliefs=True), condition, 0)
+        log = run_trial(small_config(dump_beliefs=True), condition, [0])[0]
         write_beliefs_csv(log, tmp_path / "fast.csv")
         write_beliefs_csv_generic(log, tmp_path / "generic.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
@@ -410,7 +476,7 @@ class TestBeliefsCsv:
         # Every trial records the parent's beliefs; the flag only decides
         # whether a run writes them.
         write_beliefs_csv(mhng_log, tmp_path / "dump.csv")
-        write_beliefs_csv(run_trial(small_config(), "mhng", 0), tmp_path / "plain.csv")
+        write_beliefs_csv(run_trial(small_config(), "mhng", [0])[0], tmp_path / "plain.csv")
         assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "dump.csv").read_bytes()
 
     def test_rejects_foreign_header(self, tmp_path):
@@ -500,10 +566,10 @@ class TestLoadersEqualTheOracles:
     @pytest.mark.parametrize("condition", CONDITION_NAMES)
     def test_every_condition_and_order(self, tmp_path, condition, round_order, mh_current_w):
         config = small_config(round_order=round_order, mh_current_w=mh_current_w)
-        self.assert_same_bytes(run_trial(config, condition, 3), tmp_path)
+        self.assert_same_bytes(run_trial(config, condition, [3])[0], tmp_path)
 
     def test_exact_zeros_and_subnormal_cells(self, tmp_path):
-        log = run_trial(small_config(), "mhng", 0)
+        log = run_trial(small_config(), "mhng", [0])[0]
         beliefs = log.parent_round_beliefs
         beliefs[:4] = np.eye(36)[[0, 35, 7, 12]]
         beliefs[0, 1:4] = [5e-324, 2.5e-310, np.finfo(float).smallest_normal]
@@ -524,7 +590,7 @@ class TestBuildWorld:
 class TestSummary:
     def test_windows_present_when_long_enough(self):
         cfg = small_config(iterations=60)
-        logs = [run_trial(cfg, "mhng", 0)]
+        logs = run_trial(cfg, "mhng", [0])
         summary = build_summary(cfg, logs)
         entry = summary["conditions"]["mhng"]["trials"][0]
         assert {"jsd_median", "auc_original", "auc_shuffled"} <= set(entry)
@@ -532,13 +598,13 @@ class TestSummary:
 
     def test_windows_absent_when_short(self):
         cfg = small_config(iterations=30)
-        summary = build_summary(cfg, [run_trial(cfg, "mhng", 0)])
+        summary = build_summary(cfg, run_trial(cfg, "mhng", [0]))
         entry = summary["conditions"]["mhng"]["trials"][0]
         assert "auc_original" not in entry
 
     def test_shuffled_auc_uses_mean_of_permutations(self):
         cfg = small_config(iterations=60)
-        log = run_trial(cfg, "mhng", 0)
+        log = run_trial(cfg, "mhng", [0])[0]
         one = build_summary(cfg, [log])["conditions"]["mhng"]["trials"][0]
         many_cfg = cfg.replaced(shuffle_permutations=4)
         many = build_summary(many_cfg, [log])["conditions"]["mhng"]["trials"][0]
@@ -547,7 +613,7 @@ class TestSummary:
 
     def test_kld_snapshots(self):
         cfg = small_config(iterations=25)
-        summary = build_summary(cfg, [run_trial(cfg, "mhng", 0)])
+        summary = build_summary(cfg, run_trial(cfg, "mhng", [0]))
         snaps = summary["conditions"]["mhng"]["kld_snapshots"]
         assert set(snaps) == {"kld_A", "kld_B_sleep"}
         assert snaps["kld_A"]["first"] > snaps["kld_A"]["last"]

@@ -9,13 +9,15 @@ written through one line writer, and a trial's rounds go straight into its
 preallocated record. The functions
 every round calls raise nothing: their inputs were checked where they
 entered the program. Nor do they call a numpy reduction or function through
-its Python-level wrapper.
+its Python-level wrapper. Each call of the round path serves a whole batch
+of trials, so a batch costs the calls of one trial.
 """
 
 import ast
 from pathlib import Path
 
 from dyadreg import harness
+from dyadreg.config import ExperimentConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dyadreg"
 
@@ -71,12 +73,15 @@ def test_cli_reads_a_run_only_through_open_run():
     assert "from_dict" not in referenced
 
 
-# The functions a round calls, by module. ExperimentConfig.validate and the
-# public constructors bound every value they are given.
+# The functions a round calls, by module, each on a batch of trials but
+# step, which a round calls once per trial. ExperimentConfig.validate and
+# the public constructors bound every value they are given.
 ROUND_PATH = {
     "probability.py": ("softmax_neg", "sample", "digamma"),
+    "environment.py": ("step",),
     "dialogue.py": ("mh_accept", "run_round", "run_iteration"),
     "metrics.py": ("kld_A_error", "kld_B_error"),
+    "harness.py": ("run_trial",),
     "agents.py": (
         "predict_belief",
         "_risk_terms",
@@ -150,3 +155,18 @@ def test_run_trial_writes_each_round_in_place():
         )
     ]
     assert calls == []
+
+
+def test_a_batch_calls_run_iteration_once_per_iteration(monkeypatch):
+    # Three trials advance together: one call per iteration, not per trial.
+    calls = []
+    run_iteration = harness.run_iteration
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return run_iteration(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_iteration", counted)
+    config = ExperimentConfig(conditions=("mhng",), trials=3, iterations=7, seed=5)
+    logs = harness.run_trial(config, "mhng", range(3))
+    assert len(calls) == 7
+    assert [log.trial_index for log in logs] == [0, 1, 2]

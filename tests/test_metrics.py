@@ -22,8 +22,7 @@ from dyadreg.metrics import (
     shuffle_control,
 )
 from dyadreg.probability import make_rng
-from oracles import column_kls, js_divergence, kl_divergence, mean_column_kl, one_hot_index
-from oracles import set_belief
+from oracles import column_kls, js_divergence, kl_divergence, learned_dynamics, mean_column_kl
 from oracles import jsd_latent as scalar_jsd_latent
 
 
@@ -86,7 +85,7 @@ class TestMeanColumnKl:
 class TestModelErrors:
     def test_fresh_parent_error_is_log_n(self, world, pref):
         parent = init_agent(AgentKind.PARENT, world, pref)
-        v = mean_column_kl(np.eye(N_STATES), parent.A)
+        v = mean_column_kl(np.eye(N_STATES), parent.A[0])
         assert v == pytest.approx(np.log(N_STATES), abs=1e-12)
 
     def test_diagonal_kld_A_equals_column_kl(self):
@@ -100,46 +99,60 @@ class TestModelErrors:
                 sensory = np.ascontiguousarray(sensory)
             assert kld_A_error(sensory) == mean_column_kl(np.eye(N_STATES), sensory)
 
+    def test_kld_A_of_a_batch_equals_it_map_by_map(self, world, pref):
+        # The parents' maps of a batch, each a transposed view of its counts
+        # as a one-trial parent's map was.
+        parent = init_agent(AgentKind.PARENT, world, pref, trials=20)
+        rng = make_rng(63)
+        parent.obs_concentration[:] = 10.0 ** rng.uniform(-14, 1, (20, N_STATES, N_STATES))
+        parent.learn_A(rng.dirichlet(np.ones(N_STATES), size=20), rng.integers(N_STATES, size=20))
+        each = [kld_A_error(sensory) for sensory in parent.A]
+        assert kld_A_error(parent.A).tolist() == each
+
     def test_fresh_infant_sleep_error(self, world, pref):
         # 12 rail columns are one-hot (KL = ln 36), the other 24 hold the
         # 0.8 / 0.2 pair.
         infant = init_agent(AgentKind.INFANT, world, pref)
-        v = kld_B_error(world.tensor, infant.B, Action.SLEEP, np.empty(N_STATES), range(N_STATES))
+        counts = infant.trans_concentration
+        (v,) = kld_B_error(world.tensor, counts, Action.SLEEP, np.empty((1, N_STATES)), np.arange(1))
         two_point = 0.8 * np.log(0.8 * 36) + 0.2 * np.log(0.2 * 36)
         expect = (12 * np.log(36) + 24 * two_point) / 36
         assert v == pytest.approx(expect, abs=1e-12)
 
     def test_error_vanishes_at_truth(self, world):
-        kls = np.empty(N_STATES)
-        v = kld_B_error(world.tensor, world.tensor.copy(), Action.SLEEP, kls, range(N_STATES))
+        kls = np.empty((1, N_STATES))
+        counts = world.tensor.transpose(1, 2, 0)[None]
+        (v,) = kld_B_error(world.tensor, counts, Action.SLEEP, kls, np.arange(1))
         assert v == pytest.approx(0.0, abs=1e-9)
 
     def test_sleep_error_by_column_equals_kld_B_error(self, world, pref):
-        # A seeded run of infant rounds, half of them Sleep: the first from
-        # the uniform start belief and one from a belief set halfway
-        # recompute every column, the others only the one learned.
-        infant = init_agent(AgentKind.INFANT, world, pref)
+        # A seeded run of rounds for a batch of infants, about half of each
+        # trial's rounds Sleep: the first, from the uniform start belief,
+        # recomputes every column, the others only the one learned, and
+        # only in the trials that slept.
+        trials = 3
+        infant = init_agent(AgentKind.INFANT, world, pref, trials=trials)
+        counts = infant.trans_concentration
         rng = make_rng(67)
-        kls = np.empty(N_STATES)
-        kld_B_error(world.tensor, infant.B, Action.SLEEP, kls, range(N_STATES))
+        kls = np.empty((trials, N_STATES))
+        kld_B_error(world.tensor, counts, Action.SLEEP, kls, np.arange(trials))
+        true_sleep = world.tensor[:, :, Action.SLEEP]
         one_column = 0
         for step in range(200):
-            if step == 100:
-                set_belief(infant, rng.dirichlet(np.ones(N_STATES)))
-            sleep = step in (0, 100) or rng.random() < 0.5
-            action = Action.SLEEP if sleep else int(rng.integers(4))
-            prev, new = infant.assimilate(action, int(rng.integers(N_STATES)))
+            sleep = (rng.random(trials) < 0.5) | (step == 0)
+            action = np.where(sleep, Action.SLEEP, rng.integers(4, size=trials))
+            prev, new = infant.assimilate(action, rng.integers(N_STATES, size=trials))
             infant.learn_B(prev, new, action)
-            if sleep:
-                column = one_hot_index(prev)
-                one_column += column is not None
-                columns = range(N_STATES) if column is None else (column,)
-                got = kld_B_error(world.tensor, infant.B, Action.SLEEP, kls, columns)
-                true_sleep = world.tensor[:, :, Action.SLEEP]
-                learned_sleep = infant.B[:, :, Action.SLEEP]
-                assert got == mean_column_kl(true_sleep, learned_sleep)
-                assert np.array_equal(kls, column_kls(true_sleep, learned_sleep))
-        assert one_column > 50
+            slept = sleep.nonzero()[0]
+            if slept.size:
+                one_column += prev is not None
+                columns = None if prev is None else prev[slept]
+                got = kld_B_error(world.tensor, counts, Action.SLEEP, kls, slept, columns)
+                for t in range(trials):
+                    learned_sleep = learned_dynamics(infant)[t, :, :, Action.SLEEP]
+                    assert got[t] == mean_column_kl(true_sleep, learned_sleep)
+                    assert np.array_equal(kls[t], column_kls(true_sleep, learned_sleep))
+        assert one_column > 150
 
 
 def assert_batched_equals_scalar(parents, states):
@@ -163,26 +176,23 @@ class TestJsdLatent:
 
     def test_one_hot_infant_equals_js_divergence(self, world, pref):
         # The two agents' beliefs over a seeded run of rounds: the infant's
-        # one-hot beliefs after each cue, and a belief set through the
-        # set_belief halfway, which leaves no sensed state until the next cue.
+        # one-hot beliefs at the states its cues give.
         parent = init_agent(AgentKind.PARENT, world, pref)
         infant = init_agent(AgentKind.INFANT, world, pref)
         assert infant.state is None
         rng = make_rng(71)
+        eye = np.eye(N_STATES)
         parents, states = [], []
         for step in range(300):
-            if step == 150:
-                set_belief(infant, rng.dirichlet(np.ones(N_STATES)))
-                assert infant.state is None
-            action, obs = int(rng.integers(5)), int(rng.integers(N_STATES))
+            action, obs = rng.integers(5, size=1), rng.integers(N_STATES, size=1)
             infant.assimilate(action, obs)
             parent.assimilate(action, obs)
             parent.learn_A(parent.belief, obs)
-            assert infant.state == obs
-            p, q = parent.belief, infant.belief
-            assert scalar_jsd_latent(p, infant.state) == js_divergence(p, q)
+            assert infant.state.tolist() == obs.tolist()
+            p, k = parent.belief[0], int(infant.state[0])
+            assert scalar_jsd_latent(p, k) == js_divergence(p, eye[k])
             parents.append(p.copy())
-            states.append(infant.state)
+            states.append(k)
         assert_batched_equals_scalar(parents, states)
 
     def test_one_hot_infant_against_sparse_parents(self):

@@ -9,6 +9,7 @@ from dyadreg.probability import (
     sample,
     softmax_neg,
 )
+import oracles
 from oracles import dirichlet_expected_entropy, entropy, js_divergence, kl_divergence
 
 LN2 = 0.6931471805599453
@@ -177,28 +178,41 @@ class TestSoftmaxNeg:
 class TestSample:
     def test_respects_frequencies(self):
         rng = make_rng(17)
-        p = np.array([0.1, 0.6, 0.3])
-        draws = np.array([sample(p, rng) for _ in range(20000)])
+        p = np.tile([0.1, 0.6, 0.3], (20000, 1))
+        draws = sample(p, rng.random(20000))
         freqs = np.bincount(draws, minlength=3) / draws.size
-        assert np.allclose(freqs, p, atol=0.02)
+        assert np.allclose(freqs, p[0], atol=0.02)
 
     def test_one_hot_always_hits(self):
         rng = make_rng(1)
-        p = np.eye(6)[4]
-        assert all(sample(p, rng) == 4 for _ in range(200))
+        p = np.tile(np.eye(6)[4], (200, 1))
+        assert (sample(p, rng.random(200)) == 4).all()
 
     def test_consumes_one_uniform(self):
-        p = np.full(3, 1.0 / 3)
-        a = make_rng(9)
-        b = make_rng(9)
-        sample(p, a)
-        b.random()
-        assert a.random() == b.random()
+        # Each row is drawn by its own one uniform, as the one-trial form
+        # draws it from a generator, whatever the other rows hold.
+        rng = make_rng(9)
+        p = rng.dirichlet(np.full(5, 0.5), size=2000)
+        p[rng.random(2000) < 0.1, 4] = 0.0
+        u = rng.random(2000)
+        u[:10] = (0.0, 1.0 - 2**-53, *p[:8].cumsum(axis=1)[:, 1])
+        expect = [oracles.sample(row, Uniform(v)) for row, v in zip(p, u.tolist())]
+        assert sample(p, u).tolist() == expect
 
     def test_stream_reproducible(self):
-        p = np.array([0.2, 0.5, 0.3])
-        xs = [sample(p, make_rng(42)) for _ in range(5)]
+        p = np.array([[0.2, 0.5, 0.3]])
+        xs = [sample(p, make_rng(42).random(1))[0] for _ in range(5)]
         assert len(set(xs)) == 1
+
+
+class Uniform:
+    """A generator stand-in whose one draw is `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
 
 
 class TestDigamma:

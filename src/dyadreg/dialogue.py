@@ -15,7 +15,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .agents import Agent, AgentKind
+from .agents import Agent, AgentKind, Infant
 from .environment import TransitionModel, step
 from .probability import sample
 
@@ -63,7 +63,8 @@ def mh_accept(
 
 
 def run_round(
-    speaker: Agent, listener: Agent, condition: Condition, draws: Iterator, current_w=None
+    speaker: Agent | Infant, listener: Agent | Infant, condition: Condition, draws: Iterator,
+    current_w=None,
 ) -> DialogueOutcome:
     """One naming-game round in every trial of the batch.
 
@@ -91,7 +92,7 @@ def run_round(
 
 def run_iteration(
     parent: Agent,
-    infant: Agent,
+    infant: Infant,
     world: TransitionModel,
     z: np.ndarray,
     condition: Condition,

@@ -11,7 +11,7 @@ from bisect import bisect_right
 import numpy as np
 
 from dyadreg import harness
-from dyadreg.agents import AgentKind
+from dyadreg.agents import AgentKind, Infant, _risk_terms
 from dyadreg.dialogue import Condition, DialogueOutcome
 from dyadreg.environment import N_ACTIONS, N_STATES
 from dyadreg.harness import BELIEF_HEADER, CSV_HEADER
@@ -110,7 +110,9 @@ def digamma_by_reduce(x) -> np.ndarray:
 def column_kls(true_cols: np.ndarray, learned_cols: np.ndarray) -> np.ndarray:
     """KL(p_j || q_j) = sum_i p_ij (ln p_ij - ln q_ij) between matching
     columns of two column-stochastic matrices: learned cells are floored at
-    KL_FLOOR and renormalized per column."""
+    KL_FLOOR and renormalized per column. Each column is summed as
+    sum(axis=0) sums it in the input's layout: in order for C order, and
+    pairwise for a transposed view, as kld_A_error sums the parent's map."""
     p = np.asarray(true_cols, dtype=float)
     q = np.asarray(learned_cols, dtype=float)
     if p.shape != q.shape or p.ndim != 2:
@@ -145,10 +147,38 @@ def learned_dynamics(infant) -> np.ndarray:
 def outer_product_learn_B(counts, prev, post, action):
     """learn_B's general form, whatever the beliefs: count the outer product
     of consecutive beliefs into counts[z', z, a] for `action`, and return
-    the renormalized slice."""
+    the renormalized slice, summed in C order whatever the layout of
+    `counts`."""
     counts[:, :, action] += np.outer(post, prev)
-    slice_a = counts[:, :, action]
+    slice_a = np.ascontiguousarray(counts[:, :, action])
     return slice_a / slice_a.sum(axis=0, keepdims=True)
+
+
+def infant_start(prior, preferred_obs, trials=1) -> tuple:
+    """A fresh infant's risk table and start free energy, `trials` copies of
+    one, built from the exact mean of a flat Dirichlet over the dynamics,
+    beta / beta.sum(axis=0): the table by summing the risk terms of every
+    column, the start by predicting from the uniform belief through the
+    (z, (z', a)) rows of that mean."""
+    log_pref = np.log(np.maximum(preferred_obs, KL_FLOOR))
+    beta = np.full((N_STATES, N_STATES, N_ACTIONS), prior)
+    transitions = beta / beta.sum(axis=0)
+    rows = np.ascontiguousarray(transitions.transpose(1, 0, 2)).reshape(N_STATES, -1)
+    risk = _risk_terms(transitions, log_pref[:, None, None]).sum(axis=0)
+    q_pred = np.full((1, N_STATES), 1.0 / N_STATES).dot(rows).reshape(N_STATES, N_ACTIONS)
+    start = np.add.reduce(_risk_terms(q_pred, log_pref[:, None]), axis=0)
+    return np.tile(risk, (trials, 1, 1)), np.tile(start, (trials, 1))
+
+
+def omniscient_infant(world, preferred_obs) -> Infant:
+    """An infant of one trial whose risk table is that of the exact dynamics
+    world.tensor, so its free energy from each state it senses is the exact
+    one; for directional checks. Its counts do not match that table, so it
+    is not one to learn."""
+    infant = Infant(preferred_obs, np.ones((1, N_STATES, N_ACTIONS, N_STATES)))
+    log_pref = np.log(np.maximum(preferred_obs, KL_FLOOR))
+    infant._risk[0] = _risk_terms(world.tensor, log_pref[:, None, None]).sum(axis=0)
+    return infant
 
 
 def identity_efe(transitions, preferred_obs, belief) -> np.ndarray:

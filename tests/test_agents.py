@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dyadreg.agents import (
-    Agent,
     AgentKind,
     init_agent,
     predict_belief,
@@ -25,7 +24,9 @@ from oracles import (
     dirichlet_expected_entropy,
     identity_sensory_map,
     kl_divergence,
+    infant_start,
     learned_dynamics,
+    omniscient_infant,
     outer_product_learn_B,
     set_belief,
 )
@@ -41,6 +42,11 @@ def pref():
     return build_prior_preference()
 
 
+@pytest.fixture(scope="module")
+def comfort(pref):
+    return preferred_obs_distribution(pref)
+
+
 # A unit prior per cell keeps the count oracles below readable; the
 # experiment's default prior is a config knob (dirichlet_prior). Each agent
 # is a batch of one trial unless a test says otherwise.
@@ -52,12 +58,6 @@ def fresh_infant(world, pref):
     return init_agent(AgentKind.INFANT, world, pref, prior_concentration=1.0)
 
 
-def omniscient(world, pref):
-    # An infant with the exact dynamics and no counts: both matrices exact,
-    # no learning. Useful for directional checks.
-    return Agent(AgentKind.INFANT, world.tensor, preferred_obs_distribution(pref))
-
-
 def at(*values):
     """One value per trial of a batch."""
     return np.array(values)
@@ -67,18 +67,13 @@ class TestInit:
     def test_parent_starts_flat_sensory(self, world, pref):
         p = fresh_parent(world, pref)
         assert np.allclose(p.A, 1.0 / N_STATES)
-        assert p.B is world.tensor
         assert np.allclose(p.belief, 1.0 / N_STATES)
-        assert p.obs_concentration is not None
-        assert p.trans_concentration is None
 
     def test_infant_starts_flat_dynamics(self, world, pref):
         i = fresh_infant(world, pref)
         # It senses its state, and has sensed none yet.
         assert i.state is None
         assert np.allclose(learned_dynamics(i), 1.0 / N_STATES)
-        assert i.trans_concentration is not None
-        assert i.obs_concentration is None
 
     def test_rejects_bad_prior(self, world, pref):
         for kind in AgentKind:
@@ -86,20 +81,27 @@ class TestInit:
                 with pytest.raises(ValueError, match="prior concentration"):
                     init_agent(kind, world, pref, prior_concentration=prior)
 
-    def test_parent_without_counts_is_refused(self, world, pref):
-        with pytest.raises(ValueError, match="counts over its sensory map"):
-            Agent(AgentKind.PARENT, world.tensor, preferred_obs_distribution(pref))
-
-    def test_infant_without_counts_keeps_its_dynamics(self, world, pref):
-        agent = omniscient(world, pref)
+    def test_infant_without_counts_keeps_its_dynamics(self, world, comfort):
+        agent = omniscient_infant(world, comfort)
         # Its free energy from every state is the exact dynamics' own.
         states = np.eye(N_STATES)
         for s in range(N_STATES):
             agent.state = at(s)
-            expect = general_efe(identity_sensory_map(), world.tensor, agent.preferred_obs, states[s])
+            expect = general_efe(identity_sensory_map(), world.tensor, comfort, states[s])
             assert np.array_equal(agent.efe_per_action()[0], expect)
-        with pytest.raises(ValueError, match="does not learn the dynamics"):
-            agent.learn_B(None, at(0), at(0))
+
+    @pytest.mark.parametrize("mode", ["linear", "softmax"])
+    def test_infant_start_equals_the_flat_mean_construction(self, world, pref, mode):
+        # The risk table and start free energy, built from the counts' mean,
+        # equal the former construction from beta / beta.sum(axis=0), bit
+        # for bit.
+        comfort = preferred_obs_distribution(pref, mode)
+        for prior in (1 / 36, 1.0, 1e-3, 0.37, 7.5, 1e-300, 3e-7, 123.456):
+            infant = init_agent(AgentKind.INFANT, world, pref, prior, mode, trials=3)
+            risk, start = infant_start(prior, comfort, trials=3)
+            assert infant._risk.tobytes() == risk.tobytes(), prior
+            assert infant._start_efe.tobytes() == start.tobytes(), prior
+            assert np.array_equal(infant.efe_per_action(), start)
 
 
 class TestFiltering:
@@ -161,27 +163,27 @@ class TestExpectedFreeEnergy:
         set_belief(parent, Categorical(rng.dirichlet(np.ones(N_STATES))).probs)
         vec = parent.efe_per_action()[0]
         for a in range(5):
-            q_pred = oracles.predict_belief(parent.belief[0], parent.B, a)
+            q_pred = oracles.predict_belief(parent.belief[0], world.tensor, a)
             ambiguity = sum(
                 q_pred[z] * dirichlet_expected_entropy(parent.obs_concentration[0, z])
                 for z in range(N_STATES)
             )
             q_obs = parent.A[0] @ q_pred
-            risk = kl_divergence(q_obs, parent.preferred_obs)
+            risk = kl_divergence(q_obs, preferred_obs_distribution(pref))
             assert vec[a] == pytest.approx(ambiguity + risk, abs=1e-9)
             assert parent.efe_per_action()[0, a] == pytest.approx(vec[a], abs=1e-12)
 
-    def test_identity_sensing_has_zero_ambiguity(self, world, pref):
-        agent = omniscient(world, pref)
+    def test_identity_sensing_has_zero_ambiguity(self, world, comfort):
+        agent = omniscient_infant(world, comfort)
         start = VisceralState(2, 2).flat
         agent.state = at(start)
         for a in range(5):
             q_pred = oracles.predict_belief(np.eye(N_STATES)[start], world.tensor, a)
-            risk = kl_divergence(identity_sensory_map() @ q_pred, agent.preferred_obs)
+            risk = kl_divergence(identity_sensory_map() @ q_pred, comfort)
             assert agent.efe_per_action()[0, a] == pytest.approx(risk, abs=1e-12)
 
-    def test_sleep_preferred_at_comfort_peak(self, world, pref):
-        agent = omniscient(world, pref)
+    def test_sleep_preferred_at_comfort_peak(self, world, comfort):
+        agent = omniscient_infant(world, comfort)
         agent.state = at(VisceralState(2, 2).flat)
         vec = agent.efe_per_action()[0]
         assert int(vec.argmin()) == Action.SLEEP
@@ -197,16 +199,16 @@ class TestExpectedFreeEnergy:
 
 
 class TestSymbolPosterior:
-    def test_softmax_of_negative_scores(self, world, pref):
-        agent = omniscient(world, pref)
+    def test_softmax_of_negative_scores(self, world, comfort):
+        agent = omniscient_infant(world, comfort)
         agent.state = at(VisceralState(4, 4).flat)
         g = agent.efe_per_action()[0]
         expect = np.exp(-(g - g.min()))
         expect /= expect.sum()
         assert np.allclose(agent.symbol_posterior()[0], expect, atol=1e-12)
 
-    def test_cache_invalidated_by_belief_change(self, world, pref):
-        agent = omniscient(world, pref)
+    def test_cache_invalidated_by_belief_change(self, world, comfort):
+        agent = omniscient_infant(world, comfort)
         agent.state = at(VisceralState(2, 2).flat)
         first = agent.symbol_posterior()
         agent.state = at(VisceralState(5, 0).flat)
@@ -239,8 +241,10 @@ class TestLearning:
         parent = fresh_parent(world, pref)
         for k in range(10):
             parent.learn_A(np.eye(N_STATES)[[k]], at(k))
-        assert parent.B is world.tensor
-        assert np.array_equal(parent.B, world.tensor)
+        # Its dynamics are the rows and sources it was built with.
+        fresh = fresh_parent(world, pref)
+        assert np.array_equal(parent._B_rows, fresh._B_rows)
+        assert all(map(np.array_equal, parent._sources, fresh._sources))
 
     def test_first_dynamics_update_counts(self, world, pref):
         infant = fresh_infant(world, pref)
@@ -289,12 +293,6 @@ class TestLearning:
         batch = alpha / alpha.sum(axis=1, keepdims=True)
         assert np.allclose(online.A[0], batch.T, atol=1e-9)
 
-    def test_wrong_role_raises(self, world, pref):
-        with pytest.raises(ValueError):
-            fresh_parent(world, pref).learn_B(None, at(0), at(0))
-        with pytest.raises(ValueError):
-            fresh_infant(world, pref).learn_A(np.full((1, N_STATES), 1.0 / N_STATES), at(0))
-
 
 def general_efe(sensory, transitions, preferred_obs, belief):
     """The expected free energy by the general formula, for a known sensory
@@ -308,10 +306,9 @@ def general_efe(sensory, transitions, preferred_obs, belief):
     return ambiguity + (q_obs * (logs - log_pref[:, None])).sum(axis=0)
 
 
-def infant_efe(infant, belief):
+def infant_efe(infant, comfort, belief):
     """general_efe of the infant's learned dynamics in its first trial."""
-    dynamics = learned_dynamics(infant)[0]
-    return general_efe(identity_sensory_map(), dynamics, infant.preferred_obs, belief)
+    return general_efe(identity_sensory_map(), learned_dynamics(infant)[0], comfort, belief)
 
 
 def infant_rounds(infant, rng, steps=150):
@@ -335,18 +332,18 @@ class TestStructureShortcuts:
             infant.learn_B(prev, new, action)
         return infant, rng
 
-    def test_identity_efe_equals_general_formula(self, world, pref):
+    def test_identity_efe_equals_general_formula(self, world, pref, comfort):
         # From its uniform start belief, and from every state it senses
         # after that, before and after learning.
         infant = fresh_infant(world, pref)
         uniform = np.full(N_STATES, 1.0 / N_STATES)
-        assert np.array_equal(infant.efe_per_action()[0], infant_efe(infant, uniform))
+        assert np.array_equal(infant.efe_per_action()[0], infant_efe(infant, comfort, uniform))
         rng = make_rng(41)
         states = np.eye(N_STATES)
         for prev, new, action in infant_rounds(infant, rng, 20):
-            assert np.array_equal(infant.efe_per_action()[0], infant_efe(infant, states[new[0]]))
+            assert np.array_equal(infant.efe_per_action()[0], infant_efe(infant, comfort, states[new[0]]))
             infant.learn_B(prev, new, action)
-            assert np.array_equal(infant.efe_per_action()[0], infant_efe(infant, states[new[0]]))
+            assert np.array_equal(infant.efe_per_action()[0], infant_efe(infant, comfort, states[new[0]]))
 
     def test_infant_belief_is_one_hot_after_every_assimilate(self, world, pref):
         # The state it adopts is what the general update gives under the
@@ -363,10 +360,10 @@ class TestStructureShortcuts:
             assert new.tolist() == [obs]
             assert np.array_equal(states[new[0]], expect)
 
-    def test_zero_likelihood_fallback_is_one_hot(self, world, pref):
+    def test_zero_likelihood_fallback_is_one_hot(self, world, comfort):
         # Under the exact dynamics, Sleep from the comfort peak cannot land
         # on the far corner, so the update falls back to the likelihood.
-        agent = omniscient(world, pref)
+        agent = omniscient_infant(world, comfort)
         start, far = VisceralState(2, 2).flat, VisceralState(5, 5).flat
         agent.state = at(start)
         pred = oracles.predict_belief(np.eye(N_STATES)[start], world.tensor, Action.SLEEP)
@@ -376,7 +373,7 @@ class TestStructureShortcuts:
         assert np.array_equal(np.eye(N_STATES)[new[0]], expect)
         assert np.array_equal(expect, np.eye(N_STATES)[far])
 
-    def test_risk_table_equals_general_formula(self, world, pref):
+    def test_risk_table_equals_general_formula(self, world, pref, comfort):
         # Every row of the table, after every round's learning: the first,
         # from the uniform start belief, learns all 36 source columns, the
         # others one column.
@@ -384,8 +381,8 @@ class TestStructureShortcuts:
         states = np.eye(N_STATES)
         for prev, new, action in infant_rounds(infant, make_rng(59)):
             infant.learn_B(prev, new, action)
-            assert np.array_equal(infant.efe_per_action()[0], infant_efe(infant, states[new[0]]))
-            table = np.array([infant_efe(infant, states[s]) for s in range(N_STATES)])
+            assert np.array_equal(infant.efe_per_action()[0], infant_efe(infant, comfort, states[new[0]]))
+            table = np.array([infant_efe(infant, comfort, states[s]) for s in range(N_STATES)])
             assert np.array_equal(infant._risk[0], table)
 
     def test_one_column_learning_equals_outer_product(self, world, pref):
@@ -438,7 +435,7 @@ class TestBitTraps:
         trials = 40
         infant = init_agent(AgentKind.INFANT, world, pref, trials=trials)
         infant.trans_concentration += rng.random(infant.trans_concentration.shape) * 3.0
-        log_pref = np.log(np.maximum(infant.preferred_obs, KL_FLOOR))
+        log_pref = np.log(np.maximum(preferred_obs_distribution(pref), KL_FLOOR))
         for _ in range(25):
             prev, obs = rng.integers(N_STATES, size=(2, trials))
             action = rng.integers(5, size=trials)
@@ -449,6 +446,18 @@ class TestBitTraps:
                 logs = np.log(column, out=np.zeros(N_STATES), where=column > 0.0)
                 risk = (column * (logs - log_pref)).cumsum()[-1]
                 assert infant._risk[t, prev[t], action[t]] == risk
+
+    def test_outer_product_oracle_gives_the_same_bits_in_either_layout(self):
+        # sum(axis=0) is pairwise along a contiguous axis and in order along
+        # an outer one, so the oracle copies its slice to C order first: an
+        # F-ordered copy of the counts gives the C-ordered array's bits.
+        rng = make_rng(2)
+        counts = rng.random((N_STATES, N_STATES, 5)) * 3.0
+        prev, post = rng.dirichlet(np.ones(N_STATES), size=2)
+        for action in range(5):
+            c_slice = outer_product_learn_B(counts.copy(), prev, post, action)
+            f_slice = outer_product_learn_B(np.asfortranarray(counts), prev, post, action)
+            assert f_slice.tobytes() == c_slice.tobytes()
 
     def test_digamma_on_a_batch_equals_it_row_by_row(self):
         rng = make_rng(97)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from dyadreg.agents import Agent, AgentKind, init_agent
+from dyadreg.agents import Agent, AgentKind, Infant, init_agent
 from dyadreg.dialogue import Condition, mh_accept, run_iteration, run_round
 from dyadreg.environment import (
     VisceralState,
@@ -260,7 +260,7 @@ class TestRunIteration:
         _, seen = run_recorded(parent, infant, world, 19, trials=3)
         assert len(seen) == 2
         for speaker, outcome, z, rare in seen:
-            assert isinstance(speaker, Agent)
+            assert isinstance(speaker, (Agent, Infant))
             assert ((0 <= outcome.shared_w) & (outcome.shared_w < 5)).all()
             assert ((0 <= z) & (z < 36)).all() and z.shape == (3,)
             assert rare.dtype == bool and rare.shape == (3,)
@@ -306,13 +306,12 @@ class TestRunIteration:
         # and the listener's only for a fresh draw or the MH test. Each
         # evaluation serves every trial of the batch.
         calls = []
-        efe = Agent.efe_per_action
+        for cls in (Agent, Infant):
+            def counted(agent, efe=cls.efe_per_action):
+                calls.append(agent.kind)
+                return efe(agent)
 
-        def counted(agent):
-            calls.append(agent.kind)
-            return efe(agent)
-
-        monkeypatch.setattr(Agent, "efe_per_action", counted)
+            monkeypatch.setattr(cls, "efe_per_action", counted)
         parent, infant = make_dyad(world, pref, trials=3)
         draws, z, current_w = Draws(22, 3), np.full(3, START), np.zeros(3, int)
         for _ in range(5):

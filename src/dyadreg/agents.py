@@ -45,8 +45,9 @@ def predict_belief(beliefs: np.ndarray, sources: tuple, actions: np.ndarray) -> 
     sum as it is, so only the sources that reach a cell are added, row after
     row along an outer axis."""
     index, weight = sources
-    rows = np.arange(len(actions))[:, None, None]
-    p = np.add.reduce(weight[actions] * beliefs[rows, index[actions]], axis=1)
+    terms = beliefs[np.arange(len(actions))[:, None, None], index[actions]]
+    terms *= weight[actions]
+    p = np.add.reduce(terms, axis=1)
     return np.divide(p, np.add.reduce(p, axis=1, keepdims=True), out=p)
 
 
@@ -212,17 +213,22 @@ class Infant:
         """Count the outer product of each trial's consecutive beliefs under
         `action`: one unit at (prev, action, obs) from the sensed state prev,
         and 1/36 at (s, action, obs) for every s from the uniform start
-        (prev None). Each column counted is renormalized, its cells summed
-        in order, and its risk cell renewed."""
-        trials, weight = self._trials, 1.0
+        (prev None), one trial at a time, so that no temporary holds T
+        trials' columns."""
         if prev is None:
-            trials, prev, weight = trials[:, None], np.arange(N_STATES), 1.0 / N_STATES
-            action, obs = action[:, None], obs[:, None]
+            for t in self._trials:
+                self._count(t, np.arange(N_STATES), action[t], obs[t], 1.0 / N_STATES)
+        else:
+            self._count(self._trials, prev, action, obs, 1.0)
+
+    def _count(self, trials, sources, action, obs, weight: float):
+        """Add `weight` at (trials, sources, action, obs), renormalize each
+        column counted, its cells summed in order, and renew its risk cell."""
         counts = self.trans_concentration
-        counts[trials, prev, action, obs] += weight
-        columns = counts[trials, prev, action]
+        counts[trials, sources, action, obs] += weight
+        columns = counts[trials, sources, action]
         columns /= columns.cumsum(axis=-1)[..., -1:]
-        self._risk[trials, prev, action] = _column_risk(columns, self._log_pref)
+        self._risk[trials, sources, action] = _column_risk(columns, self._log_pref)
 
 
 def init_agent(

@@ -157,7 +157,7 @@ def _cmd_trial(args) -> int:
     if not 0 <= args.trial_index < limit:
         raise ConfigError(f"--trial-index must lie in [0, {limit}), not {args.trial_index}")
     condition = config.conditions[0]
-    (log,) = run_trial(config, condition, [args.trial_index])
+    (log,) = run_trial(config, [condition], [args.trial_index])
     for name in write_trial_files(log, out, config.dump_beliefs):
         print(f"wrote {out / name}")
     mean_c = float(log.iteration_series("c_norm").mean())

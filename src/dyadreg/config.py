@@ -79,8 +79,8 @@ class ExperimentConfig:
     c_sigma / c_floor  comfort bump shape; c_values overrides it outright
     out_dir          artifact directory for full runs
     dump_beliefs     also write per-round belief vectors
-    workers          processes; each condition's trials run in this many
-                     batches (fewer if it has fewer trials)
+    workers          processes; the run's (condition, trial) pairs run in
+                     this many batches (fewer if there are fewer pairs)
     """
 
     conditions: tuple[str, ...] = CONDITION_NAMES

@@ -4,8 +4,9 @@ One round: the speaker samples a symbol from its posterior, the listener
 accepts or rejects it (Metropolis-Hastings, or a fixed one-sided rule),
 and the agreed symbol is executed as an action. One iteration runs two
 rounds with the speaker role swapped, filtering and learning after each.
-Each call advances a batch of trials of one condition, and `draws` yields
-the trials' uniforms in the order they are consumed, one per trial a time.
+Each call advances a batch of trials, each under its own condition, and
+`draws` yields the trials' uniforms in the order they are consumed, one
+per trial a time.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .agents import Agent, AgentKind, Infant
 from .environment import TransitionModel, step
-from .probability import sample
+from .probability import make_rng, sample
 
 
 class Condition(Enum):
@@ -30,6 +31,14 @@ class Condition(Enum):
 
 
 CONDITION_NAMES = tuple(c.value for c in Condition)
+# A batch carries each trial's condition as a code, its index in
+# CONDITION_NAMES. Indexed by code, these tables say which conditions decide
+# by a one-sided rule, and under which a listener of each kind leads.
+ONE_SIDED = np.array([c is not Condition.MHNG for c in Condition])
+LEADS = {
+    AgentKind.PARENT: np.array([c is Condition.A_LED for c in Condition]),
+    AgentKind.INFANT: np.array([c is Condition.B_LED for c in Condition]),
+}
 # The speakers of rounds 1 and 2 of every iteration, per round order.
 ROUND_SPEAKERS = {
     "infant-first": (AgentKind.INFANT, AgentKind.PARENT),
@@ -44,6 +53,32 @@ class DialogueOutcome(NamedTuple):
     accepted: np.ndarray
     acceptance_prob: np.ndarray
     shared_w: np.ndarray
+
+
+def condition_codes(conditions) -> np.ndarray:
+    """The code of each condition named in `conditions`, one per trial."""
+    return np.array([CONDITION_NAMES.index(Condition(c).value) for c in conditions])
+
+
+def place_uniforms(seeds, codes, iterations: int, persist: bool) -> np.ndarray:
+    """The uniforms of a batch's `iterations`, a row per trial, seeded by
+    `seeds`, and a column per draw its rounds take: the speaker's, the
+    listener's own unless it persists past the first round, the MH test's,
+    and the world step's. A one-sided trial skips the MH column:
+    rng.random(k) gives the bits of its k single draws, in the order it
+    takes them. run_round and run_iteration take them as iter(u.T)."""
+    widths = np.full(2 * iterations, 3 if persist else 4)
+    widths[0] = 4
+    mh = np.zeros(widths.sum(), bool)
+    mh[widths.cumsum() - 2] = True
+    used = ~mh
+    u = np.zeros((len(seeds), mh.size))
+    for row, seed, code in zip(u, seeds, codes):
+        if ONE_SIDED[code]:
+            row[used] = make_rng(seed).random(mh.size - widths.size)
+        else:
+            make_rng(seed).random(out=row)
+    return u
 
 
 def mh_accept(
@@ -63,29 +98,27 @@ def mh_accept(
 
 
 def run_round(
-    speaker: Agent | Infant, listener: Agent | Infant, condition: Condition, draws: Iterator,
+    speaker: Agent | Infant, listener: Agent | Infant, conditions: np.ndarray, draws: Iterator,
     current_w=None,
 ) -> DialogueOutcome:
-    """One naming-game round in every trial of the batch.
+    """One naming-game round in every trial of the batch, each trial under
+    the condition its code in `conditions` names.
 
     The listener pits the proposal against `current_w` when given and
     against a fresh draw from its own posterior otherwise. The agreed
-    symbol doubles as the executed action: symbol w names action w.
+    symbol doubles as the executed action: symbol w names action w. Every
+    trial takes an MH uniform; a one-sided trial's decides nothing.
     """
     proposed = sample(speaker.symbol_posterior(), next(draws))
-    mhng = condition is Condition.MHNG
-    # Each posterior costs one EFE evaluation: the listener's is computed
-    # at most once, and only when a fresh draw or the MH test reads it.
-    posterior = listener.symbol_posterior() if mhng or current_w is None else None
+    # Each posterior costs one EFE evaluation, and each serves every trial.
+    posterior = listener.symbol_posterior()
     own = sample(posterior, next(draws)) if current_w is None else current_w
-    if mhng:
-        accepted, prob = mh_accept(proposed, own, posterior, next(draws))
-    else:
-        leader = AgentKind.PARENT if condition is Condition.A_LED else AgentKind.INFANT
-        # The leader never yields: it keeps its own symbol unless the
-        # proposal already matches. The other side accepts every proposal.
-        accepted = proposed == own if listener.kind is leader else np.full(len(own), True)
-        prob = accepted * 1.0
+    accepted, prob = mh_accept(proposed, own, posterior, next(draws))
+    # A leader never yields: it keeps its own symbol unless the proposal
+    # already matches. The other side accepts every proposal.
+    one_sided = ONE_SIDED[conditions]
+    np.copyto(accepted, (proposed == own) | ~LEADS[listener.kind][conditions], where=one_sided)
+    np.copyto(prob, accepted, where=one_sided)
     shared = own + (proposed - own) * accepted
     return DialogueOutcome(proposed, own, accepted, prob, shared)
 
@@ -95,7 +128,7 @@ def run_iteration(
     infant: Infant,
     world: TransitionModel,
     z: np.ndarray,
-    condition: Condition,
+    conditions: np.ndarray,
     draws: Iterator[np.ndarray],
     round_order: str = "infant-first",
     current_w: Optional[np.ndarray] = None,
@@ -103,9 +136,9 @@ def run_iteration(
     on_round: Optional[Callable] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two rounds with swapped speakers, in the order ROUND_SPEAKERS gives
-    for round_order, each followed by one world step per trial from its
-    flat true state in z. Returns the landing states and the last agreed
-    symbols.
+    for round_order, each trial under its condition code, each round
+    followed by one world step per trial from its flat true state in z.
+    Returns the landing states and the last agreed symbols.
 
     After every round both agents assimilate their own cue of the landing
     state (emission is the identity, so the cue is the state's flat index),
@@ -118,7 +151,7 @@ def run_iteration(
     for kind in ROUND_SPEAKERS[round_order]:
         speaker, listener = (parent, infant) if kind is AgentKind.PARENT else (infant, parent)
         outcome = run_round(
-            speaker, listener, condition, draws, current_w if persist_w else None
+            speaker, listener, conditions, draws, current_w if persist_w else None
         )
         action = outcome.shared_w
         steps = zip(z.tolist(), action.tolist(), next(draws).tolist())

@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from .agents import AgentKind, init_agent
 from .config import ExperimentConfig, save_config
-from .dialogue import CONDITION_NAMES, ROUND_SPEAKERS, Condition, DialogueOutcome, run_iteration
+from .dialogue import CONDITION_NAMES, ROUND_SPEAKERS, DialogueOutcome
+from .dialogue import condition_codes, place_uniforms, run_iteration
 from .environment import (
     Action,
     N_LEVELS,
@@ -107,8 +108,8 @@ def build_world(config: ExperimentConfig):
     return world, pref
 
 
-def run_trial(config: ExperimentConfig, condition, trials, env=None) -> list:
-    """The seeded trials of one condition whose indices `trials` lists, run
+def run_trial(config: ExperimentConfig, conditions, trials, env=None) -> list:
+    """The seeded trials `trials`, trial trials[i] under conditions[i], run
     as one batch: each `iterations` two-round exchanges from the fixed start
     state. Returns their TrialLogs in that order; a trial's log does not
     depend on its batch. `env` is build_world(config), built unless given.
@@ -116,13 +117,13 @@ def run_trial(config: ExperimentConfig, condition, trials, env=None) -> list:
     Each round writes its cells into the record in place: the outcome, the
     parent's beliefs, the landing states and the two model errors. The
     other columns are derived after the last round."""
-    cond = Condition(condition)
+    codes = condition_codes(conditions)
+    names = [CONDITION_NAMES[code] for code in codes]
     world, pref = build_world(config) if env is None else env
-    seeds = [trial_seed(config.seed, cond.value, t) for t in trials]
-    count, n = len(seeds), 2 * config.iterations
-    # A round draws at most four uniforms from each trial's own generator,
-    # so they are drawn up front: rng.random(k) gives k single draws' bits.
-    draws = iter(np.array([make_rng(seed).random(4 * n) for seed in seeds]).T)
+    count, n = len(names), 2 * config.iterations
+    seeds = list(map(trial_seed, [config.seed] * count, names, trials))
+    persist = config.mh_current_w == "persistent"
+    draws = iter(place_uniforms(seeds, codes, config.iterations, persist).T)
     parent, infant = (
         init_agent(kind, world, pref, config.dirichlet_prior, config.preference_mode, count)
         for kind in (AgentKind.PARENT, AgentKind.INFANT)
@@ -154,16 +155,15 @@ def run_trial(config: ExperimentConfig, condition, trials, env=None) -> list:
             rounds[name][:, row] = values[i]
         row += 1
 
-    persist = config.mh_current_w == "persistent"
     z, current_w = np.full(count, START_STATE.flat), None
     for _ in range(config.iterations):
         z, current_w = run_iteration(
-            parent, infant, world, z, cond, draws, config.round_order, current_w, persist,
+            parent, infant, world, z, codes, draws, config.round_order, current_w, persist,
             on_round=on_round,
         )
     del parent, infant, counts, draws  # the derived columns below reuse their memory
     index = np.arange(n)
-    rounds["condition"] = cond.value
+    rounds["condition"] = np.array(names).reshape(count, 1)
     rounds["trial"] = np.array(trials).reshape(count, 1)
     rounds["iteration"] = index // 2 + 1
     rounds["round"] = index % 2 + 1
@@ -177,7 +177,7 @@ def run_trial(config: ExperimentConfig, condition, trials, env=None) -> list:
     for i in range(count):
         rounds[i]["jsd_z"] = jsd_latent(parent_round_beliefs[i], states[i])
     return [
-        TrialLog(cond.value, trials[i], seeds[i], rounds[i], parent_round_beliefs[i])
+        TrialLog(names[i], trials[i], seeds[i], rounds[i], parent_round_beliefs[i])
         for i in range(count)
     ]
 
@@ -546,10 +546,14 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     out = Path(config.out_dir)
     _remove_previous_run(out)
     env = build_world(config)
-    # Each condition's trials in min(workers, trials) contiguous batches,
-    # condition-major and trial-ascending, so the logs keep the serial order.
-    batches = np.array_split(np.arange(config.trials), min(config.workers, config.trials))
-    jobs = [(config, cond, b.tolist(), env) for cond in config.conditions for b in batches]
+    # The run's (condition, trial) pairs in min(workers, pairs) contiguous
+    # batches, condition-major and trial-ascending, so the logs keep the
+    # serial order.
+    pairs = [(cond, t) for cond in config.conditions for t in range(config.trials)]
+    batches = np.array_split(np.arange(len(pairs)), min(config.workers, len(pairs)))
+    jobs = [
+        (config, [pairs[i][0] for i in b], [pairs[i][1] for i in b], env) for b in batches
+    ]
     workers = min(config.workers, len(jobs))
     if workers > 1:
         # Imported only for a pool: with multiprocessing, socket and logging

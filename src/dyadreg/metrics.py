@@ -30,8 +30,12 @@ def c_norm(states, pref: PriorPreference) -> np.ndarray:
 def kld_A_error(learned_sensory: np.ndarray) -> np.ndarray:
     """Mean over states j of KL(e_j || q_j) = -ln(q_jj / sum_i q_ij), with q
     the learned sensory map A[obs, z] floored at KL_FLOOR, per map of a
-    stack of them: the true map is the identity."""
-    q = np.maximum(learned_sensory, KL_FLOOR)
+    stack of them: the true map is the identity. A stack with no cell below
+    the floor is read as it is, in its own layout, which sets the bits of
+    each column's sum."""
+    q = learned_sensory
+    if np.minimum.reduce(q, axis=None) < KL_FLOOR:
+        q = np.maximum(q, KL_FLOOR)
     kls = 0.0 - np.log(q.diagonal(axis1=-2, axis2=-1) / np.add.reduce(q, axis=-2))
     return np.add.reduce(kls, axis=-1) / kls.shape[-1]
 
@@ -44,10 +48,13 @@ def kld_B_error(
     counts[trial, z, a, z']. `kls` keeps the per-column KLs, KL(p_j || q_j)
     = sum_i p_ij (ln p_ij - ln q_ij), the learned column floored at KL_FLOOR
     and renormalized, each summed in order; only column columns[k] of trial
-    trials[k] is renewed, or all columns of `trials` if `columns` is None.
+    trials[k] is renewed, or all columns of `trials` if `columns` is None,
+    one trial at a time, so that no temporary holds T trials' columns.
     """
     if columns is None:
-        trials, columns = trials[:, None], np.arange(kls.shape[1])
+        for t in trials:
+            kld_B_error(dynamics_true, counts, action, kls, t, np.arange(kls.shape[1]))
+        return np.add.reduce(kls, axis=1) / kls.shape[1]
     q = counts[trials, columns, action]
     q /= q.cumsum(axis=-1)[..., -1:]
     np.maximum(q, KL_FLOOR, out=q)

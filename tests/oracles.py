@@ -123,6 +123,14 @@ def column_kls(true_cols: np.ndarray, learned_cols: np.ndarray) -> np.ndarray:
     return terms.sum(axis=0)
 
 
+def floored_kld_A(floored: np.ndarray) -> np.ndarray:
+    """kld_A_error of a stack of maps already floored at KL_FLOOR, as it was
+    computed on every map: each column summed with np.add.reduce in the
+    map's own layout."""
+    kls = 0.0 - np.log(floored.diagonal(axis1=-2, axis2=-1) / np.add.reduce(floored, axis=-2))
+    return np.add.reduce(kls, axis=-1) / kls.shape[-1]
+
+
 def mean_column_kl(true_cols: np.ndarray, learned_cols: np.ndarray) -> float:
     """Average of column_kls."""
     return float(column_kls(true_cols, learned_cols).mean())
@@ -306,7 +314,7 @@ def run_trial_keeping_agents(monkeypatch, config, condition, trial_index):
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "init_agent", keep)
-        log = harness.run_trial(config, condition, [trial_index])[0]
+        log = harness.run_trial(config, [condition], [trial_index])[0]
     parent, infant = agents
     return log, (parent, infant)
 

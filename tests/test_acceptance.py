@@ -15,7 +15,7 @@ import conftest
 
 from dyadreg.agents import AgentKind
 from dyadreg.config import ExperimentConfig
-from dyadreg.dialogue import Condition, run_round
+from dyadreg.dialogue import Condition, condition_codes, run_round
 from dyadreg.environment import (
     Action,
     build_prior_preference,
@@ -52,13 +52,12 @@ def verdict(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def grid():
+    # Each seed's 30 trials as one batch, condition-major as a run lists them.
     runs = {}
+    conditions = [cond for cond in CONDITIONS for _ in range(TRIALS)]
     for seed in SEEDS:
-        cfg = ExperimentConfig(seed=seed)
-        runs[seed] = {
-            cond: run_trial(cfg, cond, range(TRIALS))
-            for cond in CONDITIONS
-        }
+        logs = run_trial(ExperimentConfig(seed=seed), conditions, [*range(TRIALS)] * len(CONDITIONS))
+        runs[seed] = {cond: logs[i * TRIALS : (i + 1) * TRIALS] for i, cond in enumerate(CONDITIONS)}
     return runs
 
 
@@ -238,9 +237,9 @@ def test_criterion_6_mh_stationarity_oracle():
     draws = iter(np.array([make_rng(7000 + f).random(200_000) for f in range(fixtures)]).T)
     current = np.zeros(fixtures, int)
     counts = np.zeros((fixtures, 5))
-    rows = np.arange(fixtures)
+    rows, mhng = np.arange(fixtures), condition_codes([Condition.MHNG] * fixtures)
     for _ in range(100_000):
-        out = run_round(infant, parent, Condition.MHNG, draws, current_w=current)
+        out = run_round(infant, parent, mhng, draws, current_w=current)
         current = out.shared_w
         counts[rows, current] += 1
     worst = 0.0

@@ -11,7 +11,7 @@ import pytest
 import dyadreg
 from dyadreg import cli
 from dyadreg.cli import main
-from dyadreg.config import ExperimentConfig
+from dyadreg.config import ExperimentConfig, save_config
 from dyadreg.harness import CSV_HEADER, run_experiment, shuffle_seeds
 
 
@@ -130,6 +130,25 @@ class TestTrial:
         )
         assert code == 0
         assert (out / "trials" / "mhng_t02_beliefs.csv").is_file()
+
+    def test_writes_the_bytes_of_the_runs_trial(self, tmp_path):
+        # The run's a-led trial 1 comes from one batch of all six (condition,
+        # trial) pairs, the command's from a batch of one: the same bytes.
+        config = tmp_path / "config.json"
+        save_config(
+            ExperimentConfig(
+                trials=2, iterations=30, seed=6, mh_current_w="persistent",
+                preference_mode="softmax",
+            ),
+            config,
+        )
+        common = ("--config", str(config), "--dump-beliefs")
+        assert run_cli("run", *common, "--out", str(tmp_path / "run")) == 0
+        trial = ("trial", *common, "--condition", "a-led", "--trial-index", "1")
+        assert run_cli(*trial, "--out", str(tmp_path / "trial")) == 0
+        for name in ("a-led_t01.csv", "a-led_t01_beliefs.csv"):
+            cli_bytes = (tmp_path / "trial" / "trials" / name).read_bytes()
+            assert cli_bytes == (tmp_path / "run" / "trials" / name).read_bytes(), name
 
     @pytest.mark.parametrize("index", ["-3", "2147483648", "3000000000"])
     def test_trial_index_outside_the_csv_column_is_refused(self, tmp_path, capsys, index):

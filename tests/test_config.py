@@ -127,7 +127,7 @@ class TestValidation:
                 bad = middle
         cfg = config(good)
         for condition in cfg.conditions:
-            log = run_trial(cfg, condition, [0])[0]
+            log = run_trial(cfg, [condition], [0])[0]
             assert np.isfinite(log.parent_round_beliefs).all()
 
     def test_int_accepted_where_float_expected(self):

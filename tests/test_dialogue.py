@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from dyadreg.agents import Agent, AgentKind, Infant, init_agent
-from dyadreg.dialogue import Condition, mh_accept, run_iteration, run_round
+from dyadreg.dialogue import Condition, condition_codes, mh_accept, run_iteration, run_round
 from dyadreg.environment import (
     VisceralState,
     build_prior_preference,
@@ -34,6 +34,11 @@ def make_dyad(world, pref, trials=1):
 def at(*values):
     """One value per trial of a batch."""
     return np.array(values)
+
+
+def under(condition, trials=1):
+    """The condition codes of a batch whose trials all run under `condition`."""
+    return condition_codes([condition] * trials)
 
 
 class Draws:
@@ -113,7 +118,7 @@ class TestRunRound:
     def test_shared_follows_acceptance(self):
         speaker = FakeAgent(AgentKind.INFANT, [0.2, 0.2, 0.2, 0.2, 0.2], 500)
         listener = FakeAgent(AgentKind.PARENT, [0.7, 0.1, 0.1, 0.05, 0.05], 500)
-        out = run_round(speaker, listener, Condition.MHNG, Draws(6, 500))
+        out = run_round(speaker, listener, under(Condition.MHNG, 500), Draws(6, 500))
         shared = np.where(out.accepted, out.proposed_w, out.listener_own_w)
         assert np.array_equal(out.shared_w, shared)
         assert ((0.0 <= out.acceptance_prob) & (out.acceptance_prob <= 1.0)).all()
@@ -121,14 +126,14 @@ class TestRunRound:
     def test_parent_led_listener_parent_never_yields(self):
         infant = FakeAgent(AgentKind.INFANT, [0.2] * 5, 500)
         parent = FakeAgent(AgentKind.PARENT, [0.05, 0.05, 0.8, 0.05, 0.05], 500)
-        out = run_round(infant, parent, Condition.A_LED, Draws(7, 500))
+        out = run_round(infant, parent, under(Condition.A_LED, 500), Draws(7, 500))
         assert np.array_equal(out.shared_w, out.listener_own_w)
         assert np.array_equal(out.accepted, out.proposed_w == out.listener_own_w)
 
     def test_parent_led_listener_infant_always_accepts(self):
         parent = FakeAgent(AgentKind.PARENT, [0.05, 0.05, 0.8, 0.05, 0.05], 500)
         infant = FakeAgent(AgentKind.INFANT, [0.2] * 5, 500)
-        out = run_round(parent, infant, Condition.A_LED, Draws(8, 500))
+        out = run_round(parent, infant, under(Condition.A_LED, 500), Draws(8, 500))
         assert out.accepted.all() and (out.acceptance_prob == 1.0).all()
         assert np.array_equal(out.shared_w, out.proposed_w)
 
@@ -136,48 +141,63 @@ class TestRunRound:
         parent = FakeAgent(AgentKind.PARENT, [0.2] * 5, 500)
         infant = FakeAgent(AgentKind.INFANT, [0.8, 0.05, 0.05, 0.05, 0.05], 500)
         draws = Draws(9, 500)
-        out = run_round(parent, infant, Condition.B_LED, draws)
+        out = run_round(parent, infant, under(Condition.B_LED, 500), draws)
         assert np.array_equal(out.shared_w, out.listener_own_w)
-        out = run_round(infant, parent, Condition.B_LED, draws)
+        out = run_round(infant, parent, under(Condition.B_LED, 500), draws)
         assert np.array_equal(out.shared_w, out.proposed_w)
 
     def test_current_w_replaces_fresh_draw(self):
         speaker = FakeAgent(AgentKind.INFANT, [0.2] * 5)
         listener = FakeAgent(AgentKind.PARENT, [0.2] * 5)
-        out = run_round(speaker, listener, Condition.MHNG, Draws(10), current_w=at(3))
+        out = run_round(speaker, listener, under(Condition.MHNG), Draws(10), current_w=at(3))
         assert out.listener_own_w.tolist() == [3]
 
-    def test_draw_counts_per_condition(self):
-        # Fresh MHNG: speaker draw, listener draw, acceptance draw.
-        # One-sided rules decide deterministically, so two draws only.
+    def test_a_condition_in_place_of_codes_is_refused(self):
+        # The rules are tables indexed by each trial's code, so a Condition
+        # cannot pass for one and decide every trial by the wrong rule.
         speaker = FakeAgent(AgentKind.INFANT, [0.2] * 5)
         listener = FakeAgent(AgentKind.PARENT, [0.2] * 5)
-        for condition, n in ((Condition.MHNG, 3), (Condition.A_LED, 2)):
+        with pytest.raises(IndexError):
+            run_round(speaker, listener, Condition.MHNG, Draws(11))
+
+    def test_draw_counts_per_condition(self):
+        # Fresh: speaker draw, listener draw, acceptance draw, under every
+        # condition. A one-sided rule decides deterministically, so its
+        # trial's acceptance uniform decides nothing.
+        speaker = FakeAgent(AgentKind.INFANT, [0.2] * 5)
+        listener = FakeAgent(AgentKind.PARENT, [0.2] * 5)
+        for condition, n in ((Condition.MHNG, 3), (Condition.A_LED, 3), (Condition.B_LED, 3)):
             draws = Draws(11)
-            run_round(speaker, listener, condition, draws)
+            run_round(speaker, listener, under(condition), draws)
             assert draws.taken == n, condition
 
-    @pytest.mark.parametrize("condition", list(Condition))
+    @pytest.mark.parametrize("condition", [*Condition, "mixed"])
     @pytest.mark.parametrize("persistent", [False, True])
     def test_every_trial_equals_the_one_trial_round(self, condition, persistent):
         # Trials with their own posteriors and uniforms, against the
-        # one-trial oracle fed each trial's uniforms in the order drawn.
+        # one-trial oracle fed each trial's uniforms in the order drawn. A
+        # one-sided trial's acceptance uniform comes last and is left unread.
         rng = make_rng(12)
         trials = 300
+        if condition == "mixed":
+            conditions = [list(Condition)[k] for k in rng.integers(3, size=trials)]
+        else:
+            conditions = [condition] * trials
         speaker, listener = (FakeAgent(kind, [0.2] * 5, trials) for kind in AgentKind)
         for agent in (speaker, listener):
             agent._posterior = rng.dirichlet(np.full(5, 0.5), size=trials)
             agent._posterior[rng.random(trials) < 0.1, 2] = 0.0
         current = rng.integers(5, size=trials) if persistent else None
         u = rng.random((3, trials))
-        out = run_round(speaker, listener, condition, iter(u), current)
+        out = run_round(speaker, listener, condition_codes(conditions), iter(u), current)
         for t in range(trials):
             one = (FakeAgent(agent.kind, [0.2] * 5) for agent in (speaker, listener))
             one_speaker, one_listener = one
             one_speaker._posterior = speaker._posterior[t]
             one_listener._posterior = listener._posterior[t]
             own = None if current is None else current[t]
-            expect = oracles.run_round(one_speaker, one_listener, condition, Stream(u[:, t]), own)
+            stream = Stream(u[:, t])
+            expect = oracles.run_round(one_speaker, one_listener, conditions[t], stream, own)
             assert tuple(field[t] for field in out) == expect
 
 
@@ -191,13 +211,13 @@ class TestPersistentChain:
         chains = 100
         speaker = FakeAgent(AgentKind.INFANT, ps, chains)
         listener = FakeAgent(AgentKind.PARENT, pl, chains)
-        draws = Draws(12, chains, rounds=1000)
+        draws, mhng = Draws(12, chains, rounds=1000), under(Condition.MHNG, chains)
         current = np.zeros(chains, int)
         counts = np.zeros(5)
         burn = 500
         n = 500
         for i in range(burn + n):
-            out = run_round(speaker, listener, Condition.MHNG, draws, current_w=current)
+            out = run_round(speaker, listener, mhng, draws, current_w=current)
             current = out.shared_w
             if i >= burn:
                 counts += np.bincount(current, minlength=5)
@@ -215,7 +235,7 @@ def run_recorded(parent, infant, world, seed, trials=1, **kwargs):
         infant,
         world,
         np.full(trials, START),
-        Condition.MHNG,
+        under(Condition.MHNG, trials),
         Draws(seed, trials),
         on_round=lambda *args: seen.append(args),
         **kwargs,
@@ -244,7 +264,9 @@ class TestRunIteration:
         parent, infant = make_dyad(world, pref, trials=3)
         alpha_before = parent.obs_concentration.sum(axis=(1, 2))
         beta_before = infant.trans_concentration.sum(axis=(1, 2, 3))
-        run_iteration(parent, infant, world, np.full(3, START), Condition.MHNG, Draws(17, 3))
+        run_iteration(
+            parent, infant, world, np.full(3, START), under(Condition.MHNG, 3), Draws(17, 3)
+        )
         assert parent.obs_concentration.sum(axis=(1, 2)) == pytest.approx(alpha_before + 2.0)
         assert infant.trans_concentration.sum(axis=(1, 2, 3)) == pytest.approx(beta_before + 2.0)
 
@@ -283,7 +305,7 @@ class TestRunIteration:
                 infant,
                 world,
                 at(START),
-                Condition.MHNG,
+                under(Condition.MHNG),
                 draws,
                 current_w=at(0) if persist else None,
                 persist_w=persist,
@@ -296,15 +318,15 @@ class TestRunIteration:
             (Condition.MHNG, False, 2),
             (Condition.MHNG, True, 2),
             (Condition.A_LED, False, 2),
-            (Condition.A_LED, True, 1),
+            (Condition.A_LED, True, 2),
         ],
     )
     def test_efe_evaluations_per_round(
         self, world, pref, monkeypatch, condition, persist, per_round
     ):
-        # One symbol posterior per agent that a round reads: the speaker's,
-        # and the listener's only for a fresh draw or the MH test. Each
-        # evaluation serves every trial of the batch.
+        # One symbol posterior per agent a round: the speaker's, and the
+        # listener's, which every trial's MH test reads whatever its
+        # condition. Each evaluation serves every trial of the batch.
         calls = []
         for cls in (Agent, Infant):
             def counted(agent, efe=cls.efe_per_action):
@@ -320,7 +342,7 @@ class TestRunIteration:
                 infant,
                 world,
                 z,
-                condition,
+                under(condition, 3),
                 draws,
                 current_w=current_w if persist else None,
                 persist_w=persist,

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from dyadreg import dialogue, harness
 from dyadreg.agents import AgentKind, init_agent
 from dyadreg.config import MAX_WORKERS, ExperimentConfig
-from dyadreg.dialogue import CONDITION_NAMES, ROUND_ORDERS, Condition, DialogueOutcome
+from dyadreg.dialogue import CONDITION_NAMES, ROUND_ORDERS, DialogueOutcome, condition_codes
 from dyadreg.environment import Action, build_prior_preference, build_transition_model
 from dyadreg.harness import (
     CSV_HEADER,
@@ -45,7 +46,7 @@ def small_config(**changes):
 
 @pytest.fixture(scope="module")
 def mhng_log():
-    return run_trial(small_config(dump_beliefs=True), "mhng", [0])[0]
+    return run_trial(small_config(dump_beliefs=True), ["mhng"], [0])[0]
 
 
 class TestSeeds:
@@ -123,7 +124,7 @@ class TestRunTrial:
         z = np.full(3, START_STATE.flat)
         for _ in range(200):
             z, _ = dialogue.run_iteration(
-                parent, infant, world, z, Condition(condition), draws, round_order,
+                parent, infant, world, z, condition_codes([condition] * 3), draws, round_order,
                 on_round=on_round,
             )
         assert len(landed) == 400
@@ -141,24 +142,24 @@ class TestRunTrial:
         )
 
     def test_deterministic_per_seed(self):
-        a = run_trial(small_config(), "mhng", [0])[0]
-        b = run_trial(small_config(), "mhng", [0])[0]
+        a = run_trial(small_config(), ["mhng"], [0])[0]
+        b = run_trial(small_config(), ["mhng"], [0])[0]
         assert np.array_equal(a.rounds, b.rounds)
-        c = run_trial(small_config(), "mhng", [1])[0]
+        c = run_trial(small_config(), ["mhng"], [1])[0]
         assert not np.array_equal(c.rounds, a.rounds)
 
     def test_start_state(self):
         assert (START_STATE.x, START_STATE.y) == (2, 2)
 
     def test_persistent_mode_threads_symbols(self):
-        log = run_trial(small_config(mh_current_w="persistent"), "mhng", [0])[0]
+        log = run_trial(small_config(mh_current_w="persistent"), ["mhng"], [0])[0]
         # From the second round on, the listener's standing symbol is the
         # previous round's agreement, across iteration boundaries too.
         for prev, curr in zip(log.rounds, log.rounds[1:]):
             assert curr["listener_own_w"] == prev["shared_w"]
 
     def test_parent_led_overrides(self):
-        log = run_trial(small_config(conditions=("a-led",)), "a-led", [0])[0]
+        log = run_trial(small_config(conditions=("a-led",)), ["a-led"], [0])[0]
         for r in log.rounds:
             if r["speaker"] == "infant":
                 assert r["shared_w"] == r["listener_own_w"]
@@ -191,7 +192,7 @@ class TestTrialCsv:
     def test_bytes_equal_the_csv_writer(self, condition, tmp_path):
         # The line template against the csv module's rows of _fmt cells,
         # with exact-zero, one and subnormal cells in every float column.
-        log = run_trial(small_config(), condition, [0])[0]
+        log = run_trial(small_config(), [condition], [0])[0]
         for name in ("acceptance_prob", "c_norm", "jsd_z", "kld_A", "kld_B_sleep"):
             log.rounds[name][:4] = (0.0, 1.0, 5e-324, 2.5e-310)
         write_trial_csv(log, tmp_path / "fast.csv")
@@ -234,7 +235,7 @@ class TestSleepOnlyKldB:
             return dialogue.run_iteration(parent, infant, world, *args, on_round=record, **kwargs)
 
         monkeypatch.setattr(harness, "run_iteration", run_iteration)
-        log = run_trial(small_config(iterations=120), "mhng", [0])[0]
+        log = run_trial(small_config(iterations=120), ["mhng"], [0])[0]
         assert actions[0] == Action.SLEEP
         assert 0 < actions.count(Action.SLEEP) < len(actions)
         assert log.rounds["kld_B_sleep"].tobytes() == np.array(every_round).tobytes()
@@ -271,7 +272,7 @@ class TestColumnsDerivedAfterTheLoop:
             return dialogue.run_iteration(parent, infant, world, *args, on_round=record, **kwargs)
 
         monkeypatch.setattr(harness, "run_iteration", run_iteration)
-        rounds = run_trial(config, condition, [0])[0].rounds
+        rounds = run_trial(config, [condition], [0])[0].rounds
         speaker, true_x, true_y, c_norm, jsd_z = map(np.array, zip(*seen))
         assert rounds["speaker"].tolist() == speaker.tolist()
         assert np.array_equal(rounds["true_x"], true_x)
@@ -282,11 +283,20 @@ class TestColumnsDerivedAfterTheLoop:
 
 class TestBatchReferee:
     """A trial's artifacts do not depend on the batch it ran in: a batch of
-    one and a batch of several give the same bytes."""
+    one and a batch of several, of one condition or of all three, give the
+    same bytes."""
 
     @staticmethod
     def files(log, out):
+        out.mkdir()
         return [(out / name).read_bytes() for name in write_trial_files(log, out, True)]
+
+    def assert_alone_equals(self, config, batch, out):
+        """Each log of `batch` against its trial run as a batch of one."""
+        for k, log in enumerate(batch):
+            (alone,) = run_trial(config, [log.condition], [log.trial_index])
+            assert (alone.seed, alone.condition) == (log.seed, log.condition)
+            assert self.files(alone, out / f"alone{k}") == self.files(log, out / f"batch{k}")
 
     @pytest.mark.parametrize("preference_mode", ["linear", "softmax"])
     @pytest.mark.parametrize("mh_current_w", ["fresh", "persistent"])
@@ -301,19 +311,92 @@ class TestBatchReferee:
             mh_current_w=mh_current_w,
             preference_mode=preference_mode,
         )
-        batch = run_trial(config, condition, range(4))
+        batch = run_trial(config, [condition] * 4, range(4))
         assert [log.trial_index for log in batch] == [0, 1, 2, 3]
-        for t, log in enumerate(batch):
-            (alone,) = run_trial(config, condition, [t])
-            assert (alone.seed, alone.trial_index) == (log.seed, t)
-            (tmp_path / f"alone{t}").mkdir()
-            (tmp_path / f"batch{t}").mkdir()
-            assert self.files(alone, tmp_path / f"alone{t}") == self.files(log, tmp_path / f"batch{t}")
+        self.assert_alone_equals(config, batch, tmp_path)
 
-    def test_two_workers_split_each_condition_into_two_batches(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("preference_mode", ["linear", "softmax"])
+    @pytest.mark.parametrize("mh_current_w", ["fresh", "persistent"])
+    @pytest.mark.parametrize("round_order", ROUND_ORDERS)
+    def test_a_mixed_batch_equals_batches_of_one(
+        self, tmp_path, round_order, mh_current_w, preference_mode
+    ):
+        # All three conditions, two trials each, advance through each round
+        # together: the MH trials take the acceptance rule, the others the
+        # one-sided rule, and each its own uniforms.
+        config = small_config(
+            conditions=CONDITION_NAMES,
+            iterations=25,
+            round_order=round_order,
+            mh_current_w=mh_current_w,
+            preference_mode=preference_mode,
+        )
+        conditions = [cond for cond in CONDITION_NAMES for _ in range(2)]
+        batch = run_trial(config, conditions, [0, 1] * 3)
+        assert [(log.condition, log.trial_index) for log in batch] == [
+            (cond, t) for cond in CONDITION_NAMES for t in (0, 1)
+        ]
+        assert all((log.rounds["condition"] == log.condition).all() for log in batch)
+        self.assert_alone_equals(config, batch, tmp_path)
+
+    def test_a_condition_name_is_not_a_list_of_conditions(self):
+        with pytest.raises(ValueError, match="'m' is not a valid Condition"):
+            run_trial(small_config(), "mhng", [0])
+
+    @pytest.mark.parametrize("mh_current_w", ["fresh", "persistent"])
+    def test_a_one_sided_trial_draws_in_a_mixed_batch_what_it_draws_alone(
+        self, monkeypatch, mh_current_w
+    ):
+        # Every uniform row the round path takes, and every trial's
+        # generator: a one-sided trial skips its rounds' MH rows and draws
+        # from its generator exactly the uniforms it reads, as it does alone.
+        config = small_config(iterations=25, mh_current_w=mh_current_w)
+
+        def run(conditions, trials):
+            rows, generators = [], []
+            make_rng, run_iteration = dialogue.make_rng, harness.run_iteration
+
+            def keep(seed):
+                generators.append(make_rng(seed))
+                return generators[-1]
+
+            def recording(*args, **kwargs):
+                draws = map(lambda row: rows.append(row.copy()) or row, args[5])
+                return run_iteration(*args[:5], draws, *args[6:], **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(dialogue, "make_rng", keep)
+                patch.setattr(harness, "run_iteration", recording)
+                logs = run_trial(config, conditions, trials)
+            return np.array(rows), generators, logs
+
+        mixed, generators, logs = run(["mhng", "a-led", "b-led", "a-led"], [0, 0, 0, 1])
+        rounds = 2 * config.iterations
+        widths = [4] + [3 if mh_current_w == "persistent" else 4] * (rounds - 1)
+        mh_rows = np.cumsum(widths) - 2
+        assert len(mixed) == sum(widths)
+
+        def state_after(seed, k):
+            rng = make_rng(seed)
+            return rng.random(k), rng.bit_generator.state
+
+        drawn, state = state_after(logs[0].seed, len(mixed))
+        assert mixed[:, 0].tobytes() == drawn.tobytes()
+        assert generators[0].bit_generator.state == state
+        for t in (1, 2, 3):
+            alone, alone_generators, _ = run([logs[t].condition], [logs[t].trial_index])
+            assert alone[:, 0].tobytes() == mixed[:, t].tobytes()
+            drawn, state = state_after(logs[t].seed, len(mixed) - rounds)
+            assert np.delete(mixed[:, t], mh_rows).tobytes() == drawn.tobytes()
+            assert generators[t].bit_generator.state == state
+            assert alone_generators[0].bit_generator.state == state
+
+    def test_a_run_split_into_two_batches_of_pairs_equals_a_serial_run(
+        self, tmp_path, monkeypatch
+    ):
         # A stand-in pool runs the jobs in order in this process, as
-        # --workers 2 would in two: each condition's five trials as the
-        # batches [0, 1, 2] and [3, 4].
+        # --workers 2 would in two: the run's 15 (condition, trial) pairs,
+        # condition-major, as the contiguous batches of 8 and 7 pairs.
         batches = []
 
         class InlinePool:
@@ -337,10 +420,33 @@ class TestBatchReferee:
         )
         serial = run_experiment(config.replaced(out_dir=str(tmp_path / "serial")))
         split = run_experiment(config.replaced(out_dir=str(tmp_path / "split"), workers=2))
-        assert batches == [(c, b) for c in CONDITION_NAMES for b in ([0, 1, 2], [3, 4])]
+        pairs = [(c, t) for c in CONDITION_NAMES for t in range(5)]
+        assert [list(zip(*batch)) for batch in batches] == [pairs[:8], pairs[8:]]
         assert split.artifacts == serial.artifacts
         for rel in serial.artifacts:
             assert (tmp_path / "split" / rel).read_bytes() == (tmp_path / "serial" / rel).read_bytes()
+
+    def test_a_mixed_batch_of_thirty_stays_within_its_memory(self):
+        # One 30-trial mixed batch of 60 iterations holds 30 infants' counts,
+        # 52 KB each, the parents' maps, the uniforms and the record. Its
+        # all-column work from the uniform start runs one trial at a time,
+        # so the peak of what numpy allocates stays below 4,915 KiB: about
+        # 4,340 KiB, and 5,030 KiB with that work batched for the whole
+        # batch. A warm-up call first fills every cache.
+        config = ExperimentConfig(iterations=60, mh_current_w="persistent")
+        conditions = [cond for cond in config.conditions for _ in range(10)]
+        trials = [*range(10)] * len(config.conditions)
+        env = build_world(config)
+        run_trial(config, conditions, trials, env)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            logs = run_trial(config, conditions, trials, env)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(logs) == 30
+        assert (peak - start) / 1024 <= 4915
 
 
 def trap_lines(rows, row, cells):
@@ -456,7 +562,7 @@ class TestBeliefsCsv:
     def test_bytes_equal_the_csv_writer(self, tmp_path):
         # The per-row template against the csv module's rows of _fmt cells,
         # with one-hot, uniform and exact-zero rows.
-        log = run_trial(small_config(dump_beliefs=True), "mhng", [0])[0]
+        log = run_trial(small_config(dump_beliefs=True), ["mhng"], [0])[0]
         log.parent_round_beliefs[:3] = np.eye(36)[[0, 35, 7]]
         log.parent_round_beliefs[3] = np.full(36, 1.0 / 36)
         write_beliefs_csv(log, tmp_path / "fast.csv")
@@ -465,7 +571,7 @@ class TestBeliefsCsv:
 
     @pytest.mark.parametrize("condition", CONDITION_NAMES)
     def test_bytes_equal_the_generic_writer(self, condition, tmp_path):
-        log = run_trial(small_config(dump_beliefs=True), condition, [0])[0]
+        log = run_trial(small_config(dump_beliefs=True), [condition], [0])[0]
         write_beliefs_csv(log, tmp_path / "fast.csv")
         write_beliefs_csv_generic(log, tmp_path / "generic.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
@@ -476,7 +582,7 @@ class TestBeliefsCsv:
         # Every trial records the parent's beliefs; the flag only decides
         # whether a run writes them.
         write_beliefs_csv(mhng_log, tmp_path / "dump.csv")
-        write_beliefs_csv(run_trial(small_config(), "mhng", [0])[0], tmp_path / "plain.csv")
+        write_beliefs_csv(run_trial(small_config(), ["mhng"], [0])[0], tmp_path / "plain.csv")
         assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "dump.csv").read_bytes()
 
     def test_rejects_foreign_header(self, tmp_path):
@@ -566,10 +672,10 @@ class TestLoadersEqualTheOracles:
     @pytest.mark.parametrize("condition", CONDITION_NAMES)
     def test_every_condition_and_order(self, tmp_path, condition, round_order, mh_current_w):
         config = small_config(round_order=round_order, mh_current_w=mh_current_w)
-        self.assert_same_bytes(run_trial(config, condition, [3])[0], tmp_path)
+        self.assert_same_bytes(run_trial(config, [condition], [3])[0], tmp_path)
 
     def test_exact_zeros_and_subnormal_cells(self, tmp_path):
-        log = run_trial(small_config(), "mhng", [0])[0]
+        log = run_trial(small_config(), ["mhng"], [0])[0]
         beliefs = log.parent_round_beliefs
         beliefs[:4] = np.eye(36)[[0, 35, 7, 12]]
         beliefs[0, 1:4] = [5e-324, 2.5e-310, np.finfo(float).smallest_normal]
@@ -590,7 +696,7 @@ class TestBuildWorld:
 class TestSummary:
     def test_windows_present_when_long_enough(self):
         cfg = small_config(iterations=60)
-        logs = run_trial(cfg, "mhng", [0])
+        logs = run_trial(cfg, ["mhng"], [0])
         summary = build_summary(cfg, logs)
         entry = summary["conditions"]["mhng"]["trials"][0]
         assert {"jsd_median", "auc_original", "auc_shuffled"} <= set(entry)
@@ -598,13 +704,13 @@ class TestSummary:
 
     def test_windows_absent_when_short(self):
         cfg = small_config(iterations=30)
-        summary = build_summary(cfg, run_trial(cfg, "mhng", [0]))
+        summary = build_summary(cfg, run_trial(cfg, ["mhng"], [0]))
         entry = summary["conditions"]["mhng"]["trials"][0]
         assert "auc_original" not in entry
 
     def test_shuffled_auc_uses_mean_of_permutations(self):
         cfg = small_config(iterations=60)
-        log = run_trial(cfg, "mhng", [0])[0]
+        log = run_trial(cfg, ["mhng"], [0])[0]
         one = build_summary(cfg, [log])["conditions"]["mhng"]["trials"][0]
         many_cfg = cfg.replaced(shuffle_permutations=4)
         many = build_summary(many_cfg, [log])["conditions"]["mhng"]["trials"][0]
@@ -613,7 +719,7 @@ class TestSummary:
 
     def test_kld_snapshots(self):
         cfg = small_config(iterations=25)
-        summary = build_summary(cfg, run_trial(cfg, "mhng", [0]))
+        summary = build_summary(cfg, run_trial(cfg, ["mhng"], [0]))
         snaps = summary["conditions"]["mhng"]["kld_snapshots"]
         assert set(snaps) == {"kld_A", "kld_B_sleep"}
         assert snaps["kld_A"]["first"] > snaps["kld_A"]["last"]

@@ -10,7 +10,8 @@ preallocated record. The functions
 every round calls raise nothing: their inputs were checked where they
 entered the program. Nor do they call a numpy reduction or function through
 its Python-level wrapper. Each call of the round path serves a whole batch
-of trials, so a batch costs the calls of one trial. Each kind of agent is
+of trials, so a batch costs the calls of one trial, and a serial run is one
+batch. Each kind of agent is
 its own class, so no function in agents.py asks an agent for its kind.
 """
 
@@ -96,6 +97,7 @@ ROUND_PATH = {
         "Infant.symbol_posterior",
         "Infant.assimilate",
         "Infant.learn_B",
+        "Infant._count",
     ),
 }
 
@@ -177,16 +179,23 @@ def test_run_trial_writes_each_round_in_place():
     assert calls == []
 
 
-def test_a_batch_calls_run_iteration_once_per_iteration(monkeypatch):
-    # Three trials advance together: one call per iteration, not per trial.
-    calls = []
-    run_iteration = harness.run_iteration
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return run_iteration(*args, **kwargs)
+def test_a_run_at_one_worker_is_one_batch(monkeypatch, tmp_path):
+    # Every (condition, trial) pair of the run advances together: one
+    # run_trial call, and one run_iteration call per iteration.
+    calls = {"run_trial": 0, "run_iteration": 0}
 
-    monkeypatch.setattr(harness, "run_iteration", counted)
-    config = ExperimentConfig(conditions=("mhng",), trials=3, iterations=7, seed=5)
-    logs = harness.run_trial(config, "mhng", range(3))
-    assert len(calls) == 7
-    assert [log.trial_index for log in logs] == [0, 1, 2]
+    def counted(name):
+        original = getattr(harness, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counted(name))
+    config = ExperimentConfig(trials=3, iterations=7, seed=5, out_dir=str(tmp_path))
+    manifest = harness.run_experiment(config)
+    assert calls == {"run_trial": 1, "run_iteration": 7}
+    assert len(manifest.trial_seeds) == 3

@@ -21,8 +21,9 @@ from dyadreg.metrics import (
     kld_B_error,
     shuffle_control,
 )
-from dyadreg.probability import make_rng
-from oracles import column_kls, js_divergence, kl_divergence, learned_dynamics, mean_column_kl
+from dyadreg.probability import KL_FLOOR, make_rng
+from oracles import column_kls, floored_kld_A, js_divergence, kl_divergence, learned_dynamics
+from oracles import mean_column_kl
 from oracles import jsd_latent as scalar_jsd_latent
 
 
@@ -108,6 +109,20 @@ class TestModelErrors:
         parent.learn_A(rng.dirichlet(np.ones(N_STATES), size=20), rng.integers(N_STATES, size=20))
         each = [kld_A_error(sensory) for sensory in parent.A]
         assert kld_A_error(parent.A).tolist() == each
+
+    @pytest.mark.parametrize("prior", [1.0 / N_STATES, 1e-300])
+    def test_kld_A_skips_the_floor_with_the_floored_bits(self, world, pref, prior):
+        # kld_A_error copies the map floored at KL_FLOOR only when a cell
+        # lies below the floor; above it, it reads the map itself, in the
+        # parent's layout (a transposed view), as it read the floored copy.
+        parent = init_agent(AgentKind.PARENT, world, pref, prior, trials=8)
+        rng = make_rng(67)
+        for _ in range(30):
+            parent.learn_A(rng.dirichlet(np.ones(N_STATES), size=8), rng.integers(N_STATES, size=8))
+        assert (parent.A < KL_FLOOR).any() == (prior < KL_FLOOR)
+        floored = np.maximum(parent.A, KL_FLOOR)
+        assert floored.strides == parent.A.strides
+        assert kld_A_error(parent.A).tobytes() == floored_kld_A(floored).tobytes()
 
     def test_fresh_infant_sleep_error(self, world, pref):
         # 12 rail columns are one-hot (KL = ln 36), the other 24 hold the

@@ -133,7 +133,8 @@ def run_iteration(
     round_order: str = "infant-first",
     current_w: Optional[np.ndarray] = None,
     persist_w: bool = False,
-    on_round: Optional[Callable] = None,
+    *,
+    on_round: Callable,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two rounds with swapped speakers, in the order ROUND_SPEAKERS gives
     for round_order, each trial under its condition code, each round
@@ -144,9 +145,9 @@ def run_iteration(
     state (emission is the identity, so the cue is the state's flat index),
     and each learns. With persist_w the agreed symbol carries over as the
     listener's stance for the next round and iteration; otherwise every
-    round starts from a fresh draw. on_round fires after learning, once per
-    round, with the speaker, the outcome, the landing states and whether
-    each trial's rare branch fired.
+    round starts from a fresh draw. on_round, which every caller passes,
+    fires after learning, once per round, with the speaker, the outcome,
+    the landing states and whether each trial's rare branch fired.
     """
     for kind in ROUND_SPEAKERS[round_order]:
         speaker, listener = (parent, infant) if kind is AgentKind.PARENT else (infant, parent)
@@ -162,6 +163,5 @@ def run_iteration(
         infant.learn_B(prev_state, z, action)
         if persist_w:
             current_w = action
-        if on_round is not None:
-            on_round(speaker, outcome, z, rare == 1)
+        on_round(speaker, outcome, z, rare == 1)
     return z, outcome.shared_w

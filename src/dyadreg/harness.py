@@ -108,18 +108,18 @@ def build_world(config: ExperimentConfig):
     return world, pref
 
 
-def run_trial(config: ExperimentConfig, conditions, trials, env=None) -> list:
+def run_trial(config: ExperimentConfig, conditions, trials) -> list:
     """The seeded trials `trials`, trial trials[i] under conditions[i], run
-    as one batch: each `iterations` two-round exchanges from the fixed start
-    state. Returns their TrialLogs in that order; a trial's log does not
-    depend on its batch. `env` is build_world(config), built unless given.
+    as one batch in the world build_world(config) builds: each `iterations`
+    two-round exchanges from the fixed start state. Returns their TrialLogs
+    in that order; a trial's log does not depend on its batch.
 
     Each round writes its cells into the record in place: the outcome, the
     parent's beliefs, the landing states and the two model errors. The
     other columns are derived after the last round."""
     codes = condition_codes(conditions)
     names = [CONDITION_NAMES[code] for code in codes]
-    world, pref = build_world(config) if env is None else env
+    world, pref = build_world(config)
     count, n = len(names), 2 * config.iterations
     seeds = list(map(trial_seed, [config.seed] * count, names, trials))
     persist = config.mh_current_w == "persistent"
@@ -135,19 +135,17 @@ def run_trial(config: ExperimentConfig, conditions, trials, env=None) -> list:
     row = 0
     # A round's learning renews the acted source columns its belief before
     # the round weighs: all 36 from the uniform start, one from a sensed
-    # state. So a trial's Sleep error moves only after a Sleep round.
+    # state, the round before's landing state. So the first round renews
+    # every trial's Sleep KLs, and a later round those of its Sleep trials.
     sleep_kls = np.empty((count, N_STATES))
-    counts = infant.trans_concentration
-    kld_B_sleep = kld_B_error(world.tensor, counts, Action.SLEEP, sleep_kls, np.arange(count))
-    prior = infant.state
 
     def on_round(speaker, outcome, z, rare):
-        nonlocal row, kld_B_sleep, prior
-        slept = (outcome.shared_w == Action.SLEEP).nonzero()[0]
-        if slept.size:
-            learned = None if prior is None else prior[slept]
-            kld_B_sleep = kld_B_error(world.tensor, counts, Action.SLEEP, sleep_kls, slept, learned)
-        prior = infant.state
+        nonlocal row
+        renewed = (outcome.shared_w == Action.SLEEP).nonzero()[0] if row else np.arange(count)
+        learned = states[renewed, row - 1] if row else None
+        kld_B_sleep = kld_B_error(
+            world.tensor, infant.trans_concentration, Action.SLEEP, sleep_kls, renewed, learned
+        )
         parent_round_beliefs[:, row] = parent.belief
         states[:, row] = z
         values = (*outcome, rare, kld_A_error(parent.A), kld_B_sleep)
@@ -161,7 +159,7 @@ def run_trial(config: ExperimentConfig, conditions, trials, env=None) -> list:
             parent, infant, world, z, codes, draws, config.round_order, current_w, persist,
             on_round=on_round,
         )
-    del parent, infant, counts, draws  # the derived columns below reuse their memory
+    del parent, infant, draws  # the derived columns below reuse their memory
     index = np.arange(n)
     rounds["condition"] = np.array(names).reshape(count, 1)
     rounds["trial"] = np.array(trials).reshape(count, 1)
@@ -545,16 +543,13 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     t0 = time.perf_counter()
     out = Path(config.out_dir)
     _remove_previous_run(out)
-    env = build_world(config)
     # The run's (condition, trial) pairs in min(workers, pairs) contiguous
     # batches, condition-major and trial-ascending, so the logs keep the
-    # serial order.
+    # serial order. Each batch builds its own world.
     pairs = [(cond, t) for cond in config.conditions for t in range(config.trials)]
     batches = np.array_split(np.arange(len(pairs)), min(config.workers, len(pairs)))
-    jobs = [
-        (config, [pairs[i][0] for i in b], [pairs[i][1] for i in b], env) for b in batches
-    ]
-    workers = min(config.workers, len(jobs))
+    jobs = [(config, [pairs[i][0] for i in b], [pairs[i][1] for i in b]) for b in batches]
+    workers = len(jobs)
     if workers > 1:
         # Imported only for a pool: with multiprocessing, socket and logging
         # it would add 15-20 ms to every start-up, serial runs included.

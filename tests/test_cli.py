@@ -192,6 +192,31 @@ class TestShuffleControl:
         assert override["permutation_seed"] == 123
         assert override["auc_original"] == base["auc_original"]
 
+    def test_agrees_with_the_summary_to_the_dumps_precision(self, tmp_path, capsys):
+        # The run computes summary.json's numbers from the beliefs it holds,
+        # and shuffle-control from the dump's 9 significant digits, each row
+        # renormalised: the same numbers to within 1e-8, not bit for bit.
+        out = tmp_path / "run"
+        args = ("--trials", "3", "--iterations", "60", "--seed", "1", "--dump-beliefs")
+        assert run_cli("run", *args, "--out", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())["conditions"]
+        capsys.readouterr()
+        pairs = [("auc_original", "auc_original"), ("auc_shuffled", "auc_shuffled"),
+                 ("jsd_median_original", "jsd_median")]
+        checked = 0
+        for condition, entry in summary.items():
+            for trial in entry["trials"]:
+                index = str(trial["trial"])
+                argv = ("--run", str(out), "--condition", condition, "--trial-index", index)
+                assert run_cli("shuffle-control", *argv) == 0
+                printed = json.loads(capsys.readouterr().out)
+                for cli_key, summary_key in pairs:
+                    assert abs(printed[cli_key] - trial[summary_key]) <= 1e-8, (
+                        condition, index, cli_key
+                    )
+                checked += 1
+        assert checked == 9
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_the_run_seed_range_is_refused(self, tmp_path, capsys, seed):
         # Checked before any file is read: the run directory does not exist.

@@ -36,6 +36,10 @@ def at(*values):
     return np.array(values)
 
 
+def ignore(*seen):
+    """An on_round hook that keeps nothing."""
+
+
 def under(condition, trials=1):
     """The condition codes of a batch whose trials all run under `condition`."""
     return condition_codes([condition] * trials)
@@ -265,7 +269,8 @@ class TestRunIteration:
         alpha_before = parent.obs_concentration.sum(axis=(1, 2))
         beta_before = infant.trans_concentration.sum(axis=(1, 2, 3))
         run_iteration(
-            parent, infant, world, np.full(3, START), under(Condition.MHNG, 3), Draws(17, 3)
+            parent, infant, world, np.full(3, START), under(Condition.MHNG, 3), Draws(17, 3),
+            on_round=ignore,
         )
         assert parent.obs_concentration.sum(axis=(1, 2)) == pytest.approx(alpha_before + 2.0)
         assert infant.trans_concentration.sum(axis=(1, 2, 3)) == pytest.approx(beta_before + 2.0)
@@ -309,6 +314,7 @@ class TestRunIteration:
                 draws,
                 current_w=at(0) if persist else None,
                 persist_w=persist,
+                on_round=ignore,
             )
             assert draws.taken == n, persist
 
@@ -346,5 +352,6 @@ class TestRunIteration:
                 draws,
                 current_w=current_w if persist else None,
                 persist_w=persist,
+                on_round=ignore,
             )
         assert len(calls) == 10 * per_round

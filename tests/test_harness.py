@@ -218,27 +218,35 @@ class TestTrialCsv:
 
 
 class TestSleepOnlyKldB:
-    def test_equals_recomputing_every_round(self, monkeypatch):
-        # The trial's first round is Sleep, learned from the infant's
-        # uniform start belief, so every column's KL is renewed once; the
-        # later Sleep rounds renew one column each.
-        every_round, actions = [], []
+    @pytest.mark.parametrize("mh_current_w", ["fresh", "persistent"])
+    @pytest.mark.parametrize("round_order", ROUND_ORDERS)
+    def test_equals_recomputing_every_round(self, monkeypatch, round_order, mh_current_w):
+        # The first round learns from the infant's uniform start belief and
+        # renews every Sleep column of every trial: mhng trial 0 and b-led
+        # trial 1 sleep in it under either round order, so theirs come from
+        # the learned counts, and a-led trial 0 does not, so its columns keep
+        # the prior's. Each later Sleep round renews one column per Sleep trial.
+        sleep = Action.SLEEP
+        every_round, slept = [], []
 
         def run_iteration(parent, infant, world, *args, on_round, **kwargs):
             def record(speaker, outcome, z, rare):
-                sleep = Action.SLEEP
-                learned_sleep = learned_dynamics(infant)[0, :, :, sleep]
-                every_round.append(mean_column_kl(world.tensor[:, :, sleep], learned_sleep))
-                actions.append(outcome.shared_w[0])
+                learned_sleep = learned_dynamics(infant)[..., sleep]
+                true_sleep = world.tensor[:, :, sleep]
+                every_round.append([mean_column_kl(true_sleep, q) for q in learned_sleep])
+                slept.append(outcome.shared_w == sleep)
                 on_round(speaker, outcome, z, rare)
 
             return dialogue.run_iteration(parent, infant, world, *args, on_round=record, **kwargs)
 
         monkeypatch.setattr(harness, "run_iteration", run_iteration)
-        log = run_trial(small_config(iterations=120), ["mhng"], [0])[0]
-        assert actions[0] == Action.SLEEP
-        assert 0 < actions.count(Action.SLEEP) < len(actions)
-        assert log.rounds["kld_B_sleep"].tobytes() == np.array(every_round).tobytes()
+        config = small_config(iterations=120, round_order=round_order, mh_current_w=mh_current_w)
+        logs = run_trial(config, CONDITION_NAMES, [0, 0, 1])
+        assert slept[0].tolist() == [True, False, True]
+        assert all(0 < n < len(slept) - 1 for n in np.sum(slept[1:], axis=0))
+        recomputed = np.array(every_round).T
+        for log, expected in zip(logs, recomputed):
+            assert log.rounds["kld_B_sleep"].tobytes() == expected.tobytes()
 
 
 class TestColumnsDerivedAfterTheLoop:
@@ -427,21 +435,20 @@ class TestBatchReferee:
             assert (tmp_path / "split" / rel).read_bytes() == (tmp_path / "serial" / rel).read_bytes()
 
     def test_a_mixed_batch_of_thirty_stays_within_its_memory(self):
-        # One 30-trial mixed batch of 60 iterations holds 30 infants' counts,
-        # 52 KB each, the parents' maps, the uniforms and the record. Its
-        # all-column work from the uniform start runs one trial at a time,
-        # so the peak of what numpy allocates stays below 4,915 KiB: about
-        # 4,340 KiB, and 5,030 KiB with that work batched for the whole
-        # batch. A warm-up call first fills every cache.
+        # One 30-trial mixed batch of 60 iterations holds its world, 30
+        # infants' counts, 52 KB each, the parents' maps, the uniforms and
+        # the record. Its all-column work from the uniform start runs one
+        # trial at a time, so the peak of what numpy allocates stays below
+        # 4,915 KiB: about 4,390 KiB, and 5,120 KiB with learn_B's counting
+        # batched for the whole batch. A warm-up call first fills every cache.
         config = ExperimentConfig(iterations=60, mh_current_w="persistent")
         conditions = [cond for cond in config.conditions for _ in range(10)]
         trials = [*range(10)] * len(config.conditions)
-        env = build_world(config)
-        run_trial(config, conditions, trials, env)
+        run_trial(config, conditions, trials)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            logs = run_trial(config, conditions, trials, env)
+            logs = run_trial(config, conditions, trials)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -897,7 +904,7 @@ class TestRunExperiment:
         assert sizes == started
 
     def test_world_is_built_once_per_run(self, tmp_path, monkeypatch):
-        # Every trial of a run shares the world the run built.
+        # Each batch builds its world, and a serial run is one batch.
         built = []
 
         def counting_build_world(config):

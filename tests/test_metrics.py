@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,27 @@ class TestModelErrors:
         counts = world.tensor.transpose(1, 2, 0)[None]
         (v,) = kld_B_error(world.tensor, counts, Action.SLEEP, kls, np.arange(1))
         assert v == pytest.approx(0.0, abs=1e-9)
+
+    def test_the_all_column_sleep_error_of_thirty_trials_stays_within_its_memory(
+        self, world, pref
+    ):
+        # A batch's first round renews every Sleep column of every trial.
+        # One trial at a time, no temporary holds the batch's columns: the
+        # peak above the start reads about 35 KiB, and about 970 KiB with
+        # the 30 trials' columns gathered at once. A warm-up call first
+        # fills every cache.
+        infant = init_agent(AgentKind.INFANT, world, pref, trials=30)
+        counts, kls = infant.trans_concentration, np.empty((30, N_STATES))
+        kld_B_error(world.tensor, counts, Action.SLEEP, kls, np.arange(30))
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            errors = kld_B_error(world.tensor, counts, Action.SLEEP, kls, np.arange(30))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert errors.shape == (30,)
+        assert (peak - start) / 1024 <= 256
 
     def test_sleep_error_by_column_equals_kld_B_error(self, world, pref):
         # A seeded run of rounds for a batch of infants, about half of each

@@ -23,7 +23,7 @@ from .environment import (
     TransitionModel,
     preferred_obs_distribution,
 )
-from .probability import KL_FLOOR, digamma, softmax_neg
+from .probability import KL_FLOOR, column_kl, digamma, kl_terms, softmax_neg
 
 # Flat Dirichlet concentration of every learned cell: 1/36 per cell gives
 # each 36-cell column a total prior weight of one observation (Perks'
@@ -81,22 +81,6 @@ def update_belief(belief_pred: np.ndarray, sensory: np.ndarray, obs: np.ndarray)
     return np.divide(post, np.add.reduce(post, axis=1, keepdims=True), out=post)
 
 
-def _risk_terms(q_obs: np.ndarray, log_pref: np.ndarray) -> np.ndarray:
-    """q_obs * (log q_obs - log_pref) cell by cell, with log_pref shaped to
-    broadcast along the observation axis. Summed over that axis in order,
-    each distribution gives its KL to the comfort distribution."""
-    terms = np.log(q_obs, out=np.zeros(q_obs.shape), where=q_obs > 0.0)
-    terms -= log_pref
-    terms *= q_obs
-    return terms
-
-
-def _column_risk(columns: np.ndarray, log_pref: np.ndarray) -> np.ndarray:
-    """The KL of each distribution along the last axis of `columns` to the
-    comfort distribution, its cells summed in order."""
-    return _risk_terms(columns, log_pref).cumsum(axis=-1)[..., -1]
-
-
 class Agent:
     """The parent in each of a batch of trials. It knows the dynamics
     B[z', z, a], filters a belief over the latent states, and learns its
@@ -131,7 +115,7 @@ class Agent:
         Dirichlet, weighted by the one-step prediction, plus risk, the KL from
         the predicted observation distribution to the comfort distribution."""
         q_pred = np.matmul(self.belief[:, None, :], self._B_rows).reshape(-1, N_STATES, N_ACTIONS)
-        risk = np.add.reduce(_risk_terms(self.A @ q_pred, self._log_pref[:, None]), axis=1)
+        risk = np.add.reduce(kl_terms(self.A @ q_pred, self._log_pref[:, None]), axis=1)
         return np.matmul(self._sensory_entropy[:, None, :], q_pred)[:, 0] + risk
 
     def symbol_posterior(self) -> np.ndarray:
@@ -191,9 +175,9 @@ class Infant:
         uniform = np.full((1, N_STATES), 1.0 / N_STATES)
         for counts, risk, start in zip(concentration, self._risk, self._start_efe):
             mean = counts / counts.cumsum(axis=-1)[..., -1:]
-            risk[:] = _column_risk(mean, self._log_pref)
+            risk[:] = column_kl(mean, self._log_pref)
             q_pred = uniform.dot(mean.reshape(N_STATES, -1)).reshape(N_ACTIONS, N_STATES)
-            start[:] = _column_risk(q_pred, self._log_pref)
+            start[:] = column_kl(q_pred, self._log_pref)
 
     def assimilate(self, action: np.ndarray, obs: np.ndarray) -> tuple:
         """Adopt each trial's cue as its state; returns the previous and the new."""
@@ -228,7 +212,7 @@ class Infant:
         counts[trials, sources, action, obs] += weight
         columns = counts[trials, sources, action]
         columns /= columns.cumsum(axis=-1)[..., -1:]
-        self._risk[trials, sources, action] = _column_risk(columns, self._log_pref)
+        self._risk[trials, sources, action] = column_kl(columns, self._log_pref)
 
 
 def init_agent(

@@ -136,18 +136,25 @@ def run_trial(config: ExperimentConfig, conditions, trials) -> list:
     # A round's learning renews the acted source columns its belief before
     # the round weighs: all 36 from the uniform start, one from a sensed
     # state, the round before's landing state. So the first round renews
-    # every trial's Sleep KLs, and a later round those of its Sleep trials.
+    # every trial's Sleep KLs, one trial at a time so that no temporary
+    # holds the batch's columns, and a later round those of its Sleep trials.
+    true_sleep = world.tensor[:, :, Action.SLEEP].T
     sleep_kls = np.empty((count, N_STATES))
 
     def on_round(speaker, outcome, z, rare):
         nonlocal row
-        renewed = (outcome.shared_w == Action.SLEEP).nonzero()[0] if row else np.arange(count)
-        learned = states[renewed, row - 1] if row else None
-        kld_B_sleep = kld_B_error(
-            world.tensor, infant.trans_concentration, Action.SLEEP, sleep_kls, renewed, learned
-        )
+        if row:
+            slept = (outcome.shared_w == Action.SLEEP).nonzero()[0]
+            renewals = [(slept, states[slept, row - 1])]
+        else:
+            renewals = [(t, np.arange(N_STATES)) for t in range(count)]
+        for t, columns in renewals:
+            sleep_kls[t, columns] = kld_B_error(
+                true_sleep[columns], infant.trans_concentration[t, columns, Action.SLEEP]
+            )
         parent_round_beliefs[:, row] = parent.belief
         states[:, row] = z
+        kld_B_sleep = np.add.reduce(sleep_kls, axis=1) / N_STATES
         values = (*outcome, rare, kld_A_error(parent.A), kld_B_sleep)
         for i, name in enumerate(written):
             rounds[name][:, row] = values[i]
@@ -612,9 +619,9 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     manifest = RunManifest(
         version=__version__,
         config=snapshot.to_dict(),
+        # The logs are condition-major and trial-ascending.
         trial_seeds={
-            cond: [trial_seed(config.seed, cond, t) for t in range(config.trials)]
-            for cond in config.conditions
+            cond: [log.seed for log in logs if log.condition == cond] for cond in config.conditions
         },
         artifacts=sorted(artifacts),
         timings={"total_seconds": round(time.perf_counter() - t0, 3)},

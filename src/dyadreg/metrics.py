@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .environment import N_LEVELS, PriorPreference
-from .probability import KL_FLOOR
+from .probability import KL_FLOOR, column_kl
 
 # Iteration window (1-based, inclusive) for alignment medians and AUC.
 ALIGNMENT_WINDOW = (20, 50)
@@ -40,30 +40,14 @@ def kld_A_error(learned_sensory: np.ndarray) -> np.ndarray:
     return np.add.reduce(kls, axis=-1) / kls.shape[-1]
 
 
-def kld_B_error(
-    dynamics_true: np.ndarray, counts: np.ndarray, action: int, kls, trials, columns=None
-) -> np.ndarray:
-    """Per trial, the mean per-state KL between the exact transition columns
-    of one action, dynamics_true[z', z, a], and the means of the infant's
-    counts[trial, z, a, z']. `kls` keeps the per-column KLs, KL(p_j || q_j)
-    = sum_i p_ij (ln p_ij - ln q_ij), the learned column floored at KL_FLOOR
-    and renormalized, each summed in order; only column columns[k] of trial
-    trials[k] is renewed, or all columns of `trials` if `columns` is None,
-    one trial at a time, so that no temporary holds T trials' columns.
-    """
-    if columns is None:
-        for t in trials:
-            kld_B_error(dynamics_true, counts, action, kls, t, np.arange(kls.shape[1]))
-        return np.add.reduce(kls, axis=1) / kls.shape[1]
-    q = counts[trials, columns, action]
-    q /= q.cumsum(axis=-1)[..., -1:]
+def kld_B_error(true_columns: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """KL(p_j || q_j) of each true column p_j, a row of `true_columns`, to
+    q_j, the mean of its row of `counts` floored at KL_FLOOR and
+    renormalized, each sum taken in order."""
+    q = counts / counts.cumsum(axis=-1)[..., -1:]
     np.maximum(q, KL_FLOOR, out=q)
     q /= q.cumsum(axis=-1)[..., -1:]
-    p = dynamics_true[:, columns, action].T
-    terms = np.subtract(np.log(p, out=np.zeros(p.shape), where=p > 0.0), np.log(q, out=q), out=q)
-    terms *= p
-    kls[trials, columns] = terms.cumsum(axis=-1)[..., -1]
-    return np.add.reduce(kls, axis=1) / kls.shape[1]
+    return column_kl(true_columns, np.log(q, out=q))
 
 
 def _js_half(v: np.ndarray, m: np.ndarray) -> np.ndarray:

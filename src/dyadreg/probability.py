@@ -1,10 +1,10 @@
 """Finite-support probability primitives shared across the simulator.
 
-A negative softmax, the digamma function, and sampling by given
-uniforms, all on plain probability vectors, a row per trial. Categorical
-is the one check a vector gets where it enters the program; the per-round
-functions here check nothing, since the config and the constructors bound
-what they are given.
+A negative softmax, the digamma function, sampling by given uniforms and
+the KL divergence of a column summed in order, all on plain probability
+vectors, a row per trial. Categorical is the one check a vector gets where
+it enters the program; the per-round functions here check nothing, since
+the config and the constructors bound what they are given.
 All logarithms are natural, so every information quantity is in nats.
 """
 
@@ -69,6 +69,22 @@ def sample(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     count of cumulative probabilities at or below it, or the last index if
     rounding leaves the total below the uniform."""
     return np.add.reduce(p.cumsum(axis=1)[:, :-1] <= u[:, None], axis=1)
+
+
+def kl_terms(p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """p * (ln p - log_q) cell by cell, 0 where p is 0, with log_q shaped to
+    broadcast against p. Summed over an axis of distributions, they give
+    each its KL divergence to q."""
+    terms = np.log(p, out=np.zeros(p.shape), where=p > 0.0)
+    terms -= log_q
+    terms *= p
+    return terms
+
+
+def column_kl(p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """KL(p || q) of each distribution along the last axis of p, its cells
+    summed in order."""
+    return kl_terms(p, log_q).cumsum(axis=-1)[..., -1]
 
 
 def digamma(x) -> np.ndarray:

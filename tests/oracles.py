@@ -11,12 +11,12 @@ from bisect import bisect_right
 import numpy as np
 
 from dyadreg import harness
-from dyadreg.agents import AgentKind, Infant, _risk_terms
+from dyadreg.agents import AgentKind, Infant
 from dyadreg.dialogue import Condition, DialogueOutcome
 from dyadreg.environment import N_ACTIONS, N_STATES
 from dyadreg.harness import BELIEF_HEADER, CSV_HEADER
 from dyadreg.metrics import ROUND_DTYPE
-from dyadreg.probability import KL_FLOOR, RENORM_TOL, Categorical, digamma
+from dyadreg.probability import KL_FLOOR, RENORM_TOL, Categorical, digamma, kl_terms
 
 
 def entropy(p: np.ndarray) -> float:
@@ -172,9 +172,9 @@ def infant_start(prior, preferred_obs, trials=1) -> tuple:
     beta = np.full((N_STATES, N_STATES, N_ACTIONS), prior)
     transitions = beta / beta.sum(axis=0)
     rows = np.ascontiguousarray(transitions.transpose(1, 0, 2)).reshape(N_STATES, -1)
-    risk = _risk_terms(transitions, log_pref[:, None, None]).sum(axis=0)
+    risk = kl_terms(transitions, log_pref[:, None, None]).sum(axis=0)
     q_pred = np.full((1, N_STATES), 1.0 / N_STATES).dot(rows).reshape(N_STATES, N_ACTIONS)
-    start = np.add.reduce(_risk_terms(q_pred, log_pref[:, None]), axis=0)
+    start = np.add.reduce(kl_terms(q_pred, log_pref[:, None]), axis=0)
     return np.tile(risk, (trials, 1, 1)), np.tile(start, (trials, 1))
 
 
@@ -185,7 +185,7 @@ def omniscient_infant(world, preferred_obs) -> Infant:
     is not one to learn."""
     infant = Infant(preferred_obs, np.ones((1, N_STATES, N_ACTIONS, N_STATES)))
     log_pref = np.log(np.maximum(preferred_obs, KL_FLOOR))
-    infant._risk[0] = _risk_terms(world.tensor, log_pref[:, None, None]).sum(axis=0)
+    infant._risk[0] = kl_terms(world.tensor, log_pref[:, None, None]).sum(axis=0)
     return infant
 
 

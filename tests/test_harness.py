@@ -11,7 +11,12 @@ from dyadreg import dialogue, harness
 from dyadreg.agents import AgentKind, init_agent
 from dyadreg.config import MAX_WORKERS, ExperimentConfig
 from dyadreg.dialogue import CONDITION_NAMES, ROUND_ORDERS, DialogueOutcome, condition_codes
-from dyadreg.environment import Action, build_prior_preference, build_transition_model
+from dyadreg.environment import (
+    Action,
+    N_STATES,
+    build_prior_preference,
+    build_transition_model,
+)
 from dyadreg.harness import (
     CSV_HEADER,
     START_STATE,
@@ -94,8 +99,9 @@ class TestRunTrial:
             assert m["rare_branch"][i] == (first["rare_branch"] or second["rare_branch"])
 
     def test_outcome_fields_are_round_columns_in_order(self):
-        # run_trial writes an outcome into its row as one tuple, through a
-        # view of these columns in ROUND_DTYPE order.
+        # run_trial writes each outcome field by name into the record:
+        # every field is a record column, in ROUND_DTYPE order, and all of
+        # them come before rare_branch.
         names = list(ROUND_DTYPE.names)
         positions = [names.index(field) for field in DialogueOutcome._fields]
         assert positions == sorted(positions)
@@ -247,6 +253,33 @@ class TestSleepOnlyKldB:
         recomputed = np.array(every_round).T
         for log, expected in zip(logs, recomputed):
             assert log.rounds["kld_B_sleep"].tobytes() == expected.tobytes()
+
+    def test_the_first_round_renews_one_trial_at_a_time(self, monkeypatch):
+        # Round 1 renews all 36 Sleep columns of each trial of a 30-trial
+        # mixed batch, with one kld_B_error call per trial, so that no
+        # temporary holds the batch's columns; a later round renews at most
+        # one column per trial in one call.
+        calls, harness_kld_B_error = [[]], harness.kld_B_error
+
+        def kld_B_error(true_columns, counts):
+            calls[-1].append(len(true_columns))
+            return harness_kld_B_error(true_columns, counts)
+
+        def run_iteration(*args, on_round, **kwargs):
+            def record(*round_args):
+                on_round(*round_args)
+                calls.append([])
+
+            return dialogue.run_iteration(*args, on_round=record, **kwargs)
+
+        monkeypatch.setattr(harness, "kld_B_error", kld_B_error)
+        monkeypatch.setattr(harness, "run_iteration", run_iteration)
+        conditions = [cond for cond in CONDITION_NAMES for _ in range(10)]
+        run_trial(small_config(iterations=5), conditions, [*range(10)] * 3)
+        first, *later, _ = calls
+        assert first == [N_STATES] * 30
+        assert [len(columns) for columns in later] == [1] * 9
+        assert max(n for columns in calls[:-1] for n in columns) <= N_STATES
 
 
 class TestColumnsDerivedAfterTheLoop:

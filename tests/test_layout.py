@@ -13,6 +13,8 @@ its Python-level wrapper. Each call of the round path serves a whole batch
 of trials, so a batch costs the calls of one trial, and a serial run is one
 batch. Each kind of agent is
 its own class, so no function in agents.py asks an agent for its kind.
+Every function in metrics.py is pure: it writes into none of its
+arguments, so a caller's cache lives with the caller.
 """
 
 import ast
@@ -79,15 +81,13 @@ def test_cli_reads_a_run_only_through_open_run():
 # step, which a round calls once per trial. ExperimentConfig.validate and
 # the public constructors bound every value they are given.
 ROUND_PATH = {
-    "probability.py": ("softmax_neg", "sample", "digamma"),
+    "probability.py": ("softmax_neg", "sample", "digamma", "kl_terms", "column_kl"),
     "environment.py": ("step",),
     "dialogue.py": ("mh_accept", "run_round", "run_iteration"),
     "metrics.py": ("kld_A_error", "kld_B_error"),
     "harness.py": ("run_trial",),
     "agents.py": (
         "predict_belief",
-        "_risk_terms",
-        "_column_risk",
         "Agent.efe_per_action",
         "Agent.symbol_posterior",
         "Agent.assimilate",
@@ -149,6 +149,45 @@ def test_no_agent_method_branches_on_kind():
         and any(isinstance(n, ast.Attribute) and n.attr == "kind" for n in ast.walk(node))
     ]
     assert reading == []
+
+
+def _root_name(node):
+    """The name a chain of subscripts and attributes starts from, if any."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _argument_writes(tree):
+    """Every place a function of `tree` stores into a subscript of one of its
+    own parameters, augments a parameter, or passes one as out=."""
+    writes = []
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        args = function.args
+        params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        for node in ast.walk(function):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                written = [
+                    t for t in targets
+                    if _root_name(t) in params
+                    and (isinstance(t, ast.Subscript) or isinstance(node, ast.AugAssign))
+                ]
+            elif isinstance(node, ast.Call):
+                outs = [k.value for k in node.keywords if k.arg == "out"]
+                written = [v for v in outs if _root_name(v) in params]
+            else:
+                written = []
+            writes.extend(f"{function.name}: {ast.unparse(t)}" for t in written)
+    return writes
+
+
+def test_no_metric_writes_into_its_arguments():
+    # A metric is a function of what it is given; a cache it renews belongs
+    # to its caller, which names what it renews at the call.
+    assert _argument_writes(_trees()["metrics.py"]) == []
 
 
 def test_no_module_imports_csv():

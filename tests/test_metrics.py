@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -130,51 +128,32 @@ class TestModelErrors:
         # 12 rail columns are one-hot (KL = ln 36), the other 24 hold the
         # 0.8 / 0.2 pair.
         infant = init_agent(AgentKind.INFANT, world, pref)
-        counts = infant.trans_concentration
-        (v,) = kld_B_error(world.tensor, counts, Action.SLEEP, np.empty((1, N_STATES)), np.arange(1))
+        counts = infant.trans_concentration[0, :, Action.SLEEP]
+        kls = kld_B_error(world.tensor[:, :, Action.SLEEP].T, counts)
         two_point = 0.8 * np.log(0.8 * 36) + 0.2 * np.log(0.2 * 36)
         expect = (12 * np.log(36) + 24 * two_point) / 36
-        assert v == pytest.approx(expect, abs=1e-12)
+        assert kls.shape == (N_STATES,)
+        assert kls.mean() == pytest.approx(expect, abs=1e-12)
 
     def test_error_vanishes_at_truth(self, world):
-        kls = np.empty((1, N_STATES))
-        counts = world.tensor.transpose(1, 2, 0)[None]
-        (v,) = kld_B_error(world.tensor, counts, Action.SLEEP, kls, np.arange(1))
-        assert v == pytest.approx(0.0, abs=1e-9)
-
-    def test_the_all_column_sleep_error_of_thirty_trials_stays_within_its_memory(
-        self, world, pref
-    ):
-        # A batch's first round renews every Sleep column of every trial.
-        # One trial at a time, no temporary holds the batch's columns: the
-        # peak above the start reads about 35 KiB, and about 970 KiB with
-        # the 30 trials' columns gathered at once. A warm-up call first
-        # fills every cache.
-        infant = init_agent(AgentKind.INFANT, world, pref, trials=30)
-        counts, kls = infant.trans_concentration, np.empty((30, N_STATES))
-        kld_B_error(world.tensor, counts, Action.SLEEP, kls, np.arange(30))
-        tracemalloc.start()
-        try:
-            start, _ = tracemalloc.get_traced_memory()
-            errors = kld_B_error(world.tensor, counts, Action.SLEEP, kls, np.arange(30))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert errors.shape == (30,)
-        assert (peak - start) / 1024 <= 256
+        counts = world.tensor.transpose(1, 2, 0)[:, Action.SLEEP]
+        kls = kld_B_error(world.tensor[:, :, Action.SLEEP].T, counts)
+        assert np.abs(kls).max() == pytest.approx(0.0, abs=1e-9)
 
     def test_sleep_error_by_column_equals_kld_B_error(self, world, pref):
         # A seeded run of rounds for a batch of infants, about half of each
-        # trial's rounds Sleep: the first, from the uniform start belief,
-        # recomputes every column, the others only the one learned, and
-        # only in the trials that slept.
+        # trial's rounds Sleep, renewing a per-column cache as run_trial
+        # does: the first, from the uniform start belief, recomputes every
+        # column, the others only the one learned, and only in the trials
+        # that slept. kld_B_error leaves the counts it reads as they were.
         trials = 3
         infant = init_agent(AgentKind.INFANT, world, pref, trials=trials)
         counts = infant.trans_concentration
         rng = make_rng(67)
-        kls = np.empty((trials, N_STATES))
-        kld_B_error(world.tensor, counts, Action.SLEEP, kls, np.arange(trials))
         true_sleep = world.tensor[:, :, Action.SLEEP]
+        kls = np.empty((trials, N_STATES))
+        for t in range(trials):
+            kls[t] = kld_B_error(true_sleep.T, counts[t, :, Action.SLEEP])
         one_column = 0
         for step in range(200):
             sleep = (rng.random(trials) < 0.5) | (step == 0)
@@ -184,8 +163,17 @@ class TestModelErrors:
             slept = sleep.nonzero()[0]
             if slept.size:
                 one_column += prev is not None
-                columns = None if prev is None else prev[slept]
-                got = kld_B_error(world.tensor, counts, Action.SLEEP, kls, slept, columns)
+                before = counts.copy()
+                if prev is None:
+                    for t in slept:
+                        kls[t] = kld_B_error(true_sleep.T, counts[t, :, Action.SLEEP])
+                else:
+                    columns = prev[slept]
+                    kls[slept, columns] = kld_B_error(
+                        true_sleep.T[columns], counts[slept, columns, Action.SLEEP]
+                    )
+                assert np.array_equal(counts, before)
+                got = np.add.reduce(kls, axis=1) / N_STATES
                 for t in range(trials):
                     learned_sleep = learned_dynamics(infant)[t, :, :, Action.SLEEP]
                     assert got[t] == mean_column_kl(true_sleep, learned_sleep)

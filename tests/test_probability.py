@@ -3,6 +3,7 @@ import pytest
 
 from dyadreg.probability import (
     Categorical,
+    column_kl,
     derive_seed,
     digamma,
     make_rng,
@@ -99,6 +100,47 @@ class TestKl:
             p = rng.dirichlet(np.ones(9))
             q = rng.dirichlet(np.ones(9))
             assert kl_divergence(p, q) >= 0.0
+
+
+def in_order_kl(p, log_q) -> float:
+    """sum_i p_i (ln p_i - log_q_i) over the cells where p_i > 0, added
+    one cell at a time from the first."""
+    log_p = np.log(np.where(p > 0.0, p, 1.0))
+    total = 0.0
+    for p_i, log_p_i, log_q_i in zip(p.tolist(), log_p.tolist(), log_q.tolist()):
+        if p_i > 0.0:
+            total += p_i * (log_p_i - log_q_i)
+    return total
+
+
+def columns_with_zeros(seed, count=40, cells=36):
+    """Seeded random columns, about a third of each column's cells exactly 0."""
+    rng = make_rng(seed)
+    p = rng.dirichlet(np.ones(cells), size=count)
+    p[rng.random(p.shape) < 0.3] = 0.0
+    return p / p.sum(axis=1, keepdims=True)
+
+
+class TestColumnKl:
+    def test_equals_the_in_order_sum(self):
+        p = columns_with_zeros(71)
+        assert (p == 0.0).any(axis=1).all()
+        log_q = np.log(make_rng(72).dirichlet(np.ones(36), size=len(p)))
+        got = column_kl(p, log_q)
+        assert got.tolist() == [in_order_kl(pj, qj) for pj, qj in zip(p, log_q)]
+        # One q for every column, as the infant's comfort distribution.
+        got = column_kl(p, log_q[0])
+        assert got.tolist() == [in_order_kl(pj, log_q[0]) for pj in p]
+
+    def test_a_zero_cell_contributes_nothing(self):
+        p = columns_with_zeros(73)
+        log_q = np.log(make_rng(74).dirichlet(np.ones(36), size=len(p)))
+        other = np.where(p == 0.0, -700.0, log_q)
+        assert column_kl(p, other).tolist() == column_kl(p, log_q).tolist()
+
+    def test_a_column_against_its_own_logs_is_zero(self):
+        p = columns_with_zeros(75)
+        assert column_kl(p, np.log(np.where(p > 0.0, p, 1.0))).tolist() == [0.0] * len(p)
 
 
 class TestJs:

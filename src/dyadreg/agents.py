@@ -94,13 +94,18 @@ class Agent:
         self, transitions: np.ndarray, preferred_obs: np.ndarray, concentration: np.ndarray
     ):
         self._log_pref = np.log(np.maximum(preferred_obs, KL_FLOOR))
-        self._trials = np.arange(len(concentration))
         # B[z', z, a] as rows z of (z', a) cells, for a belief's free energy.
         self._B_rows = np.ascontiguousarray(transitions.transpose(1, 0, 2)).reshape(N_STATES, -1)
         self._sources = prediction_sources(transitions)
         self.belief = np.full((len(concentration), N_STATES), 1.0 / N_STATES)
         self.obs_concentration = concentration
-        self._refresh_sensory()
+        # Renewed in place, every row from the uniform belief, which reaches
+        # every state; the c psi(c + 1) cache is filled one trial at a time,
+        # so that digamma holds ten copies of one trial's counts.
+        self.A = np.empty(concentration.shape).swapaxes(1, 2)
+        self._psi_terms = np.array([counts * digamma(counts + 1.0) for counts in concentration])
+        self._sensory_entropy = np.empty(self.belief.shape)
+        self._refresh_sensory(*self.belief.nonzero())
 
     def assimilate(self, action: np.ndarray, obs: np.ndarray) -> tuple:
         """Predict each trial's belief under `action` and correct it by the
@@ -123,36 +128,39 @@ class Agent:
         return softmax_neg(self.efe_per_action())
 
     def learn_A(self, posterior: np.ndarray, obs: np.ndarray):
-        """Accumulate each trial's belief mass into its counts for its cue."""
-        column = self.obs_concentration[self._trials, :, obs] + posterior
-        self.obs_concentration[self._trials, :, obs] = column
-        self._refresh_sensory(obs, column)
+        """Accumulate each trial's belief mass into its counts for its cue.
+        Only the states the belief reaches gain mass, so only their rows of
+        the map are renewed: a count plus an exact 0 keeps its bits."""
+        t, z = posterior.nonzero()
+        obs = obs[t]
+        cells = self.obs_concentration[t, z, obs] + posterior[t, z]
+        self.obs_concentration[t, z, obs] = cells
+        self._refresh_sensory(t, z, obs, cells)
 
-    def _refresh_sensory(self, obs: np.ndarray | None = None, column: np.ndarray | None = None):
-        """The parent's sensory map, the mean of its Dirichlet
-        concentrations, and the ambiguity of each state's column.
+    def _refresh_sensory(self, t, z, obs=None, cells=None):
+        """Renew the parent's sensory map, the mean of its Dirichlet
+        concentrations, and the ambiguity of each state's column, in the
+        rows (t[i], z[i]): state z[i]'s column in trial t[i].
 
         A column's ambiguity is its expected entropy under the parent's
         Dirichlet, psi(c0 + 1) - sum_o c_o psi(c_o + 1) / c0, with
         c0 = sum_o c_o. The entropy of the Dirichlet mean would count the
         parent's own ignorance of a cue as noise in the cue, and so steer it
         away from exactly the states whose cues it has yet to learn. The
-        cells' c psi(c + 1) terms are cached, so learning from each trial's
-        cue `obs` recomputes only that column of them, `column` its counts.
+        cells' c psi(c + 1) terms are cached, so learning a row's cue `obs`
+        recomputes only that cell of them, `cells` its counts; without `obs`
+        the cache must already hold every row's.
         """
-        c = self.obs_concentration
-        c0 = np.add.reduce(c, axis=2)
+        rows = self.obs_concentration[t, z]
+        c0 = np.add.reduce(rows, axis=1)
         if obs is None:
-            # A is rewritten in place; one trial at a time, digamma holds ten c's.
-            self.A = np.empty(c.shape).swapaxes(1, 2)
-            self._psi_terms = np.array([counts * digamma(counts + 1.0) for counts in c])
             psi_c0 = digamma(c0 + 1.0)
         else:
-            psi = digamma(np.concatenate((column, c0), axis=1) + 1.0)
-            self._psi_terms[self._trials, :, obs] = column * psi[:, :N_STATES]
-            psi_c0 = psi[:, N_STATES:]
-        np.divide(c, c0[:, :, None], out=self.A.swapaxes(1, 2))
-        self._sensory_entropy = psi_c0 - np.add.reduce(self._psi_terms, axis=2) / c0
+            psi = digamma(np.concatenate((cells, c0)) + 1.0)
+            self._psi_terms[t, z, obs] = cells * psi[: len(t)]
+            psi_c0 = psi[len(t) :]
+        self.A.swapaxes(1, 2)[t, z] = np.divide(rows, c0[:, None], out=rows)
+        self._sensory_entropy[t, z] = psi_c0 - np.add.reduce(self._psi_terms[t, z], axis=1) / c0
 
 
 class Infant:
@@ -230,7 +238,7 @@ def init_agent(
     if not 0.0 < prior_concentration < math.inf:
         raise ValueError("prior concentration must be positive and finite")
     preferred = preferred_obs_distribution(preference, preference_mode)
+    prior = float(prior_concentration)  # an integer prior would make integer counts
     if kind is AgentKind.PARENT:
-        counts = np.full((trials, N_STATES, N_STATES), prior_concentration)
-        return Agent(truth.tensor, preferred, counts)
-    return Infant(preferred, np.full((trials, N_STATES, N_ACTIONS, N_STATES), prior_concentration))
+        return Agent(truth.tensor, preferred, np.full((trials, N_STATES, N_STATES), prior))
+    return Infant(preferred, np.full((trials, N_STATES, N_ACTIONS, N_STATES), prior))

@@ -140,9 +140,15 @@ def run_trial(config: ExperimentConfig, conditions, trials) -> list:
     # holds the batch's columns, and a later round those of its Sleep trials.
     true_sleep = world.tensor[:, :, Action.SLEEP].T
     sleep_kls = np.empty((count, N_STATES))
+    # A round's learning moves only the parent's map columns of the states
+    # its belief reaches, so a round renews only their errors, which start
+    # from the prior map, one trial at a time, read as its buffer's rows.
+    map_kls = np.array([kld_A_error(A.T, np.arange(N_STATES)) for A in parent.A])
 
     def on_round(speaker, outcome, z, rare):
         nonlocal row
+        t, reached = parent.belief.nonzero()
+        map_kls[t, reached] = kld_A_error(parent.A.swapaxes(1, 2)[t, reached], reached)
         if row:
             slept = (outcome.shared_w == Action.SLEEP).nonzero()[0]
             renewals = [(slept, states[slept, row - 1])]
@@ -154,8 +160,9 @@ def run_trial(config: ExperimentConfig, conditions, trials) -> list:
             )
         parent_round_beliefs[:, row] = parent.belief
         states[:, row] = z
+        kld_A = np.add.reduce(map_kls, axis=1) / N_STATES
         kld_B_sleep = np.add.reduce(sleep_kls, axis=1) / N_STATES
-        values = (*outcome, rare, kld_A_error(parent.A), kld_B_sleep)
+        values = (*outcome, rare, kld_A, kld_B_sleep)
         for i, name in enumerate(written):
             rounds[name][:, row] = values[i]
         row += 1

@@ -27,17 +27,14 @@ def c_norm(states, pref: PriorPreference) -> np.ndarray:
     return pref.values[states] / pref.max_value
 
 
-def kld_A_error(learned_sensory: np.ndarray) -> np.ndarray:
-    """Mean over states j of KL(e_j || q_j) = -ln(q_jj / sum_i q_ij), with q
-    the learned sensory map A[obs, z] floored at KL_FLOOR, per map of a
-    stack of them: the true map is the identity. A stack with no cell below
-    the floor is read as it is, in its own layout, which sets the bits of
-    each column's sum."""
-    q = learned_sensory
-    if np.minimum.reduce(q, axis=None) < KL_FLOOR:
-        q = np.maximum(q, KL_FLOOR)
-    kls = 0.0 - np.log(q.diagonal(axis1=-2, axis2=-1) / np.add.reduce(q, axis=-2))
-    return np.add.reduce(kls, axis=-1) / kls.shape[-1]
+def kld_A_error(columns: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """KL(e_j || q_j) = -ln(q_jj / sum_i q_ij) of each row q_j of `columns`,
+    a column of a learned sensory map A[obs, z] as a row over obs, j its
+    state in `states`, with q floored at KL_FLOOR: the true map is the
+    identity. The floored copy is C-ordered, so each row is summed pairwise
+    whatever the layout of `columns`."""
+    q = np.maximum(columns, KL_FLOOR, order="C")
+    return 0.0 - np.log(q[np.arange(len(q)), states] / np.add.reduce(q, axis=1))
 
 
 def kld_B_error(true_columns: np.ndarray, counts: np.ndarray) -> np.ndarray:

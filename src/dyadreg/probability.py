@@ -95,19 +95,15 @@ def digamma(x) -> np.ndarray:
     argument to at least 10, where the asymptotic series below is accurate
     to about 1e-14. The ten terms are summed in the order np.add.reduce
     sums a row of ten, eight paired partial sums and then the last two, as
-    whole arrays, so a batch of arguments gives each its own bits. They are
-    formed four at a time, so that no temporary holds ten copies of x.
+    whole arrays, so a batch of arguments gives each its own bits.
     """
     x = np.asarray(x, dtype=float)
-    shifts = _DIGAMMA_SHIFTS.reshape((-1,) + (1,) * x.ndim)
-    t, quads = np.empty((4,) + x.shape), []
-    for k in (0, 4):
-        np.divide(1.0, np.add(x, shifts[k : k + 4], out=t), out=t)
-        np.add(t[0::2], t[1::2], out=t[0::2])  # the two pairs
-        quads.append(t[0] + t[2])
-    np.divide(1.0, np.add(x, shifts[8:], out=t[:2]), out=t[:2])
-    shift = quads[0] + quads[1] + t[0] + t[1]
-    del t, quads
+    t = np.add.outer(_DIGAMMA_SHIFTS, x)
+    np.divide(1.0, t, out=t)
+    pairs = t[0:8:2] + t[1:8:2]
+    quads = pairs[0::2] + pairs[1::2]
+    shift = quads[0] + quads[1] + t[8] + t[9]
+    del t, pairs, quads
     y = x + 10.0
     inv2 = 1.0 / (y * y)
     series = inv2 * (1 / 12 - inv2 * (1 / 120 - inv2 * (1 / 252 - inv2 * (1 / 240 - inv2 / 132))))

@@ -112,7 +112,8 @@ def column_kls(true_cols: np.ndarray, learned_cols: np.ndarray) -> np.ndarray:
     columns of two column-stochastic matrices: learned cells are floored at
     KL_FLOOR and renormalized per column. Each column is summed as
     sum(axis=0) sums it in the input's layout: in order for C order, and
-    pairwise for a transposed view, as kld_A_error sums the parent's map."""
+    pairwise for a transposed view, such as the parent's map, as kld_A_error
+    sums each column whatever its layout."""
     p = np.asarray(true_cols, dtype=float)
     q = np.asarray(learned_cols, dtype=float)
     if p.shape != q.shape or p.ndim != 2:
@@ -124,9 +125,10 @@ def column_kls(true_cols: np.ndarray, learned_cols: np.ndarray) -> np.ndarray:
 
 
 def floored_kld_A(floored: np.ndarray) -> np.ndarray:
-    """kld_A_error of a stack of maps already floored at KL_FLOOR, as it was
-    computed on every map: each column summed with np.add.reduce in the
-    map's own layout."""
+    """The mean map error of each of a stack of maps A[t, obs, z] already
+    floored at KL_FLOOR, as it was computed on every whole map each round:
+    each column summed with np.add.reduce in the map's own layout, pairwise
+    in the parent's."""
     kls = 0.0 - np.log(floored.diagonal(axis1=-2, axis2=-1) / np.add.reduce(floored, axis=-2))
     return np.add.reduce(kls, axis=-1) / kls.shape[-1]
 
@@ -134,6 +136,19 @@ def floored_kld_A(floored: np.ndarray) -> np.ndarray:
 def mean_column_kl(true_cols: np.ndarray, learned_cols: np.ndarray) -> float:
     """Average of column_kls."""
     return float(column_kls(true_cols, learned_cols).mean())
+
+
+def sensory_refresh(counts: np.ndarray) -> tuple:
+    """The parent's sensory map A[t, obs, z], the ambiguity of each state's
+    column and the cells' c psi(c + 1) terms, all recomputed from its counts
+    counts[t, z, obs], as every round once recomputed them: the map a
+    transposed view of a [t, z, obs] buffer, every digamma in one call."""
+    c0 = np.add.reduce(counts, axis=2)
+    psi_terms = counts * digamma(counts + 1.0)
+    sensory = np.empty(counts.shape).swapaxes(1, 2)
+    np.divide(counts, c0[:, :, None], out=sensory.swapaxes(1, 2))
+    ambiguity = digamma(c0 + 1.0) - np.add.reduce(psi_terms, axis=2) / c0
+    return sensory, ambiguity, psi_terms
 
 
 def set_belief(agent, probs):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dyadreg import dialogue, harness
-from dyadreg.agents import AgentKind, init_agent
+from dyadreg.agents import Agent, AgentKind, init_agent
 from dyadreg.config import MAX_WORKERS, ExperimentConfig
 from dyadreg.dialogue import CONDITION_NAMES, ROUND_ORDERS, DialogueOutcome, condition_codes
 from dyadreg.environment import (
@@ -34,9 +34,10 @@ from dyadreg.harness import (
     write_trial_files,
 )
 from dyadreg.metrics import ROUND_DTYPE, TrialLog
-from dyadreg.probability import derive_seed, make_rng
+from dyadreg.probability import KL_FLOOR, derive_seed, make_rng
 import oracles
-from oracles import jsd_latent, learned_dynamics, mean_column_kl, run_trial_keeping_agents
+from oracles import floored_kld_A, jsd_latent, learned_dynamics, mean_column_kl
+from oracles import run_trial_keeping_agents
 from oracles import write_beliefs_csv as write_beliefs_csv_generic
 from oracles import write_trial_csv as write_trial_csv_generic
 
@@ -153,6 +154,15 @@ class TestRunTrial:
         assert np.array_equal(a.rounds, b.rounds)
         c = run_trial(small_config(), ["mhng"], [1])[0]
         assert not np.array_equal(c.rounds, a.rounds)
+
+    def test_an_integer_prior_runs_as_its_float(self):
+        # JSON gives a whole-number prior as an int; the agents' counts are
+        # floats all the same, so learning neither truncates nor fails.
+        int_log, float_log = (
+            run_trial(small_config(iterations=10, dirichlet_prior=prior), ["mhng"], [0])[0]
+            for prior in (1, 1.0)
+        )
+        assert int_log.rounds.tobytes() == float_log.rounds.tobytes()
 
     def test_start_state(self):
         assert (START_STATE.x, START_STATE.y) == (2, 2)
@@ -280,6 +290,102 @@ class TestSleepOnlyKldB:
         assert first == [N_STATES] * 30
         assert [len(columns) for columns in later] == [1] * 9
         assert max(n for columns in calls[:-1] for n in columns) <= N_STATES
+
+
+class TestSparseSensoryRefresh:
+    """A round's learning moves only the rows of the parent's map of the
+    states its belief reaches, and only those rows are renewed, in the map,
+    its ambiguity and the round's map error: every other row must already
+    hold what a full recompute from the counts gives."""
+
+    @staticmethod
+    def mixed_batch(**changes):
+        """A 30-trial batch of the three conditions, ten trials each."""
+        config = small_config(conditions=CONDITION_NAMES, **changes)
+        conditions = [cond for cond in CONDITION_NAMES for _ in range(10)]
+        return run_trial(config, conditions, [*range(10)] * 3)
+
+    @pytest.mark.parametrize("mh_current_w", ["fresh", "persistent"])
+    @pytest.mark.parametrize("round_order", ROUND_ORDERS)
+    def test_equals_the_full_refresh_after_every_round(
+        self, monkeypatch, round_order, mh_current_w
+    ):
+        # Trial 0's belief gets a subnormal cell in each round where it has a
+        # zero cell, and its learning must count that state as reached.
+        assimilate, subnormal, injected = Agent.assimilate, np.nextafter(0.0, 1.0), []
+        expected_kld_A = []
+
+        def with_a_subnormal_cell(self, action, obs):
+            prev, belief = assimilate(self, action, obs)
+            zeros = (belief[0] == 0.0).nonzero()[0]
+            belief[0, zeros[:1]] = subnormal
+            injected.append(zeros.size > 0)
+            return prev, belief
+
+        def run_iteration(parent, infant, world, *args, on_round, **kwargs):
+            def record(speaker, outcome, z, rare):
+                sensory, ambiguity, psi_terms = oracles.sensory_refresh(parent.obs_concentration)
+                assert parent.A.strides == sensory.strides
+                assert parent.A.tobytes() == sensory.tobytes()
+                assert parent._sensory_entropy.tobytes() == ambiguity.tobytes()
+                assert parent._psi_terms.tobytes() == psi_terms.tobytes()
+                expected_kld_A.append(floored_kld_A(np.maximum(sensory, KL_FLOOR)))
+                on_round(speaker, outcome, z, rare)
+
+            return dialogue.run_iteration(parent, infant, world, *args, on_round=record, **kwargs)
+
+        monkeypatch.setattr(Agent, "assimilate", with_a_subnormal_cell)
+        monkeypatch.setattr(harness, "run_iteration", run_iteration)
+        logs = self.mixed_batch(iterations=30, round_order=round_order, mh_current_w=mh_current_w)
+        assert sum(injected) >= 30
+        for log, kld_A in zip(logs, np.array(expected_kld_A).T):
+            assert log.rounds["kld_A"].tobytes() == kld_A.tobytes()
+
+    def test_only_the_rows_the_belief_reaches_are_renewed(self, monkeypatch):
+        # The parent's construction renews every row, under its uniform
+        # belief, and the hook first takes every column of each trial's
+        # prior map, one trial at a time. Then each round's learning and map
+        # error renew exactly the (trial, state) rows where the parent's
+        # belief is positive.
+        refresh, kld_A_error = Agent._refresh_sensory, harness.kld_A_error
+        refreshed, errors, rounds = [], [], []
+
+        def spy_refresh(self, t, z, *args):
+            refreshed.append(((self.belief > 0.0).nonzero(), (t, z)))
+            return refresh(self, t, z, *args)
+
+        def spy_kld_A_error(columns, states):
+            errors.append((columns.copy(), states.copy()))
+            return kld_A_error(columns, states)
+
+        def run_iteration(parent, infant, world, *args, on_round, **kwargs):
+            def record(*round_args):
+                del errors[:]
+                on_round(*round_args)
+                t, z = (parent.belief > 0.0).nonzero()
+                rounds.append((errors[:], z, parent.A.swapaxes(1, 2)[t, z]))
+
+            if not rounds:
+                rounds.append((errors[:], None, parent.A.swapaxes(1, 2).copy()))
+            return dialogue.run_iteration(parent, infant, world, *args, on_round=record, **kwargs)
+
+        monkeypatch.setattr(Agent, "_refresh_sensory", spy_refresh)
+        monkeypatch.setattr(harness, "kld_A_error", spy_kld_A_error)
+        monkeypatch.setattr(harness, "run_iteration", run_iteration)
+        self.mixed_batch(iterations=10)
+        (start_calls, _, prior_columns), *later = rounds
+        assert len(refreshed) == 1 + len(later) == 21
+        for reached, renewed in refreshed:
+            assert [a.tolist() for a in renewed] == [a.tolist() for a in reached]
+        assert len(refreshed[0][1][0]) == 30 * N_STATES
+        assert [states.tolist() for _, states in start_calls] == [[*range(N_STATES)]] * 30
+        for (columns, _), prior in zip(start_calls, prior_columns):
+            assert columns.tobytes() == prior.tobytes()
+        for calls, reached, columns in later:
+            ((given, states),) = calls
+            assert states.tolist() == reached.tolist()
+            assert given.tobytes() == columns.tobytes()
+        assert max(len(reached) for _, reached, _ in later) < 30 * N_STATES
 
 
 class TestColumnsDerivedAfterTheLoop:
@@ -472,8 +578,9 @@ class TestBatchReferee:
         # infants' counts, 52 KB each, the parents' maps, the uniforms and
         # the record. Its all-column work from the uniform start runs one
         # trial at a time, so the peak of what numpy allocates stays below
-        # 4,915 KiB: about 4,390 KiB, and 5,120 KiB with learn_B's counting
-        # batched for the whole batch. A warm-up call first fills every cache.
+        # 4,915 KiB: about 4,750 KiB, reached in round 1, whose belief
+        # reaches most states, and 5,091 KiB with learn_B's counting batched
+        # for the whole batch. A warm-up call first fills every cache.
         config = ExperimentConfig(iterations=60, mh_current_w="persistent")
         conditions = [cond for cond in config.conditions for _ in range(10)]
         trials = [*range(10)] * len(config.conditions)

@@ -90,31 +90,37 @@ class TestModelErrors:
         assert v == pytest.approx(np.log(N_STATES), abs=1e-12)
 
     def test_diagonal_kld_A_equals_column_kl(self):
-        # Dirichlet-random maps in both memory layouts (the parent's map is
-        # a transposed view), some with cells below the floor.
+        # Dirichlet-random maps, some with cells below the floor, their
+        # columns given as rows in both memory layouts. The oracle reads the
+        # map in the parent's layout, a transposed view of those rows.
         rng = make_rng(61)
         for k in range(200):
             alpha = 10.0 ** rng.uniform(-3, 1)
-            sensory = rng.dirichlet(np.full(N_STATES, alpha), size=N_STATES).T
+            columns = rng.dirichlet(np.full(N_STATES, alpha), size=N_STATES)
+            sensory = columns.T
             if k % 2:
-                sensory = np.ascontiguousarray(sensory)
-            assert kld_A_error(sensory) == mean_column_kl(np.eye(N_STATES), sensory)
+                columns = np.asfortranarray(columns)
+            kls = kld_A_error(columns, np.arange(N_STATES))
+            assert np.add.reduce(kls) / N_STATES == mean_column_kl(np.eye(N_STATES), sensory)
 
     def test_kld_A_of_a_batch_equals_it_map_by_map(self, world, pref):
-        # The parents' maps of a batch, each a transposed view of its counts
-        # as a one-trial parent's map was.
+        # The columns of a batch of parents' maps in one call, as rows of
+        # their buffer, against each map's columns alone.
         parent = init_agent(AgentKind.PARENT, world, pref, trials=20)
         rng = make_rng(63)
         parent.obs_concentration[:] = 10.0 ** rng.uniform(-14, 1, (20, N_STATES, N_STATES))
         parent.learn_A(rng.dirichlet(np.ones(N_STATES), size=20), rng.integers(N_STATES, size=20))
-        each = [kld_A_error(sensory) for sensory in parent.A]
-        assert kld_A_error(parent.A).tolist() == each
+        states = np.arange(N_STATES)
+        each = [kld_A_error(sensory.T, states).tolist() for sensory in parent.A]
+        rows = parent.A.swapaxes(1, 2).reshape(-1, N_STATES)
+        assert kld_A_error(rows, np.tile(states, 20)).reshape(20, N_STATES).tolist() == each
 
     @pytest.mark.parametrize("prior", [1.0 / N_STATES, 1e-300])
     def test_kld_A_skips_the_floor_with_the_floored_bits(self, world, pref, prior):
-        # kld_A_error copies the map floored at KL_FLOOR only when a cell
-        # lies below the floor; above it, it reads the map itself, in the
-        # parent's layout (a transposed view), as it read the floored copy.
+        # kld_A_error floors every cell, but np.maximum leaves a cell at or
+        # above KL_FLOOR as it is: the mean of a map's rows has the bits of
+        # the whole-map form on the map floored in the parent's layout (a
+        # transposed view), with or without cells below the floor.
         parent = init_agent(AgentKind.PARENT, world, pref, prior, trials=8)
         rng = make_rng(67)
         for _ in range(30):
@@ -122,7 +128,24 @@ class TestModelErrors:
         assert (parent.A < KL_FLOOR).any() == (prior < KL_FLOOR)
         floored = np.maximum(parent.A, KL_FLOOR)
         assert floored.strides == parent.A.strides
-        assert kld_A_error(parent.A).tobytes() == floored_kld_A(floored).tobytes()
+        rows = parent.A.swapaxes(1, 2).reshape(-1, N_STATES)
+        kls = kld_A_error(rows, np.tile(np.arange(N_STATES), 8)).reshape(8, N_STATES)
+        assert (np.add.reduce(kls, axis=1) / N_STATES).tobytes() == floored_kld_A(floored).tobytes()
+
+    def test_kld_A_does_not_depend_on_the_layout_of_its_columns(self):
+        # Each row is summed pairwise in a C-ordered floored copy: the same
+        # rows in F order or read through a stride give the same bits.
+        rng = make_rng(69)
+        for _ in range(2000):
+            count = rng.integers(1, 40)
+            alpha = 10.0 ** rng.uniform(-3, 1)
+            columns = rng.dirichlet(np.full(N_STATES, alpha), size=count)
+            states = rng.integers(N_STATES, size=count)
+            strided = np.zeros((count, 2 * N_STATES))
+            strided[:, ::2] = columns
+            expected = kld_A_error(columns, states).tobytes()
+            assert kld_A_error(np.asfortranarray(columns), states).tobytes() == expected
+            assert kld_A_error(strided[:, ::2], states).tobytes() == expected
 
     def test_fresh_infant_sleep_error(self, world, pref):
         # 12 rail columns are one-hot (KL = ln 36), the other 24 hold the

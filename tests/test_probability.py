@@ -267,6 +267,19 @@ class TestDigamma:
         x = np.geomspace(1e-3, 1e3, 50)
         assert np.allclose(digamma(x + 1.0) - digamma(x), 1.0 / x, rtol=0, atol=1e-10)
 
+    def test_equals_the_reduce_oracle_bit_for_bit(self):
+        # The ten recurrence terms are formed in one buffer and summed as
+        # np.add.reduce sums a row of ten: pairs, then quads, then the last
+        # two. Seeded arguments spanning the program's counts plus 1, as one
+        # 1-d and one 2-d array and one at a time, 0-d and as floats.
+        rng = make_rng(103)
+        x = 1.0 + 10.0 ** rng.uniform(-14, 6, 10_000)
+        for shaped in (x, x.reshape(125, 80)):
+            assert digamma(shaped).tobytes() == oracles.digamma_by_reduce(shaped).tobytes()
+        expected = oracles.digamma_by_reduce(x).tolist()
+        assert [float(digamma(np.array(v))) for v in x] == expected
+        assert [float(digamma(v)) for v in x.tolist()] == expected
+
 
 class TestDirichletExpectedEntropy:
     def test_uniform_on_two_cells(self):

@@ -45,7 +45,9 @@ def predict_belief(beliefs: np.ndarray, sources: tuple, actions: np.ndarray) -> 
     sum as it is, so only the sources that reach a cell are added, row after
     row along an outer axis."""
     index, weight = sources
-    terms = beliefs[np.arange(len(actions))[:, None, None], index[actions]]
+    # One gather from the flattened beliefs, where trial t's cells start at t * 36.
+    offsets = np.arange(0, beliefs.size, N_STATES)[:, None, None]
+    terms = beliefs.take(index[actions] + offsets)
     terms *= weight[actions]
     p = np.add.reduce(terms, axis=1)
     return np.divide(p, np.add.reduce(p, axis=1, keepdims=True), out=p)
@@ -85,7 +87,8 @@ class Agent:
     """The parent in each of a batch of trials. It knows the dynamics
     B[z', z, a], filters a belief over the latent states, and learns its
     sensory map A[obs, z] as the mean of its counts `concentration` over
-    (z, obs). It keeps the generic name because the benchmark traces
+    (z, obs). `reached` holds the (trial, state) rows its last learning
+    renewed. It keeps the generic name because the benchmark traces
     Agent.efe_per_action by it."""
 
     kind = AgentKind.PARENT
@@ -98,14 +101,21 @@ class Agent:
         self._B_rows = np.ascontiguousarray(transitions.transpose(1, 0, 2)).reshape(N_STATES, -1)
         self._sources = prediction_sources(transitions)
         self.belief = np.full((len(concentration), N_STATES), 1.0 / N_STATES)
-        self.obs_concentration = concentration
+        # C-ordered, so that its row view below is a view: learning writes the counts in place.
+        self.obs_concentration = concentration = np.ascontiguousarray(concentration)
         # Renewed in place, every row from the uniform belief, which reaches
         # every state; the c psi(c + 1) cache is filled one trial at a time,
-        # so that digamma holds ten copies of one trial's counts.
+        # so that digamma holds ten copies of one trial's counts. The counts,
+        # the cache and the map are also read as one row per (trial, state),
+        # row t * 36 + z, and their cells by the flat index row * 36 + obs.
         self.A = np.empty(concentration.shape).swapaxes(1, 2)
         self._psi_terms = np.array([counts * digamma(counts + 1.0) for counts in concentration])
+        self._count_rows = concentration.reshape(-1, N_STATES)
+        self._psi_rows = self._psi_terms.reshape(-1, N_STATES)
+        self._A_rows = self.A.swapaxes(1, 2).reshape(-1, N_STATES)
         self._sensory_entropy = np.empty(self.belief.shape)
-        self._refresh_sensory(*self.belief.nonzero())
+        self.reached = self.belief.nonzero()
+        self._refresh_sensory(*self.reached)
 
     def assimilate(self, action: np.ndarray, obs: np.ndarray) -> tuple:
         """Predict each trial's belief under `action` and correct it by the
@@ -120,7 +130,12 @@ class Agent:
         Dirichlet, weighted by the one-step prediction, plus risk, the KL from
         the predicted observation distribution to the comfort distribution."""
         q_pred = np.matmul(self.belief[:, None, :], self._B_rows).reshape(-1, N_STATES, N_ACTIONS)
-        risk = np.add.reduce(kl_terms(self.A @ q_pred, self._log_pref[:, None]), axis=1)
+        # The predicted cues observation-major, (obs, trial, action): the
+        # risk sums over the outer axis, in order, as it would over the
+        # middle axis of (trial, obs, action), but in fewer, longer passes.
+        obs_pred = np.empty((N_STATES, len(q_pred), N_ACTIONS))
+        np.matmul(self.A, q_pred, out=obs_pred.transpose(1, 0, 2))
+        risk = np.add.reduce(kl_terms(obs_pred, self._log_pref[:, None, None]), axis=0)
         return np.matmul(self._sensory_entropy[:, None, :], q_pred)[:, 0] + risk
 
     def symbol_posterior(self) -> np.ndarray:
@@ -131,10 +146,12 @@ class Agent:
         """Accumulate each trial's belief mass into its counts for its cue.
         Only the states the belief reaches gain mass, so only their rows of
         the map are renewed: a count plus an exact 0 keeps its bits."""
-        t, z = posterior.nonzero()
+        self.reached = t, z = posterior.nonzero()
         obs = obs[t]
-        cells = self.obs_concentration[t, z, obs] + posterior[t, z]
-        self.obs_concentration[t, z, obs] = cells
+        row = t * N_STATES + z
+        cell = row * N_STATES + obs
+        cells = self.obs_concentration.take(cell) + posterior.take(row)
+        self.obs_concentration.put(cell, cells)
         self._refresh_sensory(t, z, obs, cells)
 
     def _refresh_sensory(self, t, z, obs=None, cells=None):
@@ -151,16 +168,18 @@ class Agent:
         recomputes only that cell of them, `cells` its counts; without `obs`
         the cache must already hold every row's.
         """
-        rows = self.obs_concentration[t, z]
+        row = t * N_STATES + z
+        rows = self._count_rows.take(row, axis=0)
         c0 = np.add.reduce(rows, axis=1)
         if obs is None:
             psi_c0 = digamma(c0 + 1.0)
         else:
             psi = digamma(np.concatenate((cells, c0)) + 1.0)
-            self._psi_terms[t, z, obs] = cells * psi[: len(t)]
+            self._psi_terms.put(row * N_STATES + obs, cells * psi[: len(t)])
             psi_c0 = psi[len(t) :]
-        self.A.swapaxes(1, 2)[t, z] = np.divide(rows, c0[:, None], out=rows)
-        self._sensory_entropy[t, z] = psi_c0 - np.add.reduce(self._psi_terms[t, z], axis=1) / c0
+        self._A_rows[row] = np.divide(rows, c0[:, None], out=rows)
+        psi_rows = self._psi_rows.take(row, axis=0)
+        self._sensory_entropy.put(row, psi_c0 - np.add.reduce(psi_rows, axis=1) / c0)
 
 
 class Infant:

@@ -107,18 +107,31 @@ def run_round(
     The listener pits the proposal against `current_w` when given and
     against a fresh draw from its own posterior otherwise. The agreed
     symbol doubles as the executed action: symbol w names action w. Every
-    trial takes an MH uniform; a one-sided trial's decides nothing.
+    trial takes an MH uniform; a one-sided trial's decides nothing, so a
+    batch of one-sided trials with a given stance never asks the listener.
     """
-    proposed = sample(speaker.symbol_posterior(), next(draws))
     # Each posterior costs one EFE evaluation, and each serves every trial.
-    posterior = listener.symbol_posterior()
-    own = sample(posterior, next(draws)) if current_w is None else current_w
-    accepted, prob = mh_accept(proposed, own, posterior, next(draws))
+    said = speaker.symbol_posterior()
+    one_sided = ONE_SIDED[conditions]
+    if current_w is None:
+        posterior = listener.symbol_posterior()
+        # One draw over both posteriors, by the speaker's uniforms and then the listener's.
+        u = np.concatenate((next(draws), next(draws)))
+        proposed, own = sample(np.concatenate((said, posterior)), u).reshape(2, -1)
+    else:
+        proposed, own = sample(said, next(draws)), current_w
+        # Against a given stance, only an MHNG trial reads the listener's posterior.
+        posterior = None if one_sided.all() else listener.symbol_posterior()
     # A leader never yields: it keeps its own symbol unless the proposal
     # already matches. The other side accepts every proposal.
-    one_sided = ONE_SIDED[conditions]
-    np.copyto(accepted, (proposed == own) | ~LEADS[listener.kind][conditions], where=one_sided)
-    np.copyto(prob, accepted, where=one_sided)
+    ruled = (proposed == own) | ~LEADS[listener.kind][conditions]
+    if posterior is None:
+        next(draws)
+        accepted, prob = ruled, ruled.astype(float)
+    else:
+        accepted, prob = mh_accept(proposed, own, posterior, next(draws))
+        np.copyto(accepted, ruled, where=one_sided)
+        np.copyto(prob, accepted, where=one_sided)
     shared = own + (proposed - own) * accepted
     return DialogueOutcome(proposed, own, accepted, prob, shared)
 

@@ -127,9 +127,9 @@ def step(model: TransitionModel, z: int, action: int, u: float) -> tuple[int, bo
     Returns (z_next, rare): rare is set only when a distinct rare successor
     was sampled.
     """
-    rare = int(model.rare_next[z, action])
+    rare = model.rare_next.item(z, action)
     fired = rare >= 0 and u < model.branch_prob
-    return (rare if fired else int(model.main_next[z, action])), fired
+    return (rare if fired else model.main_next.item(z, action)), fired
 
 
 @dataclass(frozen=True)

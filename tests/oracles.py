@@ -151,6 +151,15 @@ def sensory_refresh(counts: np.ndarray) -> tuple:
     return sensory, ambiguity, psi_terms
 
 
+def trial_major_efe(parent) -> np.ndarray:
+    """The parent's free energy per action with the predicted cues A @ q_pred
+    trial-major, (trial, obs, action), and the risk summed over that middle
+    axis, in order: the program's form before it went observation-major."""
+    q_pred = np.matmul(parent.belief[:, None, :], parent._B_rows).reshape(-1, N_STATES, N_ACTIONS)
+    risk = np.add.reduce(kl_terms(parent.A @ q_pred, parent._log_pref[:, None]), axis=1)
+    return np.matmul(parent._sensory_entropy[:, None, :], q_pred)[:, 0] + risk
+
+
 def set_belief(agent, probs):
     """Give a parent a belief no round gave it, in every trial of its batch:
     `probs` must be a probability vector over the states."""

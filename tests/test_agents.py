@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from dyadreg import dialogue
 from dyadreg.agents import (
+    Agent,
     AgentKind,
     init_agent,
     predict_belief,
@@ -18,7 +20,10 @@ from dyadreg.environment import (
     build_transition_model,
     preferred_obs_distribution,
 )
-from dyadreg.probability import KL_FLOOR, Categorical, digamma, make_rng
+from dyadreg.config import ExperimentConfig
+from dyadreg.dialogue import CONDITION_NAMES
+from dyadreg.harness import run_trial
+from dyadreg.probability import KL_FLOOR, Categorical, digamma, make_rng, sample
 import oracles
 from oracles import (
     dirichlet_expected_entropy,
@@ -231,6 +236,23 @@ class TestLearning:
         assert parent.A[0, 7, 7] == pytest.approx(2.0 / 37.0)
         assert parent.A[0, 3, 7] == pytest.approx(1.0 / 37.0)
         assert parent.A[0, :, 7].sum() == pytest.approx(1.0)
+
+    def test_counts_in_any_layout_learn_as_c_ordered_counts(self, world, pref):
+        # Learning reads and writes the counts through flat (trial, state)
+        # rows, so a parent built from a transposed stack keeps its own
+        # C-ordered copy and learns as one built from C-ordered counts.
+        rng = make_rng(5)
+        counts = 1.0 + rng.random((3, N_STATES, N_STATES))
+        comfort = preferred_obs_distribution(pref)
+        c_order = Agent(world.tensor, comfort, counts.copy())
+        f_order = Agent(world.tensor, comfort, np.asfortranarray(counts))
+        for _ in range(5):
+            posterior, obs = rng.dirichlet(np.ones(N_STATES), size=3), rng.integers(N_STATES, size=3)
+            c_order.learn_A(posterior, obs)
+            f_order.learn_A(posterior, obs)
+        assert f_order.obs_concentration.tobytes() == c_order.obs_concentration.tobytes()
+        assert f_order.A.tobytes() == c_order.A.tobytes()
+        assert f_order._sensory_entropy.tobytes() == c_order._sensory_entropy.tobytes()
 
     def test_uniform_posterior_keeps_columns_equal(self, world, pref):
         parent = fresh_parent(world, pref)
@@ -458,6 +480,45 @@ class TestBitTraps:
             c_slice = outer_product_learn_B(counts.copy(), prev, post, action)
             f_slice = outer_product_learn_B(np.asfortranarray(counts), prev, post, action)
             assert f_slice.tobytes() == c_slice.tobytes()
+
+    @staticmethod
+    def mixed_batch(**changes):
+        """A 30-trial batch of the three conditions, ten trials each."""
+        config = ExperimentConfig(conditions=CONDITION_NAMES, iterations=40, seed=3, **changes)
+        return run_trial(config, [c for c in CONDITION_NAMES for _ in range(10)], [*range(10)] * 3)
+
+    @pytest.mark.parametrize("mh_current_w", ["fresh", "persistent"])
+    def test_observation_major_risk_equals_the_trial_major_sum(self, monkeypatch, mh_current_w):
+        # Summing the risk over the outer axis of (obs, trial, action) adds
+        # each cell's 36 terms in the order the middle axis of (trial, obs,
+        # action) adds them, so every evaluation of a run keeps its bits.
+        efe, evaluations = Agent.efe_per_action, []
+
+        def checked(agent):
+            got = efe(agent)
+            evaluations.append(got.tobytes() == oracles.trial_major_efe(agent).tobytes())
+            return got
+
+        monkeypatch.setattr(Agent, "efe_per_action", checked)
+        self.mixed_batch(mh_current_w=mh_current_w)
+        assert len(evaluations) == 80 and all(evaluations)
+
+    def test_stacked_sample_equals_a_call_per_agent(self, monkeypatch):
+        # A fresh round draws the speaker's and the listener's symbols in one
+        # call over both posteriors; each half must get the bits a call of
+        # its own gives.
+        stacked = []
+
+        def checked(p, u):
+            got = sample(p, u)
+            if len(p) == 60:
+                halves = np.concatenate((sample(p[:30], u[:30]), sample(p[30:], u[30:])))
+                stacked.append(got.tobytes() == halves.tobytes())
+            return got
+
+        monkeypatch.setattr(dialogue, "sample", checked)
+        self.mixed_batch()
+        assert len(stacked) == 80 and all(stacked)
 
     def test_digamma_on_a_batch_equals_it_row_by_row(self):
         rng = make_rng(97)

@@ -324,15 +324,17 @@ class TestRunIteration:
             (Condition.MHNG, False, 2),
             (Condition.MHNG, True, 2),
             (Condition.A_LED, False, 2),
-            (Condition.A_LED, True, 2),
+            (Condition.A_LED, True, 1),
+            (Condition.B_LED, True, 1),
         ],
     )
     def test_efe_evaluations_per_round(
         self, world, pref, monkeypatch, condition, persist, per_round
     ):
         # One symbol posterior per agent a round: the speaker's, and the
-        # listener's, which every trial's MH test reads whatever its
-        # condition. Each evaluation serves every trial of the batch.
+        # listener's, which an MHNG trial's MH test or a fresh stance reads.
+        # A batch of one-sided trials with a persisting stance reads only the
+        # speaker's. Each evaluation serves every trial of the batch.
         calls = []
         for cls in (Agent, Infant):
             def counted(agent, efe=cls.efe_per_action):

@@ -115,10 +115,15 @@ def test_the_round_path_raises_nothing():
 
 # numpy reductions and functions that pass through a Python-level wrapper
 # before their C code: ndarray.sum and its kin, and np.where, np.zeros_like,
-# np.diagonal and np.dot. A round calls its functions dozens of times, so
-# they call the ufunc (np.add.reduce, np.minimum.reduce) or the C method.
+# np.diagonal, np.dot, np.split, np.take_along_axis, np.put_along_axis,
+# np.nonzero and np.flatnonzero. A round calls its functions dozens of
+# times, so they call the ufunc (np.add.reduce, np.minimum.reduce) or the
+# C method (ndarray.take, ndarray.put, ndarray.nonzero).
 WRAPPED_METHODS = {"sum", "min", "max", "mean"}
-WRAPPED_NP_FUNCTIONS = {"where", "zeros_like", "diagonal", "dot"}
+WRAPPED_NP_FUNCTIONS = {
+    "where", "zeros_like", "diagonal", "dot",
+    "split", "take_along_axis", "put_along_axis", "nonzero", "flatnonzero",
+}
 
 
 def test_the_round_path_calls_no_python_level_numpy_wrapper():

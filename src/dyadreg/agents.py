@@ -17,18 +17,22 @@ from enum import Enum
 import numpy as np
 
 from .environment import (
+    Action,
     N_ACTIONS,
     N_STATES,
     PriorPreference,
     TransitionModel,
     preferred_obs_distribution,
 )
+from .metrics import kld_A_error, kld_B_error
 from .probability import KL_FLOOR, column_kl, digamma, kl_terms, softmax_neg
 
 # Flat Dirichlet concentration of every learned cell: 1/36 per cell gives
 # each 36-cell column a total prior weight of one observation (Perks'
 # prior), so a column's own counts outweigh the prior from its first visit.
 DIRICHLET_PRIOR = 1.0 / N_STATES
+# numpy compares and indexes by an int faster than by an IntEnum.
+SLEEP = int(Action.SLEEP)
 
 
 class AgentKind(Enum):
@@ -87,9 +91,9 @@ class Agent:
     """The parent in each of a batch of trials. It knows the dynamics
     B[z', z, a], filters a belief over the latent states, and learns its
     sensory map A[obs, z] as the mean of its counts `concentration` over
-    (z, obs). `reached` holds the (trial, state) rows its last learning
-    renewed. It keeps the generic name because the benchmark traces
-    Agent.efe_per_action by it."""
+    (z, obs). `map_kls[t, z]` is the error of state z's column of the map in
+    trial t, renewed with that column. It keeps the generic name because the
+    benchmark traces Agent.efe_per_action by it."""
 
     kind = AgentKind.PARENT
 
@@ -114,8 +118,8 @@ class Agent:
         self._psi_rows = self._psi_terms.reshape(-1, N_STATES)
         self._A_rows = self.A.swapaxes(1, 2).reshape(-1, N_STATES)
         self._sensory_entropy = np.empty(self.belief.shape)
-        self.reached = self.belief.nonzero()
-        self._refresh_sensory(*self.reached)
+        self.map_kls = np.empty(self.belief.shape)
+        self._refresh_sensory(*self.belief.nonzero())
 
     def assimilate(self, action: np.ndarray, obs: np.ndarray) -> tuple:
         """Predict each trial's belief under `action` and correct it by the
@@ -146,7 +150,7 @@ class Agent:
         """Accumulate each trial's belief mass into its counts for its cue.
         Only the states the belief reaches gain mass, so only their rows of
         the map are renewed: a count plus an exact 0 keeps its bits."""
-        self.reached = t, z = posterior.nonzero()
+        t, z = posterior.nonzero()
         obs = obs[t]
         row = t * N_STATES + z
         cell = row * N_STATES + obs
@@ -156,8 +160,8 @@ class Agent:
 
     def _refresh_sensory(self, t, z, obs=None, cells=None):
         """Renew the parent's sensory map, the mean of its Dirichlet
-        concentrations, and the ambiguity of each state's column, in the
-        rows (t[i], z[i]): state z[i]'s column in trial t[i].
+        concentrations, and the ambiguity and the error of each state's
+        column, in the rows (t[i], z[i]): state z[i]'s column in trial t[i].
 
         A column's ambiguity is its expected entropy under the parent's
         Dirichlet, psi(c0 + 1) - sum_o c_o psi(c_o + 1) / c0, with
@@ -178,6 +182,7 @@ class Agent:
             self._psi_terms.put(row * N_STATES + obs, cells * psi[: len(t)])
             psi_c0 = psi[len(t) :]
         self._A_rows[row] = np.divide(rows, c0[:, None], out=rows)
+        self.map_kls.put(row, kld_A_error(rows, z))
         psi_rows = self._psi_rows.take(row, axis=0)
         self._sensory_entropy.put(row, psi_c0 - np.add.reduce(psi_rows, axis=1) / c0)
 
@@ -186,23 +191,31 @@ class Infant:
     """The infant in each of a batch of trials. It senses its `state` (None
     before its first cue, when its belief is uniform) and learns the dynamics
     B[z', z, a] as the mean of its counts `concentration` over (z, a, z').
-    Sensing exactly, from a state s its free energy is its risk row _risk[t, s]."""
+    Sensing exactly, from a state s its free energy is its risk row _risk[t, s].
+    `sleep_kls[t, z]` is the error of its Sleep column from state z in trial
+    t against the true one, row z of `true_sleep`, renewed with that column."""
 
     kind = AgentKind.INFANT
 
-    def __init__(self, preferred_obs: np.ndarray, concentration: np.ndarray):
+    def __init__(
+        self, preferred_obs: np.ndarray, concentration: np.ndarray, true_sleep: np.ndarray
+    ):
         self._log_pref = np.log(np.maximum(preferred_obs, KL_FLOOR))
+        self._true_sleep = true_sleep
         self._trials = np.arange(len(concentration))
         self.state: np.ndarray | None = None
         self.trans_concentration = concentration
         self._risk = np.empty((len(concentration), N_STATES, N_ACTIONS))
         self._start_efe = np.empty((len(concentration), N_ACTIONS))
+        self.sleep_kls = np.empty((len(concentration), N_STATES))
         # One trial at a time, so that no temporary holds T trials' counts.
         # From the uniform start, each action predicts the average of its columns.
         uniform = np.full((1, N_STATES), 1.0 / N_STATES)
-        for counts, risk, start in zip(concentration, self._risk, self._start_efe):
+        caches = zip(concentration, self._risk, self._start_efe, self.sleep_kls)
+        for counts, risk, start, sleep_kls in caches:
             mean = counts / counts.cumsum(axis=-1)[..., -1:]
             risk[:] = column_kl(mean, self._log_pref)
+            sleep_kls[:] = kld_B_error(true_sleep, mean[:, SLEEP])
             q_pred = uniform.dot(mean.reshape(N_STATES, -1)).reshape(N_ACTIONS, N_STATES)
             start[:] = column_kl(q_pred, self._log_pref)
 
@@ -225,21 +238,29 @@ class Infant:
         `action`: one unit at (prev, action, obs) from the sensed state prev,
         and 1/36 at (s, action, obs) for every s from the uniform start
         (prev None), one trial at a time, so that no temporary holds T
-        trials' columns."""
+        trials' columns. The Sleep errors of the Sleep columns counted are
+        renewed from their new means."""
         if prev is None:
             for t in self._trials:
-                self._count(t, np.arange(N_STATES), action[t], obs[t], 1.0 / N_STATES)
+                means = self._count(t, np.arange(N_STATES), action[t], obs[t], 1.0 / N_STATES)
+                if action[t] == SLEEP:
+                    self.sleep_kls[t] = kld_B_error(self._true_sleep, means)
         else:
-            self._count(self._trials, prev, action, obs, 1.0)
+            means = self._count(self._trials, prev, action, obs, 1.0)
+            slept = (action == SLEEP).nonzero()[0]
+            sources = prev[slept]
+            self.sleep_kls[slept, sources] = kld_B_error(self._true_sleep[sources], means[slept])
 
-    def _count(self, trials, sources, action, obs, weight: float):
+    def _count(self, trials, sources, action, obs, weight: float) -> np.ndarray:
         """Add `weight` at (trials, sources, action, obs), renormalize each
-        column counted, its cells summed in order, and renew its risk cell."""
+        column counted, its cells summed in order, and renew its risk cell.
+        Returns the columns' means."""
         counts = self.trans_concentration
         counts[trials, sources, action, obs] += weight
         columns = counts[trials, sources, action]
         columns /= columns.cumsum(axis=-1)[..., -1:]
         self._risk[trials, sources, action] = column_kl(columns, self._log_pref)
+        return columns
 
 
 def init_agent(
@@ -253,11 +274,13 @@ def init_agent(
     """A fresh agent of `kind` for a batch of `trials` trials, with a uniform
     belief in each. The parent keeps the exact dynamics and starts a flat
     Dirichlet over the sensory map; the infant senses its state exactly and
-    starts a flat Dirichlet over the dynamics, at its mean."""
+    starts a flat Dirichlet over the dynamics, at its mean, and is handed
+    the true Sleep columns its error is measured against."""
     if not 0.0 < prior_concentration < math.inf:
         raise ValueError("prior concentration must be positive and finite")
     preferred = preferred_obs_distribution(preference, preference_mode)
     prior = float(prior_concentration)  # an integer prior would make integer counts
     if kind is AgentKind.PARENT:
         return Agent(truth.tensor, preferred, np.full((trials, N_STATES, N_STATES), prior))
-    return Infant(preferred, np.full((trials, N_STATES, N_ACTIONS, N_STATES), prior))
+    counts = np.full((trials, N_STATES, N_ACTIONS, N_STATES), prior)
+    return Infant(preferred, counts, truth.tensor[:, :, SLEEP].T)

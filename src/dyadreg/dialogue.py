@@ -93,7 +93,9 @@ def mh_accept(
     rows = np.arange(len(u))
     num = listener_posterior[rows, proposed_w]
     den = listener_posterior[rows, current_w]
-    prob = np.minimum(np.divide(num, den, out=np.full(len(u), np.inf), where=den > 0.0), 1.0)
+    prob = np.empty(len(u))
+    prob.fill(np.inf)
+    np.minimum(np.divide(num, den, out=prob, where=den > 0.0), 1.0, out=prob)
     return u < prob, prob
 
 

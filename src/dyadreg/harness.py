@@ -24,7 +24,6 @@ from .config import ExperimentConfig, save_config
 from .dialogue import CONDITION_NAMES, ROUND_SPEAKERS, DialogueOutcome
 from .dialogue import condition_codes, place_uniforms, run_iteration
 from .environment import (
-    Action,
     N_LEVELS,
     N_STATES,
     PriorPreference,
@@ -41,8 +40,6 @@ from .metrics import (
     auc_window,
     c_norm,
     jsd_latent,
-    kld_A_error,
-    kld_B_error,
     shuffle_control,
 )
 from .plots import emit_plots
@@ -134,44 +131,19 @@ def run_trial(config: ExperimentConfig, conditions, trials) -> list:
     written = (*DialogueOutcome._fields, "rare_branch", "kld_A", "kld_B_sleep")
     record = [rounds[name] for name in written]
     row = 0
-    # A round's learning renews the acted source columns its belief before
-    # the round weighs: all 36 from the uniform start, one from a sensed
-    # state, the round before's landing state. So the first round renews
-    # every trial's Sleep KLs, one trial at a time so that no temporary
-    # holds the batch's columns, and a later round those of its Sleep trials.
-    sleep = int(Action.SLEEP)  # numpy compares and indexes by an int faster than an IntEnum
-    true_sleep = world.tensor[:, :, sleep].T
-    # Each trial's per-column map and Sleep errors, whose row means a round
-    # records in one reduction.
-    errors = np.empty((2, count, N_STATES))
-    map_kls, sleep_kls = errors
-    # A round's learning moves only the parent's map columns of the states
-    # its belief reaches, parent.reached, so a round renews only their
-    # errors, which start from the prior map, one trial at a time, read as
-    # its buffer's rows.
-    map_kls[:] = [kld_A_error(A.T, np.arange(N_STATES)) for A in parent.A]
 
     def on_round(speaker, outcome, z, rare):
         nonlocal row
-        t, reached = parent.reached
-        map_kls[t, reached] = kld_A_error(parent.A.swapaxes(1, 2)[t, reached], reached)
-        if row:
-            slept = (outcome.shared_w == sleep).nonzero()[0]
-            renewals = [(slept, states[slept, row - 1])]
-        else:
-            renewals = [(t, np.arange(N_STATES)) for t in range(count)]
-        for t, columns in renewals:
-            sleep_kls[t, columns] = kld_B_error(
-                true_sleep[columns], infant.trans_concentration[t, columns, sleep]
-            )
         parent_round_beliefs[:, row] = parent.belief
         states[:, row] = z
-        values = (*outcome, rare, *np.add.reduce(errors, axis=2) / N_STATES)
+        kld_A = np.add.reduce(parent.map_kls, axis=1) / N_STATES
+        kld_B_sleep = np.add.reduce(infant.sleep_kls, axis=1) / N_STATES
+        values = (*outcome, rare, kld_A, kld_B_sleep)
         for i, column in enumerate(record):
             column[:, row] = values[i]
         row += 1
 
-    z, current_w = np.full(count, START_STATE.flat), None
+    z, current_w = np.array([START_STATE.flat] * count), None
     for _ in range(config.iterations):
         z, current_w = run_iteration(
             parent, infant, world, z, codes, draws, config.round_order, current_w, persist,

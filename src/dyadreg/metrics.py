@@ -37,12 +37,11 @@ def kld_A_error(columns: np.ndarray, states: np.ndarray) -> np.ndarray:
     return 0.0 - np.log(q[np.arange(len(q)), states] / np.add.reduce(q, axis=1))
 
 
-def kld_B_error(true_columns: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def kld_B_error(true_columns: np.ndarray, means: np.ndarray) -> np.ndarray:
     """KL(p_j || q_j) of each true column p_j, a row of `true_columns`, to
-    q_j, the mean of its row of `counts` floored at KL_FLOOR and
+    q_j, its learned column, the row of `means` floored at KL_FLOOR and
     renormalized, each sum taken in order."""
-    q = counts / counts.cumsum(axis=-1)[..., -1:]
-    np.maximum(q, KL_FLOOR, out=q)
+    q = np.maximum(means, KL_FLOOR)
     q /= q.cumsum(axis=-1)[..., -1:]
     return column_kl(true_columns, np.log(q, out=q))
 

@@ -13,7 +13,7 @@ import numpy as np
 from dyadreg import harness
 from dyadreg.agents import AgentKind, Infant
 from dyadreg.dialogue import Condition, DialogueOutcome
-from dyadreg.environment import N_ACTIONS, N_STATES
+from dyadreg.environment import Action, N_ACTIONS, N_STATES
 from dyadreg.harness import BELIEF_HEADER, CSV_HEADER
 from dyadreg.metrics import ROUND_DTYPE
 from dyadreg.probability import KL_FLOOR, RENORM_TOL, Categorical, digamma, kl_terms
@@ -207,7 +207,8 @@ def omniscient_infant(world, preferred_obs) -> Infant:
     world.tensor, so its free energy from each state it senses is the exact
     one; for directional checks. Its counts do not match that table, so it
     is not one to learn."""
-    infant = Infant(preferred_obs, np.ones((1, N_STATES, N_ACTIONS, N_STATES)))
+    true_sleep = world.tensor[:, :, Action.SLEEP].T
+    infant = Infant(preferred_obs, np.ones((1, N_STATES, N_ACTIONS, N_STATES)), true_sleep)
     log_pref = np.log(np.maximum(preferred_obs, KL_FLOOR))
     infant._risk[0] = kl_terms(world.tensor, log_pref[:, None, None]).sum(axis=0)
     return infant

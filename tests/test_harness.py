@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dyadreg import dialogue, harness
+from dyadreg import agents, dialogue, harness
 from dyadreg.agents import Agent, AgentKind, init_agent
 from dyadreg.config import MAX_WORKERS, ExperimentConfig
 from dyadreg.dialogue import CONDITION_NAMES, ROUND_ORDERS, DialogueOutcome, condition_codes
@@ -36,7 +36,7 @@ from dyadreg.harness import (
 from dyadreg.metrics import ROUND_DTYPE, TrialLog
 from dyadreg.probability import KL_FLOOR, derive_seed, make_rng
 import oracles
-from oracles import floored_kld_A, jsd_latent, learned_dynamics, mean_column_kl
+from oracles import column_kls, floored_kld_A, jsd_latent, learned_dynamics, mean_column_kl
 from oracles import run_trial_keeping_agents
 from oracles import write_beliefs_csv as write_beliefs_csv_generic
 from oracles import write_trial_csv as write_trial_csv_generic
@@ -238,10 +238,11 @@ class TestSleepOnlyKldB:
     @pytest.mark.parametrize("round_order", ROUND_ORDERS)
     def test_equals_recomputing_every_round(self, monkeypatch, round_order, mh_current_w):
         # The first round learns from the infant's uniform start belief and
-        # renews every Sleep column of every trial: mhng trial 0 and b-led
-        # trial 1 sleep in it under either round order, so theirs come from
-        # the learned counts, and a-led trial 0 does not, so its columns keep
-        # the prior's. Each later Sleep round renews one column per Sleep trial.
+        # renews every Sleep column of each trial that sleeps in it: mhng
+        # trial 0 and b-led trial 1 do under either round order, and a-led
+        # trial 0 does not, so its columns keep the prior's. Each later Sleep
+        # round renews one column per Sleep trial. After every round, each
+        # trial's per-column errors equal those of its learned Sleep columns.
         sleep = Action.SLEEP
         every_round, slept = [], []
 
@@ -250,6 +251,8 @@ class TestSleepOnlyKldB:
                 learned_sleep = learned_dynamics(infant)[..., sleep]
                 true_sleep = world.tensor[:, :, sleep]
                 every_round.append([mean_column_kl(true_sleep, q) for q in learned_sleep])
+                by_column = np.array([column_kls(true_sleep, q) for q in learned_sleep])
+                assert infant.sleep_kls.tobytes() == by_column.tobytes()
                 slept.append(outcome.shared_w == sleep)
                 on_round(speaker, outcome, z, rare)
 
@@ -265,31 +268,37 @@ class TestSleepOnlyKldB:
             assert log.rounds["kld_B_sleep"].tobytes() == expected.tobytes()
 
     def test_the_first_round_renews_one_trial_at_a_time(self, monkeypatch):
-        # Round 1 renews all 36 Sleep columns of each trial of a 30-trial
-        # mixed batch, with one kld_B_error call per trial, so that no
-        # temporary holds the batch's columns; a later round renews at most
-        # one column per trial in one call.
-        calls, harness_kld_B_error = [[]], harness.kld_B_error
+        # In a 30-trial mixed batch, the infant's construction takes each
+        # trial's 36 prior Sleep errors, and round 1 renews the 36 of each
+        # trial that slept in it, with one kld_B_error call per trial, so
+        # that no temporary holds the batch's columns; a later round renews
+        # one column per Sleep trial in one call.
+        calls, slept, agents_kld_B_error = [[]], [], agents.kld_B_error
 
-        def kld_B_error(true_columns, counts):
+        def kld_B_error(true_columns, means):
             calls[-1].append(len(true_columns))
-            return harness_kld_B_error(true_columns, counts)
+            return agents_kld_B_error(true_columns, means)
 
         def run_iteration(*args, on_round, **kwargs):
-            def record(*round_args):
-                on_round(*round_args)
+            def record(speaker, outcome, *rest):
+                on_round(speaker, outcome, *rest)
+                slept.append(int(np.add.reduce(outcome.shared_w == Action.SLEEP)))
                 calls.append([])
 
+            if not slept:
+                calls.append([])
             return dialogue.run_iteration(*args, on_round=record, **kwargs)
 
-        monkeypatch.setattr(harness, "kld_B_error", kld_B_error)
+        monkeypatch.setattr(agents, "kld_B_error", kld_B_error)
         monkeypatch.setattr(harness, "run_iteration", run_iteration)
         conditions = [cond for cond in CONDITION_NAMES for _ in range(10)]
         run_trial(small_config(iterations=5), conditions, [*range(10)] * 3)
-        first, *later, _ = calls
-        assert first == [N_STATES] * 30
-        assert [len(columns) for columns in later] == [1] * 9
-        assert max(n for columns in calls[:-1] for n in columns) <= N_STATES
+        construction, first, *later, _ = calls
+        assert construction == [N_STATES] * 30
+        assert 0 < slept[0] < 30
+        assert first == [N_STATES] * slept[0]
+        assert later == [[n] for n in slept[1:]]
+        assert max(n for columns in calls for n in columns) <= N_STATES
 
 
 class TestSparseSensoryRefresh:
@@ -330,6 +339,8 @@ class TestSparseSensoryRefresh:
                 assert parent._sensory_entropy.tobytes() == ambiguity.tobytes()
                 assert parent._psi_terms.tobytes() == psi_terms.tobytes()
                 expected_kld_A.append(floored_kld_A(np.maximum(sensory, KL_FLOOR)))
+                by_column = np.array([column_kls(np.eye(N_STATES), A) for A in sensory])
+                assert parent.map_kls.tobytes() == by_column.tobytes()
                 on_round(speaker, outcome, z, rare)
 
             return dialogue.run_iteration(parent, infant, world, *args, on_round=record, **kwargs)
@@ -342,12 +353,11 @@ class TestSparseSensoryRefresh:
             assert log.rounds["kld_A"].tobytes() == kld_A.tobytes()
 
     def test_only_the_rows_the_belief_reaches_are_renewed(self, monkeypatch):
-        # The parent's construction renews every row, under its uniform
-        # belief, and the hook first takes every column of each trial's
-        # prior map, one trial at a time. Then each round's learning and map
-        # error renew exactly the (trial, state) rows where the parent's
-        # belief is positive.
-        refresh, kld_A_error = Agent._refresh_sensory, harness.kld_A_error
+        # The parent's construction renews every row, and every row's map
+        # error, under its uniform belief. Then each round's learning renews
+        # exactly the (trial, state) rows where the parent's belief is
+        # positive, in the map and in its error.
+        refresh, kld_A_error = Agent._refresh_sensory, agents.kld_A_error
         refreshed, errors, rounds = [], [], []
 
         def spy_refresh(self, t, z, *args):
@@ -360,17 +370,18 @@ class TestSparseSensoryRefresh:
 
         def run_iteration(parent, infant, world, *args, on_round, **kwargs):
             def record(*round_args):
-                del errors[:]
                 on_round(*round_args)
                 t, z = (parent.belief > 0.0).nonzero()
                 rounds.append((errors[:], z, parent.A.swapaxes(1, 2)[t, z]))
+                del errors[:]
 
             if not rounds:
                 rounds.append((errors[:], None, parent.A.swapaxes(1, 2).copy()))
+                del errors[:]
             return dialogue.run_iteration(parent, infant, world, *args, on_round=record, **kwargs)
 
         monkeypatch.setattr(Agent, "_refresh_sensory", spy_refresh)
-        monkeypatch.setattr(harness, "kld_A_error", spy_kld_A_error)
+        monkeypatch.setattr(agents, "kld_A_error", spy_kld_A_error)
         monkeypatch.setattr(harness, "run_iteration", run_iteration)
         self.mixed_batch(iterations=10)
         (start_calls, _, prior_columns), *later = rounds
@@ -378,9 +389,9 @@ class TestSparseSensoryRefresh:
         for reached, renewed in refreshed:
             assert [a.tolist() for a in renewed] == [a.tolist() for a in reached]
         assert len(refreshed[0][1][0]) == 30 * N_STATES
-        assert [states.tolist() for _, states in start_calls] == [[*range(N_STATES)]] * 30
-        for (columns, _), prior in zip(start_calls, prior_columns):
-            assert columns.tobytes() == prior.tobytes()
+        ((given, states),) = start_calls
+        assert states.tolist() == [*range(N_STATES)] * 30
+        assert given.tobytes() == prior_columns.tobytes()
         for calls, reached, columns in later:
             ((given, states),) = calls
             assert states.tolist() == reached.tolist()

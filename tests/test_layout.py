@@ -14,7 +14,9 @@ of trials, so a batch costs the calls of one trial, and a serial run is one
 batch. Each kind of agent is
 its own class, so no function in agents.py asks an agent for its kind.
 Every function in metrics.py is pure: it writes into none of its
-arguments, so a caller's cache lives with the caller.
+arguments, so a caller's cache lives with the caller. Each model error has
+one owner, the agent that learns the matrix it measures, so harness.py
+names no error function.
 """
 
 import ast
@@ -116,13 +118,13 @@ def test_the_round_path_raises_nothing():
 # numpy reductions and functions that pass through a Python-level wrapper
 # before their C code: ndarray.sum and its kin, and np.where, np.zeros_like,
 # np.diagonal, np.dot, np.split, np.take_along_axis, np.put_along_axis,
-# np.nonzero and np.flatnonzero. A round calls its functions dozens of
-# times, so they call the ufunc (np.add.reduce, np.minimum.reduce) or the
-# C method (ndarray.take, ndarray.put, ndarray.nonzero).
+# np.nonzero, np.flatnonzero and np.full. A round calls its functions dozens
+# of times, so they call the ufunc (np.add.reduce, np.minimum.reduce) or the
+# C method (ndarray.take, ndarray.put, ndarray.nonzero, ndarray.fill).
 WRAPPED_METHODS = {"sum", "min", "max", "mean"}
 WRAPPED_NP_FUNCTIONS = {
     "where", "zeros_like", "diagonal", "dot",
-    "split", "take_along_axis", "put_along_axis", "nonzero", "flatnonzero",
+    "split", "take_along_axis", "put_along_axis", "nonzero", "flatnonzero", "full",
 }
 
 
@@ -193,6 +195,16 @@ def test_no_metric_writes_into_its_arguments():
     # A metric is a function of what it is given; a cache it renews belongs
     # to its caller, which names what it renews at the call.
     assert _argument_writes(_trees()["metrics.py"]) == []
+
+
+def test_each_model_error_has_one_owner():
+    # The parent renews its map errors where it renews its map, and the
+    # infant its Sleep errors where it counts its dynamics; the round hook
+    # only reads them, so it keeps no second rule for what learning renewed.
+    tree = _trees()["harness.py"]
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    names = _references({"harness.py": tree}) | {a.name for node in imports for a in node.names}
+    assert sorted(names & {"kld_A_error", "kld_B_error"}) == []
 
 
 def test_no_module_imports_csv():

@@ -151,56 +151,42 @@ class TestModelErrors:
         # 12 rail columns are one-hot (KL = ln 36), the other 24 hold the
         # 0.8 / 0.2 pair.
         infant = init_agent(AgentKind.INFANT, world, pref)
-        counts = infant.trans_concentration[0, :, Action.SLEEP]
-        kls = kld_B_error(world.tensor[:, :, Action.SLEEP].T, counts)
+        means = learned_dynamics(infant)[0, :, :, Action.SLEEP].T
+        kls = kld_B_error(world.tensor[:, :, Action.SLEEP].T, means)
         two_point = 0.8 * np.log(0.8 * 36) + 0.2 * np.log(0.2 * 36)
         expect = (12 * np.log(36) + 24 * two_point) / 36
         assert kls.shape == (N_STATES,)
         assert kls.mean() == pytest.approx(expect, abs=1e-12)
+        assert infant.sleep_kls[0].tobytes() == kls.tobytes()
 
     def test_error_vanishes_at_truth(self, world):
-        counts = world.tensor.transpose(1, 2, 0)[:, Action.SLEEP]
-        kls = kld_B_error(world.tensor[:, :, Action.SLEEP].T, counts)
+        means = world.tensor.transpose(1, 2, 0)[:, Action.SLEEP]
+        kls = kld_B_error(world.tensor[:, :, Action.SLEEP].T, means)
         assert np.abs(kls).max() == pytest.approx(0.0, abs=1e-9)
 
     def test_sleep_error_by_column_equals_kld_B_error(self, world, pref):
         # A seeded run of rounds for a batch of infants, about half of each
-        # trial's rounds Sleep, renewing a per-column cache as run_trial
-        # does: the first, from the uniform start belief, recomputes every
-        # column, the others only the one learned, and only in the trials
-        # that slept. kld_B_error leaves the counts it reads as they were.
+        # trial's rounds Sleep. The infant's per-column cache is renewed as
+        # it learns: the first round, from the uniform start belief, renews
+        # every column, the others only the one learned, and only in the
+        # trials that slept. After every round it equals the errors of the
+        # learned Sleep columns.
         trials = 3
         infant = init_agent(AgentKind.INFANT, world, pref, trials=trials)
-        counts = infant.trans_concentration
         rng = make_rng(67)
         true_sleep = world.tensor[:, :, Action.SLEEP]
-        kls = np.empty((trials, N_STATES))
-        for t in range(trials):
-            kls[t] = kld_B_error(true_sleep.T, counts[t, :, Action.SLEEP])
         one_column = 0
         for step in range(200):
             sleep = (rng.random(trials) < 0.5) | (step == 0)
             action = np.where(sleep, Action.SLEEP, rng.integers(4, size=trials))
             prev, new = infant.assimilate(action, rng.integers(N_STATES, size=trials))
             infant.learn_B(prev, new, action)
-            slept = sleep.nonzero()[0]
-            if slept.size:
-                one_column += prev is not None
-                before = counts.copy()
-                if prev is None:
-                    for t in slept:
-                        kls[t] = kld_B_error(true_sleep.T, counts[t, :, Action.SLEEP])
-                else:
-                    columns = prev[slept]
-                    kls[slept, columns] = kld_B_error(
-                        true_sleep.T[columns], counts[slept, columns, Action.SLEEP]
-                    )
-                assert np.array_equal(counts, before)
-                got = np.add.reduce(kls, axis=1) / N_STATES
-                for t in range(trials):
-                    learned_sleep = learned_dynamics(infant)[t, :, :, Action.SLEEP]
-                    assert got[t] == mean_column_kl(true_sleep, learned_sleep)
-                    assert np.array_equal(kls[t], column_kls(true_sleep, learned_sleep))
+            one_column += prev is not None and sleep.any()
+            got = np.add.reduce(infant.sleep_kls, axis=1) / N_STATES
+            for t in range(trials):
+                learned_sleep = learned_dynamics(infant)[t, :, :, Action.SLEEP]
+                assert got[t] == mean_column_kl(true_sleep, learned_sleep)
+                assert np.array_equal(infant.sleep_kls[t], column_kls(true_sleep, learned_sleep))
         assert one_column > 150
 
 

@@ -17,11 +17,11 @@ import numpy as np
 
 from .agents import DIRICHLET_PRIOR
 from .dialogue import CONDITION_NAMES, ROUND_ORDERS
-from .environment import BRANCH_PROB, C_FLOOR, C_SIGMA, EAT_GAIN, N_LEVELS, N_STATES, TEMP_HIGH_MIN
+from .environment import BRANCH_PROB, C_FLOOR, C_SIGMA, EAT_GAIN, TEMP_HIGH_MIN
+from .environment import N_LEVELS, N_STATES, PREFERENCE_MODES
 from .metrics import ROUND_DTYPE
 
 CURRENT_W_MODES = ("fresh", "persistent")
-PREFERENCE_MODES = ("linear", "softmax")
 # The most processes a run may start; each is a full interpreter.
 MAX_WORKERS = 64
 # The trial CSV's iteration column bounds a trial's length.

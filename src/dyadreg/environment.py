@@ -1,9 +1,10 @@
 """Ground-truth visceral world.
 
-A 6x6 grid of internal states (energy x temperature), five caregiving
-actions with deterministic main effects and a rare temperature branch,
-identity observation emission, and the prior preference surface that
-defines which states count as comfortable.
+A 6x6 grid of internal states (energy x temperature), each known by its
+flat index, and the start state; five caregiving actions with deterministic
+main effects and a rare temperature branch; identity observation emission;
+and the prior preference surface that defines which states count as
+comfortable, with the modes that turn it into a distribution.
 """
 
 from __future__ import annotations
@@ -35,26 +36,18 @@ class Action(IntEnum):
     SLEEP = 4
 
 
-@dataclass(frozen=True)
-class VisceralState:
-    """One cell of the grid: x is energy, y is body temperature."""
+def to_flat(x, y):
+    """The flat index of cell (x, y); ints or arrays alike."""
+    return y * N_LEVELS + x
 
-    x: int
-    y: int
 
-    def __post_init__(self):
-        if not (0 <= self.x < N_LEVELS and 0 <= self.y < N_LEVELS):
-            raise ValueError(f"state out of range: ({self.x}, {self.y})")
+def to_xy(z):
+    """The (x, y) cell of flat index z; ints or arrays alike."""
+    return z % N_LEVELS, z // N_LEVELS
 
-    @property
-    def flat(self) -> int:
-        return self.y * N_LEVELS + self.x
 
-    @classmethod
-    def from_flat(cls, index: int) -> "VisceralState":
-        if not 0 <= index < N_STATES:
-            raise ValueError(f"flat index out of range: {index}")
-        return cls(x=index % N_LEVELS, y=index // N_LEVELS)
+# Every trial starts in the middle of the grid.
+START_STATE = to_flat(2, 2)
 
 
 @dataclass(frozen=True)
@@ -95,22 +88,22 @@ def build_transition_model(
     rare_next = np.full((N_STATES, N_ACTIONS), -1, dtype=np.int64)
     energy_delta = {Action.EAT: eat_gain, Action.PLAY: -1, Action.SLEEP: 0}
     for z in range(N_STATES):
-        s = VisceralState.from_flat(z)
+        x, y = to_xy(z)
         for action in Action:
             if action is Action.COOL:
-                main, rare = (s.x - 1, s.y - 1), None
+                main, rare = (x - 1, y - 1), None
             elif action is Action.WARM:
-                main, rare = (s.x - 1, s.y + 1), None
+                main, rare = (x - 1, y + 1), None
             else:
                 dx = energy_delta[action]
-                dy = 1 if s.y >= temp_high_min else -1
-                main, rare = (s.x + dx, s.y), (s.x + dx, s.y + dy)
-            m = _clamp(main[1]) * N_LEVELS + _clamp(main[0])
+                dy = 1 if y >= temp_high_min else -1
+                main, rare = (x + dx, y), (x + dx, y + dy)
+            m = to_flat(_clamp(main[0]), _clamp(main[1]))
             main_next[z, action] = m
             if rare is None:
                 tensor[m, z, action] = 1.0
                 continue
-            r = _clamp(rare[1]) * N_LEVELS + _clamp(rare[0])
+            r = to_flat(_clamp(rare[0]), _clamp(rare[1]))
             if r == m:
                 tensor[m, z, action] = 1.0
             else:
@@ -167,6 +160,10 @@ def build_prior_preference(sigma: float = C_SIGMA, floor: float = C_FLOOR) -> Pr
     d2 = (gx - 2.5) ** 2 + (gy - 2.5) ** 2
     vals = np.maximum(np.exp(-d2 / (2.0 * sigma * sigma)), floor)
     return PriorPreference(vals.reshape(-1))
+
+
+# The modes preferred_obs_distribution accepts.
+PREFERENCE_MODES = ("linear", "softmax")
 
 
 def preferred_obs_distribution(pref: PriorPreference, mode: str = "linear") -> np.ndarray:

@@ -26,10 +26,11 @@ from .dialogue import condition_codes, place_uniforms, run_iteration
 from .environment import (
     N_LEVELS,
     N_STATES,
+    START_STATE,
     PriorPreference,
-    VisceralState,
     build_prior_preference,
     build_transition_model,
+    to_xy,
 )
 from .metrics import (
     ALIGNMENT_WINDOW,
@@ -41,11 +42,10 @@ from .metrics import (
     c_norm,
     jsd_latent,
     shuffle_control,
+    trial_files,
 )
 from .plots import emit_plots
 from .probability import RENORM_TOL, derive_seed, make_rng
-
-START_STATE = VisceralState(2, 2)
 
 CSV_HEADER = list(ROUND_DTYPE.names)
 # The trial CSV's columns as its cells parse: flags are written as 0/1 and
@@ -143,7 +143,7 @@ def run_trial(config: ExperimentConfig, conditions, trials) -> list:
             column[:, row] = values[i]
         row += 1
 
-    z, current_w = np.array([START_STATE.flat] * count), None
+    z, current_w = np.array([START_STATE] * count), None
     for _ in range(config.iterations):
         z, current_w = run_iteration(
             parent, infant, world, z, codes, draws, config.round_order, current_w, persist,
@@ -159,8 +159,7 @@ def run_trial(config: ExperimentConfig, conditions, trials) -> list:
     rounds["speaker"] = speakers * config.iterations
     # The action column: symbol w names action w.
     rounds["action"] = rounds["shared_w"]
-    rounds["true_x"] = states % N_LEVELS
-    rounds["true_y"] = states // N_LEVELS
+    rounds["true_x"], rounds["true_y"] = to_xy(states)
     rounds["c_norm"] = c_norm(states, pref)
     for i in range(count):
         rounds[i]["jsd_z"] = jsd_latent(parent_round_beliefs[i], states[i])
@@ -171,12 +170,6 @@ def run_trial(config: ExperimentConfig, conditions, trials) -> list:
 
 
 # -- the run directory and its CSV tables --------------------------------------
-
-
-def trial_files(condition: str, trial_index: int) -> tuple:
-    """Run-relative paths of one trial's CSV and of its belief dump."""
-    stem = f"trials/{condition}_t{trial_index:02d}"
-    return f"{stem}.csv", f"{stem}_beliefs.csv"
 
 
 def _write_csv(path, header, line, rows):
@@ -312,12 +305,10 @@ def _alignment_stats(config: ExperimentConfig, log: TrialLog) -> dict:
     return out
 
 
-def build_summary(config: ExperimentConfig, logs, agg=None) -> dict:
+def build_summary(config: ExperimentConfig, logs, agg) -> dict:
     """Cross-trial summary: comfort moments per condition, their ranking,
     metric snapshots, and per-trial alignment statistics. `agg` is
-    aggregate_conditions(logs), computed here unless given."""
-    if agg is None:
-        agg = aggregate_conditions(logs)
+    aggregate_conditions(logs)."""
     conditions: dict[str, dict] = {}
     for cond, data in agg.items():
         entry = {

@@ -2,8 +2,8 @@
 
 Comfort of the true state, learning error of each agent's imprecise
 matrix, divergence between the two agents' beliefs, windowed AUC, the
-temporal-shuffle control, the columnar trial log, and cross-trial
-aggregation.
+temporal-shuffle control, the columnar trial log with the run-relative
+paths of its files, and cross-trial aggregation.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .environment import N_LEVELS, PriorPreference
+from .environment import PriorPreference, to_flat
 from .probability import KL_FLOOR, column_kl
 
 # Iteration window (1-based, inclusive) for alignment medians and AUC.
@@ -150,7 +150,7 @@ class TrialLog:
 
     def landing_states(self) -> np.ndarray:
         """The flat true state each round landed in, from its true_x and true_y."""
-        return self.rounds["true_y"] * N_LEVELS + self.rounds["true_x"]
+        return to_flat(self.rounds["true_x"], self.rounds["true_y"])
 
     def iteration_series(self, name: str) -> np.ndarray:
         """One value per iteration: the second round's, except that the
@@ -159,6 +159,12 @@ class TrialLog:
         if name == "rare_branch":
             return column[0::2] | column[1::2]
         return column[1::2].astype(float)
+
+
+def trial_files(condition: str, trial_index: int) -> tuple:
+    """Run-relative paths of one trial's CSV and of its belief dump."""
+    stem = f"trials/{condition}_t{trial_index:02d}"
+    return f"{stem}.csv", f"{stem}_beliefs.csv"
 
 
 def aggregate_conditions(logs: Iterable[TrialLog]) -> dict:

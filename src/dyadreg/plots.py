@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .metrics import ROUND_DTYPE
+from .metrics import ROUND_DTYPE, trial_files
 
 # CSV column numbers (1-based, gnuplot convention) in the trial files.
 COL_ITERATION, COL_ROUND, COL_RARE, COL_JSD = (
@@ -33,8 +33,6 @@ def emit_plots(run_dir, config, summary) -> list:
     need data the run did not produce (AUC needs the full alignment
     window) are skipped.
     """
-    # Imported here: harness owns the run directory's layout and imports this module.
-    from .harness import trial_files
     run_dir = Path(run_dir)
     plots = run_dir / "plots"
     plots.mkdir(parents=True, exist_ok=True)

@@ -18,12 +18,12 @@ from dyadreg.config import ExperimentConfig
 from dyadreg.dialogue import Condition, condition_codes, run_round
 from dyadreg.environment import (
     Action,
+    START_STATE,
     build_prior_preference,
     build_transition_model,
     preferred_obs_distribution,
 )
 from dyadreg.harness import (
-    START_STATE,
     build_summary,
     open_run,
     run_experiment,
@@ -34,7 +34,7 @@ from dyadreg.probability import (
     make_rng,
     softmax_neg,
 )
-from dyadreg.metrics import jsd_latent
+from dyadreg.metrics import aggregate_conditions, jsd_latent
 from oracles import identity_efe, js_divergence, kl_divergence, run_trial_keeping_agents
 from oracles import jsd_latent as scalar_jsd_latent
 
@@ -64,7 +64,8 @@ def grid():
 @pytest.fixture(scope="module")
 def mhng_summary(grid):
     cfg = ExperimentConfig(seed=DEFAULT_SEED)
-    return build_summary(cfg, grid[DEFAULT_SEED]["mhng"])
+    logs = grid[DEFAULT_SEED]["mhng"]
+    return build_summary(cfg, logs, aggregate_conditions(logs))
 
 
 def mean_curve(logs, name):
@@ -110,7 +111,7 @@ def sleep_column_counts(log, iterations):
     infant transition column they teach, over the first `iterations`
     iterations of a trial."""
     counts = np.zeros(36)
-    prev = START_STATE.flat
+    prev = START_STATE
     for rec in log.rounds[: 2 * iterations]:
         if rec["action"] == Action.SLEEP:
             counts[prev] += 1

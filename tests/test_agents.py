@@ -15,10 +15,10 @@ from dyadreg.agents import (
 from dyadreg.environment import (
     Action,
     N_STATES,
-    VisceralState,
     build_prior_preference,
     build_transition_model,
     preferred_obs_distribution,
+    to_flat,
 )
 from dyadreg.config import ExperimentConfig
 from dyadreg.dialogue import CONDITION_NAMES
@@ -111,10 +111,10 @@ class TestInit:
 
 class TestFiltering:
     def test_predict_splits_on_branch(self, world):
-        q = np.eye(N_STATES)[[VisceralState(3, 3).flat]]
+        q = np.eye(N_STATES)[[to_flat(3, 3)]]
         (out,) = predict_belief(q, prediction_sources(world.tensor), at(Action.SLEEP))
-        assert out[VisceralState(3, 3).flat] == pytest.approx(0.8)
-        assert out[VisceralState(3, 4).flat] == pytest.approx(0.2)
+        assert out[to_flat(3, 3)] == pytest.approx(0.8)
+        assert out[to_flat(3, 4)] == pytest.approx(0.2)
 
     def test_predict_keeps_normalization(self, world):
         rng = make_rng(0)
@@ -180,7 +180,7 @@ class TestExpectedFreeEnergy:
 
     def test_identity_sensing_has_zero_ambiguity(self, world, comfort):
         agent = omniscient_infant(world, comfort)
-        start = VisceralState(2, 2).flat
+        start = to_flat(2, 2)
         agent.state = at(start)
         for a in range(5):
             q_pred = oracles.predict_belief(np.eye(N_STATES)[start], world.tensor, a)
@@ -189,7 +189,7 @@ class TestExpectedFreeEnergy:
 
     def test_sleep_preferred_at_comfort_peak(self, world, comfort):
         agent = omniscient_infant(world, comfort)
-        agent.state = at(VisceralState(2, 2).flat)
+        agent.state = at(to_flat(2, 2))
         vec = agent.efe_per_action()[0]
         assert int(vec.argmin()) == Action.SLEEP
         assert agent.symbol_posterior()[0].argmax() == Action.SLEEP
@@ -206,7 +206,7 @@ class TestExpectedFreeEnergy:
 class TestSymbolPosterior:
     def test_softmax_of_negative_scores(self, world, comfort):
         agent = omniscient_infant(world, comfort)
-        agent.state = at(VisceralState(4, 4).flat)
+        agent.state = at(to_flat(4, 4))
         g = agent.efe_per_action()[0]
         expect = np.exp(-(g - g.min()))
         expect /= expect.sum()
@@ -214,9 +214,9 @@ class TestSymbolPosterior:
 
     def test_cache_invalidated_by_belief_change(self, world, comfort):
         agent = omniscient_infant(world, comfort)
-        agent.state = at(VisceralState(2, 2).flat)
+        agent.state = at(to_flat(2, 2))
         first = agent.symbol_posterior()
-        agent.state = at(VisceralState(5, 0).flat)
+        agent.state = at(to_flat(5, 0))
         second = agent.symbol_posterior()
         assert not np.allclose(first, second)
 
@@ -386,7 +386,7 @@ class TestStructureShortcuts:
         # Under the exact dynamics, Sleep from the comfort peak cannot land
         # on the far corner, so the update falls back to the likelihood.
         agent = omniscient_infant(world, comfort)
-        start, far = VisceralState(2, 2).flat, VisceralState(5, 5).flat
+        start, far = to_flat(2, 2), to_flat(5, 5)
         agent.state = at(start)
         pred = oracles.predict_belief(np.eye(N_STATES)[start], world.tensor, Action.SLEEP)
         assert pred[far] == 0.0

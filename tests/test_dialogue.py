@@ -5,13 +5,13 @@ import oracles
 from dyadreg.agents import Agent, AgentKind, Infant, init_agent
 from dyadreg.dialogue import Condition, condition_codes, mh_accept, run_iteration, run_round
 from dyadreg.environment import (
-    VisceralState,
     build_prior_preference,
     build_transition_model,
+    to_flat,
 )
 from dyadreg.probability import Categorical, make_rng, sample
 
-START = VisceralState(2, 2).flat
+START = to_flat(2, 2)
 
 
 @pytest.fixture(scope="module")

@@ -6,11 +6,12 @@ from dyadreg.environment import (
     N_ACTIONS,
     N_STATES,
     PriorPreference,
-    VisceralState,
     build_prior_preference,
     build_transition_model,
     preferred_obs_distribution,
     step,
+    to_flat,
+    to_xy,
 )
 from dyadreg.probability import make_rng
 from oracles import identity_sensory_map
@@ -21,21 +22,13 @@ def model():
     return build_transition_model()
 
 
-class TestVisceralState:
+class TestFlatLayout:
     def test_flat_round_trip(self):
-        for z in range(N_STATES):
-            assert VisceralState.from_flat(z).flat == z
+        for z in [*range(N_STATES), np.arange(N_STATES)]:
+            assert np.array_equal(to_flat(*to_xy(z)), z)
 
     def test_flat_layout(self):
-        assert VisceralState(x=3, y=1).flat == 9
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            VisceralState(6, 0)
-        with pytest.raises(ValueError):
-            VisceralState(0, -1)
-        with pytest.raises(ValueError):
-            VisceralState.from_flat(36)
+        assert to_flat(3, 1) == 9
 
 
 class TestTransitionModel:
@@ -51,31 +44,31 @@ class TestTransitionModel:
             assert np.all(np.isin(model.tensor[:, :, a], [0.0, 1.0]))
 
     def test_interior_moves(self, model):
-        z = VisceralState(3, 3).flat
-        assert model.main_next[z, Action.COOL] == VisceralState(2, 2).flat
-        assert model.main_next[z, Action.WARM] == VisceralState(2, 4).flat
-        assert model.main_next[z, Action.EAT] == VisceralState(5, 3).flat
-        assert model.main_next[z, Action.PLAY] == VisceralState(2, 3).flat
-        assert model.main_next[z, Action.SLEEP] == VisceralState(3, 3).flat
+        z = to_flat(3, 3)
+        assert model.main_next[z, Action.COOL] == to_flat(2, 2)
+        assert model.main_next[z, Action.WARM] == to_flat(2, 4)
+        assert model.main_next[z, Action.EAT] == to_flat(5, 3)
+        assert model.main_next[z, Action.PLAY] == to_flat(2, 3)
+        assert model.main_next[z, Action.SLEEP] == to_flat(3, 3)
 
     def test_branch_direction_splits_on_temperature(self, model):
-        hot = VisceralState(3, 3).flat
-        cold = VisceralState(1, 2).flat
-        assert model.rare_next[hot, Action.SLEEP] == VisceralState(3, 4).flat
-        assert model.rare_next[cold, Action.SLEEP] == VisceralState(1, 1).flat
-        assert model.rare_next[cold, Action.EAT] == VisceralState(3, 1).flat
+        hot = to_flat(3, 3)
+        cold = to_flat(1, 2)
+        assert model.rare_next[hot, Action.SLEEP] == to_flat(3, 4)
+        assert model.rare_next[cold, Action.SLEEP] == to_flat(1, 1)
+        assert model.rare_next[cold, Action.EAT] == to_flat(3, 1)
 
     def test_branch_probability_mass(self, model):
-        z = VisceralState(3, 3).flat
+        z = to_flat(3, 3)
         r = int(model.rare_next[z, Action.SLEEP])
         m = int(model.main_next[z, Action.SLEEP])
         assert model.tensor[m, z, Action.SLEEP] == pytest.approx(0.8)
         assert model.tensor[r, z, Action.SLEEP] == pytest.approx(0.2)
 
     def test_clamping_at_edges(self, model):
-        origin = VisceralState(0, 0).flat
+        origin = to_flat(0, 0)
         assert model.main_next[origin, Action.COOL] == origin
-        far = VisceralState(5, 2).flat
+        far = to_flat(5, 2)
         assert model.main_next[far, Action.EAT] == far
 
     def test_merged_branches_at_temperature_rails(self, model):
@@ -83,7 +76,7 @@ class TestTransitionModel:
         # the rare successor collapses onto the main one.
         for x in range(6):
             for y in (0, 5):
-                z = VisceralState(x, y).flat
+                z = to_flat(x, y)
                 for a in (Action.EAT, Action.PLAY, Action.SLEEP):
                     assert model.rare_next[z, a] == -1
                     m = int(model.main_next[z, a])
@@ -99,8 +92,8 @@ class TestTransitionModel:
 
     def test_custom_params(self):
         m = build_transition_model(branch_prob=0.5, eat_gain=1)
-        z = VisceralState(2, 2).flat
-        assert m.main_next[z, Action.EAT] == VisceralState(3, 2).flat
+        z = to_flat(2, 2)
+        assert m.main_next[z, Action.EAT] == to_flat(3, 2)
         r = int(m.rare_next[z, Action.SLEEP])
         assert m.tensor[r, z, Action.SLEEP] == pytest.approx(0.5)
 
@@ -116,8 +109,8 @@ class TestTransitionModel:
 
 class TestStep:
     def test_deterministic_action(self, model):
-        z, rare = step(model, VisceralState(3, 3).flat, Action.COOL, make_rng(0).random())
-        assert z == VisceralState(2, 2).flat
+        z, rare = step(model, to_flat(3, 3), Action.COOL, make_rng(0).random())
+        assert z == to_flat(2, 2)
         assert rare is False
 
     def test_observations_match_landing_state(self, model):
@@ -126,39 +119,38 @@ class TestStep:
         emission = identity_sensory_map()
         rng = make_rng(2)
         for _ in range(50):
-            z, _ = step(model, VisceralState(2, 3).flat, Action.SLEEP, rng.random())
+            z, _ = step(model, to_flat(2, 3), Action.SLEEP, rng.random())
             assert int(emission[:, z].argmax()) == z
 
     def test_consumes_one_uniform_even_when_deterministic(self, model):
         # A deterministic action is given its round's uniform like any
         # other, and lands the same whatever its value.
         rng = make_rng(7)
-        s = VisceralState(3, 3).flat
+        s = to_flat(3, 3)
         landed = {step(model, s, Action.COOL, u) for u in (0.0, *rng.random(20), 1.0 - 2**-53)}
-        assert landed == {(VisceralState(2, 2).flat, False)}
+        assert landed == {(to_flat(2, 2), False)}
 
     def test_branch_frequency(self, model):
         rng = make_rng(123)
         fired = [
-            step(model, VisceralState(3, 3).flat, Action.SLEEP, rng.random())[1]
+            step(model, to_flat(3, 3), Action.SLEEP, rng.random())[1]
             for _ in range(20000)
         ]
         assert np.mean(fired) == pytest.approx(0.2, abs=0.01)
 
     def test_rare_flag_matches_landing(self, model):
         rng = make_rng(4)
-        s = VisceralState(3, 3).flat
+        s = to_flat(3, 3)
         for _ in range(200):
             z, rare = step(model, s, Action.SLEEP, rng.random())
-            expected = VisceralState(3, 4) if rare else VisceralState(3, 3)
-            assert z == expected.flat
+            assert z == (to_flat(3, 4) if rare else to_flat(3, 3))
 
     def test_no_rare_flag_on_merged_rail(self, model):
         rng = make_rng(5)
         for _ in range(100):
-            z, rare = step(model, VisceralState(3, 0).flat, Action.SLEEP, rng.random())
+            z, rare = step(model, to_flat(3, 0), Action.SLEEP, rng.random())
             assert rare is False
-            assert z == VisceralState(3, 0).flat
+            assert z == to_flat(3, 0)
 
 
 class TestPriorPreference:

@@ -14,12 +14,13 @@ from dyadreg.dialogue import CONDITION_NAMES, ROUND_ORDERS, DialogueOutcome, con
 from dyadreg.environment import (
     Action,
     N_STATES,
+    START_STATE,
     build_prior_preference,
     build_transition_model,
+    to_xy,
 )
 from dyadreg.harness import (
     CSV_HEADER,
-    START_STATE,
     build_summary,
     build_world,
     load_beliefs_csv,
@@ -33,7 +34,7 @@ from dyadreg.harness import (
     write_trial_csv,
     write_trial_files,
 )
-from dyadreg.metrics import ROUND_DTYPE, TrialLog
+from dyadreg.metrics import ROUND_DTYPE, TrialLog, aggregate_conditions, trial_files
 from dyadreg.probability import KL_FLOOR, derive_seed, make_rng
 import oracles
 from oracles import column_kls, floored_kld_A, jsd_latent, learned_dynamics, mean_column_kl
@@ -128,7 +129,7 @@ class TestRunTrial:
             assert infant.state.tolist() == z.tolist()
             landed.append(z)
 
-        z = np.full(3, START_STATE.flat)
+        z = np.full(3, START_STATE)
         for _ in range(200):
             z, _ = dialogue.run_iteration(
                 parent, infant, world, z, condition_codes([condition] * 3), draws, round_order,
@@ -165,7 +166,7 @@ class TestRunTrial:
         assert int_log.rounds.tobytes() == float_log.rounds.tobytes()
 
     def test_start_state(self):
-        assert (START_STATE.x, START_STATE.y) == (2, 2)
+        assert to_xy(START_STATE) == (2, 2)
 
     def test_persistent_mode_threads_symbols(self):
         log = run_trial(small_config(mh_current_w="persistent"), ["mhng"], [0])[0]
@@ -855,29 +856,32 @@ class TestSummary:
     def test_windows_present_when_long_enough(self):
         cfg = small_config(iterations=60)
         logs = run_trial(cfg, ["mhng"], [0])
-        summary = build_summary(cfg, logs)
+        summary = build_summary(cfg, logs, aggregate_conditions(logs))
         entry = summary["conditions"]["mhng"]["trials"][0]
         assert {"jsd_median", "auc_original", "auc_shuffled"} <= set(entry)
         assert summary["c_norm_ranking"] == ["mhng"]
 
     def test_windows_absent_when_short(self):
         cfg = small_config(iterations=30)
-        summary = build_summary(cfg, run_trial(cfg, ["mhng"], [0]))
+        logs = run_trial(cfg, ["mhng"], [0])
+        summary = build_summary(cfg, logs, aggregate_conditions(logs))
         entry = summary["conditions"]["mhng"]["trials"][0]
         assert "auc_original" not in entry
 
     def test_shuffled_auc_uses_mean_of_permutations(self):
         cfg = small_config(iterations=60)
-        log = run_trial(cfg, ["mhng"], [0])[0]
-        one = build_summary(cfg, [log])["conditions"]["mhng"]["trials"][0]
+        logs = run_trial(cfg, ["mhng"], [0])
+        agg = aggregate_conditions(logs)
+        one = build_summary(cfg, logs, agg)["conditions"]["mhng"]["trials"][0]
         many_cfg = cfg.replaced(shuffle_permutations=4)
-        many = build_summary(many_cfg, [log])["conditions"]["mhng"]["trials"][0]
+        many = build_summary(many_cfg, logs, agg)["conditions"]["mhng"]["trials"][0]
         assert one["auc_original"] == many["auc_original"]
         assert one["auc_shuffled"] != many["auc_shuffled"]
 
     def test_kld_snapshots(self):
         cfg = small_config(iterations=25)
-        summary = build_summary(cfg, run_trial(cfg, ["mhng"], [0]))
+        logs = run_trial(cfg, ["mhng"], [0])
+        summary = build_summary(cfg, logs, aggregate_conditions(logs))
         snaps = summary["conditions"]["mhng"]["kld_snapshots"]
         assert set(snaps) == {"kld_A", "kld_B_sleep"}
         assert snaps["kld_A"]["first"] > snaps["kld_A"]["last"]
@@ -1010,7 +1014,7 @@ class TestRunExperiment:
         plain = tmp_path / "plain"
         plain_manifest = run_experiment(cfg.replaced(out_dir=str(plain), dump_beliefs=False))
         extra = set(manifest.artifacts) - set(plain_manifest.artifacts)
-        assert extra == {harness.trial_files(c, t)[1] for c in cfg.conditions for t in range(2)}
+        assert extra == {trial_files(c, t)[1] for c in cfg.conditions for t in range(2)}
         for rel in plain_manifest.artifacts:
             if rel != "config.json":
                 assert (plain / rel).read_bytes() == (out / rel).read_bytes(), rel

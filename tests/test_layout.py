@@ -16,7 +16,10 @@ its own class, so no function in agents.py asks an agent for its kind.
 Every function in metrics.py is pure: it writes into none of its
 arguments, so a caller's cache lives with the caller. Each model error has
 one owner, the agent that learns the matrix it measures, so harness.py
-names no error function.
+names no error function. A cell of the grid is its flat index, and
+environment.py alone turns it into coordinates and back, so no other
+module multiplies, floor-divides or takes a remainder by N_LEVELS. The
+modules form layers under harness, which only cli imports.
 """
 
 import ast
@@ -205,6 +208,46 @@ def test_each_model_error_has_one_owner():
     imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     names = _references({"harness.py": tree}) | {a.name for node in imports for a in node.names}
     assert sorted(names & {"kld_A_error", "kld_B_error"}) == []
+
+
+def test_only_environment_applies_the_grid_layout():
+    # environment.to_flat and to_xy are the one place that knows a cell's
+    # flat index is y * N_LEVELS + x.
+    layout_ops = (ast.Mult, ast.FloorDiv, ast.Mod)
+    found = []
+    for module, tree in _trees().items():
+        if module == "environment.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp):
+                operands = (node.left, node.right)
+            elif isinstance(node, ast.AugAssign):
+                operands = (node.target, node.value)
+            else:
+                continue
+            on_levels = any(isinstance(o, ast.Name) and o.id == "N_LEVELS" for o in operands)
+            if isinstance(node.op, layout_ops) and on_levels:
+                found.append(f"{module}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
+def test_only_cli_imports_harness():
+    # harness runs and reads whole experiments on top of every other
+    # module; a module below it that imported it back would close a cycle.
+    importing = []
+    for module, tree in _trees().items():
+        if module == "cli.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any("harness" in name.split(".") for name in names):
+                importing.append(f"{module}:{node.lineno}: {ast.unparse(node)}")
+    assert importing == []
 
 
 def test_no_module_imports_csv():

@@ -5,9 +5,9 @@ from dyadreg.agents import AgentKind, init_agent
 from dyadreg.environment import (
     Action,
     N_STATES,
-    VisceralState,
     build_prior_preference,
     build_transition_model,
+    to_flat,
 )
 from dyadreg.harness import shuffled_window
 from dyadreg.metrics import (
@@ -39,11 +39,11 @@ def pref():
 
 class TestCNorm:
     def test_peak_scores_one(self, pref):
-        assert c_norm(VisceralState(2, 2).flat, pref) == pytest.approx(1.0)
+        assert c_norm(to_flat(2, 2), pref) == pytest.approx(1.0)
 
     def test_corner_value(self, pref):
         # exp(-4) / exp(-0.16) for the default preference bump.
-        assert c_norm(VisceralState(0, 0).flat, pref) == pytest.approx(
+        assert c_norm(to_flat(0, 0), pref) == pytest.approx(
             0.021493601345089916, abs=1e-15
         )
 

@@ -88,38 +88,40 @@ def update_belief(belief_pred: np.ndarray, sensory: np.ndarray, obs: np.ndarray)
 
 
 class Agent:
-    """The parent in each of a batch of trials. It knows the dynamics
+    """The parent in each of `trials` trials. It knows the dynamics
     B[z', z, a], filters a belief over the latent states, and learns its
-    sensory map A[obs, z] as the mean of its counts `concentration` over
-    (z, obs). `map_kls[t, z]` is the error of state z's column of the map in
-    trial t, renewed with that column. It keeps the generic name because the
-    benchmark traces Agent.efe_per_action by it."""
+    sensory map A[obs, z] as the mean of its counts over (z, obs), in every
+    trial from one trial's `concentration`. `map_kls[t, z]` is the error of
+    state z's column of the map in trial t, renewed with that column. It
+    keeps the generic name, by which the benchmark traces it."""
 
     kind = AgentKind.PARENT
 
     def __init__(
-        self, transitions: np.ndarray, preferred_obs: np.ndarray, concentration: np.ndarray
+        self, transitions: np.ndarray, preferred_obs: np.ndarray, concentration: np.ndarray,
+        trials: int = 1,
     ):
         self._log_pref = np.log(np.maximum(preferred_obs, KL_FLOOR))
         # B[z', z, a] as rows z of (z', a) cells, for a belief's free energy.
         self._B_rows = np.ascontiguousarray(transitions.transpose(1, 0, 2)).reshape(N_STATES, -1)
         self._sources = prediction_sources(transitions)
-        self.belief = np.full((len(concentration), N_STATES), 1.0 / N_STATES)
-        # C-ordered, so that its row view below is a view: learning writes the counts in place.
-        self.obs_concentration = concentration = np.ascontiguousarray(concentration)
-        # Renewed in place, every row from the uniform belief, which reaches
-        # every state; the c psi(c + 1) cache is filled one trial at a time,
-        # so that digamma holds ten copies of one trial's counts. The counts,
-        # the cache and the map are also read as one row per (trial, state),
-        # row t * 36 + z, and their cells by the flat index row * 36 + obs.
-        self.A = np.empty(concentration.shape).swapaxes(1, 2)
-        self._psi_terms = np.array([counts * digamma(counts + 1.0) for counts in concentration])
-        self._count_rows = concentration.reshape(-1, N_STATES)
+        self.belief = np.full((trials, N_STATES), 1.0 / N_STATES)
+        # np.repeat stacks C-ordered copies, so the counts, the c psi(c + 1)
+        # cache and the map are also read through views as one row per (trial,
+        # state), row t * 36 + z, and their cells by the flat index row * 36 + obs.
+        self.obs_concentration = np.repeat(concentration[None], trials, axis=0)
+        psi_terms = concentration * digamma(concentration + 1.0)
+        self._psi_terms = np.repeat(psi_terms[None], trials, axis=0)
+        self.A = np.empty(self.obs_concentration.shape).swapaxes(1, 2)
+        self._count_rows = self.obs_concentration.reshape(-1, N_STATES)
         self._psi_rows = self._psi_terms.reshape(-1, N_STATES)
         self._A_rows = self.A.swapaxes(1, 2).reshape(-1, N_STATES)
         self._sensory_entropy = np.empty(self.belief.shape)
         self.map_kls = np.empty(self.belief.shape)
-        self._refresh_sensory(*self.belief.nonzero())
+        # Trial 0's uniform belief reaches every state; the other trials copy its start.
+        self._refresh_sensory(*self.belief[:1].nonzero())
+        for start in (self.A, self._sensory_entropy, self.map_kls):
+            start[1:] = start[0]
 
     def assimilate(self, action: np.ndarray, obs: np.ndarray) -> tuple:
         """Predict each trial's belief under `action` and correct it by the
@@ -188,36 +190,32 @@ class Agent:
 
 
 class Infant:
-    """The infant in each of a batch of trials. It senses its `state` (None
+    """The infant in each of `trials` trials. It senses its `state` (None
     before its first cue, when its belief is uniform) and learns the dynamics
-    B[z', z, a] as the mean of its counts `concentration` over (z, a, z').
-    Sensing exactly, from a state s its free energy is its risk row _risk[t, s].
-    `sleep_kls[t, z]` is the error of its Sleep column from state z in trial
-    t against the true one, row z of `true_sleep`, renewed with that column."""
+    B[z', z, a] as the mean of its counts over (z, a, z'), in every trial
+    from one trial's `concentration`. Sensing exactly, from a state s its
+    free energy is its risk row _risk[t, s]. `sleep_kls[t, z]` is the error of
+    its Sleep column from state z in trial t against the true one, row z of
+    `true_sleep`, renewed with that column."""
 
     kind = AgentKind.INFANT
 
     def __init__(
-        self, preferred_obs: np.ndarray, concentration: np.ndarray, true_sleep: np.ndarray
+        self, preferred_obs: np.ndarray, concentration: np.ndarray, true_sleep: np.ndarray,
+        trials: int = 1,
     ):
         self._log_pref = np.log(np.maximum(preferred_obs, KL_FLOOR))
         self._true_sleep = true_sleep
-        self._trials = np.arange(len(concentration))
+        self._trials = np.arange(trials)
         self.state: np.ndarray | None = None
-        self.trans_concentration = concentration
-        self._risk = np.empty((len(concentration), N_STATES, N_ACTIONS))
-        self._start_efe = np.empty((len(concentration), N_ACTIONS))
-        self.sleep_kls = np.empty((len(concentration), N_STATES))
-        # One trial at a time, so that no temporary holds T trials' counts.
+        self.trans_concentration = np.repeat(concentration[None], trials, axis=0)
+        mean = concentration / concentration.cumsum(axis=-1)[..., -1:]
+        self._risk = np.repeat(column_kl(mean, self._log_pref)[None], trials, axis=0)
+        self.sleep_kls = np.repeat(kld_B_error(true_sleep, mean[:, SLEEP])[None], trials, axis=0)
         # From the uniform start, each action predicts the average of its columns.
         uniform = np.full((1, N_STATES), 1.0 / N_STATES)
-        caches = zip(concentration, self._risk, self._start_efe, self.sleep_kls)
-        for counts, risk, start, sleep_kls in caches:
-            mean = counts / counts.cumsum(axis=-1)[..., -1:]
-            risk[:] = column_kl(mean, self._log_pref)
-            sleep_kls[:] = kld_B_error(true_sleep, mean[:, SLEEP])
-            q_pred = uniform.dot(mean.reshape(N_STATES, -1)).reshape(N_ACTIONS, N_STATES)
-            start[:] = column_kl(q_pred, self._log_pref)
+        q_pred = uniform.dot(mean.reshape(N_STATES, -1)).reshape(N_ACTIONS, N_STATES)
+        self._start_efe = np.repeat(column_kl(q_pred, self._log_pref)[None], trials, axis=0)
 
     def assimilate(self, action: np.ndarray, obs: np.ndarray) -> tuple:
         """Adopt each trial's cue as its state; returns the previous and the new."""
@@ -281,6 +279,6 @@ def init_agent(
     preferred = preferred_obs_distribution(preference, preference_mode)
     prior = float(prior_concentration)  # an integer prior would make integer counts
     if kind is AgentKind.PARENT:
-        return Agent(truth.tensor, preferred, np.full((trials, N_STATES, N_STATES), prior))
-    counts = np.full((trials, N_STATES, N_ACTIONS, N_STATES), prior)
-    return Infant(preferred, counts, truth.tensor[:, :, SLEEP].T)
+        return Agent(truth.tensor, preferred, np.full((N_STATES, N_STATES), prior), trials)
+    counts = np.full((N_STATES, N_ACTIONS, N_STATES), prior)
+    return Infant(preferred, counts, truth.tensor[:, :, SLEEP].T, trials)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .agents import DIRICHLET_PRIOR
 from .dialogue import CONDITION_NAMES, ROUND_ORDERS
-from .environment import BRANCH_PROB, C_FLOOR, C_SIGMA, EAT_GAIN, TEMP_HIGH_MIN
+from .environment import BRANCH_PROB, C_FLOOR, C_SIGMA, COMFORT_CENTRE, EAT_GAIN, TEMP_HIGH_MIN
 from .environment import N_LEVELS, N_STATES, PREFERENCE_MODES
 from .metrics import ROUND_DTYPE
 
@@ -28,7 +28,7 @@ MAX_WORKERS = 64
 MAX_ITERATIONS = int(np.iinfo(ROUND_DTYPE["iteration"]).max)
 FLOAT_MAX = sys.float_info.max
 # The largest squared distance of a cell from the comfort bump's centre, a corner's.
-_CORNER_D2 = 2 * ((N_LEVELS - 1) / 2) ** 2
+_CORNER_D2 = 2 * COMFORT_CENTRE ** 2
 
 
 class ConfigError(ValueError):

@@ -23,9 +23,10 @@ N_ACTIONS = 5
 BRANCH_PROB = 0.2
 EAT_GAIN = 2
 TEMP_HIGH_MIN = 3
-# The default comfort bump: its width and the floor every state keeps.
+# The comfort bump: its default width and floor, and its centre on either axis.
 C_SIGMA = 1.25
 C_FLOOR = 0.01
+COMFORT_CENTRE = (N_LEVELS - 1) / 2
 
 
 class Action(IntEnum):
@@ -149,7 +150,7 @@ def build_prior_preference(sigma: float = C_SIGMA, floor: float = C_FLOOR) -> Pr
     """Radial comfort bump centred between the four middle cells.
 
     Each cell scores exp(-d^2 / (2 sigma^2)) for its Euclidean distance d
-    from (2.5, 2.5), floored at `floor` so every state keeps support.
+    from (COMFORT_CENTRE, COMFORT_CENTRE), floored at `floor` so every state keeps support.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
@@ -157,7 +158,7 @@ def build_prior_preference(sigma: float = C_SIGMA, floor: float = C_FLOOR) -> Pr
         raise ValueError("floor must be positive")
     xs = np.arange(N_LEVELS, dtype=float)
     gx, gy = np.meshgrid(xs, xs)
-    d2 = (gx - 2.5) ** 2 + (gy - 2.5) ** 2
+    d2 = (gx - COMFORT_CENTRE) ** 2 + (gy - COMFORT_CENTRE) ** 2
     vals = np.maximum(np.exp(-d2 / (2.0 * sigma * sigma)), floor)
     return PriorPreference(vals.reshape(-1))
 

@@ -173,13 +173,12 @@ def run_trial(config: ExperimentConfig, conditions, trials) -> list:
 
 
 def _write_csv(path, header, line, rows):
-    """Write the header, then `line % row` for each row, each line ending
-    in CRLF as the csv module ends it. No cell the program writes needs
-    quoting, and "%.9g" formats a float as _fmt does."""
+    """Write the header, then `line % row` for each row, as one text in one
+    call, each line ending in CRLF as the csv module ends it. No cell the
+    program writes needs quoting, and "%.9g" formats a float as _fmt does."""
     line += "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(line % row for row in rows)
+        fh.write("".join([",".join(header) + "\r\n", *(line % row for row in rows)]))
 
 
 def _load_csv(path, header, dtype) -> np.ndarray:
@@ -242,12 +241,14 @@ def load_trial_csv(path) -> np.ndarray:
 
 
 def write_beliefs_csv(log: TrialLog, path):
-    """The belief dump: the parent's belief after every round, its floats
-    as _fmt cells. The infant's belief is one-hot at the state the trial
-    CSV records, so the dump does not repeat it."""
-    rows = enumerate(log.parent_round_beliefs.tolist())
-    line = "%d,%d" + ",%.9g" * N_STATES
-    _write_csv(path, BELIEF_HEADER, line, ((i // 2 + 1, i % 2 + 1, *q) for i, q in rows))
+    """The belief dump: the parent's belief after every round, its +0.0
+    cells, most of them, as "0" and only the others (-0.0 too) as _fmt cells.
+    The infant's belief is one-hot at the trial CSV's state, so it is not repeated."""
+    cells = np.full(log.parent_round_beliefs.shape, "0", object)
+    formatted = log.parent_round_beliefs.view(np.uint64) != 0
+    cells[formatted] = list(map(_fmt, log.parent_round_beliefs[formatted].tolist()))
+    rows = enumerate(map(",".join, cells.tolist()))
+    _write_csv(path, BELIEF_HEADER, "%d,%d,%s", ((i // 2 + 1, i % 2 + 1, q) for i, q in rows))
 
 
 def load_beliefs_csv(path) -> np.ndarray:

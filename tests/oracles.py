@@ -208,7 +208,7 @@ def omniscient_infant(world, preferred_obs) -> Infant:
     one; for directional checks. Its counts do not match that table, so it
     is not one to learn."""
     true_sleep = world.tensor[:, :, Action.SLEEP].T
-    infant = Infant(preferred_obs, np.ones((1, N_STATES, N_ACTIONS, N_STATES)), true_sleep)
+    infant = Infant(preferred_obs, np.ones((N_STATES, N_ACTIONS, N_STATES)), true_sleep)
     log_pref = np.log(np.maximum(preferred_obs, KL_FLOOR))
     infant._risk[0] = kl_terms(world.tensor, log_pref[:, None, None]).sum(axis=0)
     return infant

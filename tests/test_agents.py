@@ -108,6 +108,31 @@ class TestInit:
             assert infant._start_efe.tobytes() == start.tobytes(), prior
             assert np.array_equal(infant.efe_per_action(), start)
 
+    @pytest.mark.parametrize("prior", [1 / 36, 1.0, 1])
+    @pytest.mark.parametrize("kind", AgentKind)
+    def test_a_batch_starts_as_its_trials_would_alone(self, world, pref, kind, prior):
+        # Every trial of a batch starts from one trial's start, copied: each
+        # array the constructor fills per trial is the stack of one-trial
+        # agents' arrays, bit for bit, an integer prior included.
+        filled = {
+            AgentKind.PARENT: [
+                "belief", "obs_concentration", "_psi_terms", "A", "_sensory_entropy", "map_kls"
+            ],
+            AgentKind.INFANT: ["trans_concentration", "_risk", "_start_efe", "sleep_kls"],
+        }[kind]
+        trials = 5
+        batch = init_agent(kind, world, pref, prior, trials=trials)
+        alone = [init_agent(kind, world, pref, prior) for _ in range(trials)]
+        per_trial = {
+            name for name, value in vars(batch).items()
+            if isinstance(value, np.ndarray) and value.shape[:1] == (trials,)
+        }
+        assert per_trial - {"_trials"} == set(filled)
+        for name in filled:
+            stacked = np.concatenate([getattr(one, name) for one in alone])
+            assert getattr(batch, name).shape == stacked.shape, name
+            assert getattr(batch, name).tobytes() == stacked.tobytes(), name
+
 
 class TestFiltering:
     def test_predict_splits_on_branch(self, world):
@@ -239,13 +264,13 @@ class TestLearning:
 
     def test_counts_in_any_layout_learn_as_c_ordered_counts(self, world, pref):
         # Learning reads and writes the counts through flat (trial, state)
-        # rows, so a parent built from a transposed stack keeps its own
-        # C-ordered copy and learns as one built from C-ordered counts.
+        # rows, so a parent built from a transposed prior keeps C-ordered
+        # copies of it and learns as one built from C-ordered counts.
         rng = make_rng(5)
-        counts = 1.0 + rng.random((3, N_STATES, N_STATES))
+        counts = 1.0 + rng.random((N_STATES, N_STATES))
         comfort = preferred_obs_distribution(pref)
-        c_order = Agent(world.tensor, comfort, counts.copy())
-        f_order = Agent(world.tensor, comfort, np.asfortranarray(counts))
+        c_order = Agent(world.tensor, comfort, counts.copy(), trials=3)
+        f_order = Agent(world.tensor, comfort, np.asfortranarray(counts), trials=3)
         for _ in range(5):
             posterior, obs = rng.dirichlet(np.ones(N_STATES), size=3), rng.integers(N_STATES, size=3)
             c_order.learn_A(posterior, obs)

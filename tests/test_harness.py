@@ -269,11 +269,11 @@ class TestSleepOnlyKldB:
             assert log.rounds["kld_B_sleep"].tobytes() == expected.tobytes()
 
     def test_the_first_round_renews_one_trial_at_a_time(self, monkeypatch):
-        # In a 30-trial mixed batch, the infant's construction takes each
-        # trial's 36 prior Sleep errors, and round 1 renews the 36 of each
-        # trial that slept in it, with one kld_B_error call per trial, so
-        # that no temporary holds the batch's columns; a later round renews
-        # one column per Sleep trial in one call.
+        # In a 30-trial mixed batch, the infant's construction takes one
+        # trial's 36 prior Sleep errors, which every trial copies, and round 1
+        # renews the 36 of each trial that slept in it, with one kld_B_error
+        # call per trial, so that no temporary holds the batch's columns; a
+        # later round renews one column per Sleep trial in one call.
         calls, slept, agents_kld_B_error = [[]], [], agents.kld_B_error
 
         def kld_B_error(true_columns, means):
@@ -295,7 +295,7 @@ class TestSleepOnlyKldB:
         conditions = [cond for cond in CONDITION_NAMES for _ in range(10)]
         run_trial(small_config(iterations=5), conditions, [*range(10)] * 3)
         construction, first, *later, _ = calls
-        assert construction == [N_STATES] * 30
+        assert construction == [N_STATES]
         assert 0 < slept[0] < 30
         assert first == [N_STATES] * slept[0]
         assert later == [[n] for n in slept[1:]]
@@ -354,10 +354,11 @@ class TestSparseSensoryRefresh:
             assert log.rounds["kld_A"].tobytes() == kld_A.tobytes()
 
     def test_only_the_rows_the_belief_reaches_are_renewed(self, monkeypatch):
-        # The parent's construction renews every row, and every row's map
-        # error, under its uniform belief. Then each round's learning renews
-        # exactly the (trial, state) rows where the parent's belief is
-        # positive, in the map and in its error.
+        # The parent's construction renews every row of trial 0, and every
+        # such row's map error, under its uniform belief, and the other
+        # trials copy them. Then each round's learning renews exactly the
+        # (trial, state) rows where the parent's belief is positive, in the
+        # map and in its error.
         refresh, kld_A_error = Agent._refresh_sensory, agents.kld_A_error
         refreshed, errors, rounds = [], [], []
 
@@ -387,12 +388,14 @@ class TestSparseSensoryRefresh:
         self.mixed_batch(iterations=10)
         (start_calls, _, prior_columns), *later = rounds
         assert len(refreshed) == 1 + len(later) == 21
+        (_, start_rows), *refreshed = refreshed
+        assert [a.tolist() for a in start_rows] == [[0] * N_STATES, [*range(N_STATES)]]
         for reached, renewed in refreshed:
             assert [a.tolist() for a in renewed] == [a.tolist() for a in reached]
-        assert len(refreshed[0][1][0]) == 30 * N_STATES
         ((given, states),) = start_calls
-        assert states.tolist() == [*range(N_STATES)] * 30
-        assert given.tobytes() == prior_columns.tobytes()
+        assert states.tolist() == [*range(N_STATES)]
+        assert given.tobytes() == prior_columns[0].tobytes()
+        assert all(columns.tobytes() == given.tobytes() for columns in prior_columns)
         for calls, reached, columns in later:
             ((given, states),) = calls
             assert states.tolist() == reached.tolist()
@@ -588,11 +591,12 @@ class TestBatchReferee:
     def test_a_mixed_batch_of_thirty_stays_within_its_memory(self):
         # One 30-trial mixed batch of 60 iterations holds its world, 30
         # infants' counts, 52 KB each, the parents' maps, the uniforms and
-        # the record. Its all-column work from the uniform start runs one
+        # the record. Each agent computes one trial's start and copies it,
+        # and learn_B's all-column work from the uniform start runs one
         # trial at a time, so the peak of what numpy allocates stays below
-        # 4,915 KiB: about 4,750 KiB, reached in round 1, whose belief
-        # reaches most states, and 5,091 KiB with learn_B's counting batched
-        # for the whole batch. A warm-up call first fills every cache.
+        # 4,915 KiB: 4,774 KiB, reached in round 1, whose belief reaches
+        # most states, and 5,091 KiB with learn_B's counting batched for the
+        # whole batch. A warm-up call first fills every cache.
         config = ExperimentConfig(iterations=60, mh_current_w="persistent")
         conditions = [cond for cond in config.conditions for _ in range(10)]
         trials = [*range(10)] * len(config.conditions)
@@ -720,10 +724,15 @@ class TestBeliefsCsv:
 
     def test_bytes_equal_the_csv_writer(self, tmp_path):
         # The per-row template against the csv module's rows of _fmt cells,
-        # with one-hot, uniform and exact-zero rows.
+        # with one-hot, uniform and exact-zero rows, and a row whose exact
+        # zeros sit beside -0.0, subnormal, smallest normal and one cells:
+        # only +0.0 has the bits of the cell "0".
         log = run_trial(small_config(dump_beliefs=True), ["mhng"], [0])[0]
         log.parent_round_beliefs[:3] = np.eye(36)[[0, 35, 7]]
         log.parent_round_beliefs[3] = np.full(36, 1.0 / 36)
+        log.parent_round_beliefs[4] = 0.0
+        tiny = np.finfo(float).tiny
+        log.parent_round_beliefs[4, [1, 3, 5, 7, 9]] = (-0.0, 5e-324, 2.5e-310, tiny, 1.0)
         write_beliefs_csv(log, tmp_path / "fast.csv")
         write_beliefs_csv_generic(log, tmp_path / "csv.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()

@@ -5,7 +5,8 @@ dunder, defined under src/dyadreg, must be referenced by name somewhere
 under src/dyadreg. A definition only the tests call belongs in
 tests/oracles.py. The CLI reaches a finished run only through
 harness.open_run, which holds every check on what it reads. Every CSV is
-written through one line writer, and a trial's rounds go straight into its
+written through one line writer, as one text in one write call, never
+through writelines, and a trial's rounds go straight into its
 preallocated record. The functions
 every round calls raise nothing: their inputs were checked where they
 entered the program. Nor do they call a numpy reduction or function through
@@ -260,6 +261,18 @@ def test_no_module_imports_csv():
         or isinstance(node, ast.ImportFrom) and node.module == "csv"
     ]
     assert importing == []
+
+
+def test_no_module_calls_writelines():
+    # harness._write_csv joins a file's lines and writes the text in one
+    # call; writelines would write one string per row.
+    calling = [
+        f"{module}:{node.lineno}"
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "writelines"
+    ]
+    assert calling == []
 
 
 def test_run_trial_writes_each_round_in_place():

@@ -29,7 +29,8 @@ from .harness import (
     write_trial_files,
 )
 from .metrics import (
-    ALIGNMENT_WINDOW, ROUND_DTYPE, aggregate_conditions, auc_window, shuffle_control
+    ALIGNMENT_WINDOW, ROUND_DTYPE, aggregate_conditions, auc_window, c_norm_ranking,
+    iteration_rows, shuffle_control,
 )
 
 ENV_OUT = "DYADREG_OUT"
@@ -169,8 +170,8 @@ def _cmd_shuffle(args) -> int:
     if args.seed is not None and not 0 <= args.seed < 2**64:
         raise ConfigError(f"--seed must lie in [0, 2**64), not {args.seed}")
     run = open_run(args.run)
-    parent_seq = run.parent_beliefs(args.condition, args.trial_index)[1::2]
-    infant_states = run.trial(args.condition, args.trial_index).landing_states()[1::2]
+    parent_seq = iteration_rows(run.parent_beliefs(args.condition, args.trial_index))
+    infant_states = iteration_rows(run.trial(args.condition, args.trial_index).landing_states())
     n = parent_seq.shape[0]
     lo, hi = args.window_start - 1, args.window_end - 1
     window = f"window [{args.window_start}, {args.window_end}]"
@@ -204,7 +205,7 @@ def _cmd_report(args) -> int:
     seeds = run.manifest.trial_seeds
     agg = aggregate_conditions(run.trial(c, t) for c in seeds for t in range(len(seeds[c])))
     conditions = run.summary_conditions(agg)
-    ranking = sorted(agg, key=lambda c: agg[c]["mean_c_norm"], reverse=True)
+    ranking = c_norm_ranking(agg, run.config.conditions)
     print(f"{'condition':>10} {'trials':>6} {'mean':>8} {'std':>8} {'sem':>8}")
     for cond in ranking:
         e = agg[cond]

@@ -34,13 +34,18 @@ from .environment import (
 )
 from .metrics import (
     ALIGNMENT_WINDOW,
+    AUC_DTYPE,
+    CNORM_DTYPE,
     ROUND_DTYPE,
     SPIKE_RANGE,
     TrialLog,
     aggregate_conditions,
     auc_window,
     c_norm,
+    c_norm_ranking,
+    iteration_rows,
     jsd_latent,
+    round_rows,
     shuffle_control,
     trial_files,
 )
@@ -150,11 +155,9 @@ def run_trial(config: ExperimentConfig, conditions, trials) -> list:
             on_round=on_round,
         )
     del parent, infant, draws  # the derived columns below reuse their memory
-    index = np.arange(n)
     rounds["condition"] = np.array(names).reshape(count, 1)
     rounds["trial"] = np.array(trials).reshape(count, 1)
-    rounds["iteration"] = index // 2 + 1
-    rounds["round"] = index % 2 + 1
+    rounds["iteration"], rounds["round"] = round_rows(n)
     speakers = [kind.value for kind in ROUND_SPEAKERS[config.round_order]]
     rounds["speaker"] = speakers * config.iterations
     # The action column: symbol w names action w.
@@ -172,13 +175,23 @@ def run_trial(config: ExperimentConfig, conditions, trials) -> list:
 # -- the run directory and its CSV tables --------------------------------------
 
 
-def _write_csv(path, header, line, rows):
-    """Write the header, then `line % row` for each row, as one text in one
-    call, each line ending in CRLF as the csv module ends it. No cell the
-    program writes needs quoting, and "%.9g" formats a float as _fmt does."""
-    line += "\r\n"
+def _write_lines(path, header, lines):
+    """Write the header, then `lines`, as one text in one call, each line
+    ending in CRLF as the csv module ends it."""
     with open(path, "w", newline="") as fh:
-        fh.write("".join([",".join(header) + "\r\n", *(line % row for row in rows)]))
+        fh.write("\r\n".join([",".join(header), *lines, ""]))
+
+
+def _write_csv(path, table):
+    """Write the structured array `table`: its field names as the header,
+    then a line per row, each cell by its field's kind. That is the one cell
+    rule of every table but the belief dump: a float as "%.9g" writes it in
+    C, the text _fmt gives; a string as it is; any other cell as an integer,
+    so a flag is 0/1 (tolist gives a bool, which "%s" would print as True).
+    No cell the program writes needs quoting."""
+    names = table.dtype.names
+    line = ",".join({"f": "%.9g", "U": "%s"}.get(table.dtype[n].kind, "%d") for n in names)
+    _write_lines(path, names, [line % row for row in table.tolist()])
 
 
 def _load_csv(path, header, dtype) -> np.ndarray:
@@ -207,21 +220,17 @@ def _load_csv(path, header, dtype) -> np.ndarray:
             raise ValueError(f"{path}: {exc}") from None
         line, column = int(where[2]) + 2, header[int(where[3]) - 1]
         raise ValueError(f"{path}: line {line}, column {column}: {where[1]}") from None
-    index = np.arange(len(rows))
+    iteration, round_ = round_rows(len(rows))
     if len(rows) % 2 or not (
-        np.array_equal(rows["iteration"], index // 2 + 1)
-        and np.array_equal(rows["round"], index % 2 + 1)
+        np.array_equal(rows["iteration"], iteration) and np.array_equal(rows["round"], round_)
     ):
         raise ValueError(f"{path}: rows must be rounds 1 and 2 of iterations 1, 2, ... in order")
     return rows
 
 
 def write_trial_csv(log: TrialLog, path):
-    """The trial CSV: a row per round, its flags as 0/1 (tolist gives a
-    bool, which "%s" would print as True) and its floats as _fmt cells."""
-    kinds = [ROUND_DTYPE[name].kind for name in CSV_HEADER]
-    line = ",".join({"f": "%.9g", "U": "%s"}.get(kind, "%d") for kind in kinds)
-    _write_csv(path, CSV_HEADER, line, log.rounds.tolist())
+    """The trial CSV: the record, a row per round, as _write_csv writes it."""
+    _write_csv(path, log.rounds)
 
 
 def load_trial_csv(path) -> np.ndarray:
@@ -244,16 +253,18 @@ def write_beliefs_csv(log: TrialLog, path):
     """The belief dump: the parent's belief after every round, its +0.0
     cells, most of them, as "0" and only the others (-0.0 too) as _fmt cells.
     The infant's belief is one-hot at the trial CSV's state, so it is not repeated."""
-    cells = np.full(log.parent_round_beliefs.shape, "0", object)
-    formatted = log.parent_round_beliefs.view(np.uint64) != 0
-    cells[formatted] = list(map(_fmt, log.parent_round_beliefs[formatted].tolist()))
-    rows = enumerate(map(",".join, cells.tolist()))
-    _write_csv(path, BELIEF_HEADER, "%d,%d,%s", ((i // 2 + 1, i % 2 + 1, q) for i, q in rows))
+    beliefs = log.parent_round_beliefs
+    cells = np.full(beliefs.shape, "0", object)
+    formatted = beliefs.view(np.uint64) != 0
+    cells[formatted] = list(map(_fmt, beliefs[formatted].tolist()))
+    iteration, round_ = round_rows(len(beliefs))
+    rows = zip(iteration.tolist(), round_.tolist(), map(",".join, cells.tolist()))
+    _write_lines(path, BELIEF_HEADER, ["%d,%d,%s" % row for row in rows])
 
 
 def load_beliefs_csv(path) -> np.ndarray:
     """The parent's belief after every round, a (rounds, states) array; an
-    iteration's are its [1::2] rows. The file must load as _load_csv loads
+    iteration's are its iteration_rows. The file must load as _load_csv loads
     it, and every belief must be finite and non-negative and sum to 1 within
     RENORM_TOL; otherwise ValueError names the file."""
     values = _load_csv(path, BELIEF_HEADER, BELIEF_READ_DTYPE)["belief"]
@@ -294,7 +305,8 @@ def _alignment_stats(config: ExperimentConfig, log: TrialLog) -> dict:
         out["auc_original"] = auc_window(series, lo, hi)
         seeds = shuffle_seeds(config, log.condition, log.trial_index)
         out["auc_shuffled"], _ = shuffled_window(
-            log.parent_round_beliefs[1::2], log.landing_states()[1::2], seeds, lo, hi
+            iteration_rows(log.parent_round_beliefs), iteration_rows(log.landing_states()),
+            seeds, lo, hi,
         )
     s_lo, s_hi = SPIKE_RANGE[0] - 1, min(SPIKE_RANGE[1] - 1, n - 1)
     if s_lo <= s_hi:
@@ -334,11 +346,10 @@ def build_summary(config: ExperimentConfig, logs, agg) -> dict:
             snapshots[name] = snap
         entry["kld_snapshots"] = snapshots
         conditions[cond] = entry
-    ranking = sorted(conditions, key=lambda c: conditions[c]["mean_c_norm"], reverse=True)
     return {
         "iterations": config.iterations,
         "conditions": conditions,
-        "c_norm_ranking": ranking,
+        "c_norm_ranking": c_norm_ranking(agg, conditions),
     }
 
 
@@ -479,7 +490,8 @@ def open_run(run_dir) -> FinishedRun:
     """A finished run, its manifest and config parsed once. The manifest is
     written last, so a directory without one holds no finished run
     (FileNotFoundError). ValueError names the manifest if it does not parse,
-    a field is missing or bad, its config is invalid, or it lists no trials."""
+    a field is missing or bad, its config is invalid, it lists no trials, or
+    its trial_seeds name other conditions than its config."""
     run_dir = Path(run_dir)
     path = run_dir / "manifest.json"
     if not path.is_file():
@@ -491,6 +503,8 @@ def open_run(run_dir) -> FinishedRun:
         raise ValueError(f"{path}: {exc}") from None
     if not any(manifest.trial_seeds.values()):
         raise ValueError(f"{path}: lists no trials")
+    if sorted(manifest.trial_seeds) != sorted(config.conditions):
+        raise ValueError(f"{path}: trial_seeds must name the config's conditions")
     return FinishedRun(run_dir, manifest, config)
 
 
@@ -558,35 +572,24 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     snapshot = config.replaced(out_dir=".", workers=1)
     save_config(snapshot, out / "config.json")
 
+    # A summary table's columns after the condition are summary.json keys: of a
+    # condition's entry in summary_cnorm.csv, of one of its trials' in summary_auc.csv.
     conditions = summary["conditions"]
-    stats = ("mean_c_norm", "std_c_norm", "sem_c_norm")
-    _write_csv(
-        out / "summary_cnorm.csv",
-        ["condition", *stats, "n_trials"],
-        "%s,%s,%s,%s,%d",
-        (
-            (cond, *(_fmt(conditions[cond][k]) for k in stats), conditions[cond]["n_trials"])
-            for cond in config.conditions
-        ),
-    )
-    _write_csv(
-        out / "summary_auc.csv",
-        ["condition", "trial", "auc_original", "auc_shuffled"],
-        "%s,%d,%s,%s",
-        (
-            (cond, row["trial"], _fmt(row["auc_original"]), _fmt(row["auc_shuffled"]))
-            for cond in config.conditions
-            for row in conditions[cond]["trials"]
-            if "auc_original" in row
-        ),
-    )
+    cnorm = [
+        (cond, *(conditions[cond][k] for k in CNORM_DTYPE.names[1:]))
+        for cond in config.conditions
+    ]
+    _write_csv(out / "summary_cnorm.csv", np.array(cnorm, CNORM_DTYPE))
+    auc = [
+        (cond, *(row[k] for k in AUC_DTYPE.names[1:]))
+        for cond in config.conditions
+        for row in conditions[cond]["trials"]
+        if "auc_original" in row
+    ]
+    _write_csv(out / "summary_auc.csv", np.array(auc, AUC_DTYPE))
     for cond in config.conditions:
-        curves = agg[cond]["curves"]
         name = f"curves_{cond}.csv"
-        columns = [map(_fmt, curve.tolist()) for curve in curves.values()]
-        iterations = range(1, config.iterations + 1)
-        line = "%d" + ",%s" * len(curves)
-        _write_csv(out / name, ["iteration", *curves], line, zip(iterations, *columns))
+        _write_csv(out / name, agg[cond]["curves"])
         artifacts.append(name)
 
     artifacts.extend(emit_plots(out, config, summary))

@@ -136,6 +136,34 @@ ROUND_DTYPE = np.dtype(
 )
 
 
+def round_rows(rows: int) -> tuple:
+    """The iteration and the round of each of `rows` per-round rows: row i
+    is round i % 2 + 1 of iteration i // 2 + 1."""
+    index = np.arange(rows)
+    return index // 2 + 1, index % 2 + 1
+
+
+def iteration_rows(rows):
+    """The per-round `rows` that carry each iteration's value: its second round's."""
+    return rows[1::2]
+
+
+# The run's other tables, one field per column in CSV order: summary_cnorm.csv,
+# summary_auc.csv, and curves_<cond>.csv, per iteration the mean of trial-CSV columns.
+CNORM_DTYPE = np.dtype(
+    [("condition", ROUND_DTYPE["condition"])]
+    + [(name, "f8") for name in ("mean_c_norm", "std_c_norm", "sem_c_norm")]
+    + [("n_trials", "i4")]
+)
+AUC_DTYPE = np.dtype(
+    [("condition", ROUND_DTYPE["condition"]), ("trial", ROUND_DTYPE["trial"])]
+    + [(name, "f8") for name in ("auc_original", "auc_shuffled")]
+)
+CURVES_DTYPE = np.dtype(
+    [(name, ROUND_DTYPE[name]) for name in ("iteration", "c_norm", "jsd_z", "kld_A", "kld_B_sleep")]
+)
+
+
 @dataclass
 class TrialLog:
     """Full record of one seeded trial. `rounds` holds two rows per
@@ -157,8 +185,8 @@ class TrialLog:
         rare flag is raised if either round branched."""
         column = self.rounds[name]
         if name == "rare_branch":
-            return column[0::2] | column[1::2]
-        return column[1::2].astype(float)
+            return column[0::2] | iteration_rows(column)
+        return iteration_rows(column).astype(float)
 
 
 def trial_files(condition: str, trial_index: int) -> tuple:
@@ -171,8 +199,8 @@ def aggregate_conditions(logs: Iterable[TrialLog]) -> dict:
     """Cross-trial summary per condition.
 
     For each condition: the per-trial mean comfort with mean, sample
-    standard deviation and standard error across trials, plus pointwise
-    mean curves of every per-iteration metric.
+    standard deviation and standard error across trials, plus the table of
+    pointwise mean curves of the per-iteration metrics, CURVES_DTYPE.
     """
     groups: dict[str, list[TrialLog]] = {}
     for log in logs:
@@ -186,10 +214,12 @@ def aggregate_conditions(logs: Iterable[TrialLog]) -> dict:
         )
         n = per_trial.size
         std = float(per_trial.std(ddof=1)) if n > 1 else 0.0
-        curves = {
-            name: np.vstack([log.iteration_series(name) for log in members]).mean(axis=0)
-            for name in ("c_norm", "jsd_z", "kld_A", "kld_B_sleep")
-        }
+        columns = [
+            np.vstack([log.iteration_series(name) for log in members]).mean(axis=0)
+            for name in CURVES_DTYPE.names[1:]
+        ]
+        iterations = np.arange(1, columns[0].size + 1)
+        curves = np.rec.fromarrays([iterations, *columns], dtype=CURVES_DTYPE)
         out[condition] = {
             "n_trials": n,
             "per_trial_mean_c_norm": per_trial,
@@ -199,3 +229,9 @@ def aggregate_conditions(logs: Iterable[TrialLog]) -> dict:
             "curves": curves,
         }
     return out
+
+
+def c_norm_ranking(agg: dict, conditions) -> list:
+    """`conditions` by their mean comfort in `agg`, highest first; a tie
+    keeps the order of `conditions`."""
+    return sorted(conditions, key=lambda c: agg[c]["mean_c_norm"], reverse=True)

@@ -10,11 +10,16 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .metrics import ROUND_DTYPE, trial_files
+from .metrics import AUC_DTYPE, CNORM_DTYPE, CURVES_DTYPE, ROUND_DTYPE, trial_files
 
-# CSV column numbers (1-based, gnuplot convention) in the trial files.
-COL_ITERATION, COL_ROUND, COL_RARE, COL_JSD = (
-    ROUND_DTYPE.names.index(name) + 1 for name in ("iteration", "round", "rare_branch", "jsd_z")
+
+def _columns(dtype, *names) -> tuple:
+    """CSV column numbers (1-based, gnuplot convention) of `names` in a table of `dtype`."""
+    return tuple(dtype.names.index(name) + 1 for name in names)
+
+
+COL_ITERATION, COL_ROUND, COL_RARE, COL_JSD = _columns(
+    ROUND_DTYPE, "iteration", "round", "rare_branch", "jsd_z"
 )
 
 _PREAMBLE = """\
@@ -42,28 +47,30 @@ def emit_plots(run_dir, config, summary) -> list:
         (plots / name).write_text(_PREAMBLE.format(name=name, output=name[:-3] + ".png") + body)
         written.append(f"plots/{name}")
 
+    label, mean, sd = _columns(CNORM_DTYPE, "condition", "mean_c_norm", "std_c_norm")
     emit(
         "cnorm_bars.gp",
-        """\
+        f"""\
 set title "Mean comfort of the true state per condition"
 set style fill solid 0.6 border -1
 set boxwidth 0.6
 set yrange [0:1]
 set ylabel "mean c_norm"
-plot "../summary_cnorm.csv" skip 1 using 0:2:3:xtic(1) with boxerrorbars title "mean +/- sd"
+plot "../summary_cnorm.csv" skip 1 using 0:{mean}:{sd}:xtic({label}) with boxerrorbars title "mean +/- sd"
 """,
     )
 
     lead = config.conditions[0]
     curve_cond = "mhng" if "mhng" in config.conditions else lead
+    iteration, kld_A, kld_B = _columns(CURVES_DTYPE, "iteration", "kld_A", "kld_B_sleep")
     emit(
         "kld_curves.gp",
         f"""\
 set title "Learning error of the imprecise matrices ({curve_cond})"
 set xlabel "iteration"
 set ylabel "mean KL (nats)"
-plot "../curves_{curve_cond}.csv" skip 1 using 1:4 with lines lw 2 title "sensory map (parent)", \\
-     "../curves_{curve_cond}.csv" skip 1 using 1:5 with lines lw 2 title "dynamics, Sleep slice (infant)"
+plot "../curves_{curve_cond}.csv" skip 1 using {iteration}:{kld_A} with lines lw 2 title "sensory map (parent)", \\
+     "../curves_{curve_cond}.csv" skip 1 using {iteration}:{kld_B} with lines lw 2 title "dynamics, Sleep slice (infant)"
 """,
     )
 
@@ -86,6 +93,7 @@ plot "{trial_rel}" skip 1 using (${COL_ROUND}==2?${COL_ITERATION}:1/0):{COL_JSD}
         for row in summary["conditions"][cond]["trials"]
     )
     if has_auc:
+        trial, original, shuffled = _columns(AUC_DTYPE, "trial", "auc_original", "auc_shuffled")
         emit(
             "auc_bars.gp",
             f"""\
@@ -95,8 +103,8 @@ set style histogram clustered gap 1
 set style fill solid 0.6 border -1
 set xlabel "trial"
 set ylabel "AUC of JSD, alignment window"
-plot "< grep '^{curve_cond},' ../summary_auc.csv" using 3:xtic(2) title "original", \\
-     "" using 4 title "shuffled"
+plot "< grep '^{curve_cond},' ../summary_auc.csv" using {original}:xtic({trial}) title "original", \\
+     "" using {shuffled} title "shuffled"
 """,
         )
 

@@ -373,6 +373,25 @@ class TestReport:
         assert "ranking: mhng" in out
         assert "AUC" in out
 
+    def test_a_tie_ranks_in_the_config_order_everywhere(self, tmp_path, capsys):
+        # After one iteration at this seed mhng and a-led tie on mean
+        # comfort. run, summary.json and report all keep the config's order
+        # for them, not the manifest's alphabetical one.
+        out = tmp_path / "run"
+        argv = ("--trials", "1", "--iterations", "1", "--seed", "1", "--out", str(out))
+        assert run_cli("run", *argv) == 0
+        ran = capsys.readouterr().out.splitlines()
+        summary = json.loads((out / "summary.json").read_text())
+        means = {c: e["mean_c_norm"] for c, e in summary["conditions"].items()}
+        assert means["mhng"] == means["a-led"] < means["b-led"]
+        assert summary["c_norm_ranking"] == ["b-led", "mhng", "a-led"]
+        assert run_cli("report", "--run", str(out)) == 0
+        reported = capsys.readouterr().out.splitlines()
+        line = "ranking: b-led > mhng > a-led"
+        assert line in ran and line in reported
+        rows = [row.split()[0] for row in reported[1:4]]
+        assert rows == summary["c_norm_ranking"]
+
     def test_missing_dir_fails(self, tmp_path, capsys):
         assert run_cli("report", "--run", str(tmp_path / "void")) == 1
         assert "error" in capsys.readouterr().err
@@ -551,6 +570,18 @@ class TestRunDirectory:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: lists no trials\n"
+
+    def test_manifest_naming_other_conditions_is_named(self, run_copy, capsys):
+        # The run's conditions come from its config; seeds of another
+        # condition leave the report nothing to rank them by.
+        path = run_copy / "manifest.json"
+        body = json.loads(path.read_text())
+        body["trial_seeds"]["a-led"] = body["trial_seeds"]["mhng"]
+        path.write_text(json.dumps(body))
+        assert run_cli("report", "--run", str(run_copy)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: trial_seeds must name the config's conditions\n"
 
     def test_listed_trial_csv_that_is_gone_is_named(self, run_copy, capsys):
         path = run_copy / "trials" / "mhng_t01.csv"

@@ -914,36 +914,41 @@ def run_dir(tmp_path_factory):
 
 class TestWriteCsv:
     def test_every_table_equals_the_csv_module(self, tmp_path, monkeypatch):
-        # Every CSV of a run goes through _write_csv. The summary tables'
-        # templates, as run_experiment passes them, must give the csv
-        # module's bytes for an exact zero, a subnormal, 1e300 and a
-        # negative value in every float column.
-        templates = {}
+        # Every CSV of a run but the belief dumps goes through _write_csv as
+        # one structured array. Each table's dtype, holding raw floats (an
+        # exact zero, -0.0, a subnormal, 1e300 and a negative value) in every
+        # float column, must give the csv module's bytes of _fmt cells.
+        dtypes = {}
         write_csv = harness._write_csv
 
-        def record(path, header, line, rows):
-            templates[Path(path).name] = (header, line)
-            write_csv(path, header, line, rows)
+        def record(path, table):
+            dtypes[Path(path).name] = table.dtype
+            write_csv(path, table)
 
         monkeypatch.setattr(harness, "_write_csv", record)
         out = tmp_path / "run"
         run_experiment(small_config(iterations=5, dump_beliefs=True, out_dir=str(out)))
-        assert sorted(templates) == sorted(path.name for path in out.rglob("*.csv"))
+        tables = [p.name for p in out.rglob("*.csv") if not p.name.endswith("_beliefs.csv")]
+        assert sorted(dtypes) == sorted(tables)
 
-        def cell(column, k, value):
-            if column == "condition":
-                return CONDITION_NAMES[k % len(CONDITION_NAMES)]
-            return k if column in ("trial", "n_trials", "iteration") else harness._fmt(value)
-
-        for name in ("summary_cnorm.csv", "summary_auc.csv", "curves_mhng.csv"):
-            header, line = templates[name]
-            rows = [
-                tuple(cell(column, k, value) for column in header)
-                for k, value in enumerate((0.0, 5e-324, 1e300, -0.25))
-            ]
-            write_csv(tmp_path / "fast.csv", header, line, rows)
-            oracles.write_csv(tmp_path / "csv.csv", header, rows)
-            assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
+        floats = (0.0, -0.0, 5e-324, 1e300, -0.25)
+        for name, dtype in dtypes.items():
+            table = np.zeros(len(floats), dtype)
+            rows = [[] for _ in floats]
+            for column in dtype.names:
+                kind = dtype[column].kind
+                if kind == "f":
+                    values = floats
+                elif kind == "U":
+                    values = [CONDITION_NAMES[k % len(CONDITION_NAMES)] for k in range(len(floats))]
+                else:
+                    values = [k % 2 if kind == "b" else k for k in range(len(floats))]
+                table[column] = values
+                for row, value in zip(rows, values):
+                    row.append(harness._fmt(value) if kind == "f" else value)
+            write_csv(tmp_path / "fast.csv", table)
+            oracles.write_csv(tmp_path / "csv.csv", dtype.names, rows)
+            assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes(), name
 
 
 class TestRunExperiment:

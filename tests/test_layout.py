@@ -7,7 +7,10 @@ tests/oracles.py. The CLI reaches a finished run only through
 harness.open_run, which holds every check on what it reads. Every CSV is
 written through one line writer, as one text in one write call, never
 through writelines, and a trial's rounds go straight into its
-preallocated record. The functions
+preallocated record. Every table is one structured array whose cells
+harness._write_csv formats by one rule, its fields' kinds, so a table's
+layout is its dtype; only the belief dump, which formats just its cells
+that are not +0.0, keeps a template of its own and calls _fmt. The functions
 every round calls raise nothing: their inputs were checked where they
 entered the program. Nor do they call a numpy reduction or function through
 its Python-level wrapper. Each call of the round path serves a whole batch
@@ -24,6 +27,7 @@ modules form layers under harness, which only cli imports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 from dyadreg import harness
@@ -311,3 +315,50 @@ def test_a_run_at_one_worker_is_one_batch(monkeypatch, tmp_path):
     manifest = harness.run_experiment(config)
     assert calls == {"run_trial": 1, "run_iteration": 7}
     assert len(manifest.trial_seeds) == 3
+
+
+# A printf-style conversion such as "%d", "%s" or "%.9g".
+PERCENT_CONVERSION = re.compile(r"%[-#0 +]*\d*(?:\.\d+)?[diouxXeEfFgGcrsa]")
+
+
+def _docstrings(tree):
+    """The ids of the docstring constants of a module, its classes and functions."""
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def test_every_table_cell_comes_from_one_rule():
+    # harness._write_csv turns a field's kind into its cell's template, so
+    # a table needs none of its own; the belief dump alone keeps its joined
+    # rows and formats its nonzero cells with _fmt.
+    fmt_users, templates = [], []
+    for module, tree in _trees().items():
+        docstrings = _docstrings(tree)
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            nodes = list(ast.walk(top))
+            if module == "harness.py" and any(
+                isinstance(n, ast.Name) and n.id == "_fmt" for n in nodes
+            ):
+                fmt_users.append(owner)
+            templates.extend(
+                (f"{module}:{owner}", node.value)
+                for node in nodes
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in docstrings
+                and PERCENT_CONVERSION.search(node.value)
+            )
+    assert fmt_users == ["write_beliefs_csv"]
+    assert sorted(templates) == [
+        ("harness.py:_write_csv", "%.9g"),
+        ("harness.py:_write_csv", "%d"),
+        ("harness.py:_write_csv", "%s"),
+        ("harness.py:write_beliefs_csv", "%d,%d,%s"),
+    ]

@@ -1,12 +1,16 @@
-"""Behaviour fingerprint: SHA-256 digests of everything two small seeded
+"""Behaviour fingerprint: SHA-256 digests of everything a set of seeded
 runs reproduce, compared against the committed golden file.
 
-Each config runs 3 conditions x 2 trials x 200 iterations with belief
-dumps. The digests cover every file in `manifest.artifacts`, manifest.json
-without its wall-clock `timings`, the stdout of `report`, and for config
-"a" the stdout of one `shuffle-control`. Any change to an artifact byte
-fails here. A numpy or BLAS upgrade can legitimately move the floats; after
-checking that the change is expected, regenerate the golden file with
+The runs are two small configs ("a" and "b": 3 conditions x 2 trials x 200
+iterations with belief dumps), the benchmark's two workload shapes at seeds
+0, 1 and 2 ("grid": 3 x 4 x 250; "dump-readback": 3 x 10 x 60 with dumps and
+the non-default branches), and a default 3 x 10 x 1000 run with dumps at
+seed 0. The digests of a run cover every file in `manifest.artifacts`,
+manifest.json without its wall-clock `timings`, the stdout of `report`, and
+for a run with dumps the stdout of one `shuffle-control`. Any change to an
+artifact byte fails here. A numpy or BLAS upgrade can legitimately move the
+floats; after checking that the change is expected, regenerate the golden
+file with
 
     python tests/test_fingerprint.py --write
 """
@@ -22,14 +26,29 @@ from pathlib import Path
 
 GOLDEN = Path(__file__).with_name("fingerprint.json")
 
-CONFIGS = {
-    "a": {},
-    "b": {
-        "mh_current_w": "persistent",
-        "round_order": "parent-first",
-        "preference_mode": "softmax",
-        "shuffle_permutations": 2,
-    },
+SMALL = dict(trials=2, iterations=200, dump_beliefs=True)
+GRID = dict(trials=4, iterations=250)
+DUMP_READBACK = dict(
+    trials=10,
+    iterations=60,
+    dump_beliefs=True,
+    mh_current_w="persistent",
+    round_order="parent-first",
+    preference_mode="softmax",
+)
+
+RUNS = {
+    "a": SMALL,
+    "b": dict(
+        SMALL,
+        mh_current_w="persistent",
+        round_order="parent-first",
+        preference_mode="softmax",
+        shuffle_permutations=2,
+    ),
+    **{f"grid-seed{seed}": dict(GRID, seed=seed) for seed in (0, 1, 2)},
+    **{f"dump-readback-seed{seed}": dict(DUMP_READBACK, seed=seed) for seed in (0, 1, 2)},
+    "default-dump-seed0": dict(dump_beliefs=True, seed=0),
 }
 
 
@@ -48,20 +67,18 @@ def _cli_stdout(*argv) -> str:
 
 
 def fingerprint(name: str, run_dir: Path) -> dict:
-    """Digests of one config's run into the empty directory run_dir."""
+    """Digests of one golden run into the empty directory run_dir."""
     from dyadreg.config import ExperimentConfig
     from dyadreg.harness import run_experiment
 
-    config = ExperimentConfig(
-        trials=2, iterations=200, dump_beliefs=True, out_dir=str(run_dir), **CONFIGS[name]
-    )
+    config = ExperimentConfig(out_dir=str(run_dir), **RUNS[name])
     manifest = run_experiment(config)
     digests = {f: _sha256((run_dir / f).read_bytes()) for f in manifest.artifacts}
     body = json.loads((run_dir / "manifest.json").read_text())
     body.pop("timings")
     digests["manifest.json"] = _sha256(json.dumps(body, sort_keys=True).encode())
     digests["stdout:report"] = _sha256(_cli_stdout("report", "--run", str(run_dir)).encode())
-    if name == "a":
+    if config.dump_beliefs:
         shuffled = _cli_stdout("shuffle-control", "--run", str(run_dir))
         digests["stdout:shuffle-control"] = _sha256(shuffled.encode())
     return digests
@@ -69,11 +86,14 @@ def fingerprint(name: str, run_dir: Path) -> dict:
 
 def test_fingerprint_matches_golden(tmp_path):
     golden = json.loads(GOLDEN.read_text())
-    for name in CONFIGS:
-        got = fingerprint(name, tmp_path / name)
-        want = golden[name]
-        changed = sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
-        assert not changed, f"config {name}: digests differ for {changed}"
+    assert sorted(golden) == sorted(RUNS)
+    changed = {}
+    for name in RUNS:
+        got, want = fingerprint(name, tmp_path / name), golden[name]
+        keys = sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
+        if keys:
+            changed[name] = keys
+    assert not changed, f"digests differ: {changed}"
 
 
 if __name__ == "__main__":
@@ -85,6 +105,6 @@ if __name__ == "__main__":
     parser.parse_args()
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     with tempfile.TemporaryDirectory() as tmp:
-        golden = {name: fingerprint(name, Path(tmp) / name) for name in CONFIGS}
+        golden = {name: fingerprint(name, Path(tmp) / name) for name in RUNS}
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")

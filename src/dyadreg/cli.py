@@ -3,7 +3,7 @@
 Subcommands: `run` executes a full experiment and writes all artifacts,
 `trial` runs a single seeded trial, `shuffle-control` recomputes the
 time-shuffled divergence from a recorded belief dump, and `report` prints
-a digest of a finished run. Flag values win over the DYADREG_OUT
+the summary of a finished run. Flag values win over the DYADREG_OUT
 environment variable, which wins over the config file.
 """
 
@@ -28,10 +28,7 @@ from .harness import (
     shuffled_window,
     write_trial_files,
 )
-from .metrics import (
-    ALIGNMENT_WINDOW, ROUND_DTYPE, aggregate_conditions, auc_window, c_norm_ranking,
-    iteration_rows, shuffle_control,
-)
+from .metrics import ALIGNMENT_WINDOW, ROUND_DTYPE, auc_window, iteration_rows, shuffle_control
 
 ENV_OUT = "DYADREG_OUT"
 
@@ -106,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--window-end", type=int, default=ALIGNMENT_WINDOW[1], help="last iteration"
     )
 
-    p_rep = sub.add_parser("report", help="print a digest of a finished run")
+    p_rep = sub.add_parser("report", help="print the summary of a finished run")
     p_rep.add_argument("--run", required=True, help="run directory with artifacts")
     return parser
 
@@ -202,13 +199,12 @@ def _cmd_shuffle(args) -> int:
 
 def _cmd_report(args) -> int:
     run = open_run(args.run)
-    seeds = run.manifest.trial_seeds
-    agg = aggregate_conditions(run.trial(c, t) for c in seeds for t in range(len(seeds[c])))
-    conditions = run.summary_conditions(agg)
-    ranking = c_norm_ranking(agg, run.config.conditions)
+    run.check()
+    summary = run.summary()
+    conditions, ranking = summary["conditions"], summary["c_norm_ranking"]
     print(f"{'condition':>10} {'trials':>6} {'mean':>8} {'std':>8} {'sem':>8}")
     for cond in ranking:
-        e = agg[cond]
+        e = conditions[cond]
         print(
             f"{cond:>10} {e['n_trials']:>6} {e['mean_c_norm']:>8.4f} "
             f"{e['std_c_norm']:>8.4f} {e['sem_c_norm']:>8.4f}"

@@ -9,6 +9,7 @@ sub-seeds, so reruns and parallel runs produce identical artifacts.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import re
 import time
@@ -64,6 +65,11 @@ BELIEF_READ_DTYPE = np.dtype(CSV_READ_DTYPE[2:4] + [("belief", "f8", N_STATES)],
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
+
+
+def digest(data: bytes) -> str:
+    """The SHA-256 of `data` in hex: the seal manifest.json records of each artifact."""
+    return hashlib.sha256(data).hexdigest()
 
 
 def trial_seed(root_seed: int, condition: str, trial_index: int) -> int:
@@ -358,13 +364,14 @@ def build_summary(config: ExperimentConfig, logs, agg) -> dict:
 
 @dataclass
 class RunManifest:
-    """What a run produced and how to reproduce it. The timings entry is
+    """What a run produced and how to reproduce it: `artifacts` maps each
+    file the run wrote to the digest of its bytes. The timings entry is
     wall-clock bookkeeping and is not reproducible."""
 
     version: str
     config: dict
     trial_seeds: dict
-    artifacts: list
+    artifacts: dict
     timings: dict
 
     def to_json(self) -> str:
@@ -384,31 +391,19 @@ class RunManifest:
             ("timings", "an object", isinstance(data["timings"], dict)),
             ("trial_seeds", "an object of integer lists", isinstance(seeds, dict) and all(
                 isinstance(v, list) and all(type(s) is int for s in v) for v in seeds.values())),
-            ("artifacts", "a list of strings",
-             isinstance(artifacts, list) and all(type(a) is str for a in artifacts)),
+            ("artifacts", "an object of SHA-256 digests",
+             isinstance(artifacts, dict) and all(type(d) is str for d in artifacts.values())),
         ):
             if not ok:
                 raise ValueError(f"a manifest's {name} must be {kind}")
         return cls(**{name: data[name] for name in names})
 
 
-def _is_number_list(values) -> bool:
-    """Whether a JSON value is a list of numbers (true and false are not)."""
-    return isinstance(values, list) and all(type(v) in (int, float) for v in values)
-
-
-def _is_trial_entry(trial) -> bool:
-    """Whether a summary.json trials entry is an object with both AUC numbers or neither."""
-    if not isinstance(trial, dict):
-        return False
-    aucs = [trial[key] for key in ("auc_original", "auc_shuffled") if key in trial]
-    return not aucs or len(aucs) == 2 and _is_number_list(aucs)
-
-
 @dataclass(frozen=True)
 class FinishedRun:
-    """A finished run as open_run found it. Each reader checks what it reads
-    against the manifest and its config, and ValueError names the file at fault."""
+    """A finished run as open_run found it. Each reader checks the bytes of
+    every file it opens against the digest the manifest records, and
+    ValueError names a file that differs."""
 
     path: Path
     manifest: RunManifest
@@ -421,27 +416,29 @@ class FinishedRun:
             raise ValueError(f"{manifest}: lists no trial {index} of {condition}")
         return self.path / name
 
-    def _whole(self, path: Path, rows: np.ndarray) -> np.ndarray:
-        """The rows of `path`, which must hold the config's iterations."""
-        if len(rows) != 2 * self.config.iterations:
-            raise ValueError(
-                f"{path}: holds {len(rows) // 2} iterations; "
-                f"the manifest's config has {self.config.iterations}"
-            )
-        return rows
+    def _sealed(self, name: str) -> Path:
+        """The path of `name`, a listed file whose bytes are still those the manifest sealed."""
+        if name not in self.manifest.artifacts:
+            raise ValueError(f"{self.path / 'manifest.json'}: does not list {name}")
+        path = self.path / name
+        if digest(path.read_bytes()) != self.manifest.artifacts[name]:
+            raise ValueError(f"{path}: differs from the SHA-256 manifest.json records")
+        return path
+
+    def check(self):
+        """Check every listed file against its digest."""
+        for name in self.manifest.artifacts:
+            self._sealed(name)
+
+    def summary(self) -> dict:
+        """summary.json, as the run wrote it."""
+        return json.loads(self._sealed("summary.json").read_text())
 
     def trial(self, condition: str, index: int) -> TrialLog:
         """A listed trial's CSV as a TrialLog with the manifest's seed."""
         name = trial_files(condition, index)[0]
-        path = self._listed_path(condition, index, name)
-        if name not in self.manifest.artifacts:
-            raise ValueError(f"{self.path / 'manifest.json'}: does not list {name}")
-        rounds = self._whole(path, load_trial_csv(path))
-        if not (np.all(rounds["condition"] == condition) and np.all(rounds["trial"] == index)):
-            raise ValueError(
-                f"{path}: every row must be condition {condition}, trial {index}, "
-                "as manifest.json names the file"
-            )
+        self._listed_path(condition, index, name)
+        rounds = load_trial_csv(self._sealed(name))
         return TrialLog(condition, index, self.manifest.trial_seeds[condition][index], rounds)
 
     def parent_beliefs(self, condition: str, index: int) -> np.ndarray:
@@ -450,40 +447,7 @@ class FinishedRun:
         path = self._listed_path(condition, index, name)
         if name not in self.manifest.artifacts:
             raise FileNotFoundError(f"{path} not found; rerun with --dump-beliefs")
-        return self._whole(path, load_beliefs_csv(path))
-
-    def summary_conditions(self, agg: dict) -> dict:
-        """summary.json's conditions: an entry per condition of the manifest
-        whose trials name each listed trial once, with both AUC numbers or
-        neither, and whose per_trial_mean_c_norm agrees with `agg`, the
-        aggregate_conditions of the listed trials."""
-        path = self.path / "summary.json"
-        try:
-            summary = json.loads(path.read_text())
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        seeds = self.manifest.trial_seeds
-        conditions = summary.get("conditions") if isinstance(summary, dict) else None
-        if not isinstance(conditions, dict) or conditions.keys() != seeds.keys():
-            raise ValueError(f"{path}: its conditions must be the manifest's: {', '.join(seeds)}")
-        for cond, entry in conditions.items():
-            trials = entry.get("trials") if isinstance(entry, dict) else None
-            if not isinstance(trials, list):
-                raise ValueError(f"{path}: the {cond} entry needs a trials list")
-            if not all(map(_is_trial_entry, trials)):
-                raise ValueError(f"{path}: a trials entry must hold both AUC numbers or neither")
-            named, listed = [t.get("trial") for t in trials], [*range(len(seeds[cond]))]
-            if not all(type(t) is int for t in named) or sorted(named) != listed:
-                raise ValueError(f"{path}: the trials of {cond} must name each listed trial once")
-            recorded = entry.get("per_trial_mean_c_norm")
-            if not _is_number_list(recorded):
-                raise ValueError(f"{path}: per_trial_mean_c_norm must be a list of numbers")
-            means = agg[cond]["per_trial_mean_c_norm"] if listed else []
-            if len(recorded) != len(means) or not np.allclose(means, recorded, rtol=0, atol=1e-8):
-                raise ValueError(
-                    f"{path}: per_trial_mean_c_norm of {cond} disagrees with its trial CSVs"
-                )
-        return conditions
+        return load_beliefs_csv(self._sealed(name))
 
 
 def open_run(run_dir) -> FinishedRun:
@@ -534,7 +498,8 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     Artifacts are byte-stable for a given config regardless of the worker
     count; only the manifest's timings entry varies between runs. The files
     of an earlier run into the same directory are removed first, and the
-    manifest is written last, so a run that stops midway leaves none.
+    manifest is written last, so a run that stops midway leaves none. It
+    seals the run: the digest of every file, taken after the last write.
     """
     t0 = time.perf_counter()
     out = Path(config.out_dir)
@@ -601,7 +566,7 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         trial_seeds={
             cond: [log.seed for log in logs if log.condition == cond] for cond in config.conditions
         },
-        artifacts=sorted(artifacts),
+        artifacts={name: digest((out / name).read_bytes()) for name in sorted(artifacts)},
         timings={"total_seconds": round(time.perf_counter() - t0, 3)},
     )
     (out / "manifest.json").write_text(manifest.to_json())

@@ -12,11 +12,31 @@ import dyadreg
 from dyadreg import cli
 from dyadreg.cli import main
 from dyadreg.config import ExperimentConfig, save_config
-from dyadreg.harness import CSV_HEADER, run_experiment, shuffle_seeds
+from dyadreg.harness import CSV_HEADER, digest, run_experiment, shuffle_seeds
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def changed_file_error(path) -> str:
+    """The one line a reader prints for a listed file whose bytes changed after the run."""
+    return f"error: {path}: differs from the SHA-256 manifest.json records\n"
+
+
+def flip_byte(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def reseal(run, path):
+    """Record an edited file's digest in the run's manifest, as if the run
+    had written it, so that a reader goes on to parse the file."""
+    manifest = run / "manifest.json"
+    body = json.loads(manifest.read_text())
+    body["artifacts"][path.relative_to(run).as_posix()] = digest(path.read_bytes())
+    manifest.write_text(json.dumps(body))
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +314,7 @@ class TestShuffleControl:
             cells[7] = "abc"
             lines[9] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
+        reseal(run, path)  # so the dump's own parse checks are what refuse it
         assert run_cli("shuffle-control", "--run", str(run)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -319,6 +340,7 @@ class TestShuffleControl:
         lines = path.read_text().splitlines()
         lines[line] = ",".join(lines[line].split(",")[:2] + probs)
         path.write_text("\n".join(lines) + "\n")
+        reseal(run, path)
         assert run_cli("shuffle-control", "--run", str(run)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -340,6 +362,7 @@ class TestShuffleControl:
         cells[CSV_HEADER.index(column)] = str(value)
         lines[line] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
+        reseal(run, path)
         assert run_cli("shuffle-control", "--run", str(run)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -445,13 +468,13 @@ class TestRunDirectory:
         row = next(line for line in capsys.readouterr().out.splitlines() if "mhng" in line)
         assert row.split()[:2] == ["mhng", "2"]
 
-    def test_report_refuses_an_unlisted_trial_csv(self, run_copy, capsys):
+    def test_shuffle_control_refuses_an_unlisted_trial_csv(self, run_copy, capsys):
         # The file is there, but the manifest does not list it.
         path = run_copy / "manifest.json"
         body = json.loads(path.read_text())
-        body["artifacts"].remove("trials/mhng_t00.csv")
+        del body["artifacts"]["trials/mhng_t00.csv"]
         path.write_text(json.dumps(body))
-        assert run_cli("report", "--run", str(run_copy)) == 1
+        assert run_cli("shuffle-control", "--run", str(run_copy)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: does not list trials/mhng_t00.csv\n"
@@ -490,11 +513,27 @@ class TestRunDirectory:
         assert "manifest.json" in captured.err
         assert captured.err.count("\n") == 1
 
-    def test_run_over_a_manifest_without_an_artifact_list(self, run_copy):
+    @pytest.mark.parametrize("command", ["report", "shuffle-control"])
+    def test_manifest_from_before_the_seal_is_refused(self, run_copy, capsys, command):
+        # Its artifacts were a sorted list of names, without digests; such a
+        # run must be rerun.
+        path = run_copy / "manifest.json"
+        body = json.loads(path.read_text())
+        body["artifacts"] = sorted(body["artifacts"])
+        path.write_text(json.dumps(body))
+        assert run_cli(command, "--run", str(run_copy)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: a manifest's artifacts must be an object of SHA-256 digests\n"
+        )
+
+    @pytest.mark.parametrize("artifacts", [None, "names"], ids=["null", "list of names"])
+    def test_run_over_a_manifest_without_an_artifact_list(self, run_copy, artifacts):
         # Such a manifest lists nothing to remove, as one that does not parse.
         path = run_copy / "manifest.json"
         body = json.loads(path.read_text())
-        body["artifacts"] = None
+        body["artifacts"] = sorted(body["artifacts"]) if artifacts else None
         path.write_text(json.dumps(body))
         args = ("--conditions", "mhng", "--trials", "1", "--iterations", "5", "--out")
         assert run_cli("run", *args, str(run_copy)) == 0
@@ -513,7 +552,7 @@ class TestRunDirectory:
     def test_damaged_summary_is_named(self, run_copy, capsys, damage):
         # The last two name what the run does not hold; read as the run's,
         # report would print an a-led AUC line, or average trial 5's AUCs
-        # into mhng's.
+        # into mhng's. Each edit changes the file's bytes, which the seal names.
         path = run_copy / "summary.json"
         summary = json.loads(path.read_text())
         mhng = summary["conditions"]["mhng"]
@@ -531,11 +570,7 @@ class TestRunDirectory:
         assert run_cli("report", "--run", str(run_copy)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {path}: ")
-        assert captured.err.count("\n") == 1
-        if damage in self.NOT_NUMBER_LISTS:
-            message = "per_trial_mean_c_norm must be a list of numbers"
-            assert captured.err == f"error: {path}: {message}\n"
+        assert captured.err == changed_file_error(path)
 
     @pytest.mark.parametrize(
         "entry",
@@ -556,9 +591,7 @@ class TestRunDirectory:
         assert run_cli("report", "--run", str(run_copy)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"error: {path}: a trials entry must hold both AUC numbers or neither\n"
-        )
+        assert captured.err == changed_file_error(path)
 
     @pytest.mark.parametrize("seeds", [{"mhng": []}, {}], ids=["empty list", "empty object"])
     def test_manifest_without_trials_is_named(self, run_copy, capsys, seeds):
@@ -612,8 +645,7 @@ class TestRunDirectory:
 
     @pytest.mark.parametrize("damage", ["c_norm cell", "summary entry"])
     def test_edited_c_norm_disagrees_with_summary(self, run_copy, capsys, damage):
-        # report ranks from the trial CSVs and takes its AUCs from
-        # summary.json; the two must agree on every per-trial mean.
+        # report prints summary.json, and the seal names an edit to either file.
         if damage == "c_norm cell":
             path = run_copy / "trials" / "mhng_t01.csv"
             lines = path.read_text().splitlines()
@@ -629,9 +661,7 @@ class TestRunDirectory:
         assert run_cli("report", "--run", str(run_copy)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {run_copy / 'summary.json'}: ")
-        assert "mhng" in captured.err
-        assert captured.err.count("\n") == 1
+        assert captured.err == changed_file_error(path)
 
     @pytest.mark.parametrize(
         "command, name",
@@ -645,16 +675,43 @@ class TestRunDirectory:
     def test_file_cut_at_an_iteration_boundary_is_named(self, run_copy, capsys, command, name):
         # A shorter file that is whole in itself: 55 of the run's 60
         # iterations, two rows each. Read as it is, it would give numbers
-        # for another run.
+        # for another run; the seal names it.
         path = run_copy / "trials" / name
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[: 1 + 55 * 2]) + "\n")
         assert run_cli(command, "--run", str(run_copy)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"error: {path}: holds 55 iterations; the manifest's config has 60\n"
-        )
+        assert captured.err == changed_file_error(path)
+
+    # One file of each kind a run writes, by its run-relative name.
+    KINDS = {
+        "trial CSV": "trials/mhng_t01.csv",
+        "belief dump": "trials/mhng_t01_beliefs.csv",
+        "summary.json": "summary.json",
+        "curves CSV": "curves_mhng.csv",
+        "summary CSV": "summary_cnorm.csv",
+        "plot script": "plots/kld_curves.gp",
+        "config.json": "config.json",
+    }
+
+    @pytest.mark.parametrize("name", KINDS.values(), ids=KINDS)
+    def test_report_names_a_file_with_one_flipped_byte(self, run_copy, capsys, name):
+        path = run_copy / name
+        flip_byte(path)
+        assert run_cli("report", "--run", str(run_copy)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == changed_file_error(path)
+
+    @pytest.mark.parametrize("name", ["mhng_t00.csv", "mhng_t00_beliefs.csv"])
+    def test_shuffle_control_names_a_file_with_one_flipped_byte(self, run_copy, capsys, name):
+        path = run_copy / "trials" / name
+        flip_byte(path)
+        assert run_cli("shuffle-control", "--run", str(run_copy)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == changed_file_error(path)
 
     @pytest.mark.parametrize("command", ["report", "shuffle-control"])
     def test_config_is_parsed_once(self, finished_run, capsys, monkeypatch, command):

@@ -7,7 +7,8 @@ iterations with belief dumps), the benchmark's two workload shapes at seeds
 the non-default branches), and a default 3 x 10 x 1000 run with dumps at
 seed 0. The digests of a run cover every file in `manifest.artifacts`,
 manifest.json without its wall-clock `timings`, the stdout of `report`, and
-for a run with dumps the stdout of one `shuffle-control`. Any change to an
+for a run with dumps the stdout of one `shuffle-control`. Each digest the
+manifest records must equal a fresh one of its file. Any change to an
 artifact byte fails here. A numpy or BLAS upgrade can legitimately move the
 floats; after checking that the change is expected, regenerate the golden
 file with
@@ -18,7 +19,6 @@ file with
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import json
 import sys
@@ -52,10 +52,6 @@ RUNS = {
 }
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _cli_stdout(*argv) -> str:
     from dyadreg.cli import main
 
@@ -69,18 +65,19 @@ def _cli_stdout(*argv) -> str:
 def fingerprint(name: str, run_dir: Path) -> dict:
     """Digests of one golden run into the empty directory run_dir."""
     from dyadreg.config import ExperimentConfig
-    from dyadreg.harness import run_experiment
+    from dyadreg.harness import digest, run_experiment
 
     config = ExperimentConfig(out_dir=str(run_dir), **RUNS[name])
     manifest = run_experiment(config)
-    digests = {f: _sha256((run_dir / f).read_bytes()) for f in manifest.artifacts}
+    digests = {f: digest((run_dir / f).read_bytes()) for f in manifest.artifacts}
+    assert digests == manifest.artifacts, f"{name}: the manifest's seal differs from its files"
     body = json.loads((run_dir / "manifest.json").read_text())
     body.pop("timings")
-    digests["manifest.json"] = _sha256(json.dumps(body, sort_keys=True).encode())
-    digests["stdout:report"] = _sha256(_cli_stdout("report", "--run", str(run_dir)).encode())
+    digests["manifest.json"] = digest(json.dumps(body, sort_keys=True).encode())
+    digests["stdout:report"] = digest(_cli_stdout("report", "--run", str(run_dir)).encode())
     if config.dump_beliefs:
         shuffled = _cli_stdout("shuffle-control", "--run", str(run_dir))
-        digests["stdout:shuffle-control"] = _sha256(shuffled.encode())
+        digests["stdout:shuffle-control"] = digest(shuffled.encode())
     return digests
 
 
@@ -94,6 +91,23 @@ def test_fingerprint_matches_golden(tmp_path):
         if keys:
             changed[name] = keys
     assert not changed, f"digests differ: {changed}"
+
+
+def test_report_prints_the_golden_bytes_without_parsing_a_csv(tmp_path, monkeypatch):
+    # report prints summary.json, so a CSV loader that fails cannot stop it.
+    from dyadreg import harness
+    from dyadreg.config import ExperimentConfig
+
+    name = "grid-seed0"
+    harness.run_experiment(ExperimentConfig(out_dir=str(tmp_path), **RUNS[name]))
+
+    def no_csv(path, *args):
+        raise ValueError(f"{path}: report parsed a CSV")
+
+    monkeypatch.setattr(harness, "_load_csv", no_csv)
+    printed = _cli_stdout("report", "--run", str(tmp_path))  # asserts exit 0
+    want = json.loads(GOLDEN.read_text())[name]["stdout:report"]
+    assert harness.digest(printed.encode()) == want
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import re
 import tracemalloc
@@ -21,8 +22,10 @@ from dyadreg.environment import (
 )
 from dyadreg.harness import (
     CSV_HEADER,
+    RunManifest,
     build_summary,
     build_world,
+    digest,
     load_beliefs_csv,
     load_trial_csv,
     open_run,
@@ -958,6 +961,24 @@ class TestRunExperiment:
             assert (out / rel).is_file(), rel
         assert manifest.version
 
+    def test_manifest_seals_every_artifact(self, run_dir):
+        out, _, manifest = run_dir
+        assert list(manifest.artifacts) == sorted(manifest.artifacts)
+        for rel, recorded in manifest.artifacts.items():
+            assert recorded == hashlib.sha256((out / rel).read_bytes()).hexdigest(), rel
+
+    @pytest.mark.parametrize(
+        "artifacts",
+        [["config.json"], {"config.json": None}, {"config.json": 1}, "config.json"],
+        ids=["list of names", "null digest", "number digest", "string"],
+    )
+    def test_manifest_artifacts_must_map_names_to_digests(self, run_dir, artifacts):
+        out, _, _ = run_dir
+        body = json.loads((out / "manifest.json").read_text())
+        body["artifacts"] = artifacts
+        with pytest.raises(ValueError, match="artifacts must be an object of SHA-256 digests"):
+            RunManifest.from_json(json.dumps(body))
+
     def test_manifest_round_trips(self, run_dir):
         out, cfg, manifest = run_dir
         run = open_run(out)
@@ -998,11 +1019,11 @@ class TestRunExperiment:
         outside = tmp_path / "outside.txt"
         outside.write_text("mine\n")
         manifest = json.loads((out / "manifest.json").read_text())
-        manifest["artifacts"].append("../outside.txt")
+        manifest["artifacts"]["../outside.txt"] = digest(b"mine\n")
         (out / "manifest.json").write_text(json.dumps(manifest))
         rerun = run_experiment(cfg.replaced(trials=1))
         assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) == sorted(
-            rerun.artifacts + ["manifest.json", "notes.txt"]
+            list(rerun.artifacts) + ["manifest.json", "notes.txt"]
         )
         assert outside.read_text() == "mine\n"
         # A manifest cut short by a crash while it was written lists nothing.
@@ -1020,7 +1041,7 @@ class TestRunExperiment:
         )
         manifest = run_experiment(cfg)
         present = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
-        assert present == sorted(manifest.artifacts + ["manifest.json"])
+        assert present == sorted(list(manifest.artifacts) + ["manifest.json"])
         assert any(name.endswith("_beliefs.csv") for name in present) == dump_beliefs
 
     def test_dump_flag_changes_only_which_files_are_written(self, run_dir, tmp_path):

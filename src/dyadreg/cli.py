@@ -210,8 +210,8 @@ def _cmd_report(args) -> int:
             f"{e['std_c_norm']:>8.4f} {e['sem_c_norm']:>8.4f}"
         )
     print(f"ranking: {' > '.join(ranking)}")
-    for cond, entry in sorted(conditions.items()):
-        aucs = [t for t in entry["trials"] if "auc_original" in t]
+    for cond in run.config.conditions:
+        aucs = [t for t in conditions[cond]["trials"] if "auc_original" in t]
         if aucs:
             orig = np.mean([t["auc_original"] for t in aucs])
             shuf = np.mean([t["auc_shuffled"] for t in aucs])

@@ -415,6 +415,17 @@ class TestReport:
         rows = [row.split()[0] for row in reported[1:4]]
         assert rows == summary["c_norm_ranking"]
 
+    def test_auc_lines_follow_the_config_order(self, tmp_path, capsys):
+        # summary.json, the summary CSVs and the AUC lines list the
+        # conditions in the config's order, here not the alphabetical one.
+        out = tmp_path / "run"
+        argv = ("--conditions", "mhng", "b-led", "--trials", "1", "--iterations", "50")
+        assert run_cli("run", *argv, "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli("report", "--run", str(out)) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if "AUC" in line]
+        assert [line.split(":")[0] for line in lines] == ["mhng", "b-led"]
+
     def test_missing_dir_fails(self, tmp_path, capsys):
         assert run_cli("report", "--run", str(tmp_path / "void")) == 1
         assert "error" in capsys.readouterr().err

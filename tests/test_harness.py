@@ -1,5 +1,4 @@
 import concurrent.futures
-import hashlib
 import json
 import re
 import tracemalloc
@@ -22,7 +21,6 @@ from dyadreg.environment import (
 )
 from dyadreg.harness import (
     CSV_HEADER,
-    RunManifest,
     build_summary,
     build_world,
     digest,
@@ -960,24 +958,6 @@ class TestRunExperiment:
         for rel in manifest.artifacts:
             assert (out / rel).is_file(), rel
         assert manifest.version
-
-    def test_manifest_seals_every_artifact(self, run_dir):
-        out, _, manifest = run_dir
-        assert list(manifest.artifacts) == sorted(manifest.artifacts)
-        for rel, recorded in manifest.artifacts.items():
-            assert recorded == hashlib.sha256((out / rel).read_bytes()).hexdigest(), rel
-
-    @pytest.mark.parametrize(
-        "artifacts",
-        [["config.json"], {"config.json": None}, {"config.json": 1}, "config.json"],
-        ids=["list of names", "null digest", "number digest", "string"],
-    )
-    def test_manifest_artifacts_must_map_names_to_digests(self, run_dir, artifacts):
-        out, _, _ = run_dir
-        body = json.loads((out / "manifest.json").read_text())
-        body["artifacts"] = artifacts
-        with pytest.raises(ValueError, match="artifacts must be an object of SHA-256 digests"):
-            RunManifest.from_json(json.dumps(body))
 
     def test_manifest_round_trips(self, run_dir):
         out, cfg, manifest = run_dir

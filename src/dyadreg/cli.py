@@ -28,7 +28,7 @@ from .harness import (
     shuffled_window,
     write_trial_files,
 )
-from .metrics import ALIGNMENT_WINDOW, ROUND_DTYPE, auc_window, iteration_rows, shuffle_control
+from .metrics import ALIGNMENT_WINDOW, ROUND_DTYPE, iteration_rows
 
 ENV_OUT = "DYADREG_OUT"
 
@@ -180,18 +180,18 @@ def _cmd_shuffle(args) -> int:
         seeds = [args.seed]
     else:
         seeds = shuffle_seeds(run.config, args.condition, args.trial_index)
-    original = shuffle_control(parent_seq[lo : hi + 1], infant_states[lo : hi + 1])
-    auc_shuffled, median_shuffled = shuffled_window(parent_seq, infant_states, seeds, lo, hi)
+    # The original window is the one a seed of None leaves in time order.
+    aucs, medians = shuffled_window([parent_seq], [infant_states], [[None, *seeds]], lo, hi)
     result = {
         "condition": args.condition,
         "trial": args.trial_index,
         # The first seed; the shuffled numbers average over all of them.
         "permutation_seed": seeds[0],
         "window": [args.window_start, args.window_end],
-        "auc_original": auc_window(original, 0, hi - lo),
-        "auc_shuffled": auc_shuffled,
-        "jsd_median_original": float(np.median(original)),
-        "jsd_median_shuffled": median_shuffled,
+        "auc_original": float(aucs[0, 0]),
+        "auc_shuffled": float(aucs[0, 1:].mean()),
+        "jsd_median_original": float(medians[0, 0]),
+        "jsd_median_shuffled": float(medians[0, 1:].mean()),
     }
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0
@@ -199,8 +199,7 @@ def _cmd_shuffle(args) -> int:
 
 def _cmd_report(args) -> int:
     run = open_run(args.run)
-    run.check()
-    summary = run.summary()
+    summary = run.check()
     conditions, ranking = summary["conditions"], summary["c_norm_ranking"]
     print(f"{'condition':>10} {'trials':>6} {'mean':>8} {'std':>8} {'sem':>8}")
     for cond in ranking:

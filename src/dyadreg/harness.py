@@ -90,20 +90,25 @@ def shuffle_seeds(config: ExperimentConfig, condition: str, trial_index: int) ->
     ]
 
 
-def shuffled_window(parent_seq, infant_states, seeds, lo: int, hi: int) -> tuple:
-    """The time-shuffle control over the inclusive 0-based iteration window
-    [lo, hi]: the AUC and the median of the shuffled belief divergence,
-    each the mean over one permutation per seed. summary.json and the
-    shuffle-control command both come from here. Each permutation is drawn
-    over the whole series, but only the window's rows are computed."""
-    n = len(parent_seq)
-    aucs, medians = [], []
-    for seed in seeds:
-        rows = make_rng(seed).permutation(n)[lo : hi + 1]
-        shuffled = shuffle_control(parent_seq[lo : hi + 1], infant_states[rows])
-        aucs.append(auc_window(shuffled, 0, hi - lo))
-        medians.append(np.median(shuffled))
-    return float(np.mean(aucs)), float(np.mean(medians))
+def shuffled_window(parent_seqs, infant_states, seeds, lo: int, hi: int) -> tuple:
+    """The time-shuffle control of a stack of trials over the inclusive
+    0-based iteration window [lo, hi]. Trial i has the parent's beliefs
+    parent_seqs[i], an (iterations, states) array, the states its infant
+    sensed infant_states[i], and its seeds seeds[i], as many for each trial.
+    Returns the AUC and the median of the window's belief divergence, two
+    (trials, seeds) arrays, under one permutation per seed; a seed of None
+    keeps time order. summary.json and the shuffle-control command both come
+    from here. Each permutation is drawn over the whole series, but only the
+    window's rows are computed, all in one shuffle_control call."""
+    window = np.arange(lo, hi + 1)
+    infant = np.array([
+        [states[window if seed is None else make_rng(seed).permutation(len(states))[lo : hi + 1]]
+         for seed in trial_seeds]
+        for states, trial_seeds in zip(infant_states, seeds)
+    ])
+    parent = np.array([seq[lo : hi + 1] for seq in parent_seqs])[:, None]
+    shuffled = shuffle_control(np.broadcast_to(parent, infant.shape + parent.shape[-1:]), infant)
+    return auc_window(shuffled, 0, hi - lo), np.median(shuffled, axis=-1)
 
 
 def build_world(config: ExperimentConfig):
@@ -170,8 +175,7 @@ def run_trial(config: ExperimentConfig, conditions, trials) -> list:
     rounds["action"] = rounds["shared_w"]
     rounds["true_x"], rounds["true_y"] = to_xy(states)
     rounds["c_norm"] = c_norm(states, pref)
-    for i in range(count):
-        rounds[i]["jsd_z"] = jsd_latent(parent_round_beliefs[i], states[i])
+    rounds["jsd_z"] = jsd_latent(parent_round_beliefs, states)
     return [
         TrialLog(names[i], trials[i], seeds[i], rounds[i], parent_round_beliefs[i])
         for i in range(count)
@@ -200,13 +204,14 @@ def _write_csv(path, table):
     _write_lines(path, names, [line % row for row in table.tolist()])
 
 
-def _load_csv(path, header, dtype) -> np.ndarray:
-    """The rows of a CSV under `header`, parsed by np.loadtxt into the
-    structured `dtype`. ValueError names the file for another header, no
-    data rows, a row with another number of cells, a cell that does not
-    parse, or rows that are not rounds 1 and 2 of iterations 1, 2, ..."""
-    with open(path) as fh:
-        first, *lines = fh.read().removesuffix("\n").split("\n")
+def _load_csv(path, data, header, dtype) -> np.ndarray:
+    """The rows of `data`, the bytes of the CSV at `path`, under `header`,
+    parsed by np.loadtxt into the structured `dtype`; its lines end in LF,
+    CRLF or CR, as open() reads them. ValueError names the file for another
+    header, no data rows, a row with another number of cells, a cell that
+    does not parse, or rows that are not rounds 1 and 2 of iterations 1, 2, ..."""
+    text = data.decode().replace("\r\n", "\n").replace("\r", "\n")
+    first, *lines = text.removesuffix("\n").split("\n")
     if first.split(",") != header:
         raise ValueError(f"{path}: unexpected CSV header")
     if not lines:
@@ -239,12 +244,14 @@ def write_trial_csv(log: TrialLog, path):
     _write_csv(path, log.rounds)
 
 
-def load_trial_csv(path) -> np.ndarray:
-    """A trial CSV's rows, with dtype ROUND_DTYPE. The file must load as
-    _load_csv loads it, its condition and speaker cells must name a
-    condition and an agent, and its true_x and true_y cells must lie in
-    [0, N_LEVELS); otherwise ValueError names it."""
-    rounds = _load_csv(path, CSV_HEADER, CSV_READ_DTYPE).astype(ROUND_DTYPE)
+def load_trial_csv(path, data=None) -> np.ndarray:
+    """A trial CSV's rows, with dtype ROUND_DTYPE; `data` is its bytes when
+    the caller has read them. The file must load as _load_csv loads it, its
+    condition and speaker cells must name a condition and an agent, and its
+    true_x and true_y cells must lie in [0, N_LEVELS); otherwise ValueError
+    names it."""
+    data = Path(path).read_bytes() if data is None else data
+    rounds = _load_csv(path, data, CSV_HEADER, CSV_READ_DTYPE).astype(ROUND_DTYPE)
     if not (
         np.isin(rounds["condition"], CONDITION_NAMES).all()
         and np.isin(rounds["speaker"], [kind.value for kind in AgentKind]).all()
@@ -268,12 +275,14 @@ def write_beliefs_csv(log: TrialLog, path):
     _write_lines(path, BELIEF_HEADER, ["%d,%d,%s" % row for row in rows])
 
 
-def load_beliefs_csv(path) -> np.ndarray:
+def load_beliefs_csv(path, data=None) -> np.ndarray:
     """The parent's belief after every round, a (rounds, states) array; an
-    iteration's are its iteration_rows. The file must load as _load_csv loads
-    it, and every belief must be finite and non-negative and sum to 1 within
-    RENORM_TOL; otherwise ValueError names the file."""
-    values = _load_csv(path, BELIEF_HEADER, BELIEF_READ_DTYPE)["belief"]
+    iteration's are its iteration_rows. `data` is the dump's bytes when the
+    caller has read them. The file must load as _load_csv loads it, and every
+    belief must be finite and non-negative and sum to 1 within RENORM_TOL;
+    otherwise ValueError names the file."""
+    data = Path(path).read_bytes() if data is None else data
+    values = _load_csv(path, data, BELIEF_HEADER, BELIEF_READ_DTYPE)["belief"]
     # A NaN or infinite cell fails one of the two tests.
     bad = ~((values >= 0.0).all(axis=1) & (np.abs(values.sum(axis=1) - 1.0) < RENORM_TOL))
     if bad.any():
@@ -298,29 +307,33 @@ def write_trial_files(log: TrialLog, out: Path, dump_beliefs: bool) -> list:
 # -- summaries ---------------------------------------------------------------
 
 
-def _alignment_stats(config: ExperimentConfig, log: TrialLog) -> dict:
-    """Windowed alignment numbers for one trial: divergence median and AUC
-    in the alignment window, the shuffled AUC, and the rare-vs-ordinary
-    divergence means over the spike range."""
-    series = log.iteration_series("jsd_z")
-    n = series.size
+def _alignment_stats(config: ExperimentConfig, logs) -> list:
+    """Windowed alignment numbers of each trial of `logs`, all of one length:
+    divergence median and AUC in the alignment window, the shuffled AUC, and
+    the rare-vs-ordinary divergence means over the spike range. The window's
+    numbers of every trial come from one stack."""
+    series = np.array([log.iteration_series("jsd_z") for log in logs])
+    n = series.shape[1]
     lo, hi = ALIGNMENT_WINDOW[0] - 1, ALIGNMENT_WINDOW[1] - 1
-    out: dict = {"trial": log.trial_index}
+    out = [{"trial": log.trial_index} for log in logs]
     if hi < n:
-        out["jsd_median"] = float(np.median(series[lo : hi + 1]))
-        out["auc_original"] = auc_window(series, lo, hi)
-        seeds = shuffle_seeds(config, log.condition, log.trial_index)
-        out["auc_shuffled"], _ = shuffled_window(
-            iteration_rows(log.parent_round_beliefs), iteration_rows(log.landing_states()),
+        seeds = [shuffle_seeds(config, log.condition, log.trial_index) for log in logs]
+        shuffled, _ = shuffled_window(
+            [iteration_rows(log.parent_round_beliefs) for log in logs],
+            [iteration_rows(log.landing_states()) for log in logs],
             seeds, lo, hi,
         )
+        medians, aucs = np.median(series[:, lo : hi + 1], axis=1), auc_window(series, lo, hi)
+        for i, entry in enumerate(out):
+            entry["jsd_median"], entry["auc_original"] = float(medians[i]), float(aucs[i])
+            entry["auc_shuffled"] = float(shuffled[i].mean())
     s_lo, s_hi = SPIKE_RANGE[0] - 1, min(SPIKE_RANGE[1] - 1, n - 1)
     if s_lo <= s_hi:
-        rare = log.iteration_series("rare_branch")[s_lo : s_hi + 1]
-        window = series[s_lo : s_hi + 1]
-        if rare.any() and not rare.all():
-            out["jsd_mean_rare"] = float(window[rare].mean())
-            out["jsd_mean_ordinary"] = float(window[~rare].mean())
+        for log, entry, window in zip(logs, out, series[:, s_lo : s_hi + 1]):
+            rare = log.iteration_series("rare_branch")[s_lo : s_hi + 1]
+            if rare.any() and not rare.all():
+                entry["jsd_mean_rare"] = float(window[rare].mean())
+                entry["jsd_mean_ordinary"] = float(window[~rare].mean())
     return out
 
 
@@ -328,6 +341,8 @@ def build_summary(config: ExperimentConfig, logs, agg) -> dict:
     """Cross-trial summary: comfort moments per condition, their ranking,
     metric snapshots, and per-trial alignment statistics. `agg` is
     aggregate_conditions(logs)."""
+    ordered = sorted(logs, key=lambda lg: lg.trial_index)
+    stats = _alignment_stats(config, ordered)
     conditions: dict[str, dict] = {}
     for cond, data in agg.items():
         entry = {
@@ -336,11 +351,7 @@ def build_summary(config: ExperimentConfig, logs, agg) -> dict:
             "std_c_norm": data["std_c_norm"],
             "sem_c_norm": data["sem_c_norm"],
             "per_trial_mean_c_norm": [float(v) for v in data["per_trial_mean_c_norm"]],
-            "trials": [
-                _alignment_stats(config, log)
-                for log in sorted(logs, key=lambda lg: lg.trial_index)
-                if log.condition == cond
-            ],
+            "trials": [row for log, row in zip(ordered, stats) if log.condition == cond],
         }
         curves = data["curves"]
         snapshots = {}
@@ -416,29 +427,29 @@ class FinishedRun:
             raise ValueError(f"{manifest}: lists no trial {index} of {condition}")
         return self.path / name
 
-    def _sealed(self, name: str) -> Path:
-        """The path of `name`, a listed file whose bytes are still those the manifest sealed."""
+    def _sealed(self, name: str) -> bytes:
+        """The bytes of `name`, a listed file, read once and checked to be
+        those the manifest sealed."""
         if name not in self.manifest.artifacts:
             raise ValueError(f"{self.path / 'manifest.json'}: does not list {name}")
-        path = self.path / name
-        if digest(path.read_bytes()) != self.manifest.artifacts[name]:
-            raise ValueError(f"{path}: differs from the SHA-256 manifest.json records")
-        return path
+        data = (self.path / name).read_bytes()
+        if digest(data) != self.manifest.artifacts[name]:
+            raise ValueError(f"{self.path / name}: differs from the SHA-256 manifest.json records")
+        return data
 
-    def check(self):
-        """Check every listed file against its digest."""
+    def check(self) -> dict:
+        """Check every listed file against its digest, and return summary.json
+        as the run wrote it, parsed from the bytes that were checked."""
         for name in self.manifest.artifacts:
-            self._sealed(name)
-
-    def summary(self) -> dict:
-        """summary.json, as the run wrote it."""
-        return json.loads(self._sealed("summary.json").read_text())
+            if name != "summary.json":
+                self._sealed(name)
+        return json.loads(self._sealed("summary.json"))
 
     def trial(self, condition: str, index: int) -> TrialLog:
         """A listed trial's CSV as a TrialLog with the manifest's seed."""
         name = trial_files(condition, index)[0]
-        self._listed_path(condition, index, name)
-        rounds = load_trial_csv(self._sealed(name))
+        path = self._listed_path(condition, index, name)
+        rounds = load_trial_csv(path, self._sealed(name))
         return TrialLog(condition, index, self.manifest.trial_seeds[condition][index], rounds)
 
     def parent_beliefs(self, condition: str, index: int) -> np.ndarray:
@@ -447,7 +458,7 @@ class FinishedRun:
         path = self._listed_path(condition, index, name)
         if name not in self.manifest.artifacts:
             raise FileNotFoundError(f"{path} not found; rerun with --dump-beliefs")
-        return load_beliefs_csv(self._sealed(name))
+        return load_beliefs_csv(path, self._sealed(name))
 
 
 def open_run(run_dir) -> FinishedRun:

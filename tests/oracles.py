@@ -15,8 +15,8 @@ from dyadreg.agents import AgentKind, Infant
 from dyadreg.dialogue import Condition, DialogueOutcome
 from dyadreg.environment import Action, N_ACTIONS, N_STATES
 from dyadreg.harness import BELIEF_HEADER, CSV_HEADER
-from dyadreg.metrics import ROUND_DTYPE
-from dyadreg.probability import KL_FLOOR, RENORM_TOL, Categorical, digamma, kl_terms
+from dyadreg.metrics import ROUND_DTYPE, auc_window, shuffle_control
+from dyadreg.probability import KL_FLOOR, RENORM_TOL, Categorical, digamma, kl_terms, make_rng
 
 
 def entropy(p: np.ndarray) -> float:
@@ -73,6 +73,23 @@ def jsd_latent(parent_belief: np.ndarray, infant_state: int) -> float:
     p_half = float((p[mask] * (np.log(p[mask]) - np.log(m[mask]))).sum())
     infant_half = 0.0 - float(np.log(m[k]))
     return max(0.5 * p_half + 0.5 * infant_half, 0.0)
+
+
+def shuffled_window(parent_seq, infant_states, seeds, lo: int, hi: int) -> tuple:
+    """One trial's time-shuffle control over the inclusive 0-based iteration
+    window [lo, hi], one shuffle_control call per seed: the AUC and the
+    median of the shuffled divergence, each the mean over one permutation
+    per seed, drawn over the whole series. harness.shuffled_window, which
+    takes a stack of trials and all their seeds in one call, must give the
+    bits of these means."""
+    n = len(parent_seq)
+    aucs, medians = [], []
+    for seed in seeds:
+        rows = make_rng(seed).permutation(n)[lo : hi + 1]
+        shuffled = shuffle_control(parent_seq[lo : hi + 1], infant_states[rows])
+        aucs.append(auc_window(shuffled, 0, hi - lo))
+        medians.append(np.median(shuffled))
+    return float(np.mean(aucs)), float(np.mean(medians))
 
 
 def dirichlet_expected_entropy(concentrations) -> float:

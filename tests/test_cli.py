@@ -1,3 +1,5 @@
+import builtins
+import collections
 import io
 import json
 import os
@@ -721,6 +723,24 @@ class TestRunDirectory:
         monkeypatch.setattr(ExperimentConfig, "from_dict", counted)
         assert run_cli(command, "--run", str(finished_run)) == 0
         assert len(parsed) == 1
+
+    @pytest.mark.parametrize("command", ["report", "shuffle-control"])
+    def test_each_file_is_read_once(self, finished_run, capsys, monkeypatch, command):
+        # A reader parses the bytes it checked against the manifest's digest.
+        opened = collections.Counter()
+        real_open = io.open
+
+        def counted(file, *args, **kwargs):
+            if Path(file).is_relative_to(finished_run):
+                opened[Path(file).relative_to(finished_run).as_posix()] += 1
+            return real_open(file, *args, **kwargs)
+
+        for owner in (io, builtins):
+            monkeypatch.setattr(owner, "open", counted)
+        assert run_cli(command, "--run", str(finished_run)) == 0
+        read = {"manifest.json", "summary.json"} if command == "report" else {
+            "manifest.json", "trials/mhng_t00.csv", "trials/mhng_t00_beliefs.csv"}
+        assert read <= set(opened) and set(opened.values()) == {1}
 
     def test_trial_output_is_not_a_finished_run(self, tmp_path, capsys):
         out = tmp_path / "t"

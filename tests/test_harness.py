@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dyadreg import agents, dialogue, harness
+from dyadreg import agents, dialogue, harness, metrics
 from dyadreg.agents import Agent, AgentKind, init_agent
 from dyadreg.config import MAX_WORKERS, ExperimentConfig
 from dyadreg.dialogue import CONDITION_NAMES, ROUND_ORDERS, DialogueOutcome, condition_codes
@@ -35,7 +35,8 @@ from dyadreg.harness import (
     write_trial_csv,
     write_trial_files,
 )
-from dyadreg.metrics import ROUND_DTYPE, TrialLog, aggregate_conditions, trial_files
+from dyadreg.metrics import ALIGNMENT_WINDOW, ROUND_DTYPE, TrialLog, aggregate_conditions
+from dyadreg.metrics import auc_window, iteration_rows, trial_files
 from dyadreg.probability import KL_FLOOR, derive_seed, make_rng
 import oracles
 from oracles import column_kls, floored_kld_A, jsd_latent, learned_dynamics, mean_column_kl
@@ -442,6 +443,71 @@ class TestColumnsDerivedAfterTheLoop:
         assert np.array_equal(rounds["true_y"], true_y)
         assert rounds["c_norm"].tobytes() == c_norm.tobytes()
         assert rounds["jsd_z"].tobytes() == jsd_z.tobytes()
+
+
+class TestOneDivergencePassPerBatch:
+    """The divergence of a whole batch, computed over stacks of trials,
+    against one trial at a time, bit for bit: the jsd_z column in slabs of
+    any size, and the alignment statistics with their shuffle control."""
+
+    CONDITIONS = [cond for cond in CONDITION_NAMES for _ in range(3)]
+    TRIALS = [0, 1, 2] * len(CONDITION_NAMES)
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        # Every condition in one batch, long enough for the alignment window.
+        config = small_config(
+            conditions=CONDITION_NAMES, iterations=60, shuffle_permutations=3,
+            mh_current_w="persistent",
+        )
+        return config, run_trial(config, self.CONDITIONS, self.TRIALS)
+
+    # Slabs of one row, of a size that divides no trial's 120 rows, and of
+    # 100 rows, which split every trial.
+    @pytest.mark.parametrize("slab", [1, 7, 100])
+    def test_the_slabbed_column_equals_each_trial_alone(self, monkeypatch, batch, slab):
+        config, logs = batch
+        stack = np.array([log.parent_round_beliefs for log in logs])
+        states = np.array([log.landing_states() for log in logs])
+        assert len(states[0]) < metrics.JSD_SLAB_ROWS
+        column = np.array([metrics.jsd_latent(p, k) for p, k in zip(stack, states)])
+        # A subnormal cell off the infant's state: its half rounds to 0 in
+        # the mixture.
+        stack[4, 37, (states[4, 37] + 1) % N_STATES] = 5e-324
+        alone = np.array([metrics.jsd_latent(p, k) for p, k in zip(stack, states)])
+        monkeypatch.setattr(metrics, "JSD_SLAB_ROWS", slab)
+        assert metrics.jsd_latent(stack, states).tobytes() == alone.tobytes()
+        rerun = run_trial(config, self.CONDITIONS, self.TRIALS)
+        assert np.array([log.rounds["jsd_z"] for log in rerun]).tobytes() == column.tobytes()
+
+    def test_the_stacked_alignment_equals_the_per_trial_loop(self, batch):
+        config, logs = batch
+        lo, hi = ALIGNMENT_WINDOW[0] - 1, ALIGNMENT_WINDOW[1] - 1
+        parents = [iteration_rows(log.parent_round_beliefs) for log in logs]
+        states = [iteration_rows(log.landing_states()) for log in logs]
+        seeds = [harness.shuffle_seeds(config, log.condition, log.trial_index) for log in logs]
+        assert {len(s) for s in seeds} == {3}
+        # The alignment window's shuffled divergence is mostly ln 2 here;
+        # the first ten iterations' is not, and their median is a mean of two.
+        for window in ((0, 9), (lo, hi)):
+            aucs, medians = harness.shuffled_window(parents, states, seeds, *window)
+            alone = [oracles.shuffled_window(*trial, *window) for trial in zip(parents, states, seeds)]
+            stacked = np.array([aucs.mean(axis=1), medians.mean(axis=1)]).T
+            assert stacked.tobytes() == np.array(alone).tobytes()
+        # summary.json's numbers of the alignment window, trial by trial.
+        summary = build_summary(config, logs, aggregate_conditions(logs))
+        stacked, alone_stats = [], []
+        for log, (auc_shuffled, _) in zip(logs, alone):
+            (entry,) = [
+                t for t in summary["conditions"][log.condition]["trials"]
+                if t["trial"] == log.trial_index
+            ]
+            stacked.append([entry["jsd_median"], entry["auc_original"], entry["auc_shuffled"]])
+            series = log.iteration_series("jsd_z")
+            alone_stats.append(
+                [np.median(series[lo : hi + 1]), auc_window(series, lo, hi), auc_shuffled]
+            )
+        assert np.array(stacked).tobytes() == np.array(alone_stats).tobytes()
 
 
 class TestBatchReferee:

@@ -4,8 +4,11 @@ runs reproduce, compared against the committed golden file.
 The runs are two small configs ("a" and "b": 3 conditions x 2 trials x 200
 iterations with belief dumps), the benchmark's two workload shapes at seeds
 0, 1 and 2 ("grid": 3 x 4 x 250; "dump-readback": 3 x 10 x 60 with dumps and
-the non-default branches), and a default 3 x 10 x 1000 run with dumps at
-seed 0. The digests of a run cover every file in `manifest.artifacts`,
+the non-default branches), a default 3 x 10 x 1000 run with dumps at
+seed 0, and the summary's short and partial shapes: 15 iterations (no
+iteration-20 snapshot, no alignment window, no spike range, no AUC rows or
+plot), 30 iterations (snapshots but no AUC), one condition, and two
+conditions out of the default order. The digests of a run cover every file in `manifest.artifacts`,
 manifest.json without its wall-clock `timings`, the stdout of `report`, and
 for a run with dumps the stdout of one `shuffle-control`. Each digest the
 manifest records must equal a fresh one of its file. Any change to an
@@ -49,6 +52,10 @@ RUNS = {
     **{f"grid-seed{seed}": dict(GRID, seed=seed) for seed in (0, 1, 2)},
     **{f"dump-readback-seed{seed}": dict(DUMP_READBACK, seed=seed) for seed in (0, 1, 2)},
     "default-dump-seed0": dict(dump_beliefs=True, seed=0),
+    "iterations15": dict(trials=2, iterations=15),
+    "iterations30": dict(trials=2, iterations=30),
+    "one-condition": dict(SMALL, conditions=("b-led",), dump_beliefs=False),
+    "two-conditions": dict(SMALL, conditions=("b-led", "mhng")),
 }
 
 

@@ -37,13 +37,12 @@ from .metrics import (
     ALIGNMENT_WINDOW,
     AUC_DTYPE,
     CNORM_DTYPE,
+    CURVES_DTYPE,
     ROUND_DTYPE,
     SPIKE_RANGE,
     TrialLog,
-    aggregate_conditions,
     auc_window,
     c_norm,
-    c_norm_ranking,
     iteration_rows,
     jsd_latent,
     round_rows,
@@ -209,8 +208,13 @@ def _load_csv(path, data, header, dtype) -> np.ndarray:
     parsed by np.loadtxt into the structured `dtype`; its lines end in LF,
     CRLF or CR, as open() reads them. ValueError names the file for another
     header, no data rows, a row with another number of cells, a cell that
-    does not parse, or rows that are not rounds 1 and 2 of iterations 1, 2, ..."""
-    text = data.decode().replace("\r\n", "\n").replace("\r", "\n")
+    does not parse, or rows that are not rounds 1 and 2 of iterations 1, 2, ...,
+    and for bytes that are not UTF-8 text."""
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     first, *lines = text.removesuffix("\n").split("\n")
     if first.split(",") != header:
         raise ValueError(f"{path}: unexpected CSV header")
@@ -307,15 +311,26 @@ def write_trial_files(log: TrialLog, out: Path, dump_beliefs: bool) -> list:
 # -- summaries ---------------------------------------------------------------
 
 
-def _alignment_stats(config: ExperimentConfig, logs) -> list:
-    """Windowed alignment numbers of each trial of `logs`, all of one length:
-    divergence median and AUC in the alignment window, the shuffled AUC, and
-    the rare-vs-ordinary divergence means over the spike range. The window's
-    numbers of every trial come from one stack."""
-    series = np.array([log.iteration_series("jsd_z") for log in logs])
-    n = series.shape[1]
+def build_summary(config: ExperimentConfig, logs) -> tuple:
+    """summary.json and the run's summary tables from `logs`, TrialLogs all
+    of one length. Conditions keep their first-appearance order in `logs`,
+    and each condition's trials keep log order. A condition's entry holds
+    the moments of its trials' mean comfort, snapshots of its mean error
+    curves, and per trial, where the run reaches them, the window numbers:
+    the divergence median, AUC and mean shuffled AUC over the alignment
+    window, and the rare-vs-ordinary divergence means over the spike range.
+    c_norm_ranking lists the conditions by mean comfort, highest first; a
+    tie keeps their order. `tables` maps each table's file name to its
+    structured array. Each per-iteration series is stacked once, a row per
+    trial, and every number is read from those stacks. ValueError if `logs`
+    is empty."""
+    if not logs:
+        raise ValueError("no trial logs to summarise")
+    names = CURVES_DTYPE.names[1:] + ("rare_branch",)
+    stacks = {name: np.array([log.iteration_series(name) for log in logs]) for name in names}
+    jsd, n = stacks["jsd_z"], stacks["jsd_z"].shape[1]
+    stats = [{"trial": log.trial_index} for log in logs]
     lo, hi = ALIGNMENT_WINDOW[0] - 1, ALIGNMENT_WINDOW[1] - 1
-    out = [{"trial": log.trial_index} for log in logs]
     if hi < n:
         seeds = [shuffle_seeds(config, log.condition, log.trial_index) for log in logs]
         shuffled, _ = shuffled_window(
@@ -323,51 +338,50 @@ def _alignment_stats(config: ExperimentConfig, logs) -> list:
             [iteration_rows(log.landing_states()) for log in logs],
             seeds, lo, hi,
         )
-        medians, aucs = np.median(series[:, lo : hi + 1], axis=1), auc_window(series, lo, hi)
-        for i, entry in enumerate(out):
+        medians, aucs = np.median(jsd[:, lo : hi + 1], axis=1), auc_window(jsd, lo, hi)
+        for i, entry in enumerate(stats):
             entry["jsd_median"], entry["auc_original"] = float(medians[i]), float(aucs[i])
             entry["auc_shuffled"] = float(shuffled[i].mean())
-    s_lo, s_hi = SPIKE_RANGE[0] - 1, min(SPIKE_RANGE[1] - 1, n - 1)
-    if s_lo <= s_hi:
-        for log, entry, window in zip(logs, out, series[:, s_lo : s_hi + 1]):
-            rare = log.iteration_series("rare_branch")[s_lo : s_hi + 1]
-            if rare.any() and not rare.all():
-                entry["jsd_mean_rare"] = float(window[rare].mean())
-                entry["jsd_mean_ordinary"] = float(window[~rare].mean())
-    return out
+    # An empty spike range leaves every trial's rare flags empty.
+    spike = slice(SPIKE_RANGE[0] - 1, SPIKE_RANGE[1])
+    for entry, window, rare in zip(stats, jsd[:, spike], stacks["rare_branch"][:, spike]):
+        if rare.any() and not rare.all():
+            entry["jsd_mean_rare"] = float(window[rare].mean())
+            entry["jsd_mean_ordinary"] = float(window[~rare].mean())
 
-
-def build_summary(config: ExperimentConfig, logs, agg) -> dict:
-    """Cross-trial summary: comfort moments per condition, their ranking,
-    metric snapshots, and per-trial alignment statistics. `agg` is
-    aggregate_conditions(logs)."""
-    ordered = sorted(logs, key=lambda lg: lg.trial_index)
-    stats = _alignment_stats(config, ordered)
-    conditions: dict[str, dict] = {}
-    for cond, data in agg.items():
-        entry = {
-            "n_trials": data["n_trials"],
-            "mean_c_norm": data["mean_c_norm"],
-            "std_c_norm": data["std_c_norm"],
-            "sem_c_norm": data["sem_c_norm"],
-            "per_trial_mean_c_norm": [float(v) for v in data["per_trial_mean_c_norm"]],
-            "trials": [row for log, row in zip(ordered, stats) if log.condition == cond],
+    # The snapshots' 0-based iterations; a run shorter than 20 has no iter20.
+    snapshot_at = {"first": 0, "iter20": ALIGNMENT_WINDOW[0] - 1, "last": n - 1}
+    conditions, tables, cnorm, auc = {}, {}, [], []
+    for cond in dict.fromkeys(log.condition for log in logs):
+        rows = [i for i, log in enumerate(logs) if log.condition == cond]
+        per_trial, count = stacks["c_norm"][rows].mean(axis=1), len(rows)
+        std = float(per_trial.std(ddof=1)) if count > 1 else 0.0
+        curve = tables[f"curves_{cond}.csv"] = np.rec.fromarrays(
+            [np.arange(1, n + 1)] + [stacks[k][rows].mean(axis=0) for k in CURVES_DTYPE.names[1:]],
+            dtype=CURVES_DTYPE,
+        )
+        entry = conditions[cond] = {
+            "n_trials": count,
+            "mean_c_norm": float(per_trial.mean()),
+            "std_c_norm": std,
+            "sem_c_norm": std / np.sqrt(count) if count > 1 else 0.0,
+            "per_trial_mean_c_norm": per_trial.tolist(),
+            "trials": [stats[i] for i in rows],
+            "kld_snapshots": {
+                name: {key: float(curve[name][i]) for key, i in snapshot_at.items() if i < n}
+                for name in ("kld_A", "kld_B_sleep")
+            },
         }
-        curves = data["curves"]
-        snapshots = {}
-        for name in ("kld_A", "kld_B_sleep"):
-            curve = curves[name]
-            snap = {"first": float(curve[0]), "last": float(curve[-1])}
-            if curve.size >= ALIGNMENT_WINDOW[0]:
-                snap["iter20"] = float(curve[ALIGNMENT_WINDOW[0] - 1])
-            snapshots[name] = snap
-        entry["kld_snapshots"] = snapshots
-        conditions[cond] = entry
-    return {
-        "iterations": config.iterations,
-        "conditions": conditions,
-        "c_norm_ranking": c_norm_ranking(agg, conditions),
-    }
+        # A summary table's columns after the condition are summary.json keys: of a
+        # condition's entry in summary_cnorm.csv, of one of its trials' in summary_auc.csv.
+        cnorm.append((cond, *(entry[k] for k in CNORM_DTYPE.names[1:])))
+        if hi < n:
+            auc += [(cond, *(t[k] for k in AUC_DTYPE.names[1:])) for t in entry["trials"]]
+    tables["summary_cnorm.csv"] = np.array(cnorm, CNORM_DTYPE)
+    tables["summary_auc.csv"] = np.array(auc, AUC_DTYPE)
+    ranking = sorted(conditions, key=lambda c: conditions[c]["mean_c_norm"], reverse=True)
+    summary = {"iterations": config.iterations, "conditions": conditions, "c_norm_ranking": ranking}
+    return summary, tables
 
 
 # -- the full experiment -----------------------------------------------------
@@ -533,12 +547,11 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
         batch_logs = [run_trial(*job) for job in jobs]
     logs = [log for batch in batch_logs for log in batch]
 
-    artifacts = ["config.json", "summary.json", "summary_cnorm.csv", "summary_auc.csv"]
+    artifacts = ["config.json", "summary.json"]
     for log in logs:
         artifacts.extend(write_trial_files(log, out, config.dump_beliefs))
 
-    agg = aggregate_conditions(logs)
-    summary = build_summary(config, logs, agg)
+    summary, tables = build_summary(config, logs)
     (out / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )
@@ -547,26 +560,9 @@ def run_experiment(config: ExperimentConfig) -> RunManifest:
     # are byte-identical across locations and worker counts.
     snapshot = config.replaced(out_dir=".", workers=1)
     save_config(snapshot, out / "config.json")
-
-    # A summary table's columns after the condition are summary.json keys: of a
-    # condition's entry in summary_cnorm.csv, of one of its trials' in summary_auc.csv.
-    conditions = summary["conditions"]
-    cnorm = [
-        (cond, *(conditions[cond][k] for k in CNORM_DTYPE.names[1:]))
-        for cond in config.conditions
-    ]
-    _write_csv(out / "summary_cnorm.csv", np.array(cnorm, CNORM_DTYPE))
-    auc = [
-        (cond, *(row[k] for k in AUC_DTYPE.names[1:]))
-        for cond in config.conditions
-        for row in conditions[cond]["trials"]
-        if "auc_original" in row
-    ]
-    _write_csv(out / "summary_auc.csv", np.array(auc, AUC_DTYPE))
-    for cond in config.conditions:
-        name = f"curves_{cond}.csv"
-        _write_csv(out / name, agg[cond]["curves"])
-        artifacts.append(name)
+    for name, table in tables.items():
+        _write_csv(out / name, table)
+    artifacts.extend(tables)
 
     artifacts.extend(emit_plots(out, config, summary))
 

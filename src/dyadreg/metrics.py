@@ -2,14 +2,14 @@
 
 Comfort of the true state, learning error of each agent's imprecise
 matrix, divergence between the two agents' beliefs, windowed AUC, the
-temporal-shuffle control, the columnar trial log with the run-relative
-paths of its files, and cross-trial aggregation.
+temporal-shuffle control, and the columnar trial log with the run-relative
+paths of its files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -218,45 +218,3 @@ def trial_files(condition: str, trial_index: int) -> tuple:
     """Run-relative paths of one trial's CSV and of its belief dump."""
     stem = f"trials/{condition}_t{trial_index:02d}"
     return f"{stem}.csv", f"{stem}_beliefs.csv"
-
-
-def aggregate_conditions(logs: Iterable[TrialLog]) -> dict:
-    """Cross-trial summary per condition.
-
-    For each condition: the per-trial mean comfort with mean, sample
-    standard deviation and standard error across trials, plus the table of
-    pointwise mean curves of the per-iteration metrics, CURVES_DTYPE.
-    """
-    groups: dict[str, list[TrialLog]] = {}
-    for log in logs:
-        groups.setdefault(log.condition, []).append(log)
-    if not groups:
-        raise ValueError("no trial logs to aggregate")
-    out: dict[str, dict] = {}
-    for condition, members in groups.items():
-        per_trial = np.array(
-            [log.iteration_series("c_norm").mean() for log in members]
-        )
-        n = per_trial.size
-        std = float(per_trial.std(ddof=1)) if n > 1 else 0.0
-        columns = [
-            np.vstack([log.iteration_series(name) for log in members]).mean(axis=0)
-            for name in CURVES_DTYPE.names[1:]
-        ]
-        iterations = np.arange(1, columns[0].size + 1)
-        curves = np.rec.fromarrays([iterations, *columns], dtype=CURVES_DTYPE)
-        out[condition] = {
-            "n_trials": n,
-            "per_trial_mean_c_norm": per_trial,
-            "mean_c_norm": float(per_trial.mean()),
-            "std_c_norm": std,
-            "sem_c_norm": std / np.sqrt(n) if n > 1 else 0.0,
-            "curves": curves,
-        }
-    return out
-
-
-def c_norm_ranking(agg: dict, conditions) -> list:
-    """`conditions` by their mean comfort in `agg`, highest first; a tie
-    keeps the order of `conditions`."""
-    return sorted(conditions, key=lambda c: agg[c]["mean_c_norm"], reverse=True)

@@ -34,7 +34,7 @@ from dyadreg.probability import (
     make_rng,
     softmax_neg,
 )
-from dyadreg.metrics import aggregate_conditions, jsd_latent
+from dyadreg.metrics import jsd_latent
 from oracles import identity_efe, js_divergence, kl_divergence, run_trial_keeping_agents
 from oracles import jsd_latent as scalar_jsd_latent
 
@@ -65,7 +65,7 @@ def grid():
 def mhng_summary(grid):
     cfg = ExperimentConfig(seed=DEFAULT_SEED)
     logs = grid[DEFAULT_SEED]["mhng"]
-    return build_summary(cfg, logs, aggregate_conditions(logs))
+    return build_summary(cfg, logs)[0]
 
 
 def mean_curve(logs, name):

@@ -35,7 +35,7 @@ from dyadreg.harness import (
     write_trial_csv,
     write_trial_files,
 )
-from dyadreg.metrics import ALIGNMENT_WINDOW, ROUND_DTYPE, TrialLog, aggregate_conditions
+from dyadreg.metrics import ALIGNMENT_WINDOW, ROUND_DTYPE, TrialLog
 from dyadreg.metrics import auc_window, iteration_rows, trial_files
 from dyadreg.probability import KL_FLOOR, derive_seed, make_rng
 import oracles
@@ -495,7 +495,7 @@ class TestOneDivergencePassPerBatch:
             stacked = np.array([aucs.mean(axis=1), medians.mean(axis=1)]).T
             assert stacked.tobytes() == np.array(alone).tobytes()
         # summary.json's numbers of the alignment window, trial by trial.
-        summary = build_summary(config, logs, aggregate_conditions(logs))
+        summary = build_summary(config, logs)[0]
         stacked, alone_stats = [], []
         for log, (auc_shuffled, _) in zip(logs, alone):
             (entry,) = [
@@ -728,6 +728,11 @@ class TestTrialCsvFuzz:
                 continue
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
                 load_trial_csv(path)
+        # A byte that is not UTF-8, at the start of the first row.
+        path = tmp_path / "not_utf8.csv"
+        path.write_bytes(good.read_bytes().replace(b"\r\n", b"\r\n\xff", 1))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_trial_csv(path)
 
     # Under Python's default filters, as the CLI runs: the loader itself must
     # refuse a float in an int column, not a test-only warning filter.
@@ -876,6 +881,11 @@ class TestBeliefsCsv:
             path.write_text("\n".join([header, *lines]) + "\n")
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
                 load_beliefs_csv(path)
+        # A byte that is not UTF-8, at the start of the first row.
+        path = tmp_path / "not_utf8.csv"
+        path.write_bytes(good.read_bytes().replace(b"\r\n", b"\r\n\xff", 1))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_beliefs_csv(path)
         # A cell that does not parse is named by its file line and column.
         path = tmp_path / "bad_cell.csv"
         line = rows[18].split(",")
@@ -932,7 +942,7 @@ class TestSummary:
     def test_windows_present_when_long_enough(self):
         cfg = small_config(iterations=60)
         logs = run_trial(cfg, ["mhng"], [0])
-        summary = build_summary(cfg, logs, aggregate_conditions(logs))
+        summary = build_summary(cfg, logs)[0]
         entry = summary["conditions"]["mhng"]["trials"][0]
         assert {"jsd_median", "auc_original", "auc_shuffled"} <= set(entry)
         assert summary["c_norm_ranking"] == ["mhng"]
@@ -940,24 +950,23 @@ class TestSummary:
     def test_windows_absent_when_short(self):
         cfg = small_config(iterations=30)
         logs = run_trial(cfg, ["mhng"], [0])
-        summary = build_summary(cfg, logs, aggregate_conditions(logs))
+        summary = build_summary(cfg, logs)[0]
         entry = summary["conditions"]["mhng"]["trials"][0]
         assert "auc_original" not in entry
 
     def test_shuffled_auc_uses_mean_of_permutations(self):
         cfg = small_config(iterations=60)
         logs = run_trial(cfg, ["mhng"], [0])
-        agg = aggregate_conditions(logs)
-        one = build_summary(cfg, logs, agg)["conditions"]["mhng"]["trials"][0]
+        one = build_summary(cfg, logs)[0]["conditions"]["mhng"]["trials"][0]
         many_cfg = cfg.replaced(shuffle_permutations=4)
-        many = build_summary(many_cfg, logs, agg)["conditions"]["mhng"]["trials"][0]
+        many = build_summary(many_cfg, logs)[0]["conditions"]["mhng"]["trials"][0]
         assert one["auc_original"] == many["auc_original"]
         assert one["auc_shuffled"] != many["auc_shuffled"]
 
     def test_kld_snapshots(self):
         cfg = small_config(iterations=25)
         logs = run_trial(cfg, ["mhng"], [0])
-        summary = build_summary(cfg, logs, aggregate_conditions(logs))
+        summary = build_summary(cfg, logs)[0]
         snaps = summary["conditions"]["mhng"]["kld_snapshots"]
         assert set(snaps) == {"kld_A", "kld_B_sleep"}
         assert snaps["kld_A"]["first"] > snaps["kld_A"]["last"]

@@ -12,11 +12,11 @@ from dyadreg.environment import (
     build_transition_model,
     to_flat,
 )
-from dyadreg.harness import shuffled_window
+from dyadreg.config import ExperimentConfig
+from dyadreg.harness import build_summary, shuffled_window
 from dyadreg.metrics import (
     ROUND_DTYPE,
     TrialLog,
-    aggregate_conditions,
     auc_window,
     c_norm,
     jsd_latent,
@@ -365,13 +365,18 @@ def synthetic_log(condition, trial, values):
 
 
 class TestAggregate:
+    @staticmethod
+    def summarise(logs):
+        return build_summary(ExperimentConfig(iterations=2), logs)
+
     def test_groups_and_moments(self):
         logs = [
             synthetic_log("mhng", 0, [0.2, 0.4]),
             synthetic_log("mhng", 1, [0.6, 0.8]),
             synthetic_log("a-led", 0, [0.5, 0.5]),
         ]
-        out = aggregate_conditions(logs)
+        summary, tables = self.summarise(logs)
+        out = summary["conditions"]
         assert set(out) == {"mhng", "a-led"}
         mh = out["mhng"]
         assert mh["n_trials"] == 2
@@ -379,16 +384,33 @@ class TestAggregate:
         assert mh["mean_c_norm"] == pytest.approx(0.5)
         assert mh["std_c_norm"] == pytest.approx(np.std([0.3, 0.7], ddof=1))
         assert mh["sem_c_norm"] == pytest.approx(mh["std_c_norm"] / np.sqrt(2))
-        assert np.allclose(mh["curves"]["c_norm"], [0.4, 0.6])
+        assert np.allclose(tables["curves_mhng.csv"]["c_norm"], [0.4, 0.6])
 
     def test_single_trial_has_zero_spread(self):
-        out = aggregate_conditions([synthetic_log("b-led", 0, [0.1, 0.3])])
+        out = self.summarise([synthetic_log("b-led", 0, [0.1, 0.3])])[0]["conditions"]
         assert out["b-led"]["std_c_norm"] == 0.0
         assert out["b-led"]["sem_c_norm"] == 0.0
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            aggregate_conditions([])
+            self.summarise([])
+
+    def test_interleaved_logs_keep_their_order(self):
+        logs = [
+            synthetic_log("a-led", 1, [0.2, 0.4]),
+            synthetic_log("mhng", 0, [0.9, 0.9]),
+            synthetic_log("a-led", 0, [0.6, 0.8]),
+        ]
+        summary, tables = self.summarise(logs)
+        assert list(summary["conditions"]) == ["a-led", "mhng"]
+        a_led = summary["conditions"]["a-led"]
+        assert [t["trial"] for t in a_led["trials"]] == [1, 0]
+        assert np.allclose(a_led["per_trial_mean_c_norm"], [0.3, 0.7])
+        assert list(tables["summary_cnorm.csv"]["condition"]) == ["a-led", "mhng"]
+        assert [name for name in tables if name.startswith("curves_")] == [
+            "curves_a-led.csv",
+            "curves_mhng.csv",
+        ]
 
     def test_iteration_series_dtype(self):
         log = synthetic_log("mhng", 0, [0.2])

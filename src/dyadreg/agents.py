@@ -89,9 +89,10 @@ def update_belief(belief_pred: np.ndarray, sensory: np.ndarray, obs: np.ndarray)
 
 class Agent:
     """The parent in each of `trials` trials. It knows the dynamics
-    B[z', z, a], filters a belief over the latent states, and learns its
-    sensory map A[obs, z] as the mean of its counts over (z, obs), in every
-    trial from one trial's `concentration`. `map_kls[t, z]` is the error of
+    B[z', z, a], filters a belief over the latent states, which only
+    assimilate replaces, and learns its sensory map A[obs, z] as the mean of
+    its counts over (z, obs), in every trial from one trial's
+    `concentration`. `map_kls[t, z]` is the error of
     state z's column of the map in trial t, renewed with that column. It
     keeps the generic name, by which the benchmark traces it."""
 
@@ -273,7 +274,8 @@ def init_agent(
     belief in each. The parent keeps the exact dynamics and starts a flat
     Dirichlet over the sensory map; the infant senses its state exactly and
     starts a flat Dirichlet over the dynamics, at its mean, and is handed
-    the true Sleep columns its error is measured against."""
+    the true Sleep columns its error is measured against. ValueError for a
+    prior concentration that is not positive and finite."""
     if not 0.0 < prior_concentration < math.inf:
         raise ValueError("prior concentration must be positive and finite")
     preferred = preferred_obs_distribution(preference, preference_mode)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import CONDITION_NAMES, ConfigError, ExperimentConfig, load_config
+from .config import CONDITION_NAMES, MAX_TRIALS, ConfigError, ExperimentConfig, load_config
 from .harness import (
     open_run,
     run_experiment,
@@ -28,7 +28,7 @@ from .harness import (
     shuffled_window,
     write_trial_files,
 )
-from .metrics import ALIGNMENT_WINDOW, ROUND_DTYPE, iteration_rows
+from .metrics import ALIGNMENT_WINDOW, iteration_rows
 
 ENV_OUT = "DYADREG_OUT"
 
@@ -151,9 +151,8 @@ def _cmd_trial(args) -> int:
     out = Path(config.out_dir)
     if (out / "manifest.json").exists():
         raise ValueError(f"{out} holds a finished run; give trial another --out")
-    limit = np.iinfo(ROUND_DTYPE["trial"]).max + 1  # the trial CSV column's bound
-    if not 0 <= args.trial_index < limit:
-        raise ConfigError(f"--trial-index must lie in [0, {limit}), not {args.trial_index}")
+    if not 0 <= args.trial_index < MAX_TRIALS:
+        raise ConfigError(f"--trial-index must lie in [0, {MAX_TRIALS}), not {args.trial_index}")
     condition = config.conditions[0]
     (log,) = run_trial(config, [condition], [args.trial_index])
     for name in write_trial_files(log, out, config.dump_beliefs):

@@ -24,8 +24,10 @@ from .metrics import ROUND_DTYPE
 CURRENT_W_MODES = ("fresh", "persistent")
 # The most processes a run may start; each is a full interpreter.
 MAX_WORKERS = 64
-# The trial CSV's iteration column bounds a trial's length.
+# The trial CSV's iteration column bounds a trial's length, and its trial
+# column a condition's trials: indices in [0, MAX_TRIALS).
 MAX_ITERATIONS = int(np.iinfo(ROUND_DTYPE["iteration"]).max)
+MAX_TRIALS = int(np.iinfo(ROUND_DTYPE["trial"]).max) + 1
 FLOAT_MAX = sys.float_info.max
 # The largest squared distance of a cell from the comfort bump's centre, a corner's.
 _CORNER_D2 = 2 * COMFORT_CENTRE ** 2
@@ -124,8 +126,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown condition {c!r}, expected {CONDITION_NAMES}")
         if len(set(self.conditions)) != len(self.conditions):
             raise ConfigError("conditions must be unique")
-        if self.trials < 1:
-            raise ConfigError("trials must be a positive integer")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ConfigError(f"trials must be an integer in [1, {MAX_TRIALS}]")
         if not 1 <= self.iterations <= MAX_ITERATIONS:
             raise ConfigError(f"iterations must be an integer in [1, {MAX_ITERATIONS}]")
         if not 0 <= self.seed < 2**64:

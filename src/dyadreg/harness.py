@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .agents import AgentKind, init_agent
-from .config import ExperimentConfig, save_config
+from .config import MAX_TRIALS, ExperimentConfig, save_config
 from .dialogue import CONDITION_NAMES, ROUND_SPEAKERS, DialogueOutcome
 from .dialogue import condition_codes, place_uniforms, run_iteration
 from .environment import (
@@ -120,6 +120,20 @@ def build_world(config: ExperimentConfig):
     return world, pref
 
 
+def _check_batch(conditions, trials):
+    """ValueError, in one line that names the argument, unless `conditions`
+    is a non-empty sequence of names, not one str, and `trials` holds as
+    many integer indices in [0, MAX_TRIALS), the trial CSV's trial column."""
+    if isinstance(conditions, str) or not len(conditions):
+        raise ValueError(f"conditions must be a non-empty sequence of names, not {conditions!r}")
+    if len(trials) != len(conditions):
+        counts = f"{len(trials)} for {len(conditions)}"
+        raise ValueError(f"trials must hold one index per condition, not {counts}")
+    for t in trials:
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not 0 <= t < MAX_TRIALS:
+            raise ValueError(f"trials must be integers in [0, {MAX_TRIALS}), not {t!r}")
+
+
 def run_trial(config: ExperimentConfig, conditions, trials) -> list:
     """The seeded trials `trials`, trial trials[i] under conditions[i], run
     as one batch in the world build_world(config) builds: each `iterations`
@@ -129,6 +143,7 @@ def run_trial(config: ExperimentConfig, conditions, trials) -> list:
     Each round writes its cells into the record in place: the outcome, the
     parent's beliefs, the landing states and the two model errors. The
     other columns are derived after the last round."""
+    _check_batch(conditions, trials)
     codes = condition_codes(conditions)
     names = [CONDITION_NAMES[code] for code in codes]
     world, pref = build_world(config)

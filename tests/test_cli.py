@@ -910,11 +910,18 @@ class TestEntrypoints:
         assert captured.err.count("\n") == 1
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
-    def test_too_many_workers_fails_in_one_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (("--workers", "100000", "--trials", "1"), "workers"),
+            (("--trials", "2147483649"), "trials"),
+        ],
+    )
+    def test_a_count_out_of_range_fails_in_one_line(self, tmp_path, capsys, flags, field):
         out = tmp_path / "out"
-        assert run_cli("run", "--workers", "100000", "--trials", "1", "--out", str(out)) == 2
+        assert run_cli("run", *flags, "--out", str(out)) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: workers must be ")
+        assert captured.err.startswith(f"error: {field} must be ")
         assert captured.err.count("\n") == 1
         assert not out.exists()
 

@@ -8,6 +8,7 @@ import pytest
 from dyadreg.agents import AgentKind, init_agent
 from dyadreg.config import (
     MAX_ITERATIONS,
+    MAX_TRIALS,
     MAX_WORKERS,
     ConfigError,
     ExperimentConfig,
@@ -88,6 +89,7 @@ class TestValidation:
             {"c_values": (5e306,) * 36, "preference_mode": "softmax"},
             {"c_values": (10**400,) * 36},
             {"iterations": MAX_ITERATIONS + 1},
+            {"trials": MAX_TRIALS + 1},
         ],
     )
     def test_rejects(self, changes):

@@ -102,6 +102,28 @@ class TestRunTrial:
             assert m["kld_B_sleep"][i] == second["kld_B_sleep"]
             assert m["rare_branch"][i] == (first["rare_branch"] or second["rare_branch"])
 
+    @pytest.mark.parametrize(
+        "conditions, trials, argument",
+        [
+            (["mhng"], [2**32 + 3], "trials"),
+            (["mhng"], [2**31], "trials"),
+            (["mhng"], [-1], "trials"),
+            (["mhng"], [1.5], "trials"),
+            (["mhng"], [True], "trials"),
+            (["mhng", "mhng"], [0], "trials"),
+            ([], [], "conditions"),
+            ("mhng", [0, 1, 2, 3], "conditions"),
+        ],
+        ids=["2^32+3", "2^31", "negative", "float", "bool", "short", "empty", "one-name"],
+    )
+    def test_a_malformed_batch_is_refused_in_one_line(self, conditions, trials, argument):
+        # Each would otherwise record a trial index other than its seed's,
+        # or fail deep in numpy: every index must fit the trial CSV's
+        # 32-bit trial column, and there is one per condition name.
+        with pytest.raises(ValueError, match=f"^{argument} must ") as refused:
+            run_trial(small_config(iterations=2), conditions, trials)
+        assert "\n" not in str(refused.value)
+
     def test_outcome_fields_are_round_columns_in_order(self):
         # run_trial writes each outcome field by name into the record:
         # every field is a record column, in ROUND_DTYPE order, and all of
@@ -567,10 +589,6 @@ class TestBatchReferee:
         ]
         assert all((log.rounds["condition"] == log.condition).all() for log in batch)
         self.assert_alone_equals(config, batch, tmp_path)
-
-    def test_a_condition_name_is_not_a_list_of_conditions(self):
-        with pytest.raises(ValueError, match="'m' is not a valid Condition"):
-            run_trial(small_config(), "mhng", [0])
 
     @pytest.mark.parametrize("mh_current_w", ["fresh", "persistent"])
     def test_a_one_sided_trial_draws_in_a_mixed_batch_what_it_draws_alone(

@@ -1,17 +1,25 @@
 """README states what a user relies on: its flags are the parser's, its
-Configuration block is the default config, and its Artifacts block names
-every file a run writes."""
+Configuration block is the default config, its Artifacts block names
+every file a run writes, and every dyadreg name it cites exists. The Python
+floor it and pyproject.toml state is the grammar of every source file."""
 
 import argparse
+import ast
+import importlib
 import json
 import re
 from pathlib import Path
 
+import dyadreg
 from dyadreg.cli import build_parser
 from dyadreg.config import ExperimentConfig
 from dyadreg.harness import run_experiment
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+MODULES = sorted({p.stem for p in Path(dyadreg.__file__).parent.glob("*.py")} - {"__init__"})
+# A backticked `config.json` or `agents.py` names a file, not a module's name.
+FILE_SUFFIXES = {"py", "json", "csv", "gp", "md", "toml"}
 # Flags README names that belong to other programs: pip's, and the test
 # tools' (tests/test_fingerprint.py, tests/interleave.py).
 OTHER_FLAGS = {"--no-build-isolation", "--write", "--pairs"}
@@ -54,3 +62,47 @@ def test_readme_states_the_flags_the_config_and_the_artifacts(tmp_path):
         if not any(re.fullmatch(p, name) for p in patterns)
     ]
     assert not unmatched
+
+
+def _resolves(module: str, names: list) -> bool:
+    try:
+        target = importlib.import_module(f"dyadreg.{module}")
+        for name in names:
+            target = getattr(target, name)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+def test_every_dyadreg_name_readme_cites_resolves():
+    text = README.read_text()
+    blocks = re.findall(r"```[a-z]*\n(.*?)```", text, re.S)
+    prose = re.sub(r"```.*?```", "", text, flags=re.S)
+    cited = [
+        (module, dotted.split("."))
+        for span in re.findall(r"`([^`]+)`", prose)
+        for module, dotted in re.findall(
+            rf"(?<![\w./])({'|'.join(MODULES)})\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)", span
+        )
+        if dotted.rsplit(".", 1)[-1] not in FILE_SUFFIXES
+    ]
+    for block in blocks:
+        imports = re.findall(r"^\s*from dyadreg\.(\w+) import (\([^)]*\)|.*)", block, re.M)
+        for module, names in imports:
+            names = names.strip("()").split(",")
+            cited += [(module, [name.split()[0]]) for name in names if name.strip()]
+    assert len(cited) > 10
+    unresolved = [".".join([m, *n]) for m, n in cited if not _resolves(m, n)]
+    assert unresolved == []
+
+
+def test_every_source_file_parses_at_the_stated_python_floor():
+    # The interpreter that runs the tests may be newer than the floor, so
+    # only this parse checks that the code keeps to the floor's grammar.
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    minor = int(re.search(r'requires-python = ">=3\.(\d+)"', pyproject)[1])
+    assert f"Requires Python >= 3.{minor} " in README.read_text()
+    sources = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+    assert len(sources) > 20
+    for path in sources:
+        ast.parse(path.read_text(), str(path), feature_version=(3, minor))
